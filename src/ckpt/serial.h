@@ -13,6 +13,12 @@
 // its byte range and hash, and an optional fixed record size (e.g. one L1
 // set, one DRAM bank) that lets ckpt::first_divergence translate a byte
 // offset into an architectural component name.
+//
+// Two hash functions, for two jobs. hash64 is the fast one: it hashes
+// sections, global-store page images and wire frames, values that are only
+// ever compared within one snapshot format version. fnv1a stays for values
+// that persist or are compared across builds (parameter and campaign
+// fingerprints, bench digests), so those never change with the format.
 #pragma once
 
 #include <cstring>
@@ -24,8 +30,14 @@
 
 namespace higpu::ckpt {
 
-/// FNV-1a over a byte range; the snapshot/section hash function.
+/// FNV-1a over a byte range: for fingerprints and digests that must stay
+/// stable across snapshot format versions.
 u64 fnv1a(const u8* data, size_t len, u64 seed = 0xcbf29ce484222325ull);
+
+/// Word-wise 64-bit hash (the XXH64 construction: four independent u64
+/// lanes over 32-byte stripes, explicit little-endian loads, so the value
+/// is the same on every host). The section, store-page and wire-frame hash.
+u64 hash64(const u8* data, size_t len, u64 seed = 0);
 
 /// One named contiguous range of the snapshot blob.
 struct Section {
@@ -96,7 +108,9 @@ class SnapshotError : public std::runtime_error {
 class Reader {
  public:
   Reader(const std::vector<u8>& blob, const std::vector<Section>& sections)
-      : blob_(blob), sections_(sections) {}
+      : Reader(blob.data(), blob.size(), sections) {}
+  Reader(const u8* data, size_t size, const std::vector<Section>& sections)
+      : data_(data), size_(size), sections_(sections) {}
 
   u8 get8() { return static_cast<u8>(getle(1)); }
   u16 get16() { return static_cast<u16>(getle(2)); }
@@ -112,29 +126,42 @@ class Reader {
   void get_bytes(void* p, size_t n) {
     if (n == 0) return;
     need(n);
-    std::memcpy(p, blob_.data() + pos_, n);
+    std::memcpy(p, data_ + pos_, n);
     pos_ += n;
   }
   std::string get_string() {
     const u64 n = get64();
     need(n);
-    std::string s(reinterpret_cast<const char*>(blob_.data() + pos_),
+    std::string s(reinterpret_cast<const char*>(data_ + pos_),
                   static_cast<size_t>(n));
     pos_ += static_cast<size_t>(n);
     return s;
   }
   std::vector<u32> get_u32_vec() {
-    const u64 n = get64();
+    const u64 n = get_count(4, "u32 vector");
     std::vector<u32> v(static_cast<size_t>(n));
     for (u64 i = 0; i < n; ++i) v[static_cast<size_t>(i)] = get32();
     return v;
   }
   std::vector<u64> get_u64_vec() {
-    const u64 n = get64();
+    const u64 n = get_count(8, "u64 vector");
     std::vector<u64> v(static_cast<size_t>(n));
     for (u64 i = 0; i < n; ++i) v[static_cast<size_t>(i)] = get64();
     return v;
   }
+  /// Read an element count and refuse it unless `n` elements of at least
+  /// `min_bytes_each` bytes fit in the unread input: a corrupt length field
+  /// throws here, before anything is allocated from it.
+  u64 get_count(size_t min_bytes_each, const char* what) {
+    const u64 n = get64();
+    if (n > remaining() / min_bytes_each)
+      throw SnapshotError(std::string(what) + " length " + std::to_string(n) +
+                          " exceeds the " + std::to_string(remaining()) +
+                          " bytes left at byte " + std::to_string(pos_));
+    return n;
+  }
+  /// Unread bytes of the whole input.
+  size_t remaining() const { return size_ - pos_; }
 
   /// Sections are read in serialization order; entering one checks the name
   /// and positions the cursor, leaving one checks the full payload was
@@ -152,17 +179,18 @@ class Reader {
     need(static_cast<size_t>(n));
     u64 v = 0;
     for (int i = 0; i < n; ++i)
-      v |= static_cast<u64>(blob_[pos_ + static_cast<size_t>(i)]) << (8 * i);
+      v |= static_cast<u64>(data_[pos_ + static_cast<size_t>(i)]) << (8 * i);
     pos_ += static_cast<size_t>(n);
     return v;
   }
-  void need(size_t n) const {
-    if (pos_ + n > blob_.size())
+  void need(u64 n) const {
+    if (n > remaining())
       throw SnapshotError("snapshot blob underrun at byte " +
                           std::to_string(pos_));
   }
 
-  const std::vector<u8>& blob_;
+  const u8* data_;
+  size_t size_;
   const std::vector<Section>& sections_;
   size_t pos_ = 0;
   size_t section_idx_ = 0;

@@ -26,6 +26,27 @@ std::string CheckpointPolicy::label() const {
   return "?";
 }
 
+StorePagePtr make_store_page(const u8* data, size_t len) {
+  auto page = std::make_shared<StorePage>();
+  page->bytes.assign(data, data + len);
+  page->hash = hash64(data, len);
+  return page;
+}
+
+u64 Snapshot::hash() const {
+  // The blob's hash and every page's, hashed again as little-endian words.
+  Writer w;
+  w.put64(hash64(blob.data(), blob.size()));
+  for (const StorePagePtr& p : store_pages) w.put64(p->hash);
+  return hash64(w.blob().data(), w.blob().size());
+}
+
+u64 Snapshot::size_bytes() const {
+  u64 n = blob.size();
+  for (const StorePagePtr& p : store_pages) n += p->bytes.size();
+  return n;
+}
+
 const Section* Snapshot::find_section(const std::string& name) const {
   for (const Section& s : sections)
     if (s.name == name) return &s;
@@ -45,31 +66,48 @@ int section_priority(const std::string& name) {
   return 5;
 }
 
-/// Byte length of the allocator cursor + size header GlobalStore::save
-/// writes before the raw contents of the "store" section; subtracted so a
-/// reported store offset is the actual device address.
-constexpr size_t kStoreSectionHeader = 4 + 8;
+/// Offset of the first differing byte of two equal-length ranges.
+size_t first_diff(const u8* a, const u8* b, size_t len) {
+  size_t off = 0;
+  while (off < len && a[off] == b[off]) ++off;
+  return off;
+}
 
 /// Human name of the first differing record inside a section pair.
 std::string localize(const Section& s, const std::vector<u8>& a,
                      const std::vector<u8>& b, size_t b_offset) {
-  size_t off = 0;
-  while (off < s.len && a[s.offset + off] == b[b_offset + off]) ++off;
+  const size_t off =
+      first_diff(a.data() + s.offset, b.data() + b_offset, s.len);
   if (s.record_size != 0 && off < s.len) {
     const u64 rec = off / s.record_size;
     if (s.name.rfind("l1[", 0) == 0 || s.name == "l2")
       return s.name + " set " + std::to_string(rec);
     if (s.name == "dram") return s.name + " bank " + std::to_string(rec);
-    if (s.name == "store") {
-      if (off < kStoreSectionHeader) return s.name;  // allocator cursor
-      char buf[24];
-      std::snprintf(buf, sizeof(buf), " @0x%llx",
-                    static_cast<unsigned long long>(off - kStoreSectionHeader));
-      return s.name + buf;
-    }
     return s.name + " #" + std::to_string(rec);
   }
   return s.name;
+}
+
+/// "store @0x<address>" of the first differing store byte, or "" when the
+/// page lists hold the same contents. Callers have already checked that
+/// the two stores have the same size, hence the same paging.
+std::string store_divergence(const Snapshot& a, const Snapshot& b) {
+  if (a.store_pages.size() != b.store_pages.size()) return "store";
+  for (size_t i = 0; i < a.store_pages.size(); ++i) {
+    const StorePage& pa = *a.store_pages[i];
+    const StorePage& pb = *b.store_pages[i];
+    if (&pa == &pb) continue;  // shared image
+    if (pa.bytes.size() != pb.bytes.size()) return "store";
+    if (pa.hash == pb.hash && pa.bytes == pb.bytes) continue;
+    const u64 addr = i * kStorePageBytes +
+                     first_diff(pa.bytes.data(), pb.bytes.data(),
+                                pa.bytes.size());
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "store @0x%llx",
+                  static_cast<unsigned long long>(addr));
+    return buf;
+  }
+  return "";
 }
 
 }  // namespace
@@ -91,11 +129,16 @@ std::string first_divergence(const Snapshot& a, const Snapshot& b) {
     const Section& sb = b.sections[i];
     if (sa.name != sb.name) return "shape";
     if (sa.len != sb.len) return sa.name;
-    if (sa.hash == sb.hash &&
+    if (sa.hash != sb.hash ||
         std::memcmp(a.blob.data() + sa.offset, b.blob.data() + sb.offset,
-                    sa.len) == 0)
-      continue;
-    return localize(sa, a.blob, b.blob, sb.offset);
+                    sa.len) != 0)
+      return localize(sa, a.blob, b.blob, sb.offset);
+    // The "store" section holds the allocator cursor and the store size;
+    // with both equal, the contents are compared page by page.
+    if (sa.name == "store") {
+      std::string where = store_divergence(a, b);
+      if (!where.empty()) return where;
+    }
   }
   return "";
 }

@@ -23,6 +23,12 @@
 // Kernel programs are immutable and shared: the blob references them by
 // index into `programs`, which keeps them alive (and shareable across
 // threads) for as long as any snapshot does.
+//
+// The global store is held the same way, beside the blob: as immutable
+// 4 KiB page images (`store_pages`), each carrying its hash. A capture
+// re-images only the pages written since the device's previous capture or
+// restore and shares every other page with that earlier snapshot, so its
+// cost follows the state that changed, not the size of the store.
 #pragma once
 
 #include <memory>
@@ -64,6 +70,21 @@ struct CheckpointPolicy {
   bool operator==(const CheckpointPolicy& other) const = default;
 };
 
+/// Page size of the global-store images a Snapshot holds.
+constexpr u64 kStorePageBytes = 4096;
+
+/// One immutable global-store page image. Page i covers device addresses
+/// [i * kStorePageBytes, i * kStorePageBytes + bytes.size()); every page but
+/// the store's last is full.
+struct StorePage {
+  std::vector<u8> bytes;
+  u64 hash = 0;  // hash64(bytes)
+};
+using StorePagePtr = std::shared_ptr<const StorePage>;
+
+/// Image a page: copy `len` bytes and hash them.
+StorePagePtr make_store_page(const u8* data, size_t len);
+
 class Snapshot {
  public:
   /// Bump on any change to the blob layout.
@@ -71,7 +92,9 @@ class Snapshot {
   ///     replacement for the NDEBUG-only shared-memory bounds assert).
   /// v3: SmCore serializes the four cycle-attribution counters
   ///     (cycles_issued / cycles_stall_{scoreboard,barrier,structural}).
-  static constexpr u32 kVersion = 3;
+  /// v4: section hashes are hash64; the "store" section keeps only the
+  ///     allocator cursor and store size, the contents move to store_pages.
+  static constexpr u32 kVersion = 4;
   static constexpr u64 kMagic = 0x48474355434B5054ull;  // "HGPUCKPT"
 
   // ---- Capture metadata (duplicated from the blob for cheap access) -------
@@ -95,11 +118,17 @@ class Snapshot {
   std::vector<Section> sections;
   /// Immutable kernel programs referenced by the blob (by index).
   std::vector<isa::ProgramPtr> programs;
+  /// Global-store contents, page by page (see StorePage).
+  std::vector<StorePagePtr> store_pages;
 
-  /// Hash over the full blob — two snapshots of identical device state hash
-  /// identically (the blob layout is padding-free and deterministic).
-  u64 hash() const { return fnv1a(blob.data(), blob.size()); }
-  u64 size_bytes() const { return blob.size(); }
+  /// Hash over the blob and every store page — two snapshots of identical
+  /// device state hash identically (the blob layout is padding-free and
+  /// deterministic, and the store is paged the same way on every device).
+  u64 hash() const;
+  /// Serialized device state in bytes: the blob plus the store contents.
+  /// This is the size the state would have as one flat image, and what a
+  /// rollback is charged for (PlatformParams::restore_ns).
+  u64 size_bytes() const;
 
   const Section* find_section(const std::string& name) const;
 };

@@ -24,6 +24,18 @@ isa::Operand get_operand(Reader& r) {
   return o;
 }
 
+/// Encoded size of one instruction (put_program's per-instruction fields).
+constexpr size_t kInstructionBytes =
+    2 + 2 + 1 + 2 + sizeof(isa::Instruction::src) /
+                        sizeof(isa::Instruction::src[0]) * (1 + 2 + 4) +
+    1 + 1 + 2 + 1 + 4 + 4 + 4;
+/// Smallest encodings of a section-table entry (empty name) and of a
+/// program (empty name, no code), for bounding their counts.
+constexpr size_t kMinSectionBytes = 8 + 4 * 8;
+constexpr size_t kMinProgramBytes = 8 + 2 + 2 + 4 + 4 + 8;
+/// Length + hash ahead of every store page's bytes.
+constexpr size_t kPageHeaderBytes = 8 + 8;
+
 void put_program(Writer& w, const isa::KernelProgram& p) {
   w.put_string(p.name());
   w.put16(p.num_regs());
@@ -53,7 +65,7 @@ isa::ProgramPtr get_program(Reader& r) {
   const u16 num_preds = r.get16();
   const u32 shared_bytes = r.get32();
   const u32 num_params = r.get32();
-  const u64 n = r.get64();
+  const u64 n = r.get_count(kInstructionBytes, "program code");
   std::vector<isa::Instruction> code;
   code.reserve(static_cast<size_t>(n));
   for (u64 i = 0; i < n; ++i) {
@@ -104,13 +116,20 @@ std::vector<u8> encode_snapshot(const Snapshot& snap) {
   w.put64(snap.blob.size());
   w.put_bytes(snap.blob.data(), snap.blob.size());
 
+  w.put64(snap.store_pages.size());
+  for (const StorePagePtr& p : snap.store_pages) {
+    w.put64(p->bytes.size());
+    w.put64(p->hash);
+    w.put_bytes(p->bytes.data(), p->bytes.size());
+  }
+
   w.put64(snap.programs.size());
   for (const isa::ProgramPtr& p : snap.programs) put_program(w, *p);
 
   // Trailing checksum over everything framed so far: a truncated or
   // bit-flipped stream fails before any of it is interpreted as state.
   std::vector<u8> out = w.take_blob();
-  const u64 checksum = fnv1a(out.data(), out.size());
+  const u64 checksum = hash64(out.data(), out.size());
   for (int i = 0; i < 8; ++i)
     out.push_back(static_cast<u8>(checksum >> (8 * i)));
   return out;
@@ -124,9 +143,9 @@ SnapshotPtr decode_snapshot(const std::vector<u8>& bytes) {
   for (int i = 0; i < 8; ++i)
     stored |= static_cast<u64>(bytes[bytes.size() - 8 + static_cast<size_t>(i)])
               << (8 * i);
-  const u64 actual = fnv1a(bytes.data(), bytes.size() - 8);
+  const u64 actual = hash64(bytes.data(), bytes.size() - 8);
   if (stored != actual) {
-    char buf[80];
+    char buf[96];
     std::snprintf(buf, sizeof(buf),
                   "snapshot frame checksum mismatch (stored %016llx, "
                   "computed %016llx)",
@@ -137,9 +156,8 @@ SnapshotPtr decode_snapshot(const std::vector<u8>& bytes) {
 
   // The frame body is one unnamed stream; reuse Reader's bounds-checked
   // primitives with an empty section table.
-  const std::vector<u8> body(bytes.begin(), bytes.end() - 8);
   const std::vector<Section> no_sections;
-  Reader r(body, no_sections);
+  Reader r(bytes.data(), bytes.size() - 8, no_sections);
 
   if (r.get64() != kWireMagic)
     throw SnapshotError("not a framed snapshot (bad wire magic)");
@@ -160,7 +178,7 @@ SnapshotPtr decode_snapshot(const std::vector<u8>& bytes) {
   snap->now_ns = static_cast<NanoSec>(r.get64());
   snap->target = r.get64();
 
-  const u64 num_sections = r.get64();
+  const u64 num_sections = r.get_count(kMinSectionBytes, "section table");
   snap->sections.reserve(static_cast<size_t>(num_sections));
   for (u64 i = 0; i < num_sections; ++i) {
     Section s;
@@ -172,7 +190,7 @@ SnapshotPtr decode_snapshot(const std::vector<u8>& bytes) {
     snap->sections.push_back(std::move(s));
   }
 
-  const u64 blob_len = r.get64();
+  const u64 blob_len = r.get_count(1, "snapshot blob");
   snap->blob.resize(static_cast<size_t>(blob_len));
   r.get_bytes(snap->blob.data(), snap->blob.size());
 
@@ -181,16 +199,42 @@ SnapshotPtr decode_snapshot(const std::vector<u8>& bytes) {
   // catches a frame assembled from a blob that was corrupted *before*
   // encoding, and names the damaged component either way.
   for (const Section& s : snap->sections) {
-    if (s.offset + s.len > snap->blob.size())
+    if (s.len > snap->blob.size() || s.offset > snap->blob.size() - s.len)
       throw SnapshotError("snapshot section '" + s.name +
                           "' extends past the end of the blob");
-    if (fnv1a(snap->blob.data() + s.offset, s.len) != s.hash)
+    if (hash64(snap->blob.data() + s.offset, s.len) != s.hash)
       throw SnapshotError("snapshot section '" + s.name +
                           "' corrupted in transit (stored hash does not "
                           "match its contents)");
   }
 
-  const u64 num_programs = r.get64();
+  // Store pages, each re-hashed the same way; a mismatch names the page's
+  // device address range.
+  const u64 num_pages = r.get_count(kPageHeaderBytes, "store page table");
+  snap->store_pages.reserve(static_cast<size_t>(num_pages));
+  for (u64 i = 0; i < num_pages; ++i) {
+    const u64 len = r.get64();
+    if (len > kStorePageBytes)
+      throw SnapshotError("snapshot store page " + std::to_string(i) +
+                          " claims " + std::to_string(len) + " bytes (max " +
+                          std::to_string(kStorePageBytes) + ")");
+    const u64 hash = r.get64();
+    auto page = std::make_shared<StorePage>();
+    page->bytes.resize(static_cast<size_t>(len));
+    r.get_bytes(page->bytes.data(), page->bytes.size());
+    page->hash = hash;
+    if (hash64(page->bytes.data(), page->bytes.size()) != hash) {
+      char buf[96];
+      std::snprintf(buf, sizeof(buf),
+                    "snapshot store page @0x%llx corrupted in transit "
+                    "(stored hash does not match its contents)",
+                    static_cast<unsigned long long>(i * kStorePageBytes));
+      throw SnapshotError(buf);
+    }
+    snap->store_pages.push_back(std::move(page));
+  }
+
+  const u64 num_programs = r.get_count(kMinProgramBytes, "program table");
   snap->programs.reserve(static_cast<size_t>(num_programs));
   for (u64 i = 0; i < num_programs; ++i) snap->programs.push_back(get_program(r));
   return snap;

@@ -1,25 +1,29 @@
 // Wire/file framing for ckpt::Snapshot — the unit of distribution.
 //
-// An in-memory Snapshot is three things: the padding-free state blob, its
-// section table, and the immutable kernel programs the blob references by
-// index. encode_snapshot() frames all three as one self-contained byte
-// stream ("higpu.snap/1") that can cross a socket or live in a file:
+// An in-memory Snapshot is four things: the padding-free state blob, its
+// section table, the global-store page images, and the immutable kernel
+// programs the blob references by index. encode_snapshot() frames all four
+// as one self-contained byte stream that can cross a socket or live in a
+// file:
 //
 //   header     magic, frame version, snapshot version, capture metadata
-//   sections   name / offset / length / record size / FNV-1a hash each
+//   sections   name / offset / length / record size / hash64 each
 //   blob       the raw state bytes
+//   pages      count, then per store page: length, hash64, bytes
 //   programs   each KernelProgram serialized field-by-field (instructions,
 //              register/predicate/shared/param requirements)
-//   trailer    FNV-1a checksum over every preceding frame byte
+//   trailer    hash64 checksum over every preceding frame byte
 //
 // decode_snapshot() refuses corruption loudly instead of restoring garbage:
 // the frame checksum is validated first (truncation, bit rot, a torn
-// transfer), then every section's stored hash is recomputed over the
-// received blob — a mismatch names the damaged section ("snapshot section
-// 'sm3' corrupted in transit"), which is the difference between a
-// diagnosable dead worker and a silently wrong campaign. Restoring a
-// decoded snapshot onto a device still performs the existing
-// magic/version/parameter-fingerprint checks inside the blob.
+// transfer), then every section's and every store page's stored hash is
+// recomputed over the received bytes — a mismatch names the damaged section
+// ("snapshot section 'sm3' corrupted in transit") or store page, which is
+// the difference between a diagnosable dead worker and a silently wrong
+// campaign. Every length field is checked against the bytes left before
+// anything is allocated from it. Restoring a decoded snapshot onto a
+// device still performs the existing magic/version/parameter-fingerprint
+// checks inside the blob.
 #pragma once
 
 #include <string>
@@ -31,18 +35,21 @@ namespace higpu::ckpt {
 
 /// Frame format version; bump on any change to the framing layout (the
 /// snapshot *blob* layout is versioned independently by Snapshot::kVersion).
-constexpr u32 kWireVersion = 1;
+/// v2: hash64 checksums and section hashes; store pages framed inline.
+constexpr u32 kWireVersion = 2;
 constexpr u64 kWireMagic = 0x48475055534E4150ull;  // "HGPUSNAP"
 
-/// Serialize a snapshot (blob + sections + programs + metadata) into one
-/// checksummed byte stream.
+/// Serialize a snapshot (blob + sections + store pages + programs +
+/// metadata) into one checksummed byte stream.
 std::vector<u8> encode_snapshot(const Snapshot& snap);
 
 /// Parse an encoded snapshot. Throws SnapshotError on: bad magic, frame
 /// version skew, a frame checksum mismatch (naming the expected/actual
-/// values), truncation, or a section whose recomputed hash differs from the
-/// stored one (naming the section). The returned snapshot is bit-identical
-/// to the encoded one (same blob, hence same Snapshot::hash()).
+/// values), truncation, a length field larger than the bytes left, or a
+/// section or store page whose recomputed hash differs from the stored one
+/// (naming the section, or the store page's address). The returned snapshot
+/// is bit-identical to the encoded one (same blob and pages, hence same
+/// Snapshot::hash()).
 SnapshotPtr decode_snapshot(const std::vector<u8>& bytes);
 
 /// Write an encoded snapshot to `path` (atomically enough for our purposes:

@@ -63,7 +63,7 @@ void put_snapshot_opt(ckpt::Writer& w, const ckpt::SnapshotPtr& snap) {
 
 ckpt::SnapshotPtr get_snapshot_opt(ckpt::Reader& r) {
   if (!r.getb()) return nullptr;
-  const u64 n = r.get64();
+  const u64 n = r.get_count(1, "framed snapshot");
   std::vector<u8> framed(static_cast<size_t>(n));
   r.get_bytes(framed.data(), framed.size());
   // decode_snapshot revalidates the inner frame (checksum, magic, per-
@@ -85,7 +85,7 @@ void send_frame(int fd, Msg type, const std::vector<u8>& payload) {
   w.put8(static_cast<u8>(type));
   w.put64(payload.size());
   w.put_bytes(payload.data(), payload.size());
-  w.put64(ckpt::fnv1a(payload.data(), payload.size()));
+  w.put64(ckpt::hash64(payload.data(), payload.size()));
   const std::vector<u8>& bytes = w.blob();
   write_all(fd, bytes.data(), bytes.size());
 }
@@ -122,7 +122,7 @@ bool recv_frame(int fd, Frame* out) {
   read_all(fd, trailer.data(), trailer.size(), /*eof_ok=*/false);
   ckpt::Reader tr(trailer, {});
   const u64 want = tr.get64();
-  const u64 got = ckpt::fnv1a(out->payload.data(), out->payload.size());
+  const u64 got = ckpt::hash64(out->payload.data(), out->payload.size());
   if (want != got)
     throw WireError("wire frame payload checksum mismatch (expected " +
                     std::to_string(want) + ", computed " +

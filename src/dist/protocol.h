@@ -1,4 +1,4 @@
-// higpu.wire/1 — the coordinator <-> worker message protocol.
+// higpu.wire/2 — the coordinator <-> worker message protocol.
 //
 // Transport is any reliable byte stream (the coordinator uses an AF_UNIX
 // socketpair shared with each forked worker). Every message is one frame:
@@ -7,7 +7,7 @@
 //   u8   type       Msg enumerator
 //   u64  length     payload bytes that follow
 //   ...  payload    type-specific, serialized with ckpt::Writer primitives
-//   u64  checksum   FNV-1a over the payload bytes
+//   u64  checksum   ckpt::hash64 over the payload bytes
 //
 // Frames are self-delimiting and validated on receipt: bad magic, an
 // unknown type, an implausible length or a checksum mismatch all throw
@@ -42,7 +42,8 @@
 
 namespace higpu::dist {
 
-constexpr u32 kProtocolVersion = 1;
+/// v2: the frame checksum is ckpt::hash64 (was FNV-1a).
+constexpr u32 kProtocolVersion = 2;
 constexpr u32 kFrameMagic = 0x52574748u;  // "HGWR"
 /// Upper bound on a frame payload; anything larger means a desynchronized
 /// or corrupted stream, not a legitimate message.

@@ -171,11 +171,13 @@ void Device::on_gpu_checkpoint(Cycle nominal, bool is_target) {
 }
 
 void Device::push_checkpoint(ckpt::SnapshotPtr snap, bool anchor) {
+  policy_captures_ += 1;
   checkpoints_.push_back(std::move(snap));
   checkpoint_is_anchor_.push_back(anchor ? 1 : 0);
   if (anchor) return;
-  // Interval captures are periodic and each holds a full store image, so a
-  // long run would otherwise accumulate memory proportional to its length.
+  // Interval captures are periodic and each holds its own blob (store pages
+  // are shared, the rest is not), so a long run would otherwise accumulate
+  // memory proportional to its length.
   // Keep only the most recent few — rollback walks newest to oldest with a
   // small attempt budget — while pre-kernel anchors (one per sync round,
   // bounded by the workload's structure, and the guaranteed-clean fallback)
@@ -252,8 +254,8 @@ ckpt::SnapshotPtr Device::capture(Cycle nominal) {
   w.put64(sync_seq_);
   w.end_section();
 
-  w.begin_section("store", /*record_size=*/1);
-  store_->save(w);
+  w.begin_section("store");
+  snap->store_pages = store_->save(w);
   w.end_section();
 
   std::unordered_map<const isa::KernelProgram*, u32> prog_index;
@@ -332,7 +334,7 @@ void Device::restore_impl(const ckpt::Snapshot& s, bool restore_fault) {
   r.leave_section();
 
   r.enter_section("store");
-  store_->restore(r);
+  store_->restore(r, s.store_pages);
   r.leave_section();
 
   gpu_->restore(

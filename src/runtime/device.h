@@ -13,7 +13,9 @@
 //
 // Checkpoint/restore (src/ckpt): snapshot() captures the complete device
 // state — GPU core, memory system, global store, host timeline, scheduler
-// cursors, armed fault state — as a versioned binary ckpt::Snapshot;
+// cursors, armed fault state — as a versioned binary ckpt::Snapshot (the
+// global store as page images shared with the previous capture wherever
+// unwritten since, so capture cost follows what changed);
 // restore() resumes from one bit-identically to an uninterrupted run, on
 // this device or a freshly constructed one with identical parameters.
 // Snapshots can be captured automatically (a CheckpointPolicy or explicit
@@ -135,6 +137,10 @@ class Device {
     checkpoint_is_anchor_.clear();
   }
   static constexpr u32 kMaxIntervalCheckpoints = 8;
+  /// Policy captures taken over the device's lifetime. Unlike
+  /// checkpoints().size() it only goes up: neither the interval ring nor
+  /// clear_checkpoints() lowers it.
+  u64 policy_captures() const { return policy_captures_; }
 
   /// Capture the complete device state right now (between host operations,
   /// or from the GPU's mid-run capture points). Captures are free on the
@@ -218,6 +224,7 @@ class Device {
   std::vector<ckpt::SnapshotPtr> target_snaps_;   // parallel to ckpt_targets_
   std::vector<ckpt::SnapshotPtr> checkpoints_;    // policy captures, in order
   std::vector<u8> checkpoint_is_anchor_;          // parallel: 1 = pre-kernel
+  u64 policy_captures_ = 0;
   ckpt::SnapshotPtr resume_;
 
   std::vector<VerifyRecord> verify_reports_;

@@ -65,6 +65,7 @@ struct Loop {
   /// EWMA of observed service time per tenant (prediction for admission).
   std::vector<u64> est_service_ns;
   ServeResult res;
+  u64 captures_counted = 0;  // dev.policy_captures() already in res
 
   // Observability (pure observers on the modelled timeline).
   obs::Tracer* tr = nullptr;
@@ -223,6 +224,14 @@ struct Loop {
     return idx;
   }
 
+  /// Add the device's policy captures since the last call. The device
+  /// counter only goes up, so captures the interval ring evicted or a
+  /// session cleared are counted too.
+  void count_checkpoints() {
+    res.checkpoints_captured += dev.policy_captures() - captures_counted;
+    captures_counted = dev.policy_captures();
+  }
+
   void serve_one(u32 idx) {
     const Request& req = requests[idx];
     const TenantSpec& tenant = spec.traffic.tenants[req.tenant];
@@ -301,9 +310,9 @@ struct Loop {
     est_service_ns[req.tenant] =
         est == 0 ? (finish - start) : (est + (finish - start)) / 2;
 
-    // Count interval-policy captures, then drop them: snapshots of a served
-    // request must never feed the next one's rollback.
-    res.checkpoints_captured += dev.checkpoints().size();
+    // Count policy captures, then drop them: snapshots of a served request
+    // must never feed the next one's rollback.
+    count_checkpoints();
     dev.clear_checkpoints();
 
     // Session-detected degrade (Recovery::kDegrade engaged): take a ladder
@@ -346,6 +355,7 @@ struct Loop {
       serve_one(idx);
     }
     res.span_ns = dev.elapsed_ns();
+    count_checkpoints();  // anything captured after the last request's count
     // Close out the metrics series at the end of the modelled span.
     if (metrics_out != nullptr)
       metrics_out->append(metrics.snapshot_json(res.span_ns));

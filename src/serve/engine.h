@@ -151,6 +151,8 @@ struct ServeResult {
   std::vector<std::pair<u64, u32>> queue_depth_series;
   u64 bist_runs = 0;
   u64 bist_failures = 0;
+  /// Every policy capture the serving device took (interval checkpoints and
+  /// pre-kernel anchors), during requests and BIST alike.
   u64 checkpoints_captured = 0;
   /// Host-timeline span of the whole serving run and the busy part of it.
   u64 span_ns = 0;

@@ -7,12 +7,20 @@
 // window). On top of that: rollback recovery beats re-execution on response
 // time, snapshot hash diffing localizes fault divergence, campaign
 // fast-forward returns bit-identical ScenarioResults, and the ScenarioSet
-// sweep builders reject empty bases loudly.
+// sweep builders reject empty bases loudly. The copy-on-write store pages,
+// the section hash and the decoder's length checks are pinned here too, so
+// the sanitizer jobs that run this suite cover them.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
+#include <functional>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "ckpt/wire.h"
 #include "common/rng.h"
 #include "exp/campaign.h"
 #include "sched/policies.h"
@@ -358,12 +366,255 @@ TEST(CkptSnapshot, DivergenceNamesTheStore) {
   u32 v = 1;
   dev.memcpy_h2d(p, &v, 4);
   const ckpt::SnapshotPtr a = dev.snapshot();
+  const std::vector<u8> a_bytes = ckpt::encode_snapshot(*a);
   v = 2;
   dev.memcpy_h2d(p, &v, 4);
   const ckpt::SnapshotPtr b = dev.snapshot();
-  // Only global-store contents (and the host timeline) changed.
-  EXPECT_EQ(ckpt::first_divergence(*a, *b).rfind("store", 0), 0u)
-      << ckpt::first_divergence(*a, *b);
+  // Only global-store contents (and the host timeline) changed; the report
+  // names the device address of the first differing byte.
+  char want[32];
+  std::snprintf(want, sizeof(want), "store @0x%x", p);
+  EXPECT_EQ(ckpt::first_divergence(*a, *b), want);
+  // Copy-on-write: the write after the first capture re-imaged a page for
+  // the second one and left the first snapshot untouched.
+  EXPECT_EQ(ckpt::encode_snapshot(*a), a_bytes);
+  EXPECT_NE(a->store_pages[p / ckpt::kStorePageBytes],
+            b->store_pages[p / ckpt::kStorePageBytes]);
+}
+
+// ---- Page-shared store images ---------------------------------------------
+
+/// Bytes of `dev`'s global store in [0, end).
+std::vector<u8> store_bytes(runtime::Device& dev, u64 end) {
+  std::vector<u8> out(end);
+  dev.gpu().store().read_block(out.data(), 0, end);
+  return out;
+}
+
+TEST(CkptStorePages, UnwrittenStoreImagesNoPages) {
+  runtime::Device dev;
+  dev.set_kernel_scheduler(sched::make_scheduler(sched::Policy::kSrrs));
+  const memsys::DevPtr p = dev.malloc(3 * ckpt::kStorePageBytes);
+  std::vector<u8> data(3 * ckpt::kStorePageBytes, 0x5A);
+  dev.memcpy_h2d(p, data.data(), data.size());
+  const memsys::GlobalStore& store = dev.gpu().store();
+
+  const ckpt::SnapshotPtr a = dev.snapshot();
+  const u64 after_first = store.pages_imaged();
+  EXPECT_EQ(after_first, a->store_pages.size());
+
+  const ckpt::SnapshotPtr b = dev.snapshot();
+  EXPECT_EQ(store.pages_imaged(), after_first);  // nothing written: 0 pages
+  ASSERT_EQ(a->store_pages.size(), b->store_pages.size());
+  for (size_t i = 0; i < a->store_pages.size(); ++i)
+    EXPECT_EQ(a->store_pages[i], b->store_pages[i]) << "page " << i;
+  EXPECT_EQ(a->hash(), b->hash());
+
+  dev.gpu().store().write32(p + 8, 7);
+  const ckpt::SnapshotPtr c = dev.snapshot();
+  EXPECT_EQ(store.pages_imaged(), after_first + 1);  // one word, one page
+  EXPECT_NE(a->hash(), c->hash());
+  EXPECT_EQ(a->size_bytes(), c->size_bytes());
+}
+
+TEST(CkptStorePages, RestoreThenCaptureRoundTrips) {
+  runtime::Device dev;
+  dev.set_kernel_scheduler(sched::make_scheduler(sched::Policy::kSrrs));
+  // 256 + 5000 bytes: one full page and a partial last page.
+  const memsys::DevPtr p = dev.malloc(5000);
+  std::vector<u8> data(5000);
+  for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<u8>(i * 7);
+  dev.memcpy_h2d(p, data.data(), data.size());
+  const u64 size_a = p + 5000;
+  const ckpt::SnapshotPtr a = dev.snapshot();
+  ASSERT_EQ(a->store_pages.size(), 2u);
+  EXPECT_LT(a->store_pages.back()->bytes.size(), ckpt::kStorePageBytes);
+  const std::vector<u8> bytes_a = store_bytes(dev, size_a);
+
+  // A write straddling the page boundary, then growth of the last page.
+  const u8 straddle[6] = {1, 2, 3, 4, 5, 6};
+  dev.memcpy_h2d(static_cast<memsys::DevPtr>(ckpt::kStorePageBytes - 3),
+                 straddle, sizeof(straddle));
+  (void)dev.malloc(1000);
+  const ckpt::SnapshotPtr b = dev.snapshot();
+  EXPECT_GT(b->size_bytes(), a->size_bytes());
+  EXPECT_EQ(ckpt::first_divergence(*a, *b), "store");  // cursor and size
+
+  // Restore a on this device: contents, hash and divergence round-trip, and
+  // the restored images are shared by the next capture.
+  dev.restore(*a);
+  EXPECT_EQ(store_bytes(dev, size_a), bytes_a);
+  const u64 imaged = dev.gpu().store().pages_imaged();
+  const ckpt::SnapshotPtr a2 = dev.snapshot();
+  EXPECT_EQ(dev.gpu().store().pages_imaged(), imaged);
+  EXPECT_EQ(a2->hash(), a->hash());
+  EXPECT_EQ(ckpt::first_divergence(*a, *a2), "");
+
+  // And forward again to b, on this device and on a fresh one.
+  dev.restore(*b);
+  EXPECT_EQ(dev.snapshot()->hash(), b->hash());
+  runtime::Device fresh;
+  fresh.set_kernel_scheduler(sched::make_scheduler(sched::Policy::kSrrs));
+  fresh.restore(*b);
+  const ckpt::SnapshotPtr b2 = fresh.snapshot();
+  EXPECT_EQ(b2->hash(), b->hash());
+  EXPECT_EQ(ckpt::first_divergence(*b, *b2), "");
+  u8 back[6];
+  fresh.gpu().store().read_block(
+      back, static_cast<memsys::DevPtr>(ckpt::kStorePageBytes - 3), 6);
+  EXPECT_EQ(std::memcmp(back, straddle, 6), 0);
+}
+
+TEST(CkptStorePages, CorruptPageIsNamedOnDecode) {
+  runtime::Device dev;
+  dev.set_kernel_scheduler(sched::make_scheduler(sched::Policy::kSrrs));
+  const memsys::DevPtr p = dev.malloc(2 * ckpt::kStorePageBytes);
+  std::vector<u8> data(2 * ckpt::kStorePageBytes, 0x33);
+  dev.memcpy_h2d(p, data.data(), data.size());
+  ckpt::Snapshot bad = *dev.snapshot();
+
+  // Flip a byte of one page image but keep its stored hash: the damage
+  // predates encoding, so only the per-page check can catch it.
+  auto page = std::make_shared<ckpt::StorePage>(*bad.store_pages[1]);
+  page->bytes[17] ^= 0xFF;
+  bad.store_pages[1] = page;
+  try {
+    (void)ckpt::decode_snapshot(ckpt::encode_snapshot(bad));
+    FAIL() << "a corrupt store page decoded";
+  } catch (const ckpt::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("store page @0x1000"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// ---- Section hash ----------------------------------------------------------
+
+TEST(CkptHash, KnownAnswers) {
+  // hash64 is the XXH64 construction; these pin it byte for byte. The
+  // empty-input value is XXH64's published one, and short strings match
+  // the published vectors too, so the lanes, the tail and the avalanche
+  // are all the reference ones.
+  std::vector<u8> buf(4096);
+  for (size_t i = 0; i < buf.size(); ++i) buf[i] = static_cast<u8>(i * 131 + 7);
+  const std::pair<size_t, u64> vectors[] = {
+      {0, 0xef46db3751d8e999ull},    {1, 0xa96c7f0ce858bbb7ull},
+      {7, 0x2744460dd675d2c0ull},    {31, 0x6711d55e306b5d8full},
+      {32, 0x07f7b8e3bc5d6e25ull},   {33, 0x09f85eeb4e1cbe9full},
+      {4096, 0xcf05adf75aca30cfull},
+  };
+  for (const auto& [len, want] : vectors)
+    EXPECT_EQ(ckpt::hash64(buf.data(), len), want) << "length " << len;
+  const auto str = [](const char* s) {
+    return ckpt::hash64(reinterpret_cast<const u8*>(s), std::strlen(s));
+  };
+  EXPECT_EQ(str("a"), 0xd24ec4f1a98c6e5bull);
+  EXPECT_EQ(str("abc"), 0x44bc2cf5ad770999ull);
+}
+
+// ---- Length fields are checked before anything is allocated ---------------
+
+constexpr u64 kHugeLength = 1ull << 60;
+
+/// A snapshot frame with a valid header and checksum around `body`.
+std::vector<u8> frame_with(const std::function<void(ckpt::Writer&)>& body) {
+  ckpt::Writer w;
+  w.put64(ckpt::kWireMagic);
+  w.put32(ckpt::kWireVersion);
+  w.put32(ckpt::Snapshot::kVersion);
+  for (int i = 0; i < 5; ++i) w.put64(0);  // capture metadata
+  body(w);
+  std::vector<u8> out = w.take_blob();
+  const u64 sum = ckpt::hash64(out.data(), out.size());
+  for (int i = 0; i < 8; ++i) out.push_back(static_cast<u8>(sum >> (8 * i)));
+  return out;
+}
+
+void expect_refused(const std::vector<u8>& frame, const std::string& what) {
+  try {
+    (void)ckpt::decode_snapshot(frame);
+    FAIL() << "decoded a frame with a huge " << what << " length";
+  } catch (const ckpt::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+  }
+}
+
+TEST(CkptDecodeLengths, SectionTable) {
+  expect_refused(frame_with([](ckpt::Writer& w) { w.put64(kHugeLength); }),
+                 "section table");
+}
+
+TEST(CkptDecodeLengths, Blob) {
+  expect_refused(frame_with([](ckpt::Writer& w) {
+                   w.put64(0);  // sections
+                   w.put64(kHugeLength);
+                 }),
+                 "snapshot blob");
+}
+
+TEST(CkptDecodeLengths, StorePageTable) {
+  expect_refused(frame_with([](ckpt::Writer& w) {
+                   w.put64(0);  // sections
+                   w.put64(0);  // blob
+                   w.put64(kHugeLength);
+                 }),
+                 "store page table");
+}
+
+TEST(CkptDecodeLengths, StorePage) {
+  expect_refused(frame_with([](ckpt::Writer& w) {
+                   w.put64(0);  // sections
+                   w.put64(0);  // blob
+                   w.put64(1);  // one page...
+                   w.put64(kHugeLength);
+                   w.put64(0);  // ...and its hash
+                 }),
+                 "store page 0");
+}
+
+TEST(CkptDecodeLengths, ProgramTable) {
+  expect_refused(frame_with([](ckpt::Writer& w) {
+                   w.put64(0);  // sections
+                   w.put64(0);  // blob
+                   w.put64(0);  // store pages
+                   w.put64(kHugeLength);
+                 }),
+                 "program table");
+}
+
+TEST(CkptDecodeLengths, ProgramCode) {
+  expect_refused(frame_with([](ckpt::Writer& w) {
+                   w.put64(0);  // sections
+                   w.put64(0);  // blob
+                   w.put64(0);  // store pages
+                   w.put64(1);  // one program...
+                   w.put_string("k");
+                   w.put16(1);  // regs
+                   w.put16(1);  // preds
+                   w.put32(0);  // shared bytes
+                   w.put32(0);  // params
+                   w.put64(kHugeLength);
+                 }),
+                 "program code");
+}
+
+TEST(CkptDecodeLengths, ReaderVectors) {
+  ckpt::Writer w;
+  w.put64(kHugeLength);
+  const std::vector<u8> bytes = w.take_blob();
+  const std::vector<ckpt::Section> no_sections;
+  {
+    ckpt::Reader r(bytes, no_sections);
+    EXPECT_THROW((void)r.get_u32_vec(), ckpt::SnapshotError);
+  }
+  {
+    ckpt::Reader r(bytes, no_sections);
+    EXPECT_THROW((void)r.get_u64_vec(), ckpt::SnapshotError);
+  }
+  {
+    ckpt::Reader r(bytes, no_sections);
+    EXPECT_THROW((void)r.get_string(), ckpt::SnapshotError);
+  }
 }
 
 // ---- Policy / label / sweep validation ------------------------------------

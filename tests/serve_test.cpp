@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "common/percentiles.h"
+#include "obs/trace.h"
+#include "runtime/device.h"
 #include "serve/engine.h"
 #include "serve/traffic.h"
 
@@ -329,6 +331,29 @@ TEST(ServeTest, BistAndCheckpointCadence) {
   EXPECT_EQ(r.bist_failures, 0u);
   EXPECT_GT(r.checkpoints_captured, 0u);
   EXPECT_EQ(r.verify_failures, 0u);
+}
+
+TEST(ServeTest, CountsEveryCheckpointOfALongRequest) {
+  // One request whose kernels span many more interval captures than the
+  // device's 8-entry interval ring holds: every capture is counted, not
+  // just the ones still in the ring when the request ends.
+  ServeSpec s = small_serve(sim::SimEngine::kEvent, sim::ExecMode::kBlock);
+  s.traffic.max_requests = 1;
+  s.bist_interval_ns = 0;
+  s.ckpt_interval_cycles = 500;
+  obs::Tracer tracer;
+  s.tracer = &tracer;
+  const ServeResult r = run_serve(s);
+  ASSERT_EQ(r.served, 1u);
+
+  // Each capture leaves one checkpoint instant on the device's ckpt track.
+  u64 captures = 0;
+  for (const obs::TraceEvent& e :
+       tracer.events(tracer.track("ckpt", obs::kPidDevice)))
+    if (e.kind == obs::Ev::kCheckpoint) ++captures;
+  ASSERT_EQ(tracer.events_dropped(), 0u);
+  EXPECT_GT(captures, u64{runtime::Device::kMaxIntervalCheckpoints} + 1);
+  EXPECT_EQ(r.checkpoints_captured, captures);
 }
 
 // ---- Telemetry output ------------------------------------------------------
