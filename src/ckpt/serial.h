@@ -9,18 +9,25 @@
 // device state are byte-identical — which is what makes hash() comparisons
 // and the per-section divergence diff meaningful.
 //
+// Fields are stored whole: the Writer grows the blob by a field's width and
+// stores the little-endian value into that space (store_le). A component
+// with many fixed-size records (a cache tag array) claims the space for all
+// of them with one extend() and fills it in one pass; the Reader mirrors
+// this with take() and load_le.
+//
 // The section table doubles as the diagnosis index: every section records
 // its byte range and hash, and an optional fixed record size (e.g. one L1
 // set, one DRAM bank) that lets ckpt::first_divergence translate a byte
 // offset into an architectural component name.
 //
 // Two hash functions, for two jobs. hash64 is the fast one: it hashes
-// sections, global-store page images and wire frames, values that are only
-// ever compared within one snapshot format version. fnv1a stays for values
-// that persist or are compared across builds (parameter and campaign
+// sections, snapshot images and wire frames, values that are only ever
+// compared within one snapshot format version. fnv1a stays for values that
+// persist or are compared across builds (parameter and campaign
 // fingerprints, bench digests), so those never change with the format.
 #pragma once
 
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -36,8 +43,30 @@ u64 fnv1a(const u8* data, size_t len, u64 seed = 0xcbf29ce484222325ull);
 
 /// Word-wise 64-bit hash (the XXH64 construction: four independent u64
 /// lanes over 32-byte stripes, explicit little-endian loads, so the value
-/// is the same on every host). The section, store-page and wire-frame hash.
+/// is the same on every host). The section, image and wire-frame hash.
 u64 hash64(const u8* data, size_t len, u64 seed = 0);
+
+/// Store the low `N` bytes of `v` at `p`, least significant first.
+template <int N>
+inline void store_le(u8* p, u64 v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &v, N);
+  } else {
+    for (int i = 0; i < N; ++i) p[i] = static_cast<u8>(v >> (8 * i));
+  }
+}
+
+/// Load `N` little-endian bytes from `p`.
+template <int N>
+inline u64 load_le(const u8* p) {
+  u64 v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, N);
+  } else {
+    for (int i = 0; i < N; ++i) v |= static_cast<u64>(p[i]) << (8 * i);
+  }
+  return v;
+}
 
 /// One named contiguous range of the snapshot blob.
 struct Section {
@@ -51,10 +80,18 @@ struct Section {
 
 class Writer {
  public:
+  /// Grow the blob by `n` bytes and return the first of them. The caller
+  /// stores all `n` before the next put.
+  u8* extend(size_t n) {
+    const size_t at = blob_.size();
+    blob_.resize(at + n);
+    return blob_.data() + at;
+  }
+
   void put8(u8 v) { blob_.push_back(v); }
-  void put16(u16 v) { putle(v, 2); }
-  void put32(u32 v) { putle(v, 4); }
-  void put64(u64 v) { putle(v, 8); }
+  void put16(u16 v) { store_le<2>(extend(2), v); }
+  void put32(u32 v) { store_le<4>(extend(4), v); }
+  void put64(u64 v) { store_le<8>(extend(8), v); }
   void putf64(double v) {
     u64 bits;
     std::memcpy(&bits, &v, 8);
@@ -63,8 +100,7 @@ class Writer {
   void putb(bool v) { put8(v ? 1 : 0); }
   void put_bytes(const void* p, size_t n) {
     if (n == 0) return;
-    const u8* b = static_cast<const u8*>(p);
-    blob_.insert(blob_.end(), b, b + n);
+    std::memcpy(extend(n), p, n);
   }
   void put_string(const std::string& s) {
     put64(s.size());
@@ -72,11 +108,19 @@ class Writer {
   }
   void put_u32_vec(const std::vector<u32>& v) {
     put64(v.size());
-    for (u32 x : v) put32(x);
+    u8* p = extend(4 * v.size());
+    for (u32 x : v) {
+      store_le<4>(p, x);
+      p += 4;
+    }
   }
   void put_u64_vec(const std::vector<u64>& v) {
     put64(v.size());
-    for (u64 x : v) put64(x);
+    u8* p = extend(8 * v.size());
+    for (u64 x : v) {
+      store_le<8>(p, x);
+      p += 8;
+    }
   }
 
   void begin_section(std::string name, u64 record_size = 0);
@@ -87,10 +131,6 @@ class Writer {
   std::vector<Section> take_sections() { return std::move(sections_); }
 
  private:
-  void putle(u64 v, int n) {
-    for (int i = 0; i < n; ++i) blob_.push_back(static_cast<u8>(v >> (8 * i)));
-  }
-
   std::vector<u8> blob_;
   std::vector<Section> sections_;
   size_t open_offset_ = 0;
@@ -112,10 +152,17 @@ class Reader {
   Reader(const u8* data, size_t size, const std::vector<Section>& sections)
       : data_(data), size_(size), sections_(sections) {}
 
-  u8 get8() { return static_cast<u8>(getle(1)); }
-  u16 get16() { return static_cast<u16>(getle(2)); }
-  u32 get32() { return static_cast<u32>(getle(4)); }
-  u64 get64() { return getle(8); }
+  /// The next `n` bytes of the input; the cursor moves past them.
+  const u8* take(size_t n) {
+    need(n);
+    const u8* p = data_ + pos_;
+    pos_ += n;
+    return p;
+  }
+  u8 get8() { return *take(1); }
+  u16 get16() { return static_cast<u16>(load_le<2>(take(2))); }
+  u32 get32() { return static_cast<u32>(load_le<4>(take(4))); }
+  u64 get64() { return load_le<8>(take(8)); }
   double getf64() {
     const u64 bits = get64();
     double v;
@@ -125,9 +172,7 @@ class Reader {
   bool getb() { return get8() != 0; }
   void get_bytes(void* p, size_t n) {
     if (n == 0) return;
-    need(n);
-    std::memcpy(p, data_ + pos_, n);
-    pos_ += n;
+    std::memcpy(p, take(n), n);
   }
   std::string get_string() {
     const u64 n = get64();
@@ -138,15 +183,17 @@ class Reader {
     return s;
   }
   std::vector<u32> get_u32_vec() {
-    const u64 n = get_count(4, "u32 vector");
-    std::vector<u32> v(static_cast<size_t>(n));
-    for (u64 i = 0; i < n; ++i) v[static_cast<size_t>(i)] = get32();
+    const size_t n = static_cast<size_t>(get_count(4, "u32 vector"));
+    std::vector<u32> v(n);
+    const u8* p = take(4 * n);
+    for (size_t i = 0; i < n; ++i) v[i] = static_cast<u32>(load_le<4>(p + 4 * i));
     return v;
   }
   std::vector<u64> get_u64_vec() {
-    const u64 n = get_count(8, "u64 vector");
-    std::vector<u64> v(static_cast<size_t>(n));
-    for (u64 i = 0; i < n; ++i) v[static_cast<size_t>(i)] = get64();
+    const size_t n = static_cast<size_t>(get_count(8, "u64 vector"));
+    std::vector<u64> v(n);
+    const u8* p = take(8 * n);
+    for (size_t i = 0; i < n; ++i) v[i] = load_le<8>(p + 8 * i);
     return v;
   }
   /// Read an element count and refuse it unless `n` elements of at least
@@ -175,14 +222,6 @@ class Reader {
   }
 
  private:
-  u64 getle(int n) {
-    need(static_cast<size_t>(n));
-    u64 v = 0;
-    for (int i = 0; i < n; ++i)
-      v |= static_cast<u64>(data_[pos_ + static_cast<size_t>(i)]) << (8 * i);
-    pos_ += static_cast<size_t>(n);
-    return v;
-  }
   void need(u64 n) const {
     if (n > remaining())
       throw SnapshotError("snapshot blob underrun at byte " +

@@ -26,24 +26,40 @@ std::string CheckpointPolicy::label() const {
   return "?";
 }
 
-StorePagePtr make_store_page(const u8* data, size_t len) {
-  auto page = std::make_shared<StorePage>();
-  page->bytes.assign(data, data + len);
-  page->hash = hash64(data, len);
-  return page;
+ImagePtr make_image(std::vector<u8> bytes) {
+  auto image = std::make_shared<Image>();
+  image->bytes = std::move(bytes);
+  image->hash = hash64(image->bytes.data(), image->bytes.size());
+  return image;
 }
 
+ImagePtr make_image(const u8* data, size_t len) {
+  return make_image(std::vector<u8>(data, data + len));
+}
+
+namespace {
+
+/// Call `f` on every image of `s`: store pages, then launch history, then
+/// block-record history.
+template <class F>
+void for_each_image(const Snapshot& s, F f) {
+  for (const auto* images : {&s.store_pages, &s.launch_images, &s.record_images})
+    for (const ImagePtr& image : *images) f(*image);
+}
+
+}  // namespace
+
 u64 Snapshot::hash() const {
-  // The blob's hash and every page's, hashed again as little-endian words.
+  // The blob's hash and every image's, hashed again as little-endian words.
   Writer w;
   w.put64(hash64(blob.data(), blob.size()));
-  for (const StorePagePtr& p : store_pages) w.put64(p->hash);
+  for_each_image(*this, [&w](const Image& image) { w.put64(image.hash); });
   return hash64(w.blob().data(), w.blob().size());
 }
 
 u64 Snapshot::size_bytes() const {
   u64 n = blob.size();
-  for (const StorePagePtr& p : store_pages) n += p->bytes.size();
+  for_each_image(*this, [&n](const Image& image) { n += image.bytes.size(); });
   return n;
 }
 
@@ -94,8 +110,8 @@ std::string localize(const Section& s, const std::vector<u8>& a,
 std::string store_divergence(const Snapshot& a, const Snapshot& b) {
   if (a.store_pages.size() != b.store_pages.size()) return "store";
   for (size_t i = 0; i < a.store_pages.size(); ++i) {
-    const StorePage& pa = *a.store_pages[i];
-    const StorePage& pb = *b.store_pages[i];
+    const Image& pa = *a.store_pages[i];
+    const Image& pb = *b.store_pages[i];
     if (&pa == &pb) continue;  // shared image
     if (pa.bytes.size() != pb.bytes.size()) return "store";
     if (pa.hash == pb.hash && pa.bytes == pb.bytes) continue;
@@ -108,6 +124,17 @@ std::string store_divergence(const Snapshot& a, const Snapshot& b) {
     return buf;
   }
   return "";
+}
+
+/// True when two image lists hold different bytes.
+bool images_differ(const std::vector<ImagePtr>& a,
+                   const std::vector<ImagePtr>& b) {
+  if (a.size() != b.size()) return true;
+  for (size_t i = 0; i < a.size(); ++i)
+    if (a[i] != b[i] &&
+        (a[i]->hash != b[i]->hash || a[i]->bytes != b[i]->bytes))
+      return true;
+  return false;
 }
 
 }  // namespace
@@ -139,6 +166,12 @@ std::string first_divergence(const Snapshot& a, const Snapshot& b) {
       std::string where = store_divergence(a, b);
       if (!where.empty()) return where;
     }
+    // The "gpu" section holds the live launches and the history counts;
+    // the history itself is compared image by image, and reported by the
+    // section's name as when it was part of the section.
+    if (sa.name == "gpu" && (images_differ(a.launch_images, b.launch_images) ||
+                             images_differ(a.record_images, b.record_images)))
+      return "gpu";
   }
   return "";
 }

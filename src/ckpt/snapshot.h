@@ -20,15 +20,23 @@
 //    first_divergence() name the first architecturally divergent component
 //    (SM i / L1 set s / DRAM bank b) between two snapshots.
 //
-// Kernel programs are immutable and shared: the blob references them by
+// Kernel programs are immutable and shared: launches reference them by
 // index into `programs`, which keeps them alive (and shareable across
-// threads) for as long as any snapshot does.
+// threads) for as long as any snapshot does. The index is the program's
+// place in the device's program table, so it stays valid for every later
+// snapshot of the same device.
 //
-// The global store is held the same way, beside the blob: as immutable
-// 4 KiB page images (`store_pages`), each carrying its hash. A capture
-// re-images only the pages written since the device's previous capture or
-// restore and shares every other page with that earlier snapshot, so its
-// cost follows the state that changed, not the size of the store.
+// State that only grows is held beside the blob, as immutable hashed
+// images (ckpt::Image) that snapshots share by pointer:
+//  * the global store as 4 KiB page images (`store_pages`); a capture
+//    re-images only the pages written since the device's previous capture
+//    or restore;
+//  * the launch and block-record history (`launch_images`,
+//    `record_images`). A launch stops changing once it finishes and block
+//    records are only ever appended, so each is encoded once, into images
+//    that seal at a fixed record count.
+// The blob keeps the live state. A capture's cost therefore follows the
+// state that changed, not the size of the store or the device's uptime.
 #pragma once
 
 #include <memory>
@@ -70,20 +78,24 @@ struct CheckpointPolicy {
   bool operator==(const CheckpointPolicy& other) const = default;
 };
 
-/// Page size of the global-store images a Snapshot holds.
+/// Page size of the global-store images a Snapshot holds. Page i covers
+/// device addresses [i * kStorePageBytes, i * kStorePageBytes + size);
+/// every page but the store's last is full.
 constexpr u64 kStorePageBytes = 4096;
 
-/// One immutable global-store page image. Page i covers device addresses
-/// [i * kStorePageBytes, i * kStorePageBytes + bytes.size()); every page but
-/// the store's last is full.
-struct StorePage {
+/// One immutable byte image held beside a snapshot's blob: a global-store
+/// page, or a run of launch or block-record history. Never changes once
+/// made, so snapshots share it by pointer.
+struct Image {
   std::vector<u8> bytes;
   u64 hash = 0;  // hash64(bytes)
 };
-using StorePagePtr = std::shared_ptr<const StorePage>;
+using ImagePtr = std::shared_ptr<const Image>;
 
-/// Image a page: copy `len` bytes and hash them.
-StorePagePtr make_store_page(const u8* data, size_t len);
+/// Image `bytes`: take them and hash them.
+ImagePtr make_image(std::vector<u8> bytes);
+/// Image a copy of `len` bytes at `data`.
+ImagePtr make_image(const u8* data, size_t len);
 
 class Snapshot {
  public:
@@ -94,7 +106,10 @@ class Snapshot {
   ///     (cycles_issued / cycles_stall_{scoreboard,barrier,structural}).
   /// v4: section hashes are hash64; the "store" section keeps only the
   ///     allocator cursor and store size, the contents move to store_pages.
-  static constexpr u32 kVersion = 4;
+  /// v5: finished launches and block records move from the "gpu" section
+  ///     to launch_images and record_images; launches name their program
+  ///     by its index in the device's program table.
+  static constexpr u32 kVersion = 5;
   static constexpr u64 kMagic = 0x48474355434B5054ull;  // "HGPUCKPT"
 
   // ---- Capture metadata (duplicated from the blob for cheap access) -------
@@ -116,18 +131,26 @@ class Snapshot {
   // ---- State --------------------------------------------------------------
   std::vector<u8> blob;
   std::vector<Section> sections;
-  /// Immutable kernel programs referenced by the blob (by index).
+  /// The device's program table: launches name their program by index.
   std::vector<isa::ProgramPtr> programs;
-  /// Global-store contents, page by page (see StorePage).
-  std::vector<StorePagePtr> store_pages;
+  /// Global-store contents, page by page.
+  std::vector<ImagePtr> store_pages;
+  /// The longest prefix of launches that have all finished, encoded
+  /// sim::Gpu::kLaunchesPerImage to an image (the last may hold fewer).
+  /// Later launches are live state and stay in the blob.
+  std::vector<ImagePtr> launch_images;
+  /// Every block record, sim::Gpu::kRecordsPerImage to an image (the last
+  /// may hold fewer).
+  std::vector<ImagePtr> record_images;
 
-  /// Hash over the blob and every store page — two snapshots of identical
+  /// Hash over the blob and every image — two snapshots of identical
   /// device state hash identically (the blob layout is padding-free and
-  /// deterministic, and the store is paged the same way on every device).
+  /// deterministic, and every device cuts the same state into the same
+  /// images).
   u64 hash() const;
-  /// Serialized device state in bytes: the blob plus the store contents.
-  /// This is the size the state would have as one flat image, and what a
-  /// rollback is charged for (PlatformParams::restore_ns).
+  /// Serialized device state in bytes: the blob plus every image. This is
+  /// the size the state would have as one flat image, and what a rollback
+  /// is charged for (PlatformParams::restore_ns).
   u64 size_bytes() const;
 
   const Section* find_section(const std::string& name) const;

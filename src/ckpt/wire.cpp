@@ -1,5 +1,6 @@
 #include "ckpt/wire.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -33,8 +34,46 @@ constexpr size_t kInstructionBytes =
 /// program (empty name, no code), for bounding their counts.
 constexpr size_t kMinSectionBytes = 8 + 4 * 8;
 constexpr size_t kMinProgramBytes = 8 + 2 + 2 + 4 + 4 + 8;
-/// Length + hash ahead of every store page's bytes.
-constexpr size_t kPageHeaderBytes = 8 + 8;
+/// Length + hash ahead of every image's bytes.
+constexpr size_t kImageHeaderBytes = 8 + 8;
+
+void put_images(Writer& w, const std::vector<ImagePtr>& images) {
+  w.put64(images.size());
+  for (const ImagePtr& image : images) {
+    w.put64(image->bytes.size());
+    w.put64(image->hash);
+    w.put_bytes(image->bytes.data(), image->bytes.size());
+  }
+}
+
+/// Read one image table and re-hash every image. `kind` names the images in
+/// errors, `max_len` bounds one image's length, and `where(i)` names image
+/// i when its bytes do not match its stored hash.
+template <class Where>
+std::vector<ImagePtr> get_images(Reader& r, const std::string& kind,
+                                 u64 max_len, const Where& where) {
+  const u64 n = r.get_count(kImageHeaderBytes, (kind + " table").c_str());
+  std::vector<ImagePtr> images;
+  images.reserve(static_cast<size_t>(n));
+  for (u64 i = 0; i < n; ++i) {
+    const u64 len = r.get64();
+    if (len > max_len || len > r.remaining())
+      throw SnapshotError("snapshot " + kind + " " + std::to_string(i) +
+                          " claims " + std::to_string(len) + " bytes (max " +
+                          std::to_string(std::min<u64>(max_len, r.remaining())) +
+                          ")");
+    const u64 hash = r.get64();
+    std::vector<u8> bytes(static_cast<size_t>(len));
+    r.get_bytes(bytes.data(), bytes.size());
+    ImagePtr image = make_image(std::move(bytes));
+    if (image->hash != hash)
+      throw SnapshotError("snapshot " + kind + " " + where(i) +
+                          " corrupted in transit (stored hash does not match "
+                          "its contents)");
+    images.push_back(std::move(image));
+  }
+  return images;
+}
 
 void put_program(Writer& w, const isa::KernelProgram& p) {
   w.put_string(p.name());
@@ -116,12 +155,9 @@ std::vector<u8> encode_snapshot(const Snapshot& snap) {
   w.put64(snap.blob.size());
   w.put_bytes(snap.blob.data(), snap.blob.size());
 
-  w.put64(snap.store_pages.size());
-  for (const StorePagePtr& p : snap.store_pages) {
-    w.put64(p->bytes.size());
-    w.put64(p->hash);
-    w.put_bytes(p->bytes.data(), p->bytes.size());
-  }
+  put_images(w, snap.store_pages);
+  put_images(w, snap.launch_images);
+  put_images(w, snap.record_images);
 
   w.put64(snap.programs.size());
   for (const isa::ProgramPtr& p : snap.programs) put_program(w, *p);
@@ -208,31 +244,19 @@ SnapshotPtr decode_snapshot(const std::vector<u8>& bytes) {
                           "match its contents)");
   }
 
-  // Store pages, each re-hashed the same way; a mismatch names the page's
-  // device address range.
-  const u64 num_pages = r.get_count(kPageHeaderBytes, "store page table");
-  snap->store_pages.reserve(static_cast<size_t>(num_pages));
-  for (u64 i = 0; i < num_pages; ++i) {
-    const u64 len = r.get64();
-    if (len > kStorePageBytes)
-      throw SnapshotError("snapshot store page " + std::to_string(i) +
-                          " claims " + std::to_string(len) + " bytes (max " +
-                          std::to_string(kStorePageBytes) + ")");
-    const u64 hash = r.get64();
-    auto page = std::make_shared<StorePage>();
-    page->bytes.resize(static_cast<size_t>(len));
-    r.get_bytes(page->bytes.data(), page->bytes.size());
-    page->hash = hash;
-    if (hash64(page->bytes.data(), page->bytes.size()) != hash) {
-      char buf[96];
-      std::snprintf(buf, sizeof(buf),
-                    "snapshot store page @0x%llx corrupted in transit "
-                    "(stored hash does not match its contents)",
-                    static_cast<unsigned long long>(i * kStorePageBytes));
-      throw SnapshotError(buf);
-    }
-    snap->store_pages.push_back(std::move(page));
-  }
+  // Images, each re-hashed the same way; a store page is named by its
+  // device address, a history image by its index.
+  snap->store_pages =
+      get_images(r, "store page", kStorePageBytes, [](u64 i) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "@0x%llx",
+                      static_cast<unsigned long long>(i * kStorePageBytes));
+        return std::string(buf);
+      });
+  const auto by_index = [](u64 i) { return std::to_string(i); };
+  snap->launch_images = get_images(r, "launch image", ~u64{0}, by_index);
+  snap->record_images =
+      get_images(r, "block-record image", ~u64{0}, by_index);
 
   const u64 num_programs = r.get_count(kMinProgramBytes, "program table");
   snap->programs.reserve(static_cast<size_t>(num_programs));

@@ -1,26 +1,27 @@
 // Wire/file framing for ckpt::Snapshot — the unit of distribution.
 //
 // An in-memory Snapshot is four things: the padding-free state blob, its
-// section table, the global-store page images, and the immutable kernel
-// programs the blob references by index. encode_snapshot() frames all four
-// as one self-contained byte stream that can cross a socket or live in a
-// file:
+// section table, the images held beside it (global-store pages, launch and
+// block-record history), and the immutable kernel programs launches
+// reference by index. encode_snapshot() frames all four as one
+// self-contained byte stream that can cross a socket or live in a file:
 //
 //   header     magic, frame version, snapshot version, capture metadata
 //   sections   name / offset / length / record size / hash64 each
 //   blob       the raw state bytes
-//   pages      count, then per store page: length, hash64, bytes
+//   images     three tables: store pages, launch images, block-record
+//              images; each a count, then per image: length, hash64, bytes
 //   programs   each KernelProgram serialized field-by-field (instructions,
 //              register/predicate/shared/param requirements)
 //   trailer    hash64 checksum over every preceding frame byte
 //
 // decode_snapshot() refuses corruption loudly instead of restoring garbage:
 // the frame checksum is validated first (truncation, bit rot, a torn
-// transfer), then every section's and every store page's stored hash is
+// transfer), then every section's and every image's stored hash is
 // recomputed over the received bytes — a mismatch names the damaged section
-// ("snapshot section 'sm3' corrupted in transit") or store page, which is
-// the difference between a diagnosable dead worker and a silently wrong
-// campaign. Every length field is checked against the bytes left before
+// ("snapshot section 'sm3' corrupted in transit"), store page or history
+// image, which is the difference between a diagnosable dead worker and a
+// silently wrong campaign. Every length field is checked against the bytes left before
 // anything is allocated from it. Restoring a decoded snapshot onto a
 // device still performs the existing magic/version/parameter-fingerprint
 // checks inside the blob.
@@ -36,7 +37,8 @@ namespace higpu::ckpt {
 /// Frame format version; bump on any change to the framing layout (the
 /// snapshot *blob* layout is versioned independently by Snapshot::kVersion).
 /// v2: hash64 checksums and section hashes; store pages framed inline.
-constexpr u32 kWireVersion = 2;
+/// v3: launch and block-record history images framed after the pages.
+constexpr u32 kWireVersion = 3;
 constexpr u64 kWireMagic = 0x48475055534E4150ull;  // "HGPUSNAP"
 
 /// Serialize a snapshot (blob + sections + store pages + programs +

@@ -1,4 +1,4 @@
-// higpu.wire/2 — the coordinator <-> worker message protocol.
+// higpu.wire/3 — the coordinator <-> worker message protocol.
 //
 // Transport is any reliable byte stream (the coordinator uses an AF_UNIX
 // socketpair shared with each forked worker). Every message is one frame:
@@ -43,7 +43,8 @@
 namespace higpu::dist {
 
 /// v2: the frame checksum is ckpt::hash64 (was FNV-1a).
-constexpr u32 kProtocolVersion = 2;
+/// v3: framed snapshots carry launch and block-record history images.
+constexpr u32 kProtocolVersion = 3;
 constexpr u32 kFrameMagic = 0x52574748u;  // "HGWR"
 /// Upper bound on a frame payload; anything larger means a desynchronized
 /// or corrupted stream, not a legitimate message.

@@ -80,21 +80,25 @@ void SetAssocCache::clear() {
 }
 
 void SetAssocCache::save(ckpt::Writer& w) const {
+  u8* p = w.extend(ways_.size() * kWayBytes);
   for (const Way& way : ways_) {
-    w.put8(way.valid ? 1 : 0);
-    w.put8(way.dirty ? 1 : 0);
-    w.put64(way.tag);
-    w.put64(way.lru);
+    p[0] = way.valid ? 1 : 0;
+    p[1] = way.dirty ? 1 : 0;
+    ckpt::store_le<8>(p + 2, way.tag);
+    ckpt::store_le<8>(p + 10, way.lru);
+    p += kWayBytes;
   }
   w.put64(use_counter_);
 }
 
 void SetAssocCache::restore(ckpt::Reader& r) {
+  const u8* p = r.take(ways_.size() * kWayBytes);
   for (Way& way : ways_) {
-    way.valid = r.get8() != 0;
-    way.dirty = r.get8() != 0;
-    way.tag = r.get64();
-    way.lru = r.get64();
+    way.valid = p[0] != 0;
+    way.dirty = p[1] != 0;
+    way.tag = ckpt::load_le<8>(p + 2);
+    way.lru = ckpt::load_le<8>(p + 10);
+    p += kWayBytes;
   }
   use_counter_ = r.get64();
 }

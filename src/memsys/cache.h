@@ -49,9 +49,12 @@ class SetAssocCache {
   void save(ckpt::Writer& w) const;
   void restore(ckpt::Reader& r);
   /// Serialized bytes per set — the snapshot section's record size.
-  u64 set_record_bytes() const { return 18ull * assoc_; }
+  u64 set_record_bytes() const { return kWayBytes * assoc_; }
 
  private:
+  /// Serialized bytes of one way: valid, dirty, tag, LRU stamp.
+  static constexpr size_t kWayBytes = 18;
+
   struct Way {
     bool valid = false;
     bool dirty = false;

@@ -55,7 +55,7 @@ void GlobalStore::read_block(void* dst, DevPtr src, u64 bytes) const {
   std::memcpy(dst, data_.data() + src, bytes);
 }
 
-std::vector<ckpt::StorePagePtr> GlobalStore::save(ckpt::Writer& w) {
+std::vector<ckpt::ImagePtr> GlobalStore::save(ckpt::Writer& w) {
   w.put32(next_);
   w.put64(data_.size());
   const size_t pages = (data_.size() + ckpt::kStorePageBytes - 1) >> kPageShift;
@@ -70,7 +70,7 @@ std::vector<ckpt::StorePagePtr> GlobalStore::save(ckpt::Writer& w) {
     if (dirty_[i] == 0 && images_[i] != nullptr &&
         images_[i]->bytes.size() == len)
       continue;
-    images_[i] = ckpt::make_store_page(data_.data() + off, len);
+    images_[i] = ckpt::make_image(data_.data() + off, len);
     dirty_[i] = 0;
     pages_imaged_ += 1;
   }
@@ -78,7 +78,7 @@ std::vector<ckpt::StorePagePtr> GlobalStore::save(ckpt::Writer& w) {
 }
 
 void GlobalStore::restore(ckpt::Reader& r,
-                          const std::vector<ckpt::StorePagePtr>& pages) {
+                          const std::vector<ckpt::ImagePtr>& pages) {
   next_ = r.get32();
   const u64 n = r.get64();
   const u64 want = (n + ckpt::kStorePageBytes - 1) >> kPageShift;

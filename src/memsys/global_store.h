@@ -46,9 +46,9 @@ class GlobalStore {
 
   // Checkpoint: save() writes the allocator cursor and the store size and
   // returns the contents as page images; restore() reads them back.
-  std::vector<ckpt::StorePagePtr> save(ckpt::Writer& w);
+  std::vector<ckpt::ImagePtr> save(ckpt::Writer& w);
   /// Throws ckpt::SnapshotError when `pages` do not tile the saved size.
-  void restore(ckpt::Reader& r, const std::vector<ckpt::StorePagePtr>& pages);
+  void restore(ckpt::Reader& r, const std::vector<ckpt::ImagePtr>& pages);
 
   /// Page images created by save() so far (deterministic: it counts the
   /// pages written or grown between captures, not host work).
@@ -66,7 +66,7 @@ class GlobalStore {
   mutable std::vector<u8> data_;
   /// Images of the last save()/restore(), page by page, and parallel dirty
   /// bits. Pages past the end of `images_` are new and always imaged.
-  std::vector<ckpt::StorePagePtr> images_;
+  std::vector<ckpt::ImagePtr> images_;
   std::vector<u8> dirty_;
   u64 pages_imaged_ = 0;
 };

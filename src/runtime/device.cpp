@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <unordered_map>
 
 namespace higpu::runtime {
 
@@ -176,8 +175,8 @@ void Device::push_checkpoint(ckpt::SnapshotPtr snap, bool anchor) {
   checkpoint_is_anchor_.push_back(anchor ? 1 : 0);
   if (anchor) return;
   // Interval captures are periodic and each holds its own blob (store pages
-  // are shared, the rest is not), so a long run would otherwise accumulate
-  // memory proportional to its length.
+  // and sealed history images are shared, the blob is not), so a long run
+  // would otherwise accumulate memory proportional to its length.
   // Keep only the most recent few — rollback walks newest to oldest with a
   // small attempt budget — while pre-kernel anchors (one per sync round,
   // bounded by the workload's structure, and the guaranteed-clean fallback)
@@ -258,15 +257,7 @@ ckpt::SnapshotPtr Device::capture(Cycle nominal) {
   snap->store_pages = store_->save(w);
   w.end_section();
 
-  std::unordered_map<const isa::KernelProgram*, u32> prog_index;
-  gpu_->save(w, [&](const isa::ProgramPtr& p) -> u32 {
-    const auto it = prog_index.find(p.get());
-    if (it != prog_index.end()) return it->second;
-    const u32 idx = static_cast<u32>(snap->programs.size());
-    prog_index.emplace(p.get(), idx);
-    snap->programs.push_back(p);
-    return idx;
-  });
+  gpu_->save(w, *snap);
 
   snap->blob = w.take_blob();
   snap->sections = w.take_sections();
@@ -337,9 +328,7 @@ void Device::restore_impl(const ckpt::Snapshot& s, bool restore_fault) {
   store_->restore(r, s.store_pages);
   r.leave_section();
 
-  gpu_->restore(
-      r, [&s](u32 idx) -> isa::ProgramPtr { return s.programs.at(idx); },
-      restore_fault);
+  gpu_->restore(r, s, restore_fault);
   restore_wall_sec_ +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
           .count();

@@ -14,8 +14,9 @@
 // Checkpoint/restore (src/ckpt): snapshot() captures the complete device
 // state — GPU core, memory system, global store, host timeline, scheduler
 // cursors, armed fault state — as a versioned binary ckpt::Snapshot (the
-// global store as page images shared with the previous capture wherever
-// unwritten since, so capture cost follows what changed);
+// global store as page images, and the launch and block-record history as
+// sealed images, shared with the previous capture wherever unchanged
+// since, so capture cost follows what changed, not the device's uptime);
 // restore() resumes from one bit-identically to an uninterrupted run, on
 // this device or a freshly constructed one with identical parameters.
 // Snapshots can be captured automatically (a CheckpointPolicy or explicit

@@ -38,6 +38,9 @@ BistResult run_scheduler_bist(runtime::Device& dev, sched::Policy policy) {
 
   isa::ProgramPtr canary = build_canary();
   core::ReplicaPtr out = session.alloc(bytes);
+  // Block records are only ever appended: the BIST's own blocks all land
+  // after this point, so the scan below skips the device's earlier history.
+  const size_t first_record = dev.gpu().block_records().size();
   session.launch(canary, sim::Dim3{blocks, 1, 1}, sim::Dim3{threads, 1, 1},
                  {core::ReplicaParam(out)}, "bist");
   session.sync();
@@ -45,7 +48,9 @@ BistResult run_scheduler_bist(runtime::Device& dev, sched::Policy policy) {
 
   const auto [id_a, id_b] = session.pairs().back();
   std::map<u32, u32> sm_of_a, sm_of_b;  // block -> actual SM
-  for (const sim::BlockRecord& r : dev.gpu().block_records()) {
+  const std::vector<sim::BlockRecord>& records = dev.gpu().block_records();
+  for (size_t i = first_record; i < records.size(); ++i) {
+    const sim::BlockRecord& r = records[i];
     if (r.launch_id == id_a) sm_of_a[r.block_linear] = r.sm;
     if (r.launch_id == id_b) sm_of_b[r.block_linear] = r.sm;
   }

@@ -81,6 +81,7 @@ u32 Gpu::launch(KernelLaunch launch) {
 
   auto slot = std::make_unique<LaunchSlot>();
   const u32 id = static_cast<u32>(launches_.size());
+  slot->program = program_index(launch.program);
   slot->launch = std::move(launch);
   attach_trace(slot->launch);
   slot->state.launch_id = id;
@@ -296,15 +297,9 @@ const KernelLaunch& Gpu::launch_of(u32 launch_id) const {
   return launches_[launch_id]->launch;
 }
 
-bool Gpu::priors_finished(u32 launch_id) const {
-  for (u32 i = 0; i < launch_id; ++i)
-    if (!launches_[i]->state.finished()) return false;
-  return true;
-}
-
 bool Gpu::stream_ready(const KernelState& ks) const {
   const u32 stream = launches_[ks.launch_id]->launch.stream;
-  for (u32 i = 0; i < ks.launch_id; ++i)
+  for (size_t i = first_unfinished_; i < ks.launch_id; ++i)
     if (launches_[i]->launch.stream == stream && !launches_[i]->state.finished())
       return false;
   return true;
@@ -352,6 +347,9 @@ void Gpu::on_block_done(const BlockRecord& rec) {
   if (ks.finished()) {
     ks.done_cycle = cycle_;
     kernels_finished_ += 1;
+    while (first_unfinished_ < launches_.size() &&
+           launches_[first_unfinished_]->state.finished())
+      ++first_unfinished_;
     stats_.add("kernels_completed");
     if (obs_ != nullptr)
       obs_->emit(obs_kernel_track_, obs::Ev::kKernel, ks.first_dispatch_cycle,
@@ -360,9 +358,120 @@ void Gpu::on_block_done(const BlockRecord& rec) {
   }
 }
 
-void Gpu::save(
-    ckpt::Writer& w,
-    const std::function<u32(const isa::ProgramPtr&)>& program_ref) const {
+namespace {
+
+/// Serialized bytes of one BlockRecord.
+constexpr size_t kRecordBytes = 4 * 4 + 8 + 8;
+
+const std::vector<ckpt::Section> kNoSections;
+
+void put_record(ckpt::Writer& w, const BlockRecord& rec) {
+  u8* p = w.extend(kRecordBytes);
+  ckpt::store_le<4>(p, rec.launch_id);
+  ckpt::store_le<4>(p + 4, rec.block_linear);
+  ckpt::store_le<4>(p + 8, rec.sm);
+  ckpt::store_le<4>(p + 12, rec.intended_sm);
+  ckpt::store_le<8>(p + 16, rec.dispatch_cycle);
+  ckpt::store_le<8>(p + 24, rec.end_cycle);
+}
+
+BlockRecord get_record(const u8* p) {
+  BlockRecord rec;
+  rec.launch_id = static_cast<u32>(ckpt::load_le<4>(p));
+  rec.block_linear = static_cast<u32>(ckpt::load_le<4>(p + 4));
+  rec.sm = static_cast<u32>(ckpt::load_le<4>(p + 8));
+  rec.intended_sm = static_cast<u32>(ckpt::load_le<4>(p + 12));
+  rec.dispatch_cycle = ckpt::load_le<8>(p + 16);
+  rec.end_cycle = ckpt::load_le<8>(p + 24);
+  return rec;
+}
+
+/// Encode items [done, upto) into `images`, `per_image` to an image, with
+/// `put(w, i)` encoding item i. The partial last image, if any, is copied
+/// and extended; full images are sealed and shared from then on.
+template <class Put>
+void append_images(std::vector<ckpt::ImagePtr>& images, u64& done, u64 upto,
+                   u64 per_image, const Put& put) {
+  while (done < upto) {
+    ckpt::Writer w;
+    const u64 in_last = done % per_image;
+    if (in_last != 0) {
+      const std::vector<u8>& last = images.back()->bytes;
+      w.put_bytes(last.data(), last.size());
+      images.pop_back();
+    }
+    const u64 end = std::min(upto, done - in_last + per_image);
+    for (; done < end; ++done) put(w, done);
+    images.push_back(ckpt::make_image(w.take_blob()));
+  }
+}
+
+/// Leading images `held` and `wanted` share by pointer.
+size_t shared_prefix(const std::vector<ckpt::ImagePtr>& held,
+                     const std::vector<ckpt::ImagePtr>& wanted) {
+  size_t n = 0;
+  while (n < held.size() && n < wanted.size() && held[n] == wanted[n]) ++n;
+  return n;
+}
+
+void check_image_count(const char* kind, size_t i, size_t num_images,
+                       u64 count, u64 per_image) {
+  const bool last = i + 1 == num_images;
+  if (count == 0 || count > per_image || (!last && count != per_image))
+    throw ckpt::SnapshotError("snapshot " + std::string(kind) + " " +
+                              std::to_string(i) + " holds " +
+                              std::to_string(count) + " records, not " +
+                              (last ? "1 to " : "") +
+                              std::to_string(per_image));
+}
+
+}  // namespace
+
+u32 Gpu::program_index(const isa::ProgramPtr& p) {
+  const auto [it, added] =
+      program_ids_.try_emplace(p.get(), static_cast<u32>(programs_.size()));
+  if (added) programs_.push_back(p);
+  return it->second;
+}
+
+void Gpu::put_launch(ckpt::Writer& w, const LaunchSlot& slot) const {
+  const KernelLaunch& l = slot.launch;
+  w.put32(slot.program);
+  for (u32 d : {l.grid.x, l.grid.y, l.grid.z, l.block.x, l.block.y, l.block.z})
+    w.put32(d);
+  w.put_u32_vec(l.params);
+  w.put32(l.hints.start_sm);
+  w.put64(l.hints.sm_mask);
+  w.put32(l.stream);
+  w.put_string(l.tag);
+  const KernelState& ks = slot.state;
+  w.put32(ks.launch_id);
+  w.put64(ks.arrival);
+  w.put32(ks.blocks_dispatched);
+  w.put32(ks.blocks_done);
+  w.put32(ks.total_blocks);
+  w.put64(ks.first_dispatch_cycle);
+  w.put64(ks.done_cycle);
+}
+
+void Gpu::save(ckpt::Writer& w, ckpt::Snapshot& snap) {
+  // Launches before first_unfinished_ never change again and block records
+  // are only ever appended: image what is new since the last save() or
+  // restore() and share the rest. The unfinished launches stay in the blob.
+  history_encoded_ += (launches_.size() - launches_imaged_) +
+                      (records_.size() - records_imaged_);
+  append_images(launch_images_, launches_imaged_, first_unfinished_,
+                kLaunchesPerImage, [this](ckpt::Writer& iw, u64 i) {
+                  put_launch(iw, *launches_[static_cast<size_t>(i)]);
+                });
+  append_images(record_images_, records_imaged_, records_.size(),
+                kRecordsPerImage, [this](ckpt::Writer& iw, u64 i) {
+                  put_record(iw, records_[static_cast<size_t>(i)]);
+                });
+  snap.launch_images = launch_images_;
+  snap.record_images = record_images_;
+  snap.programs = programs_;
+
   w.begin_section("gpu");
   w.put64(cycle_);
   w.put64(last_arrival_);
@@ -386,36 +495,9 @@ void Gpu::save(
   w.put32(kernels_finished_);
 
   w.put64(launches_.size());
-  for (const auto& slot : launches_) {
-    const KernelLaunch& l = slot->launch;
-    w.put32(program_ref(l.program));
-    for (u32 d : {l.grid.x, l.grid.y, l.grid.z, l.block.x, l.block.y,
-                  l.block.z})
-      w.put32(d);
-    w.put_u32_vec(l.params);
-    w.put32(l.hints.start_sm);
-    w.put64(l.hints.sm_mask);
-    w.put32(l.stream);
-    w.put_string(l.tag);
-    const KernelState& ks = slot->state;
-    w.put32(ks.launch_id);
-    w.put64(ks.arrival);
-    w.put32(ks.blocks_dispatched);
-    w.put32(ks.blocks_done);
-    w.put32(ks.total_blocks);
-    w.put64(ks.first_dispatch_cycle);
-    w.put64(ks.done_cycle);
-  }
-
+  for (size_t i = first_unfinished_; i < launches_.size(); ++i)
+    put_launch(w, *launches_[i]);
   w.put64(records_.size());
-  for (const BlockRecord& rec : records_) {
-    w.put32(rec.launch_id);
-    w.put32(rec.block_linear);
-    w.put32(rec.sm);
-    w.put32(rec.intended_sm);
-    w.put64(rec.dispatch_cycle);
-    w.put64(rec.end_cycle);
-  }
 
   const auto stat_entries = stats_.entries();
   w.put64(stat_entries.size());
@@ -444,9 +526,120 @@ void Gpu::save(
   w.end_section();
 }
 
-void Gpu::restore(ckpt::Reader& r,
-                  const std::function<isa::ProgramPtr(u32)>& program_of,
+void Gpu::read_launch(ckpt::Reader& r) {
+  auto slot = std::make_unique<LaunchSlot>();
+  slot->program = r.get32();
+  if (slot->program >= programs_.size())
+    throw ckpt::SnapshotError("snapshot launch names program " +
+                              std::to_string(slot->program) + " of " +
+                              std::to_string(programs_.size()));
+  KernelLaunch& l = slot->launch;
+  l.program = programs_[slot->program];
+  l.grid.x = r.get32();
+  l.grid.y = r.get32();
+  l.grid.z = r.get32();
+  l.block.x = r.get32();
+  l.block.y = r.get32();
+  l.block.z = r.get32();
+  l.params = r.get_u32_vec();
+  l.hints.start_sm = r.get32();
+  l.hints.sm_mask = r.get64();
+  l.stream = r.get32();
+  l.tag = r.get_string();
+  // Traces are derived state: rebuilt (via the process-wide cache), not
+  // deserialized. The compile-time stats ride in the stats_ snapshot, so
+  // no attach_trace() accounting here. Must happen before the SMs are
+  // restored — they re-derive warp.ctrace from the launch.
+  if (params_.exec_mode == ExecMode::kBlock)
+    l.trace = blockexec::trace_for(l.program);
+  KernelState& ks = slot->state;
+  ks.launch_id = r.get32();
+  ks.arrival = r.get64();
+  ks.blocks_dispatched = r.get32();
+  ks.blocks_done = r.get32();
+  ks.total_blocks = r.get32();
+  ks.first_dispatch_cycle = r.get64();
+  ks.done_cycle = r.get64();
+  if (ks.launch_id != launches_.size())
+    throw ckpt::SnapshotError("snapshot launch " +
+                              std::to_string(launches_.size()) +
+                              " carries launch id " +
+                              std::to_string(ks.launch_id));
+  launches_.push_back(std::move(slot));
+  state_ptrs_.push_back(&launches_.back()->state);
+}
+
+void Gpu::restore_launches(ckpt::Reader& r,
+                           const std::vector<ckpt::ImagePtr>& images,
+                           u64 n_launches) {
+  // Images this device already holds describe launches it still has,
+  // finished and unchanged: keep those slots and decode only the rest.
+  const size_t shared = shared_prefix(launch_images_, images);
+  const size_t kept = static_cast<size_t>(
+      std::min<u64>(shared * kLaunchesPerImage, launches_imaged_));
+  launches_.resize(kept);
+  state_ptrs_.resize(kept);
+  for (size_t i = shared; i < images.size(); ++i) {
+    const std::vector<u8>& bytes = images[i]->bytes;
+    ckpt::Reader ir(bytes, kNoSections);
+    u64 count = 0;
+    for (; ir.remaining() > 0 && count < kLaunchesPerImage; ++count) {
+      read_launch(ir);
+      if (!launches_.back()->state.finished())
+        throw ckpt::SnapshotError("snapshot launch image " + std::to_string(i) +
+                                  " holds an unfinished launch");
+    }
+    if (ir.remaining() > 0) count = kLaunchesPerImage + 1;
+    check_image_count("launch image", i, images.size(), count,
+                      kLaunchesPerImage);
+  }
+  const size_t frozen = launches_.size();
+  if (frozen > n_launches)
+    throw ckpt::SnapshotError("snapshot launch images hold " +
+                              std::to_string(frozen) + " launches of " +
+                              std::to_string(n_launches));
+  for (u64 i = frozen; i < n_launches; ++i) read_launch(r);
+  // Every device images exactly the finished prefix; anything else is not
+  // a snapshot this format produces.
+  if (frozen < launches_.size() && launches_[frozen]->state.finished())
+    throw ckpt::SnapshotError("snapshot launch " + std::to_string(frozen) +
+                              " finished but is not in the launch images");
+  launch_images_ = images;
+  launches_imaged_ = frozen;
+  first_unfinished_ = frozen;
+}
+
+void Gpu::restore_records(const std::vector<ckpt::ImagePtr>& images,
+                          u64 n_records) {
+  const size_t shared = shared_prefix(record_images_, images);
+  records_.resize(static_cast<size_t>(
+      std::min<u64>(shared * kRecordsPerImage, records_imaged_)));
+  for (size_t i = shared; i < images.size(); ++i) {
+    const std::vector<u8>& bytes = images[i]->bytes;
+    const u64 count = bytes.size() % kRecordBytes == 0
+                          ? bytes.size() / kRecordBytes
+                          : kRecordsPerImage + 1;
+    check_image_count("block-record image", i, images.size(), count,
+                      kRecordsPerImage);
+    for (size_t off = 0; off < bytes.size(); off += kRecordBytes)
+      records_.push_back(get_record(bytes.data() + off));
+  }
+  if (records_.size() != n_records)
+    throw ckpt::SnapshotError("snapshot record images hold " +
+                              std::to_string(records_.size()) +
+                              " block records, its gpu section counts " +
+                              std::to_string(n_records));
+  record_images_ = images;
+  records_imaged_ = n_records;
+}
+
+void Gpu::restore(ckpt::Reader& r, const ckpt::Snapshot& snap,
                   bool restore_fault) {
+  programs_ = snap.programs;
+  program_ids_.clear();
+  for (u32 i = 0; i < programs_.size(); ++i)
+    program_ids_.try_emplace(programs_[i].get(), i);
+
   r.enter_section("gpu");
   cycle_ = r.get64();
   last_arrival_ = r.get64();
@@ -470,52 +663,8 @@ void Gpu::restore(ckpt::Reader& r,
   arrival_cursor_ = static_cast<size_t>(r.get64());
   kernels_finished_ = r.get32();
 
-  const u64 n_launches = r.get64();
-  launches_.clear();
-  state_ptrs_.clear();
-  launches_.reserve(static_cast<size_t>(n_launches));
-  for (u64 i = 0; i < n_launches; ++i) {
-    auto slot = std::make_unique<LaunchSlot>();
-    KernelLaunch& l = slot->launch;
-    l.program = program_of(r.get32());
-    l.grid.x = r.get32();
-    l.grid.y = r.get32();
-    l.grid.z = r.get32();
-    l.block.x = r.get32();
-    l.block.y = r.get32();
-    l.block.z = r.get32();
-    l.params = r.get_u32_vec();
-    l.hints.start_sm = r.get32();
-    l.hints.sm_mask = r.get64();
-    l.stream = r.get32();
-    l.tag = r.get_string();
-    // Traces are derived state: rebuilt (via the process-wide cache), not
-    // deserialized. The compile-time stats ride in the stats_ snapshot, so
-    // no attach_trace() accounting here. Must happen before the SMs are
-    // restored — they re-derive warp.ctrace from the launch.
-    if (params_.exec_mode == ExecMode::kBlock)
-      l.trace = blockexec::trace_for(l.program);
-    KernelState& ks = slot->state;
-    ks.launch_id = r.get32();
-    ks.arrival = r.get64();
-    ks.blocks_dispatched = r.get32();
-    ks.blocks_done = r.get32();
-    ks.total_blocks = r.get32();
-    ks.first_dispatch_cycle = r.get64();
-    ks.done_cycle = r.get64();
-    launches_.push_back(std::move(slot));
-    state_ptrs_.push_back(&launches_.back()->state);
-  }
-
-  records_.resize(static_cast<size_t>(r.get64()));
-  for (BlockRecord& rec : records_) {
-    rec.launch_id = r.get32();
-    rec.block_linear = r.get32();
-    rec.sm = r.get32();
-    rec.intended_sm = r.get32();
-    rec.dispatch_cycle = r.get64();
-    rec.end_cycle = r.get64();
-  }
+  restore_launches(r, snap.launch_images, r.get64());
+  restore_records(snap.record_images, r.get64());
 
   stats_ = StatSet{};
   const u64 n_stats = r.get64();

@@ -17,10 +17,12 @@
 #include <queue>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "ckpt/serial.h"
+#include "ckpt/snapshot.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "memsys/global_store.h"
@@ -89,8 +91,6 @@ class Gpu {
   /// cached — schedulers call this every cycle).
   const std::vector<KernelState*>& kernel_states() { return state_ptrs_; }
   const KernelLaunch& launch_of(u32 launch_id) const;
-  /// True if every kernel launched before `launch_id` has finished.
-  bool priors_finished(u32 launch_id) const;
   /// True if every earlier kernel on the same stream has finished (stream
   /// ordering); schedulers must not dispatch a kernel before this holds.
   bool stream_ready(const KernelState& ks) const;
@@ -131,18 +131,31 @@ class Gpu {
   /// at the previous event boundary under the event engine). 0 disables.
   void set_checkpoint_interval(u64 cycles);
 
+  /// Launch-history images hold this many launches each, block-record
+  /// images this many records. Fixed, so every device cuts the same
+  /// history into the same images.
+  static constexpr u64 kLaunchesPerImage = 64;
+  static constexpr u64 kRecordsPerImage = 256;
+
+  /// Programs of the launches in the device state, in first-launch order.
+  /// A launch names its program by its index here, in snapshots too.
+  const std::vector<isa::ProgramPtr>& programs() const { return programs_; }
+
   /// Serialize the complete GPU state (core, SMs, scheduler, memory
-  /// hierarchy, armed fault-hook state) into snapshot sections. Kernel
-  /// programs are emitted through `program_ref` as table indices.
-  void save(ckpt::Writer& w,
-            const std::function<u32(const isa::ProgramPtr&)>& program_ref) const;
-  /// Inverse of save(). `program_of` resolves table indices; the installed
-  /// kernel scheduler must match the serialized one by name. When
-  /// `restore_fault` is false the fault hook's state is left untouched
+  /// hierarchy, armed fault-hook state) into snapshot sections, and set
+  /// `snap`'s history images and program table. Only the history added
+  /// since the previous save() or restore() is encoded, plus the launches
+  /// that have not finished; every earlier image is shared.
+  void save(ckpt::Writer& w, ckpt::Snapshot& snap);
+  /// Inverse of save(), adopting `snap`'s history images and program table
+  /// (images this device already holds are not decoded again). The
+  /// installed kernel scheduler must match the serialized one by name.
+  /// When `restore_fault` is false the fault hook's state is left untouched
   /// (rollback semantics: the environment is not rolled back).
-  void restore(ckpt::Reader& r,
-               const std::function<isa::ProgramPtr(u32)>& program_of,
-               bool restore_fault);
+  void restore(ckpt::Reader& r, const ckpt::Snapshot& snap, bool restore_fault);
+  /// Launches and block records encoded by save() so far (deterministic,
+  /// like GlobalStore::pages_imaged()).
+  u64 history_records_encoded() const { return history_encoded_; }
 
   /// Forward a rollback notification to the installed fault hook.
   void notify_rollback() {
@@ -150,7 +163,17 @@ class Gpu {
   }
 
  private:
+  struct LaunchSlot;
+
   void on_block_done(const BlockRecord& rec);
+  /// Index of `p` in programs_, appending it on first use.
+  u32 program_index(const isa::ProgramPtr& p);
+  void put_launch(ckpt::Writer& w, const LaunchSlot& slot) const;
+  /// Decode one launch and append it (restore).
+  void read_launch(ckpt::Reader& r);
+  void restore_launches(ckpt::Reader& r, const std::vector<ckpt::ImagePtr>& images,
+                        u64 n_launches);
+  void restore_records(const std::vector<ckpt::ImagePtr>& images, u64 n_records);
   /// ExecMode::kBlock: attach the launch's compiled superinstruction trace
   /// (from the process-wide cache) and account its compile-time statistics.
   void attach_trace(KernelLaunch& launch);
@@ -213,13 +236,28 @@ class Gpu {
   struct LaunchSlot {
     KernelLaunch launch;
     KernelState state;
+    u32 program = 0;  // index of launch.program in programs_
   };
   std::vector<std::unique_ptr<LaunchSlot>> launches_;
   std::vector<KernelState*> state_ptrs_;  // parallel to launches_
   u32 kernels_finished_ = 0;              // == launches_.size() when idle
   size_t arrival_cursor_ = 0;             // first launch not yet visible
+  size_t first_unfinished_ = 0;           // every launch before it finished
   std::vector<BlockRecord> records_;
   StatSet stats_;
+
+  std::vector<isa::ProgramPtr> programs_;
+  std::unordered_map<const isa::KernelProgram*, u32> program_ids_;
+
+  // History images of the last save() or restore(): launch_images_ encode
+  // launches [0, launches_imaged_), all finished; record_images_ encode
+  // block records [0, records_imaged_). Only the last image of each may be
+  // partial; save() extends a copy of it and shares every other image.
+  std::vector<ckpt::ImagePtr> launch_images_;
+  std::vector<ckpt::ImagePtr> record_images_;
+  u64 launches_imaged_ = 0;
+  u64 records_imaged_ = 0;
+  u64 history_encoded_ = 0;
 };
 
 }  // namespace higpu::sim

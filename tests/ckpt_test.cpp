@@ -8,8 +8,9 @@
 // time, snapshot hash diffing localizes fault divergence, campaign
 // fast-forward returns bit-identical ScenarioResults, and the ScenarioSet
 // sweep builders reject empty bases loudly. The copy-on-write store pages,
-// the section hash and the decoder's length checks are pinned here too, so
-// the sanitizer jobs that run this suite cover them.
+// the shared launch and block-record history images, the section hash and
+// the decoder's length checks are pinned here too, so the sanitizer jobs
+// that run this suite cover them.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -24,6 +25,7 @@
 #include "common/rng.h"
 #include "exp/campaign.h"
 #include "sched/policies.h"
+#include "tests/test_kernels.h"
 
 namespace higpu {
 namespace {
@@ -475,7 +477,7 @@ TEST(CkptStorePages, CorruptPageIsNamedOnDecode) {
 
   // Flip a byte of one page image but keep its stored hash: the damage
   // predates encoding, so only the per-page check can catch it.
-  auto page = std::make_shared<ckpt::StorePage>(*bad.store_pages[1]);
+  auto page = std::make_shared<ckpt::Image>(*bad.store_pages[1]);
   page->bytes[17] ^= 0xFF;
   bad.store_pages[1] = page;
   try {
@@ -486,6 +488,193 @@ TEST(CkptStorePages, CorruptPageIsNamedOnDecode) {
               std::string::npos)
         << e.what();
   }
+}
+
+// ---- Launch and block-record history images --------------------------------
+
+/// A device that has run `launches` launches of a two-block kernel, in
+/// synchronized rounds of 100.
+std::unique_ptr<runtime::Device> long_lived_device(u32 launches) {
+  auto dev = std::make_unique<runtime::Device>();
+  dev->set_kernel_scheduler(sched::make_scheduler(sched::Policy::kSrrs));
+  const memsys::DevPtr out = dev->malloc(64 * 4);
+  const isa::ProgramPtr prog = testing::make_store_kernel();
+  for (u32 i = 0; i < launches; ++i) {
+    sim::KernelLaunch l = testing::make_launch(prog, 64, 32, {out, 64});
+    l.tag = "k" + std::to_string(i);
+    dev->launch(std::move(l));
+    if (i % 100 == 99) dev->synchronize();
+  }
+  dev->synchronize();
+  return dev;
+}
+
+/// Launch `n` more two-block kernels, synchronizing when `sync` is set.
+void launch_more(runtime::Device& dev, u32 n, bool sync) {
+  const memsys::DevPtr out = dev.malloc(64 * 4);
+  const isa::ProgramPtr prog = testing::make_spin_kernel(5);
+  for (u32 i = 0; i < n; ++i)
+    dev.launch(testing::make_launch(prog, 64, 32, {out, 64}));
+  if (sync) dev.synchronize();
+}
+
+/// The launch and block-record history a GPU exposes.
+struct History {
+  std::vector<sim::BlockRecord> records;
+  std::vector<sim::KernelState> states;
+  std::vector<sim::KernelLaunch> launches;
+};
+
+History history_of(sim::Gpu& gpu) {
+  History h;
+  h.records = gpu.block_records();
+  for (u32 i = 0; i < gpu.kernel_states().size(); ++i) {
+    h.states.push_back(gpu.kernel_state(i));
+    h.launches.push_back(gpu.launch_of(i));
+  }
+  return h;
+}
+
+void expect_history(sim::Gpu& gpu, const History& want) {
+  const History got = history_of(gpu);
+  ASSERT_EQ(got.records.size(), want.records.size());
+  for (size_t i = 0; i < got.records.size(); ++i) {
+    const sim::BlockRecord& a = got.records[i];
+    const sim::BlockRecord& b = want.records[i];
+    EXPECT_TRUE(a.launch_id == b.launch_id && a.block_linear == b.block_linear &&
+                a.sm == b.sm && a.intended_sm == b.intended_sm &&
+                a.dispatch_cycle == b.dispatch_cycle &&
+                a.end_cycle == b.end_cycle)
+        << "block record " << i;
+  }
+  ASSERT_EQ(got.states.size(), want.states.size());
+  for (size_t i = 0; i < got.states.size(); ++i) {
+    const sim::KernelState& a = got.states[i];
+    const sim::KernelState& b = want.states[i];
+    EXPECT_TRUE(a.launch_id == b.launch_id && a.arrival == b.arrival &&
+                a.blocks_dispatched == b.blocks_dispatched &&
+                a.blocks_done == b.blocks_done &&
+                a.total_blocks == b.total_blocks &&
+                a.first_dispatch_cycle == b.first_dispatch_cycle &&
+                a.done_cycle == b.done_cycle)
+        << "kernel state " << i;
+    const sim::KernelLaunch& la = got.launches[i];
+    const sim::KernelLaunch& lb = want.launches[i];
+    EXPECT_TRUE(la.program == lb.program && la.grid.x == lb.grid.x &&
+                la.block.x == lb.block.x && la.params == lb.params &&
+                la.hints.start_sm == lb.hints.start_sm &&
+                la.hints.sm_mask == lb.hints.sm_mask &&
+                la.stream == lb.stream && la.tag == lb.tag)
+        << "launch " << i;
+  }
+}
+
+TEST(CkptHistory, SecondCaptureEncodesOnlyNewHistory) {
+  auto dev = long_lived_device(2100);
+  sim::Gpu& gpu = dev->gpu();
+  const ckpt::SnapshotPtr a = dev->snapshot();
+  const size_t launches_a = gpu.kernel_states().size();
+  const size_t records_a = gpu.block_records().size();
+  EXPECT_EQ(gpu.history_records_encoded(), launches_a + records_a);
+  const u64 after_first = gpu.history_records_encoded();
+
+  launch_more(*dev, 3, /*sync=*/true);
+  launch_more(*dev, 2, /*sync=*/false);  // still queued at the capture
+  const ckpt::SnapshotPtr b = dev->snapshot();
+  const u64 new_records = gpu.block_records().size() - records_a;
+  EXPECT_EQ(new_records, 6u);
+  // The appended records, the three launches that finished since, and the
+  // two unfinished ones: nothing of the 2100 launches before.
+  EXPECT_EQ(gpu.history_records_encoded() - after_first, new_records + 3 + 2);
+  EXPECT_EQ(b->launch_count, launches_a + 5);
+  // Every sealed image of the first capture is shared by the second.
+  ASSERT_GE(a->record_images.size(), 2u);
+  ASSERT_GE(a->launch_images.size(), 2u);
+  for (size_t i = 0; i + 1 < a->record_images.size(); ++i)
+    EXPECT_EQ(a->record_images[i], b->record_images[i]) << "record image " << i;
+  for (size_t i = 0; i + 1 < a->launch_images.size(); ++i)
+    EXPECT_EQ(a->launch_images[i], b->launch_images[i]) << "launch image " << i;
+}
+
+TEST(CkptHistory, SizeBytesIsTheFlatStateSize) {
+  // Values of the flat layout, where the gpu section held every launch and
+  // block record: a rollback is charged restore_ns(size_bytes()), so
+  // moving the history into images must not change them.
+  ScenarioSpec spec = make_spec("hotspot", sim::SimEngine::kEvent);
+  spec.redundancy = core::RedundancySpec::dcls_rollback(2);
+  SnapshotIo io;
+  const ScenarioResult r = exp::run_scenario(spec, 0, nullptr, nullptr, &io);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(io.final_state->size_bytes(), 199725u);
+  auto dev = long_lived_device(300);
+  launch_more(*dev, 2, /*sync=*/false);
+  EXPECT_EQ(dev->snapshot()->size_bytes(), 227539u);
+}
+
+TEST(CkptHistory, RestoreBringsBackHistoryAndHash) {
+  auto dev = long_lived_device(300);
+  sim::Gpu& gpu = dev->gpu();
+  const ckpt::SnapshotPtr a = dev->snapshot();
+  const History at_a = history_of(gpu);
+
+  launch_more(*dev, 150, /*sync=*/true);
+  (void)dev->snapshot();  // images past the first capture
+  launch_more(*dev, 1, /*sync=*/false);
+  dev->restore(*a);
+  expect_history(gpu, at_a);
+  const ckpt::SnapshotPtr a2 = dev->snapshot();
+  EXPECT_EQ(a2->hash(), a->hash());
+  EXPECT_EQ(ckpt::first_divergence(*a, *a2), "");
+
+  // A rollback restores the same history (its host timeline moves on).
+  launch_more(*dev, 70, /*sync=*/true);
+  dev->rollback(*a);
+  expect_history(gpu, at_a);
+
+  runtime::Device fresh;
+  fresh.set_kernel_scheduler(sched::make_scheduler(sched::Policy::kSrrs));
+  fresh.restore(*a);
+  expect_history(fresh.gpu(), at_a);
+  EXPECT_EQ(fresh.snapshot()->hash(), a->hash());
+}
+
+TEST(CkptHistory, CorruptImageIsNamedOnDecode) {
+  auto dev = long_lived_device(300);
+  const ckpt::SnapshotPtr snap = dev->snapshot();
+  const auto expect_named = [](const ckpt::Snapshot& bad, const char* name) {
+    try {
+      (void)ckpt::decode_snapshot(ckpt::encode_snapshot(bad));
+      FAIL() << "a corrupt " << name << " decoded";
+    } catch (const ckpt::SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  };
+  // Flip a byte but keep the stored hash: the damage predates encoding.
+  ckpt::Snapshot bad_records = *snap;
+  ASSERT_GE(bad_records.record_images.size(), 2u);
+  auto records = std::make_shared<ckpt::Image>(*bad_records.record_images[1]);
+  records->bytes[5] ^= 0xFF;
+  bad_records.record_images[1] = records;
+  expect_named(bad_records, "block-record image 1");
+
+  ckpt::Snapshot bad_launches = *snap;
+  ASSERT_FALSE(bad_launches.launch_images.empty());
+  auto launches = std::make_shared<ckpt::Image>(*bad_launches.launch_images[0]);
+  launches->bytes[9] ^= 0xFF;
+  bad_launches.launch_images[0] = launches;
+  expect_named(bad_launches, "launch image 0");
+}
+
+TEST(CkptHistory, DivergenceInOneRecordNamesGpu) {
+  auto dev = long_lived_device(300);
+  const ckpt::SnapshotPtr a = dev->snapshot();
+  ckpt::Snapshot b = *a;
+  std::vector<u8> bytes = b.record_images[0]->bytes;
+  bytes[3 * 32 + 24] ^= 1;  // end_cycle of block record 3
+  b.record_images[0] = ckpt::make_image(std::move(bytes));
+  EXPECT_EQ(ckpt::first_divergence(*a, b), "gpu");
+  EXPECT_NE(a->hash(), b.hash());
 }
 
 // ---- Section hash ----------------------------------------------------------
@@ -572,11 +761,36 @@ TEST(CkptDecodeLengths, StorePage) {
                  "store page 0");
 }
 
+TEST(CkptDecodeLengths, LaunchImageTable) {
+  expect_refused(frame_with([](ckpt::Writer& w) {
+                   w.put64(0);  // sections
+                   w.put64(0);  // blob
+                   w.put64(0);  // store pages
+                   w.put64(kHugeLength);
+                 }),
+                 "launch image table");
+}
+
+TEST(CkptDecodeLengths, HistoryImage) {
+  expect_refused(frame_with([](ckpt::Writer& w) {
+                   w.put64(0);  // sections
+                   w.put64(0);  // blob
+                   w.put64(0);  // store pages
+                   w.put64(0);  // launch images
+                   w.put64(1);  // one block-record image...
+                   w.put64(kHugeLength);
+                   w.put64(0);  // ...and its hash
+                 }),
+                 "block-record image 0");
+}
+
 TEST(CkptDecodeLengths, ProgramTable) {
   expect_refused(frame_with([](ckpt::Writer& w) {
                    w.put64(0);  // sections
                    w.put64(0);  // blob
                    w.put64(0);  // store pages
+                   w.put64(0);  // launch images
+                   w.put64(0);  // block-record images
                    w.put64(kHugeLength);
                  }),
                  "program table");
@@ -587,6 +801,8 @@ TEST(CkptDecodeLengths, ProgramCode) {
                    w.put64(0);  // sections
                    w.put64(0);  // blob
                    w.put64(0);  // store pages
+                   w.put64(0);  // launch images
+                   w.put64(0);  // block-record images
                    w.put64(1);  // one program...
                    w.put_string("k");
                    w.put16(1);  // regs

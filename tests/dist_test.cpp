@@ -4,7 +4,7 @@
 // produces results bit-identical (ScenarioResult::deterministic_fields_equal)
 // to CampaignRunner jobs=1 at any worker count, under work stealing, across
 // a worker SIGKILL mid-campaign, and across a simulated coordinator crash
-// plus journal resume. Around it: the higpu.wire/2 frame and payload codecs
+// plus journal resume. Around it: the higpu.wire/3 frame and payload codecs
 // (corruption is loud, never misinterpreted), wire-framed snapshot
 // round-trips with per-section integrity (a corrupted section is named),
 // JSONL result round-trips including control characters in error strings,
