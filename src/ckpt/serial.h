@@ -31,8 +31,10 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "common/fields.h"
 #include "common/types.h"
 
 namespace higpu::ckpt {
@@ -138,6 +140,25 @@ class Writer {
   std::string open_name_;
   u64 open_record_size_ = 0;
 };
+
+/// Append `rec`'s visit_fields in order: enums as one byte, integers at
+/// their width, floats as f64, strings and u32 vectors length-prefixed.
+/// Fields tagged `skip` (other than kNone) are left out.
+template <FieldRecord T>
+void put_fields(Writer& w, const T& rec, FieldTag skip = FieldTag::kNone) {
+  visit_fields(rec, [&](const char*, const auto& f,
+                        FieldTag tag = FieldTag::kNone) {
+    using F = std::remove_cvref_t<decltype(f)>;
+    if (skip != FieldTag::kNone && tag == skip) return;
+    if constexpr (FieldRecord<F>) put_fields(w, f, skip);
+    else if constexpr (std::is_enum_v<F>) w.put8(static_cast<u8>(f));
+    else if constexpr (std::is_same_v<F, u32>) w.put32(f);
+    else if constexpr (std::is_same_v<F, u64>) w.put64(f);
+    else if constexpr (std::is_floating_point_v<F>) w.putf64(f);
+    else if constexpr (std::is_same_v<F, std::string>) w.put_string(f);
+    else w.put_u32_vec(f);
+  });
+}
 
 /// Thrown on any structural mismatch while reading a snapshot back.
 class SnapshotError : public std::runtime_error {

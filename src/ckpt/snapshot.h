@@ -58,6 +58,7 @@ struct CheckpointPolicy {
     kPreKernel,  // at every synchronize() that has pending kernel work,
                  // before any of it executes (the rollback-recovery anchor)
   };
+  friend constexpr Kind enum_last(Kind) { return Kind::kPreKernel; }
 
   Kind kind = Kind::kNone;
   u64 interval_cycles = 0;
@@ -77,6 +78,12 @@ struct CheckpointPolicy {
 
   bool operator==(const CheckpointPolicy& other) const = default;
 };
+
+template <FieldsOf<CheckpointPolicy> S, class V>
+void visit_fields(S& p, V&& v) {
+  v("kind", p.kind);
+  v("interval_cycles", p.interval_cycles);
+}
 
 /// Page size of the global-store images a Snapshot holds. Page i covers
 /// device addresses [i * kStorePageBytes, i * kStorePageBytes + size);

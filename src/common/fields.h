@@ -1,0 +1,38 @@
+// One field list per record. Beside its declaration a plain record defines
+//   template <FieldsOf<Rec> S, class V> void visit_fields(S& r, V&& v)
+// calling v("name", r.member) once per member in declaration order, with at
+// most one FieldTag as a third argument. Result equality, the JSONL and wire
+// codecs and the snapshot parameter fingerprint all visit that one list. An
+// enum a record holds names its last enumerator in `constexpr E enum_last(E)`
+// so decoders can refuse any other value.
+#pragma once
+
+#include <concepts>
+#include <type_traits>
+
+#include "common/types.h"
+
+namespace higpu {
+
+enum class FieldTag : u8 {
+  kNone,
+  /// Host timing or campaign-mode-dependent diagnosis: outside
+  /// ScenarioResult::deterministic_fields_equal.
+  kNotDeterministic,
+  /// Never changes what a valid program computes (it governs only derived
+  /// state): outside runtime::Device's snapshot parameter fingerprint.
+  kNotFingerprinted,
+};
+
+/// `S` is `T` or `const T`, so one visit_fields serves readers and writers.
+template <class S, class T>
+concept FieldsOf = std::same_as<std::remove_const_t<S>, T>;
+
+/// Visitors take the tag as a defaulted parameter, like this one, and
+/// recurse into members that are FieldRecords.
+inline constexpr auto kAnyFieldVisitor =
+    [](const char*, auto&, FieldTag = FieldTag::kNone) {};
+template <class T>
+concept FieldRecord = requires(T& r) { visit_fields(r, kAnyFieldVisitor); };
+
+}  // namespace higpu

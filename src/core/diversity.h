@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fields.h"
 #include "sim/kernel.h"
 #include "sim/trace.h"
 
@@ -38,6 +39,14 @@ struct DiversityReport {
 
   bool operator==(const DiversityReport& other) const = default;
 };
+
+template <FieldsOf<DiversityReport> S, class V>
+void visit_fields(S& d, V&& v) {
+  v("blocks_checked", d.blocks_checked);
+  v("same_sm", d.same_sm);
+  v("same_sm_time_overlap", d.same_sm_time_overlap);
+  v("time_overlap", d.time_overlap);
+}
 
 /// Analyze one redundant pair from the GPU's block records.
 DiversityReport analyze_block_diversity(const std::vector<sim::BlockRecord>& records,

@@ -43,6 +43,7 @@ struct RedundancySpec {
     kMajorityVote,  // per-word strict majority wins; dissenters out-voted
     kTolerance,     // float compare within `tolerance` (abs + rel)
   };
+  friend constexpr Compare enum_last(Compare) { return Compare::kTolerance; }
   enum class Recovery {
     kNone,     // report only
     kRetry,    // detect -> re-execute (up to max_retries) within the FTTI
@@ -51,6 +52,7 @@ struct RedundancySpec {
                // cheaper than kRetry exactly when the FTTI is tightest
     kDegrade,  // detect -> flag degraded-mode transition, no re-execution
   };
+  friend constexpr Recovery enum_last(Recovery) { return Recovery::kDegrade; }
 
   /// Sentinel for "pick a diverse start automatically".
   static constexpr u32 kAuto = 0xFFFFFFFF;
@@ -116,6 +118,17 @@ struct RedundancySpec {
 
   bool operator==(const RedundancySpec& other) const = default;
 };
+
+template <FieldsOf<RedundancySpec> S, class V>
+void visit_fields(S& r, V&& v) {
+  v("n_copies", r.n_copies);
+  v("compare", r.compare);
+  v("tolerance", r.tolerance);
+  v("srrs_starts", r.srrs_starts);
+  v("recovery", r.recovery);
+  v("max_retries", r.max_retries);
+  v("ftti_ns", r.ftti_ns);
+}
 
 const char* compare_name(RedundancySpec::Compare c);
 const char* recovery_name(RedundancySpec::Recovery r);

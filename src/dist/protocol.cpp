@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <type_traits>
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -72,6 +73,31 @@ ckpt::SnapshotPtr get_snapshot_opt(ckpt::Reader& r) {
   return ckpt::decode_snapshot(framed);
 }
 
+/// Inverse of ckpt::put_fields for the spec records. `path` ("gpu.mem.")
+/// prefixes field names, so an enum byte no enumerator has is a WireError
+/// naming its field, never a cast into an invalid enum.
+template <FieldRecord T>
+void get_fields(ckpt::Reader& r, T& rec, const std::string& path) {
+  visit_fields(rec, [&](const char* name, auto& f,
+                        FieldTag = FieldTag::kNone) {
+    using F = std::remove_cvref_t<decltype(f)>;
+    if constexpr (FieldRecord<F>) get_fields(r, f, path + name + ".");
+    else if constexpr (std::is_same_v<F, u32>) f = r.get32();
+    else if constexpr (std::is_same_v<F, u64>) f = r.get64();
+    else if constexpr (std::is_floating_point_v<F>) f = F(r.getf64());
+    else if constexpr (std::is_same_v<F, std::string>) f = r.get_string();
+    else if constexpr (std::is_same_v<F, std::vector<u32>>) f = r.get_u32_vec();
+    else {  // an enum
+      const u8 v = r.get8();
+      if (v > static_cast<u8>(enum_last(F{})))
+        throw WireError("spec field " + path + name +
+                        " holds out-of-range enum value " +
+                        std::to_string(v));
+      f = static_cast<F>(v);
+    }
+  });
+}
+
 }  // namespace
 
 bool known_msg(u8 t) {
@@ -133,168 +159,12 @@ bool recv_frame(int fd, Frame* out) {
 // ---- ScenarioSpec ----------------------------------------------------------
 
 void put_spec(ckpt::Writer& w, const exp::ScenarioSpec& spec) {
-  w.put_string(spec.workload);
-  w.put8(static_cast<u8>(spec.scale));
-  w.put64(spec.seed);
-
-  const sim::GpuParams& g = spec.gpu;
-  w.put8(static_cast<u8>(g.engine));
-  w.put8(static_cast<u8>(g.exec_mode));
-  w.put8(static_cast<u8>(g.verify));
-  w.put32(g.num_sms);
-  w.put32(g.warp_size);
-  w.put32(g.max_warps_per_sm);
-  w.put32(g.max_blocks_per_sm);
-  w.put32(g.regfile_per_sm);
-  w.put32(g.shared_per_sm);
-  w.put32(g.num_warp_schedulers);
-  w.put32(g.sp_latency);
-  w.put32(g.sfu_latency);
-  w.put32(g.sfu_interval);
-  w.put32(g.launch_gap_cycles);
-  w.putf64(g.clock_ghz);
-
-  const memsys::MemParams& m = g.mem;
-  w.put32(m.line_bytes);
-  w.put32(m.l1_size);
-  w.put32(m.l1_assoc);
-  w.put32(m.l1_latency);
-  w.put32(m.l1_mshr_entries);
-  w.put8(static_cast<u8>(m.l1_write_policy));
-  w.put8(static_cast<u8>(m.l1_write_alloc));
-  w.put32(m.l2_size);
-  w.put32(m.l2_assoc);
-  w.put32(m.l2_banks);
-  w.put32(m.l2_latency);
-  w.put32(m.l2_service);
-  w.put32(m.dram_channels);
-  w.put32(m.dram_banks_per_channel);
-  w.put32(m.dram_row_bytes);
-  w.put32(m.dram_row_hit_latency);
-  w.put32(m.dram_row_miss_latency);
-  w.put32(m.dram_service);
-  w.put32(m.smem_banks);
-  w.put32(m.smem_latency);
-  w.put32(m.atomic_extra);
-
-  const runtime::PlatformParams& p = spec.platform;
-  w.putf64(p.pcie_h2d_gbps);
-  w.putf64(p.pcie_d2h_gbps);
-  w.put64(p.api_call_ns);
-  w.put64(p.memcpy_latency_ns);
-  w.put64(p.launch_ns);
-  w.put64(p.sync_ns);
-  w.putf64(p.host_compare_gbps);
-  w.putf64(p.host_compute_gbps);
-  w.putf64(p.file_parse_gbps);
-  w.putf64(p.mem_generate_gbps);
-  w.putf64(p.ckpt_restore_gbps);
-  w.put64(p.ckpt_restore_latency_ns);
-
-  w.put8(static_cast<u8>(spec.policy));
-
-  const core::RedundancySpec& r = spec.redundancy;
-  w.put32(r.n_copies);
-  w.put8(static_cast<u8>(r.compare));
-  w.putf64(static_cast<double>(r.tolerance));
-  w.put_u32_vec(r.srrs_starts);
-  w.put8(static_cast<u8>(r.recovery));
-  w.put32(r.max_retries);
-  w.put64(r.ftti_ns);
-
-  const exp::FaultPlan& f = spec.fault;
-  w.put8(static_cast<u8>(f.kind));
-  w.put32(f.sm);
-  w.put64(f.start);
-  w.put64(f.duration);
-  w.put32(f.bit);
-  w.put32(f.sm_offset);
-
-  w.put8(static_cast<u8>(spec.ckpt.kind));
-  w.put64(spec.ckpt.interval_cycles);
+  ckpt::put_fields(w, spec);
 }
 
 exp::ScenarioSpec get_spec(ckpt::Reader& r) {
   exp::ScenarioSpec spec;
-  spec.workload = r.get_string();
-  spec.scale = static_cast<workloads::Scale>(r.get8());
-  spec.seed = r.get64();
-
-  sim::GpuParams& g = spec.gpu;
-  g.engine = static_cast<sim::SimEngine>(r.get8());
-  g.exec_mode = static_cast<sim::ExecMode>(r.get8());
-  g.verify = static_cast<sim::LaunchVerify>(r.get8());
-  g.num_sms = r.get32();
-  g.warp_size = r.get32();
-  g.max_warps_per_sm = r.get32();
-  g.max_blocks_per_sm = r.get32();
-  g.regfile_per_sm = r.get32();
-  g.shared_per_sm = r.get32();
-  g.num_warp_schedulers = r.get32();
-  g.sp_latency = r.get32();
-  g.sfu_latency = r.get32();
-  g.sfu_interval = r.get32();
-  g.launch_gap_cycles = r.get32();
-  g.clock_ghz = r.getf64();
-
-  memsys::MemParams& m = g.mem;
-  m.line_bytes = r.get32();
-  m.l1_size = r.get32();
-  m.l1_assoc = r.get32();
-  m.l1_latency = r.get32();
-  m.l1_mshr_entries = r.get32();
-  m.l1_write_policy = static_cast<memsys::WritePolicy>(r.get8());
-  m.l1_write_alloc = static_cast<memsys::WriteAlloc>(r.get8());
-  m.l2_size = r.get32();
-  m.l2_assoc = r.get32();
-  m.l2_banks = r.get32();
-  m.l2_latency = r.get32();
-  m.l2_service = r.get32();
-  m.dram_channels = r.get32();
-  m.dram_banks_per_channel = r.get32();
-  m.dram_row_bytes = r.get32();
-  m.dram_row_hit_latency = r.get32();
-  m.dram_row_miss_latency = r.get32();
-  m.dram_service = r.get32();
-  m.smem_banks = r.get32();
-  m.smem_latency = r.get32();
-  m.atomic_extra = r.get32();
-
-  runtime::PlatformParams& p = spec.platform;
-  p.pcie_h2d_gbps = r.getf64();
-  p.pcie_d2h_gbps = r.getf64();
-  p.api_call_ns = r.get64();
-  p.memcpy_latency_ns = r.get64();
-  p.launch_ns = r.get64();
-  p.sync_ns = r.get64();
-  p.host_compare_gbps = r.getf64();
-  p.host_compute_gbps = r.getf64();
-  p.file_parse_gbps = r.getf64();
-  p.mem_generate_gbps = r.getf64();
-  p.ckpt_restore_gbps = r.getf64();
-  p.ckpt_restore_latency_ns = r.get64();
-
-  spec.policy = static_cast<sched::Policy>(r.get8());
-
-  core::RedundancySpec& red = spec.redundancy;
-  red.n_copies = r.get32();
-  red.compare = static_cast<core::RedundancySpec::Compare>(r.get8());
-  red.tolerance = static_cast<float>(r.getf64());
-  red.srrs_starts = r.get_u32_vec();
-  red.recovery = static_cast<core::RedundancySpec::Recovery>(r.get8());
-  red.max_retries = r.get32();
-  red.ftti_ns = r.get64();
-
-  exp::FaultPlan& f = spec.fault;
-  f.kind = static_cast<exp::FaultPlan::Kind>(r.get8());
-  f.sm = r.get32();
-  f.start = r.get64();
-  f.duration = r.get64();
-  f.bit = r.get32();
-  f.sm_offset = r.get32();
-
-  spec.ckpt.kind = static_cast<ckpt::CheckpointPolicy::Kind>(r.get8());
-  spec.ckpt.interval_cycles = r.get64();
+  get_fields(r, spec, "");
   return spec;
 }
 

@@ -87,10 +87,10 @@ bool recv_frame(int fd, Frame* out);
 
 // ---- Payload serialization -------------------------------------------------
 
-/// Full field-by-field ScenarioSpec serialization: the worker reconstructs
-/// the exact experiment — workload/scale/seed, every GPU, memory and
-/// platform parameter, policy, the complete RedundancySpec, fault plan and
-/// checkpoint policy — so a scenario runs bit-identically in any process.
+/// ScenarioSpec serialization over its visit_fields (ckpt::put_fields), so
+/// the worker reconstructs the exact experiment and a scenario runs
+/// bit-identically in any process. get_spec throws WireError naming the
+/// field (e.g. "gpu.mem.l1_write_policy") for an out-of-range enum byte.
 void put_spec(ckpt::Writer& w, const exp::ScenarioSpec& spec);
 exp::ScenarioSpec get_spec(ckpt::Reader& r);
 

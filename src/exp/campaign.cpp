@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "common/table.h"
+#include "exp/result_io.h"
 #include "exp/units.h"
 
 namespace higpu::exp {
@@ -23,25 +24,13 @@ double seconds_since(Clock::time_point t0) {
 
 bool ScenarioResult::deterministic_fields_equal(
     const ScenarioResult& other) const {
-  return index == other.index && label == other.label &&
-         workload == other.workload && ok == other.ok &&
-         error == other.error && verified == other.verified &&
-         dcls_match == other.dcls_match &&
-         majority_ok == other.majority_ok &&
-         comparisons == other.comparisons &&
-         mismatches == other.mismatches &&
-         faulty_copy == other.faulty_copy && n_copies == other.n_copies &&
-         attempts == other.attempts && recovered == other.recovered &&
-         degraded == other.degraded && ftti_met == other.ftti_met &&
-         response_ns == other.response_ns &&
-         achieved_asil == other.achieved_asil &&
-         kernel_cycles == other.kernel_cycles &&
-         elapsed_ns == other.elapsed_ns && ff_cycles == other.ff_cycles &&
-         diversity == other.diversity && stats == other.stats &&
-         sm_profile == other.sm_profile &&
-         fault_active == other.fault_active &&
-         corruptions == other.corruptions &&
-         diverted_blocks == other.diverted_blocks && outcome == other.outcome;
+  const auto deterministic = [](ScenarioResult r) {
+    visit_fields(r, [](const char*, auto& f, FieldTag tag = FieldTag::kNone) {
+      if (tag == FieldTag::kNotDeterministic) f = {};
+    });
+    return r;
+  };
+  return deterministic(*this) == deterministic(other);
 }
 
 ScenarioResult run_scenario(const ScenarioSpec& spec, u32 index,
@@ -196,27 +185,11 @@ std::string CampaignResult::to_json() const {
     }
     if (!r.divergence.empty()) jw.field("divergence", r.divergence);
     jw.key("diversity");
-    jw.begin_object();
-    jw.field("blocks_checked", r.diversity.blocks_checked);
-    jw.field("same_sm", r.diversity.same_sm);
-    jw.field("time_overlap", r.diversity.time_overlap);
-    jw.end_object();
+    write_json(jw, r.diversity);
     jw.key("stats");
-    jw.begin_object();
-    for (const auto& [name, value] : r.stats.entries()) jw.field(name, value);
-    jw.end_object();
+    write_json(jw, r.stats);
     jw.key("sm_profile");
-    jw.begin_array();
-    for (const obs::SmCycles& c : r.sm_profile) {
-      jw.begin_object();
-      jw.field("issued", c.issued);
-      jw.field("scoreboard", c.scoreboard);
-      jw.field("barrier", c.barrier);
-      jw.field("structural", c.structural);
-      jw.field("idle", c.idle);
-      jw.end_object();
-    }
-    jw.end_array();
+    write_json(jw, r.sm_profile);
     if (r.stats.get("block_exec_hits") + r.stats.get("block_fallback_exits") > 0)
       jw.field("block_superop_coverage_pct", block_coverage_pct(r.stats));
     jw.field("wall_sec", r.wall_sec);

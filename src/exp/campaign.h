@@ -5,8 +5,8 @@
 // Workload from its spec — simulations share no mutable state — so the
 // per-scenario results are bit-identical regardless of thread count or
 // completion order (results are stored at the scenario's index, never
-// appended). The only non-deterministic fields are the host wall-clock
-// measurements, which exist for throughput reporting and are excluded from
+// appended). Fields tagged FieldTag::kNotDeterministic (host wall-clock
+// times, the campaign-mode-dependent divergence) are excluded from
 // ScenarioResult::deterministic_fields_equal().
 #pragma once
 
@@ -82,8 +82,7 @@ struct ScenarioResult {
   /// "sm3", "l1[2] set 17", "dram bank 5", "store @0x..."), "" when
   /// identical. Only populated when a reference exists — snapshot
   /// fast-forward campaigns diff every faulted fork against the clean base
-  /// run — so, like the wall-clock fields, it is not part of
-  /// deterministic_fields_equal().
+  /// run.
   std::string divergence;
 
   // ---- Host timing (NON-deterministic, excluded from equality) -----------
@@ -98,10 +97,46 @@ struct ScenarioResult {
     return verified && dcls_match;
   }
 
-  /// Bit-exact equality of every deterministic field — the campaign
-  /// determinism guarantee checked by tests/campaign_test.cpp.
+  /// Bit-exact equality of every field not tagged kNotDeterministic — the
+  /// campaign determinism guarantee checked by tests/campaign_test.cpp.
   bool deterministic_fields_equal(const ScenarioResult& other) const;
+  bool operator==(const ScenarioResult& other) const = default;
 };
+
+template <FieldsOf<ScenarioResult> S, class V>
+void visit_fields(S& r, V&& v) {
+  v("index", r.index);
+  v("label", r.label);
+  v("workload", r.workload);
+  v("ok", r.ok);
+  v("error", r.error);
+  v("verified", r.verified);
+  v("dcls_match", r.dcls_match);
+  v("majority_ok", r.majority_ok);
+  v("comparisons", r.comparisons);
+  v("mismatches", r.mismatches);
+  v("faulty_copy", r.faulty_copy);
+  v("n_copies", r.n_copies);
+  v("attempts", r.attempts);
+  v("recovered", r.recovered);
+  v("degraded", r.degraded);
+  v("ftti_met", r.ftti_met);
+  v("response_ns", r.response_ns);
+  v("achieved_asil", r.achieved_asil);
+  v("kernel_cycles", r.kernel_cycles);
+  v("elapsed_ns", r.elapsed_ns);
+  v("ff_cycles", r.ff_cycles);
+  v("diversity", r.diversity);
+  v("stats", r.stats);
+  v("sm_profile", r.sm_profile);
+  v("fault_active", r.fault_active);
+  v("corruptions", r.corruptions);
+  v("diverted_blocks", r.diverted_blocks);
+  v("outcome", r.outcome);
+  v("divergence", r.divergence, FieldTag::kNotDeterministic);
+  v("wall_sec", r.wall_sec, FieldTag::kNotDeterministic);
+  v("sim_wall_sec", r.sim_wall_sec, FieldTag::kNotDeterministic);
+}
 
 /// Optional inspection hook: called with the live device, workload and
 /// session, for callers that need more than a ScenarioResult (kernel

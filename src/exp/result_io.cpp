@@ -1,86 +1,107 @@
 #include "exp/result_io.h"
 
+#include <type_traits>
+
 #include "common/jsonl.h"
-#include "common/table.h"
 
 namespace higpu::exp {
 
 namespace {
 
-safety::Asil parse_asil(const std::string& s) {
-  for (safety::Asil a : {safety::Asil::kQM, safety::Asil::kA, safety::Asil::kB,
-                         safety::Asil::kC, safety::Asil::kD})
-    if (s == safety::asil_name(a)) return a;
-  throw std::runtime_error("unknown ASIL name '" + s + "'");
+// Enum-typed result fields travel by name.
+const char* name_of(safety::Asil a) { return safety::asil_name(a); }
+const char* name_of(fault::Outcome o) { return fault::outcome_name(o); }
+
+template <class E>
+E parse_enum(const std::string& s, const std::string& field) {
+  for (u32 i = 0; i <= static_cast<u32>(enum_last(E{})); ++i)
+    if (s == name_of(static_cast<E>(i))) return static_cast<E>(i);
+  throw std::runtime_error("field '" + field + "' has unknown value '" + s +
+                           "'");
 }
 
-fault::Outcome parse_outcome(const std::string& s) {
-  for (fault::Outcome o : {fault::Outcome::kMasked, fault::Outcome::kDetected,
-                           fault::Outcome::kSdc})
-    if (s == fault::outcome_name(o)) return o;
-  throw std::runtime_error("unknown fault outcome '" + s + "'");
+template <FieldRecord T>
+void write_fields(JsonWriter& jw, const T& rec) {
+  jw.begin_object();
+  visit_fields(rec, [&](const char* name, const auto& f,
+                        FieldTag = FieldTag::kNone) {
+    using F = std::remove_cvref_t<decltype(f)>;
+    jw.key(name);
+    if constexpr (FieldRecord<F>) write_fields(jw, f);
+    else if constexpr (std::is_same_v<F, StatSet> ||
+                       std::is_same_v<F, std::vector<obs::SmCycles>>)
+      write_json(jw, f);
+    else if constexpr (std::is_enum_v<F>) jw.value(name_of(f));
+    // Full precision, so a resumed campaign reports the measured wall times.
+    else if constexpr (std::is_floating_point_v<F>) jw.value_exact(f);
+    else jw.value(f);
+  });
+  jw.end_object();
+}
+
+template <FieldRecord T>
+void read_fields(const JsonValue& v, T& rec) {
+  visit_fields(rec, [&](const char* name, auto& f,
+                        FieldTag = FieldTag::kNone) {
+    using F = std::remove_cvref_t<decltype(f)>;
+    const std::string field = name;
+    if constexpr (FieldRecord<F>) {
+      read_fields(v.at(field), f);
+    } else if constexpr (std::is_same_v<F, std::vector<obs::SmCycles>>) {
+      // Absent in records written before per-SM profiles existed.
+      const JsonValue* a = v.find(field);
+      if (a == nullptr) return;
+      if (a->kind != JsonValue::Kind::kArray)
+        throw std::runtime_error("field '" + field + "' is not an array");
+      for (const JsonValue& e : a->array) read_fields(e, f.emplace_back());
+    } else if constexpr (std::is_same_v<F, StatSet>) {
+      const JsonValue& stats = v.at(field);
+      if (stats.kind != JsonValue::Kind::kObject)
+        throw std::runtime_error("field '" + field + "' is not an object");
+      for (const auto& [stat, val] : stats.object) {
+        if (val.kind != JsonValue::Kind::kNumber || !val.is_integer ||
+            val.negative)
+          throw std::runtime_error("stat counter '" + stat +
+                                   "' is not a non-negative integer");
+        f.set(stat, val.integer);
+      }
+    } else if constexpr (std::is_enum_v<F>) {
+      f = parse_enum<F>(v.get_string(field), field);
+    } else if constexpr (std::is_same_v<F, bool>) {
+      f = v.get_bool(field);
+    } else if constexpr (std::is_same_v<F, std::string>) {
+      f = v.get_string(field);
+    } else if constexpr (std::is_floating_point_v<F>) {
+      f = v.get_double(field);
+    } else if constexpr (std::is_signed_v<F>) {
+      f = static_cast<F>(v.get_i64(field));
+    } else {
+      f = static_cast<F>(v.get_u64(field));
+    }
+  });
 }
 
 }  // namespace
 
+void write_json(JsonWriter& jw, const core::DiversityReport& d) {
+  write_fields(jw, d);
+}
+
+void write_json(JsonWriter& jw, const std::vector<obs::SmCycles>& profile) {
+  jw.begin_array();
+  for (const obs::SmCycles& c : profile) write_fields(jw, c);
+  jw.end_array();
+}
+
+void write_json(JsonWriter& jw, const StatSet& stats) {
+  jw.begin_object();
+  for (const auto& [name, value] : stats.entries()) jw.field(name, value);
+  jw.end_object();
+}
+
 std::string result_to_jsonl(const ScenarioResult& r) {
   JsonWriter jw = JsonWriter::compact();
-  jw.begin_object();
-  jw.field("index", r.index);
-  jw.field("label", r.label);
-  jw.field("workload", r.workload);
-  jw.field("ok", r.ok);
-  jw.field("error", r.error);
-  jw.field("verified", r.verified);
-  jw.field("dcls_match", r.dcls_match);
-  jw.field("majority_ok", r.majority_ok);
-  jw.field("comparisons", r.comparisons);
-  jw.field("mismatches", r.mismatches);
-  jw.field("faulty_copy", r.faulty_copy);
-  jw.field("n_copies", r.n_copies);
-  jw.field("attempts", r.attempts);
-  jw.field("recovered", r.recovered);
-  jw.field("degraded", r.degraded);
-  jw.field("ftti_met", r.ftti_met);
-  jw.field("response_ns", r.response_ns);
-  jw.field("achieved_asil", std::string(safety::asil_name(r.achieved_asil)));
-  jw.field("kernel_cycles", r.kernel_cycles);
-  jw.field("elapsed_ns", r.elapsed_ns);
-  jw.field("ff_cycles", r.ff_cycles);
-  jw.key("diversity");
-  jw.begin_object();
-  jw.field("blocks_checked", r.diversity.blocks_checked);
-  jw.field("same_sm", r.diversity.same_sm);
-  jw.field("same_sm_time_overlap", r.diversity.same_sm_time_overlap);
-  jw.field("time_overlap", r.diversity.time_overlap);
-  jw.end_object();
-  jw.key("stats");
-  jw.begin_object();
-  for (const auto& [name, value] : r.stats.entries()) jw.field(name, value);
-  jw.end_object();
-  jw.key("sm_profile");
-  jw.begin_array();
-  for (const obs::SmCycles& c : r.sm_profile) {
-    jw.begin_object();
-    jw.field("issued", c.issued);
-    jw.field("scoreboard", c.scoreboard);
-    jw.field("barrier", c.barrier);
-    jw.field("structural", c.structural);
-    jw.field("idle", c.idle);
-    jw.end_object();
-  }
-  jw.end_array();
-  jw.field("fault_active", r.fault_active);
-  jw.field("corruptions", r.corruptions);
-  jw.field("diverted_blocks", r.diverted_blocks);
-  jw.field("outcome", std::string(fault::outcome_name(r.outcome)));
-  jw.field("divergence", r.divergence);
-  // Wall-clock fields: non-deterministic, excluded from
-  // deterministic_fields_equal, emitted at full precision so a resumed
-  // campaign reports the values that were measured.
-  jw.field_exact("wall_sec", r.wall_sec);
-  jw.field_exact("sim_wall_sec", r.sim_wall_sec);
-  jw.end_object();
+  write_fields(jw, r);
   return jw.str();
 }
 
@@ -88,66 +109,8 @@ ScenarioResult result_from_jsonl(const std::string& line) {
   const JsonValue v = parse_json(line);
   if (v.kind != JsonValue::Kind::kObject)
     throw std::runtime_error("result record is not a JSON object");
-
   ScenarioResult r;
-  r.index = static_cast<u32>(v.get_u64("index"));
-  r.label = v.get_string("label");
-  r.workload = v.get_string("workload");
-  r.ok = v.get_bool("ok");
-  r.error = v.get_string("error");
-  r.verified = v.get_bool("verified");
-  r.dcls_match = v.get_bool("dcls_match");
-  r.majority_ok = v.get_bool("majority_ok");
-  r.comparisons = static_cast<u32>(v.get_u64("comparisons"));
-  r.mismatches = static_cast<u32>(v.get_u64("mismatches"));
-  r.faulty_copy = static_cast<i32>(v.get_i64("faulty_copy"));
-  r.n_copies = static_cast<u32>(v.get_u64("n_copies"));
-  r.attempts = static_cast<u32>(v.get_u64("attempts"));
-  r.recovered = v.get_bool("recovered");
-  r.degraded = v.get_bool("degraded");
-  r.ftti_met = v.get_bool("ftti_met");
-  r.response_ns = v.get_u64("response_ns");
-  r.achieved_asil = parse_asil(v.get_string("achieved_asil"));
-  r.kernel_cycles = v.get_u64("kernel_cycles");
-  r.elapsed_ns = v.get_u64("elapsed_ns");
-  r.ff_cycles = v.get_u64("ff_cycles");
-  const JsonValue& div = v.at("diversity");
-  r.diversity.blocks_checked = static_cast<u32>(div.get_u64("blocks_checked"));
-  r.diversity.same_sm = static_cast<u32>(div.get_u64("same_sm"));
-  r.diversity.same_sm_time_overlap =
-      static_cast<u32>(div.get_u64("same_sm_time_overlap"));
-  r.diversity.time_overlap = static_cast<u32>(div.get_u64("time_overlap"));
-  const JsonValue& stats = v.at("stats");
-  if (stats.kind != JsonValue::Kind::kObject)
-    throw std::runtime_error("field 'stats' is not an object");
-  for (const auto& [name, val] : stats.object) {
-    if (val.kind != JsonValue::Kind::kNumber || !val.is_integer ||
-        val.negative)
-      throw std::runtime_error("stat counter '" + name +
-                               "' is not a non-negative integer");
-    r.stats.set(name, val.integer);
-  }
-  const JsonValue* prof = v.find("sm_profile");
-  if (prof != nullptr) {
-    if (prof->kind != JsonValue::Kind::kArray)
-      throw std::runtime_error("field 'sm_profile' is not an array");
-    for (const JsonValue& e : prof->array) {
-      obs::SmCycles c;
-      c.issued = e.get_u64("issued");
-      c.scoreboard = e.get_u64("scoreboard");
-      c.barrier = e.get_u64("barrier");
-      c.structural = e.get_u64("structural");
-      c.idle = e.get_u64("idle");
-      r.sm_profile.push_back(c);
-    }
-  }
-  r.fault_active = v.get_bool("fault_active");
-  r.corruptions = v.get_u64("corruptions");
-  r.diverted_blocks = v.get_u64("diverted_blocks");
-  r.outcome = parse_outcome(v.get_string("outcome"));
-  r.divergence = v.get_string("divergence");
-  r.wall_sec = v.get_double("wall_sec");
-  r.sim_wall_sec = v.get_double("sim_wall_sec");
+  read_fields(v, r);
   return r;
 }
 

@@ -12,6 +12,7 @@
 
 #include <string>
 
+#include "common/table.h"
 #include "exp/campaign.h"
 
 namespace higpu::exp {
@@ -25,5 +26,11 @@ std::string result_to_jsonl(const ScenarioResult& r);
 /// (with the offending field or parse offset) on malformed input — a
 /// corrupted journal line is always a loud failure, never a silent skip.
 ScenarioResult result_from_jsonl(const std::string& line);
+
+/// Nested result members as result_to_jsonl writes them (records keyed by
+/// visit_fields), shared with CampaignResult::to_json so the two agree.
+void write_json(JsonWriter& jw, const core::DiversityReport& d);
+void write_json(JsonWriter& jw, const std::vector<obs::SmCycles>& profile);
+void write_json(JsonWriter& jw, const StatSet& stats);
 
 }  // namespace higpu::exp

@@ -151,10 +151,9 @@ std::string ScenarioSpec::label() const {
 }
 
 bool ScenarioSpec::same_but_fault(const ScenarioSpec& other) const {
-  return workload == other.workload && scale == other.scale &&
-         seed == other.seed && gpu == other.gpu &&
-         platform == other.platform && policy == other.policy &&
-         redundancy == other.redundancy && ckpt == other.ckpt;
+  ScenarioSpec o = other;
+  o.fault = fault;
+  return *this == o;
 }
 
 // ---- ScenarioSet -----------------------------------------------------------

@@ -34,6 +34,7 @@ struct FaultPlan {
     kPermanentSm,  // every result on `sm` corrupted from `start` on
     kScheduler,    // block->SM mapping rotated by `sm_offset` from `start`
   };
+  friend constexpr Kind enum_last(Kind) { return Kind::kScheduler; }
 
   Kind kind = Kind::kNone;
   u32 sm = 0;
@@ -59,6 +60,16 @@ struct FaultPlan {
 
   bool operator==(const FaultPlan& other) const = default;
 };
+
+template <FieldsOf<FaultPlan> S, class V>
+void visit_fields(S& f, V&& v) {
+  v("kind", f.kind);
+  v("sm", f.sm);
+  v("start", f.start);
+  v("duration", f.duration);
+  v("bit", f.bit);
+  v("sm_offset", f.sm_offset);
+}
 
 /// One experiment as a value. Default-constructed fields reproduce the
 /// paper's standard setup (6-SM GPU, SRRS redundant pair, no faults).
@@ -113,6 +124,19 @@ struct ScenarioSpec {
   /// wire-serialization round-trip tests assert.
   bool operator==(const ScenarioSpec& other) const = default;
 };
+
+template <FieldsOf<ScenarioSpec> S, class V>
+void visit_fields(S& s, V&& v) {
+  v("workload", s.workload);
+  v("scale", s.scale);
+  v("seed", s.seed);
+  v("gpu", s.gpu);
+  v("platform", s.platform);
+  v("policy", s.policy);
+  v("redundancy", s.redundancy);
+  v("fault", s.fault);
+  v("ckpt", s.ckpt);
+}
 
 /// An ordered list of scenarios plus the sweep builders that grow it.
 /// Builders return a new set crossing every current scenario with every

@@ -3,6 +3,7 @@
 
 #include <string>
 
+#include "common/fields.h"
 #include "common/types.h"
 
 namespace higpu::memsys {
@@ -11,11 +12,15 @@ namespace higpu::memsys {
 /// them to the L2 on eviction; write-through forwards every store to the L2
 /// immediately (lines are never dirty in L1, so there are no L1 writebacks).
 enum class WritePolicy : u8 { kWriteBack, kWriteThrough };
+constexpr WritePolicy enum_last(WritePolicy) {
+  return WritePolicy::kWriteThrough;
+}
 
 /// L1 write-miss handling. Allocate fetches the line into the L1 (through
 /// an MSHR entry, like a read miss); no-allocate sends the store straight
 /// to the L2 and leaves the L1 untouched.
 enum class WriteAlloc : u8 { kAllocate, kNoAllocate };
+constexpr WriteAlloc enum_last(WriteAlloc) { return WriteAlloc::kNoAllocate; }
 
 const char* write_policy_name(WritePolicy p);
 const char* write_alloc_name(WriteAlloc a);
@@ -63,6 +68,31 @@ struct MemParams {
 
   bool operator==(const MemParams& other) const = default;
 };
+
+template <FieldsOf<MemParams> S, class V>
+void visit_fields(S& m, V&& v) {
+  v("line_bytes", m.line_bytes);
+  v("l1_size", m.l1_size);
+  v("l1_assoc", m.l1_assoc);
+  v("l1_latency", m.l1_latency);
+  v("l1_mshr_entries", m.l1_mshr_entries);
+  v("l1_write_policy", m.l1_write_policy);
+  v("l1_write_alloc", m.l1_write_alloc);
+  v("l2_size", m.l2_size);
+  v("l2_assoc", m.l2_assoc);
+  v("l2_banks", m.l2_banks);
+  v("l2_latency", m.l2_latency);
+  v("l2_service", m.l2_service);
+  v("dram_channels", m.dram_channels);
+  v("dram_banks_per_channel", m.dram_banks_per_channel);
+  v("dram_row_bytes", m.dram_row_bytes);
+  v("dram_row_hit_latency", m.dram_row_hit_latency);
+  v("dram_row_miss_latency", m.dram_row_miss_latency);
+  v("dram_service", m.dram_service);
+  v("smem_banks", m.smem_banks);
+  v("smem_latency", m.smem_latency);
+  v("atomic_extra", m.atomic_extra);
+}
 
 /// Throws std::invalid_argument naming the offending field (zero geometry,
 /// rows smaller than a line, row size not a multiple of the line size).

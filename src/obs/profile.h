@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.h"
 #include "common/types.h"
 
 namespace higpu::obs {
@@ -39,6 +40,15 @@ struct SmCycles {
   u64 total() const { return active() + idle; }
   bool operator==(const SmCycles& other) const = default;
 };
+
+template <FieldsOf<SmCycles> S, class V>
+void visit_fields(S& c, V&& v) {
+  v("issued", c.issued);
+  v("scoreboard", c.scoreboard);
+  v("barrier", c.barrier);
+  v("structural", c.structural);
+  v("idle", c.idle);
+}
 
 /// Render per-SM attribution as an aligned text table (run_workload
 /// --profile). `cycles` is the run's total GPU cycle count.

@@ -7,6 +7,7 @@
 // reproducing Fig. 5 is the *ratio* of kernel time to everything else.
 #pragma once
 
+#include "common/fields.h"
 #include "common/types.h"
 
 namespace higpu::runtime {
@@ -56,5 +57,21 @@ struct PlatformParams {
 
   bool operator==(const PlatformParams& other) const = default;
 };
+
+template <FieldsOf<PlatformParams> S, class V>
+void visit_fields(S& p, V&& v) {
+  v("pcie_h2d_gbps", p.pcie_h2d_gbps);
+  v("pcie_d2h_gbps", p.pcie_d2h_gbps);
+  v("api_call_ns", p.api_call_ns);
+  v("memcpy_latency_ns", p.memcpy_latency_ns);
+  v("launch_ns", p.launch_ns);
+  v("sync_ns", p.sync_ns);
+  v("host_compare_gbps", p.host_compare_gbps);
+  v("host_compute_gbps", p.host_compute_gbps);
+  v("file_parse_gbps", p.file_parse_gbps);
+  v("mem_generate_gbps", p.mem_generate_gbps);
+  v("ckpt_restore_gbps", p.ckpt_restore_gbps);
+  v("ckpt_restore_latency_ns", p.ckpt_restore_latency_ns);
+}
 
 }  // namespace higpu::runtime

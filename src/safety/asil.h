@@ -10,6 +10,7 @@ namespace higpu::safety {
 /// Automotive Safety Integrity Levels. QM = Quality Managed (no safety
 /// requirements); D is the most stringent.
 enum class Asil { kQM = 0, kA, kB, kC, kD };
+constexpr Asil enum_last(Asil) { return Asil::kD; }
 
 const char* asil_name(Asil a);
 

@@ -20,6 +20,7 @@ namespace higpu::sched {
 
 /// Which of the paper's policies a redundant pair should be run with.
 enum class Policy { kDefault, kHalf, kSrrs };
+constexpr Policy enum_last(Policy) { return Policy::kSrrs; }
 
 const char* policy_name(Policy p);
 

@@ -128,6 +128,8 @@ struct TenantStats {
   Percentiles queue_wait_ns;
   /// ftti_ns - detect/react response of the session (negative = FTTI bust).
   Percentiles ftti_slack_ns;
+
+  bool operator==(const TenantStats& other) const = default;
 };
 
 struct ServeResult {
@@ -175,23 +177,8 @@ struct ServeResult {
   /// Per-tenant CSV (one row per tenant).
   std::string to_csv() const;
 
-  /// The determinism witness: completion order, levels, timings,
-  /// transitions and every percentile sample compare exactly.
-  bool operator==(const ServeResult& other) const {
-    if (completions != other.completions) return false;
-    if (transitions != other.transitions) return false;
-    if (tenants.size() != other.tenants.size()) return false;
-    for (size_t i = 0; i < tenants.size(); ++i) {
-      if (tenants[i].response_ns != other.tenants[i].response_ns ||
-          tenants[i].ftti_slack_ns != other.tenants[i].ftti_slack_ns)
-        return false;
-    }
-    return served == other.served && dropped == other.dropped &&
-           deadline_misses == other.deadline_misses &&
-           max_queue_depth == other.max_queue_depth &&
-           queue_high_watermark_ns == other.queue_high_watermark_ns &&
-           queue_depth_series == other.queue_depth_series;
-  }
+  /// The determinism witness: every member compares exactly.
+  bool operator==(const ServeResult& other) const = default;
 };
 
 /// Run the serving loop to completion (every generated request served or

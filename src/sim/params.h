@@ -4,6 +4,7 @@
 // (GPGPU-Sim config in Fig. 4; the GTX 1050 Ti of Fig. 5 also has 6 SMs).
 #pragma once
 
+#include "common/fields.h"
 #include "common/types.h"
 #include "memsys/params.h"
 
@@ -21,6 +22,7 @@ namespace higpu::sim {
 ///   Kept as the reference implementation for the dual-engine equivalence
 ///   test and as a debugging fallback.
 enum class SimEngine { kEvent, kDense };
+constexpr SimEngine enum_last(SimEngine) { return SimEngine::kDense; }
 
 /// Instruction-dispatch engine selection (orthogonal to SimEngine).
 ///
@@ -32,6 +34,7 @@ enum class SimEngine { kEvent, kDense };
 /// * kInterp — the original per-instruction interpreter, kept as the
 ///   reference for the block/interp equivalence tests and benchmarks.
 enum class ExecMode { kBlock, kInterp };
+constexpr ExecMode enum_last(ExecMode) { return ExecMode::kInterp; }
 
 /// Launch-time static verification (see isa/verify/verify.h).
 ///
@@ -49,10 +52,8 @@ enum class ExecMode { kBlock, kInterp };
 /// * kOff — skip verification entirely. Unsafe with untrusted programs:
 ///   nothing then guards the unchecked indexing paths (Warp::reg_at,
 ///   code fetch, parameter loads).
-///
-/// Like ExecMode, this never changes what a *valid* program computes, so it
-/// is excluded from the snapshot parameter fingerprint.
 enum class LaunchVerify { kEnforce, kWarn, kOff };
+constexpr LaunchVerify enum_last(LaunchVerify) { return LaunchVerify::kOff; }
 
 struct GpuParams {
   SimEngine engine = SimEngine::kEvent;
@@ -88,5 +89,25 @@ struct GpuParams {
 
   bool operator==(const GpuParams& other) const = default;
 };
+
+template <FieldsOf<GpuParams> S, class V>
+void visit_fields(S& g, V&& v) {
+  v("engine", g.engine);
+  v("exec_mode", g.exec_mode, FieldTag::kNotFingerprinted);
+  v("verify", g.verify, FieldTag::kNotFingerprinted);
+  v("num_sms", g.num_sms);
+  v("warp_size", g.warp_size);
+  v("max_warps_per_sm", g.max_warps_per_sm);
+  v("max_blocks_per_sm", g.max_blocks_per_sm);
+  v("regfile_per_sm", g.regfile_per_sm);
+  v("shared_per_sm", g.shared_per_sm);
+  v("num_warp_schedulers", g.num_warp_schedulers);
+  v("sp_latency", g.sp_latency);
+  v("sfu_latency", g.sfu_latency);
+  v("sfu_interval", g.sfu_interval);
+  v("launch_gap_cycles", g.launch_gap_cycles);
+  v("clock_ghz", g.clock_ghz);
+  v("mem", g.mem);
+}
 
 }  // namespace higpu::sim

@@ -19,6 +19,7 @@ namespace higpu::workloads {
 /// Problem-size scale: kTest keeps unit tests fast; kBench approximates the
 /// kernel-shape balance of the original Rodinia inputs.
 enum class Scale { kTest = 0, kBench = 1 };
+constexpr Scale enum_last(Scale) { return Scale::kBench; }
 
 const char* scale_name(Scale s);
 /// Parse "test" / "bench"; throws std::invalid_argument otherwise.

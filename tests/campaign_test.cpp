@@ -348,6 +348,7 @@ TEST(CampaignReport, JsonAndCsvCarryTheCampaign) {
             std::string::npos);
   EXPECT_NE(json.find("\"fault_outcome\": \"detected\""), std::string::npos);
   EXPECT_NE(json.find("\"instructions\""), std::string::npos);
+  EXPECT_NE(json.find("\"same_sm_time_overlap\""), std::string::npos);
 
   const std::string csv = campaign.to_csv();
   EXPECT_NE(csv.find("index,label,workload"), std::string::npos);

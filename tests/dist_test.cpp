@@ -19,8 +19,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "ckpt/wire.h"
@@ -89,6 +91,87 @@ std::string read_text(const std::string& path) {
 void write_text(const std::string& path, const std::string& text) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << text;
+}
+
+// ---- Field walking -----------------------------------------------------------
+
+/// One leaf (non-record) field reached through visit_fields.
+struct Leaf {
+  std::string path;  // dotted, e.g. "gpu.mem.l1_write_policy"
+  FieldTag tag = FieldTag::kNone;
+  u32 enum_count = 0;  // enumerators of an enum field, else 0
+};
+
+template <class T>
+concept RecordVector = requires { typename T::value_type; } &&
+                       std::same_as<T, std::vector<typename T::value_type>> &&
+                       FieldRecord<typename T::value_type>;
+
+/// Change a field to a different value of its type.
+template <class F>
+void mutate(F& f) {
+  if constexpr (std::is_enum_v<F>)
+    f = static_cast<F>((static_cast<u32>(f) + 1) %
+                       (static_cast<u32>(enum_last(F{})) + 1));
+  else if constexpr (std::is_same_v<F, bool>) f = !f;
+  // Doubling keeps power-of-two geometry valid for Device construction.
+  else if constexpr (std::is_arithmetic_v<F>) f = f == 0 ? F{1} : F(f * 2);
+  else if constexpr (std::is_same_v<F, std::string>) f += "~";
+  else if constexpr (std::is_same_v<F, StatSet>) f.add("mutated");
+  else f.emplace_back();  // u32 and record vectors
+}
+
+/// Mutate the `n`-th leaf of `rec` (depth first, in visit_fields order;
+/// a record vector is one leaf, and its first element's fields are leaves
+/// too) and describe it; nullopt when `rec` has at most `n` leaves.
+template <FieldRecord T>
+std::optional<Leaf> mutate_leaf(T& rec, size_t n) {
+  std::optional<Leaf> hit;
+  size_t seen = 0;
+  const auto walk = [&](const auto& self, auto& r,
+                        const std::string& prefix) -> void {
+    visit_fields(r, [&](const char* name, auto& f,
+                        FieldTag tag = FieldTag::kNone) {
+      using F = std::remove_cvref_t<decltype(f)>;
+      const std::string path = prefix + name;
+      if constexpr (FieldRecord<F>) {
+        self(self, f, path + ".");
+      } else {
+        if constexpr (RecordVector<F>)
+          if (!f.empty()) self(self, f.front(), path + "[0].");
+        if (seen++ != n) return;
+        u32 enum_count = 0;
+        if constexpr (std::is_enum_v<F>)
+          enum_count = static_cast<u32>(enum_last(F{})) + 1;
+        hit = Leaf{path, tag, enum_count};
+        mutate(f);
+      }
+    });
+  };
+  walk(walk, rec, "");
+  return hit;
+}
+
+std::vector<u8> encode_spec(const ScenarioSpec& spec) {
+  ckpt::Writer w;
+  dist::put_spec(w, spec);
+  return w.take_blob();
+}
+
+ScenarioSpec decode_spec(const std::vector<u8>& blob) {
+  ckpt::Reader r(blob, {});
+  return dist::get_spec(r);
+}
+
+/// The parameter fingerprint a snapshot of a fresh device records.
+u64 fingerprint(const ScenarioSpec& spec) {
+  const ckpt::SnapshotPtr snap =
+      runtime::Device(spec.gpu, spec.platform).snapshot();
+  ckpt::Reader r(snap->blob, snap->sections);
+  r.enter_section("meta");
+  r.get64();  // magic
+  r.get32();  // version
+  return r.get64();
 }
 
 // ---- Wire frames -----------------------------------------------------------
@@ -181,13 +264,53 @@ TEST(WireSpec, RoundTripPreservesEveryField) {
   spec.fault = FaultPlan::permanent_sm(2, 5000, 7);
   spec.ckpt = ckpt::CheckpointPolicy::interval(4096);
 
-  ckpt::Writer w;
-  dist::put_spec(w, spec);
-  const std::vector<u8> blob = w.take_blob();
-  ckpt::Reader r(blob, {});
-  const ScenarioSpec back = dist::get_spec(r);
+  const ScenarioSpec back = decode_spec(encode_spec(spec));
   EXPECT_TRUE(spec == back);
   EXPECT_EQ(spec.label(), back.label());
+
+  // Walk every field: a changed field survives the codec, and every GPU,
+  // memory and platform field but exec_mode and verify moves the snapshot
+  // parameter fingerprint.
+  const u64 base_fp = fingerprint(spec);
+  size_t n = 0;
+  for (ScenarioSpec m = spec; const auto leaf = mutate_leaf(m, n);
+       m = spec, ++n) {
+    ASSERT_FALSE(m == spec) << leaf->path;
+    EXPECT_TRUE(decode_spec(encode_spec(m)) == m) << leaf->path;
+    if (leaf->path.starts_with("gpu.") || leaf->path.starts_with("platform."))
+      EXPECT_EQ(leaf->tag == FieldTag::kNotFingerprinted,
+                fingerprint(m) == base_fp)
+          << leaf->path;
+  }
+}
+
+TEST(WireSpec, OutOfRangeEnumByteIsRefusedByName) {
+  // For each enum field, find its byte by encoding a spec that differs only
+  // there, then patch in the first value past the last enumerator.
+  const ScenarioSpec spec = test_spec("hotspot");
+  const std::vector<u8> blob = encode_spec(spec);
+  size_t enums = 0;
+  size_t n = 0;
+  for (ScenarioSpec m = spec; const auto leaf = mutate_leaf(m, n);
+       m = spec, ++n) {
+    if (leaf->enum_count == 0) continue;
+    ++enums;
+    const std::vector<u8> moved = encode_spec(m);
+    ASSERT_EQ(blob.size(), moved.size()) << leaf->path;
+    size_t at = 0;
+    while (at < blob.size() && blob[at] == moved[at]) ++at;
+    ASSERT_LT(at, blob.size()) << leaf->path;
+    std::vector<u8> bad = blob;
+    bad[at] = static_cast<u8>(leaf->enum_count);
+    try {
+      decode_spec(bad);
+      ADD_FAILURE() << leaf->path << " accepted an out-of-range value";
+    } catch (const dist::WireError& e) {
+      EXPECT_NE(std::string(e.what()).find(leaf->path), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_GT(enums, 0u);
 }
 
 TEST(WireSpec, CampaignFingerprintTracksContent) {
@@ -324,6 +447,20 @@ TEST(ResultJsonl, RoundTripIsDeterministicallyEqual) {
   // And the JSONL layer is idempotent: re-serializing the parsed record
   // yields the identical line.
   EXPECT_EQ(line, exp::result_to_jsonl(back));
+
+  // Walk every field: a changed field survives the record, and every field
+  // but the three non-deterministic ones breaks deterministic equality.
+  ASSERT_FALSE(r.sm_profile.empty());
+  size_t n = 0;
+  for (ScenarioResult m = r; const auto leaf = mutate_leaf(m, n);
+       m = r, ++n) {
+    ASSERT_FALSE(m == r) << leaf->path;
+    EXPECT_TRUE(exp::result_from_jsonl(exp::result_to_jsonl(m)) == m)
+        << leaf->path;
+    EXPECT_EQ(leaf->tag == FieldTag::kNotDeterministic,
+              m.deterministic_fields_equal(r))
+        << leaf->path;
+  }
 }
 
 TEST(ResultJsonl, EscapesControlCharactersAndQuotes) {
