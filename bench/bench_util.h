@@ -22,19 +22,10 @@ struct RunResult {
   core::DiversityReport diversity;
 };
 
-inline RunResult from_scenario(const exp::ScenarioResult& r) {
-  RunResult out;
-  out.kernel_cycles = r.kernel_cycles;
-  out.elapsed_ns = r.elapsed_ns;
-  out.verified = r.ok && r.verified;
-  out.outputs_matched = r.ok && r.dcls_match;
-  out.diversity = r.diversity;
-  return out;
-}
-
+/// One baseline (`redundant` false) or DCLS run of `name`, as the Fig. 4/5
+/// and ablation benches compare them.
 inline RunResult run_workload(const std::string& name, workloads::Scale scale,
-                              sched::Policy policy,
-                              const core::RedundancySpec& redundancy,
+                              sched::Policy policy, bool redundant,
                               u64 seed = 2019,
                               const sim::GpuParams& gpu_params = {}) {
   exp::ScenarioSpec spec;
@@ -42,20 +33,17 @@ inline RunResult run_workload(const std::string& name, workloads::Scale scale,
   spec.scale = scale;
   spec.seed = seed;
   spec.policy = policy;
-  spec.redundancy = redundancy;
+  spec.redundancy = redundant ? core::RedundancySpec::dcls()
+                              : core::RedundancySpec::baseline();
   spec.gpu = gpu_params;
-  return from_scenario(exp::run_scenario(spec));
-}
-
-/// Classic baseline/DCLS shorthand used by the Fig. 4/5 benches.
-inline RunResult run_workload(const std::string& name, workloads::Scale scale,
-                              sched::Policy policy, bool redundant,
-                              u64 seed = 2019,
-                              const sim::GpuParams& gpu_params = {}) {
-  return run_workload(name, scale, policy,
-                      redundant ? core::RedundancySpec::dcls()
-                                : core::RedundancySpec::baseline(),
-                      seed, gpu_params);
+  const exp::ScenarioResult r = exp::run_scenario(spec);
+  RunResult out;
+  out.kernel_cycles = r.kernel_cycles;
+  out.elapsed_ns = r.elapsed_ns;
+  out.verified = r.ok && r.verified;
+  out.outputs_matched = r.ok && r.dcls_match;
+  out.diversity = r.diversity;
+  return out;
 }
 
 inline double ms(NanoSec ns) { return static_cast<double>(ns) / 1e6; }

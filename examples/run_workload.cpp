@@ -260,7 +260,8 @@ bool write_file(const std::string& path, const std::string& content) {
 }
 
 /// Validate the recorded trace against the higpu.trace/1 schema, then write
-/// it. A trace that fails its own schema is a bug, not a report.
+/// it. A trace that fails its own schema is a bug, not a report. The event
+/// counts are printed so ring wrap-around never drops events silently.
 bool write_trace(const std::string& path, const obs::Tracer& tracer) {
   const std::string json = tracer.to_chrome_json();
   const std::string err = obs::validate_chrome_trace(json);
@@ -268,6 +269,18 @@ bool write_trace(const std::string& path, const obs::Tracer& tracer) {
     std::fprintf(stderr, "trace failed schema validation: %s\n", err.c_str());
     return false;
   }
+  const u64 recorded = tracer.events_recorded();
+  const u64 dropped = tracer.events_dropped();
+  std::printf("trace: %llu events recorded, %llu dropped\n",
+              static_cast<unsigned long long>(recorded),
+              static_cast<unsigned long long>(dropped));
+  if (dropped > 0)
+    std::fprintf(stderr,
+                 "warning: the trace ring (%u events per track) overwrote "
+                 "%llu of %llu events; %s holds only the newest\n",
+                 tracer.ring_capacity(),
+                 static_cast<unsigned long long>(dropped),
+                 static_cast<unsigned long long>(recorded), path.c_str());
   return write_file(path, json);
 }
 

@@ -17,8 +17,8 @@
 //
 // HostPhases is the wall-clock side: where a scenario's host time went
 // (simulating vs capturing/restoring snapshots). It is diagnostic — wall
-// time is never part of the determinism contract — and feeds
-// BENCH_obs.json so the ROADMAP's Amdahl split is a measured artifact.
+// time is never part of the determinism contract — and bench/higpu/probes.cpp
+// reads it for the benchmark's measured host-phase split.
 #pragma once
 
 #include <string>

@@ -13,6 +13,7 @@
 // that run this suite cover them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -273,33 +274,79 @@ TEST(CkptCampaign, FastForwardReportsDivergenceForSdcOrDetectedFaults) {
 
 // ---- Rollback recovery ----------------------------------------------------
 
-TEST(CkptRollback, RecoversFromTransientAndBeatsRetry) {
-  for (const std::string& wl : {std::string("hotspot"), std::string("nn")}) {
-    ScenarioSpec retry = make_spec(wl, sim::SimEngine::kEvent);
-    retry.fault = FaultPlan::droop(9000, 1500, 3);
-    retry.redundancy = core::RedundancySpec::dcls_retry(2);
-    const ScenarioResult r_retry = exp::run_scenario(retry);
+/// Fault plans to try on a run of `span` cycles until the DCLS pair
+/// detects one: a droop window a quarter of the way in, then one spanning
+/// half the run, then a permanent SM-0 defect (detected by any workload
+/// that runs a block on SM 0, i.e. all of them under SRRS).
+std::vector<FaultPlan> candidate_plans(Cycle span) {
+  return {
+      FaultPlan::droop(3000 + span / 4, std::max<Cycle>(800, span / 4), 3),
+      FaultPlan::droop(3000, std::max<Cycle>(800, span / 2), 7),
+      FaultPlan::permanent_sm(0, 0, 7),
+  };
+}
+
+/// Runs `wl` under the first candidate plan the DCLS pair detects, once
+/// with whole-offload retry and once with checkpoint rollback, and checks
+/// that rollback recovers where it can and always responds sooner.
+void expect_rollback_beats_retry(const std::string& wl) {
+  SCOPED_TRACE(wl);
+  const ScenarioResult clean =
+      exp::run_scenario(make_spec(wl, sim::SimEngine::kEvent));
+  ASSERT_TRUE(clean.ok) << clean.error;
+
+  // The retry run's first attempt is the plain DCLS run, so it doubles as
+  // the detection probe.
+  ScenarioSpec retry = make_spec(wl, sim::SimEngine::kEvent);
+  retry.redundancy = core::RedundancySpec::dcls_retry(2);
+  ScenarioResult r_retry;
+  for (const FaultPlan& plan : candidate_plans(clean.stats.get("cycles"))) {
+    retry.fault = plan;
+    r_retry = exp::run_scenario(retry);
     ASSERT_TRUE(r_retry.ok) << r_retry.error;
+    if (r_retry.outcome == fault::Outcome::kDetected) break;
+  }
+  ASSERT_EQ(r_retry.outcome, fault::Outcome::kDetected)
+      << "no candidate fault plan was detected";
+  const FaultPlan& plan = retry.fault;
+  SCOPED_TRACE(plan.label());
+  // Only these two workloads miss both droop windows; pinning the set
+  // keeps a workload from silently losing its recovery check below.
+  const bool permanent = plan.kind == FaultPlan::Kind::kPermanentSm;
+  EXPECT_EQ(permanent, wl == "kmeans" || wl == "particlefilter");
 
-    ScenarioSpec rollback = retry;
-    rollback.redundancy = core::RedundancySpec::dcls_rollback(2);
-    const ScenarioResult r_rb = exp::run_scenario(rollback);
-    ASSERT_TRUE(r_rb.ok) << r_rb.error;
+  ScenarioSpec rollback = retry;
+  rollback.redundancy = core::RedundancySpec::dcls_rollback(2);
+  const ScenarioResult r_rb = exp::run_scenario(rollback);
+  ASSERT_TRUE(r_rb.ok) << r_rb.error;
 
-    if (r_retry.mismatches == 0 && r_retry.attempts == 1) {
-      // The window missed this workload's vulnerable phase: nothing to
-      // recover, nothing to compare. (The bench sweeps windows that hit.)
-      continue;
-    }
-    SCOPED_TRACE(wl);
+  EXPECT_EQ(r_rb.outcome, fault::Outcome::kDetected);
+  EXPECT_GT(r_rb.attempts, 1u);
+  // A droop is a one-time event, so rolling back recovers from it. bfs is
+  // the exception: it compares once, after a host loop that read the
+  // device's corrupted frontier flag every round, and re-running kernels
+  // cannot undo those host decisions; only a whole-offload retry can.
+  if (!permanent && wl != "bfs") {
     EXPECT_TRUE(r_rb.verified);
     EXPECT_TRUE(r_rb.recovered);
-    EXPECT_EQ(r_rb.outcome, fault::Outcome::kDetected);
-    EXPECT_GT(r_rb.attempts, 1u);
-    // The point of checkpointing: the response fits a tighter budget than
-    // whole-offload re-execution.
-    EXPECT_LT(r_rb.response_ns, r_retry.response_ns);
   }
+  // The point of checkpointing: the response fits a tighter budget than
+  // whole-offload re-execution.
+  EXPECT_LT(r_rb.response_ns, r_retry.response_ns);
+}
+
+TEST(CkptRollback, RecoversFromTransientAndBeatsRetry) {
+  expect_rollback_beats_retry("hotspot");
+  expect_rollback_beats_retry("nn");
+}
+
+// The sanitizer CI jobs leave this case out: cfd's droop writes through
+// wild addresses that grow the dense global store, and the run peaks at
+// about 8 GiB RSS, more than sanitizer shadow memory leaves room for on a
+// CI runner. The case above keeps two workloads under the sanitizers.
+TEST(CkptRollback, BeatsRetryOnEveryWorkload) {
+  for (const std::string& wl : workloads::all_names())
+    expect_rollback_beats_retry(wl);
 }
 
 TEST(CkptRollback, WalksBackPastDirtyIntervalCheckpoints) {

@@ -211,14 +211,17 @@ TEST_P(WorkloadAtAllRedundancyLevels, VerifiesThroughCampaignRunner) {
   proto.scale = workloads::Scale::kTest;
   proto.seed = 2019;
   proto.policy = sched::Policy::kSrrs;
+  // N = 3 with bitwise (unanimous) comparison as well as the voting TMR.
+  core::RedundancySpec tmr_bitwise;
+  tmr_bitwise.n_copies = 3;
   const exp::ScenarioSet set =
       exp::ScenarioSet::of(proto).sweep_redundancy(
           {core::RedundancySpec::baseline(), core::RedundancySpec::dcls(),
-           core::RedundancySpec::tmr()});
+           core::RedundancySpec::tmr(), tmr_bitwise});
   exp::CampaignRunner::Config cfg;
   cfg.jobs = 3;
   const exp::CampaignResult campaign = exp::CampaignRunner(cfg).run(set);
-  ASSERT_EQ(campaign.results.size(), 3u);
+  ASSERT_EQ(campaign.results.size(), 4u);
   for (const exp::ScenarioResult& r : campaign.results) {
     ASSERT_TRUE(r.ok) << r.label << ": " << r.error;
     EXPECT_TRUE(r.verified) << r.label;
@@ -228,6 +231,7 @@ TEST_P(WorkloadAtAllRedundancyLevels, VerifiesThroughCampaignRunner) {
   EXPECT_EQ(campaign.results[0].n_copies, 1u);
   EXPECT_EQ(campaign.results[1].n_copies, 2u);
   EXPECT_EQ(campaign.results[2].n_copies, 3u);
+  EXPECT_EQ(campaign.results[3].n_copies, 3u);
   EXPECT_TRUE(campaign.all_passed());
 }
 

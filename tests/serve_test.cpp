@@ -289,6 +289,11 @@ TEST(ServeTest, OverloadEntersAndExitsDegradeWithDropAccounting) {
   }
   EXPECT_TRUE(entered) << "no degrade transition under a 6x overload burst";
   EXPECT_TRUE(exited) << "hysteresis never recovered on the relaxed tail";
+  // ...walked all the way back to full redundancy...
+  ASSERT_FALSE(r.transitions.empty());
+  EXPECT_EQ(r.transitions.back().to_level, 0u)
+      << "the ladder ended degraded, not at full redundancy";
+  EXPECT_EQ(r.verify_failures, 0u);
   ASSERT_EQ(r.tenants.size(), 1u);
   EXPECT_GT(r.tenants[0].degraded_served, 0u);
   // ...shed what could no longer make its deadline...
