@@ -4,6 +4,10 @@
 
 namespace higpu::memsys {
 
+namespace {
+constexpr size_t kMshrEntryBytes = 17;  // line, ready, fill_dirty
+}  // namespace
+
 MemHierarchy::MemHierarchy(u32 num_sms, const MemParams& params)
     // Reject nonsensical geometry before any member computes with it
     // (lines_per_row_ divides by line_bytes; the DRAM model subtracts the
@@ -17,6 +21,7 @@ MemHierarchy::MemHierarchy(u32 num_sms, const MemParams& params)
       dram_banks_(static_cast<size_t>(params.dram_channels) *
                   params.dram_banks_per_channel),
       mshr_(num_sms) {
+  for (auto& m : mshr_) m.reserve(params.l1_mshr_entries);
   l1_.reserve(num_sms);
   for (u32 i = 0; i < num_sms; ++i)
     l1_.emplace_back(params.l1_size, params.l1_assoc, params.line_bytes);
@@ -144,15 +149,21 @@ Cycle MemHierarchy::access_l2(u64 line_addr, bool is_write, Cycle now,
   return dram_access(line_addr, start, false);
 }
 
-void MemHierarchy::remove_entry(u32 sm, size_t idx) {
+void MemHierarchy::insert_entry(u32 sm, const MshrEntry& e) {
   auto& mshr = mshr_[sm];
-  mshr[idx] = mshr.back();
-  mshr.pop_back();
+  const auto before = [&e](const MshrEntry& o) {
+    return o.ready < e.ready || (o.ready == e.ready && o.line < e.line);
+  };
+  if (mshr.empty() || before(mshr.back())) {  // completes last: the usual case
+    mshr.push_back(e);
+    return;
+  }
+  auto pos = mshr.end() - 1;
+  while (pos != mshr.begin() && !before(pos[-1])) --pos;
+  mshr.insert(pos, e);
 }
 
-void MemHierarchy::fill_and_remove(u32 sm, size_t idx) {
-  const MshrEntry e = mshr_[sm][idx];
-  remove_entry(sm, idx);
+void MemHierarchy::fill(u32 sm, const MshrEntry& e) {
   if (obs_ != nullptr)
     obs_->instant(obs_mshr_tracks_[sm], obs::Ev::kMshrFill, e.ready, e.line,
                   e.fill_dirty);
@@ -162,24 +173,12 @@ void MemHierarchy::fill_and_remove(u32 sm, size_t idx) {
   if (res.writeback_line) writeback_to_l2(*res.writeback_line, e.ready);
 }
 
-size_t MemHierarchy::earliest_entry(const std::vector<MshrEntry>& mshr) {
-  size_t best = 0;
-  for (size_t i = 1; i < mshr.size(); ++i) {
-    if (mshr[i].ready < mshr[best].ready ||
-        (mshr[i].ready == mshr[best].ready && mshr[i].line < mshr[best].line))
-      best = i;
-  }
-  return best;
-}
-
 void MemHierarchy::reap_expired(u32 sm, Cycle now) {
   auto& mshr = mshr_[sm];
   // Fill in completion order so the L1's LRU state reflects arrival times.
-  while (!mshr.empty()) {
-    const size_t best = earliest_entry(mshr);
-    if (mshr[best].ready > now) return;
-    fill_and_remove(sm, best);
-  }
+  size_t due = 0;
+  while (due < mshr.size() && mshr[due].ready <= now) fill(sm, mshr[due++]);
+  if (due != 0) mshr.erase(mshr.begin(), mshr.begin() + due);
 }
 
 MemResponse MemHierarchy::access_line(u32 sm, u64 line_addr, bool is_write,
@@ -237,11 +236,11 @@ MemResponse MemHierarchy::access_line(u32 sm, u64 line_addr, bool is_write,
   if (allocate && mshr.size() >= params_.l1_mshr_entries) {
     // MSHR full: the access occupies the L1 port until the earliest
     // in-flight fill frees its entry, then proceeds as a tracked miss.
-    const size_t idx = earliest_entry(mshr);
-    issue = mshr[idx].ready;  // > t, otherwise reap would have taken it
+    issue = mshr.front().ready;  // > t, otherwise reap would have taken it
     l1_mshr_stalls_ += 1;
     l1_mshr_stall_cycles_ += issue - t;
-    fill_and_remove(sm, idx);
+    fill(sm, mshr.front());
+    mshr.erase(mshr.begin());
   }
   l1_port_free_[sm] = issue + 1;
 
@@ -251,7 +250,7 @@ MemResponse MemHierarchy::access_line(u32 sm, u64 line_addr, bool is_write,
         access_l2(line_addr, true, issue + params_.l1_latency, false);
     l1_write_through_ += 1;
     if (allocate) {  // WT + write-allocate: the same transaction fills the L1
-      mshr.push_back(MshrEntry{line_addr, done, false});
+      insert_entry(sm, MshrEntry{line_addr, done, false});
       if (obs_ != nullptr)
         obs_->instant(obs_mshr_tracks_[sm], obs::Ev::kMshrAlloc, issue,
                       line_addr, done);
@@ -264,7 +263,7 @@ MemResponse MemHierarchy::access_line(u32 sm, u64 line_addr, bool is_write,
   // eviction); the store retires when the line arrives.
   const Cycle ready =
       access_l2(line_addr, false, issue + params_.l1_latency, false);
-  mshr.push_back(MshrEntry{line_addr, ready, is_write});
+  insert_entry(sm, MshrEntry{line_addr, ready, is_write});
   if (obs_ != nullptr)
     obs_->instant(obs_mshr_tracks_[sm], obs::Ev::kMshrAlloc, issue, line_addr,
                   ready);
@@ -282,12 +281,10 @@ MemResponse MemHierarchy::access_atomic(u32 sm, u64 line_addr, Cycle now) {
   // (Loads merged on the entry keep their completion cycles — fixed at
   // issue; a merged store's data is functionally visible already.)
   auto& mshr = mshr_[sm];
-  for (size_t i = 0; i < mshr.size(); ++i) {
-    if (mshr[i].line == line_addr) {
-      remove_entry(sm, i);
-      break;
-    }
-  }
+  const auto it = std::find_if(
+      mshr.begin(), mshr.end(),
+      [line_addr](const MshrEntry& e) { return e.line == line_addr; });
+  if (it != mshr.end()) mshr.erase(it);
   if (l1_[sm].invalidate_line(line_addr)) writeback_to_l2(line_addr, t);
   atomics_ += 1;
   return {access_l2(line_addr, /*is_write=*/true, t, /*is_atomic=*/true),
@@ -320,6 +317,7 @@ void MemHierarchy::save(ckpt::Writer& w) const {
   w.put_u64_vec(l1_port_free_);
   w.put_u64_vec(l2_bank_free_);
   w.put64(mshr_.size());
+  // Entries go out in their canonical (ready, line) order.
   for (const auto& mshr : mshr_) {
     w.put64(mshr.size());
     for (const MshrEntry& e : mshr) {
@@ -362,11 +360,30 @@ void MemHierarchy::restore(ckpt::Reader& r) {
   if (n_mshr != mshr_.size())
     throw ckpt::SnapshotError("snapshot MSHR array count mismatch");
   for (auto& mshr : mshr_) {
-    mshr.resize(static_cast<size_t>(r.get64()));
+    const u64 n = r.get_count(kMshrEntryBytes, "MSHR");
+    if (n > params_.l1_mshr_entries)
+      throw ckpt::SnapshotError("snapshot MSHR holds " + std::to_string(n) +
+                                " entries, more than l1_mshr_entries (" +
+                                std::to_string(params_.l1_mshr_entries) + ")");
+    mshr.resize(static_cast<size_t>(n));
     for (MshrEntry& e : mshr) {
       e.line = r.get64();
       e.ready = r.get64();
       e.fill_dirty = r.getb();
+    }
+    // A line is in flight at most once, and the (ready, line) order is what
+    // reaping and MSHR-full stalls rely on.
+    for (size_t i = 0; i < mshr.size(); ++i)
+      for (size_t j = i + 1; j < mshr.size(); ++j)
+        if (mshr[i].line == mshr[j].line)
+          throw ckpt::SnapshotError("snapshot MSHR holds line " +
+                                    std::to_string(mshr[i].line) + " twice");
+    for (size_t i = 1; i < mshr.size(); ++i) {
+      const MshrEntry& a = mshr[i - 1];
+      const MshrEntry& b = mshr[i];
+      if (a.ready > b.ready || (a.ready == b.ready && a.line > b.line))
+        throw ckpt::SnapshotError(
+            "snapshot MSHR entries out of (ready, line) order");
     }
   }
   for (u64* c : {&l1_hits_, &l1_misses_, &l1_write_hits_, &l1_write_misses_,

@@ -96,23 +96,25 @@ class MemHierarchy {
   /// writeback). Off the critical path of the access that evicted it.
   void writeback_to_l2(u64 line_addr, Cycle when);
 
-  // Per-SM MSHR: one entry per outstanding L1 fill. Flat storage: at most
-  // l1_mshr_entries (~32) entries, so a linear scan beats hashing on the
-  // per-access hot path.
+  // Per-SM MSHR: one entry per outstanding L1 fill, kept sorted by
+  // (ready, line), the one deterministic order shared by reaping, MSHR-full
+  // stalls and the snapshot. Lines are distinct (a second miss on an
+  // in-flight line merges), so the order is total. Flat storage: at most
+  // l1_mshr_entries (~32) entries, and a new fill usually completes last, so
+  // insertion scans back from the end and the due entries are a prefix.
   struct MshrEntry {
     u64 line;
     Cycle ready;      // fill-completion cycle, fixed at allocation
     bool fill_dirty;  // a store merged in flight: fill installs the line dirty
   };
-  /// Index of the entry completing first, ties broken by line address —
-  /// the one deterministic ordering shared by reaping and MSHR-full
-  /// stalls. `mshr` must be non-empty.
-  static size_t earliest_entry(const std::vector<MshrEntry>& mshr);
-  /// Drop entry `idx` (swap-pop; order is deterministic state, not FIFO).
-  void remove_entry(u32 sm, size_t idx);
-  /// Perform entry `idx`'s L1 fill (victim writeback included) and drop it.
-  void fill_and_remove(u32 sm, size_t idx);
-  /// Fill + drop every entry with ready <= now, in completion order.
+  /// Insert `e` at its (ready, line) position.
+  void insert_entry(u32 sm, const MshrEntry& e);
+  /// Perform `e`'s L1 fill (victim writeback included). The caller drops
+  /// the entry.
+  void fill(u32 sm, const MshrEntry& e);
+  /// Fill + drop every entry with ready <= now, in completion order: the
+  /// due prefix of the sorted MSHR. An access with nothing due costs one
+  /// compare.
   void reap_expired(u32 sm, Cycle now);
 
   MemParams params_;

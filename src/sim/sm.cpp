@@ -4,6 +4,8 @@
 #include <bit>
 #include <cassert>
 #include <cstring>
+#include <span>
+#include <string>
 
 #include "memsys/coalescer.h"
 #include "sim/blockexec.h"
@@ -138,16 +140,22 @@ void SmCore::cycle(Cycle now) {
     last_issued_[s] = -1;
     for (u32 idx = 0; idx < order.size();) {
       const u32 slot = order[idx];
-      const StallRec& rec = warp_stall_[slot];
-      if (use_wake_records_ && rec.wake > now) {
-        // Provably still blocked (same class) until the recorded wake:
-        // count the stall exactly as the full attempt would and keep the
-        // wake as an event candidate, skipping the hazard re-check.
-        count_stall(rec.cls);
-        if (obs_ != nullptr) open_stall_episode(slot, now, rec.cls);
-        if (rec.wake < quiet_wake_) quiet_wake_ = rec.wake;
-        ++idx;
-        continue;
+      StallRec& rec = warp_stall_[slot];
+      if (use_wake_records_) {
+        // A structural record's wake is its unit's live counter: the value
+        // a re-attempt would record now, even after another warp re-booked
+        // the unit.
+        if (rec.unit != Unit::kNone) rec.wake = unit_free(rec.unit);
+        if (rec.wake > now) {
+          // Provably still blocked (same class) until the recorded wake:
+          // count the stall exactly as the full attempt would and keep the
+          // wake as an event candidate, skipping the hazard re-check.
+          count_stall(rec.cls);
+          if (obs_ != nullptr) open_stall_episode(slot, now, rec.cls);
+          if (rec.wake < quiet_wake_) quiet_wake_ = rec.wake;
+          ++idx;
+          continue;
+        }
       }
       if (try_issue(warps_[slot], now)) {
         last_issued_[s] = static_cast<i32>(slot);
@@ -175,6 +183,7 @@ bool SmCore::try_issue(Warp& w, Cycle now) {
       ++issued_attempts_;
       progress_ = true;
       warp_stall_[slot].wake = 0;
+      warp_stall_[slot].unit = Unit::kNone;
       if (obs_ != nullptr) close_stall_episode(slot, now);
       return true;
     case IssueOutcome::kScoreboard:
@@ -237,10 +246,8 @@ SmCore::IssueOutcome SmCore::try_issue_classified(Warp& w, Cycle now) {
 
   // Structural hazards.
   const UnitClass uc = isa::unit_class(ins.op);
-  if (uc == UnitClass::kSfu && now < sfu_free_)
-    return stall(w, IssueOutcome::kStructural, sfu_free_);
-  if (uc == UnitClass::kMem && now < mem_free_)
-    return stall(w, IssueOutcome::kStructural, mem_free_);
+  if (uc == UnitClass::kSfu && now < sfu_free_) return stall_on(w, Unit::kSfu);
+  if (uc == UnitClass::kMem && now < mem_free_) return stall_on(w, Unit::kMem);
 
   // Guard mask over the effective lanes.
   const u32 eff = w.effective_mask();
@@ -298,8 +305,7 @@ SmCore::IssueOutcome SmCore::issue_superop(Warp& w,
   }
 
   // Structural: only the SFU can block a lowered op (memory ops fall back).
-  if (sop.is_sfu && now < sfu_free_)
-    return stall(w, IssueOutcome::kStructural, sfu_free_);
+  if (sop.is_sfu && now < sfu_free_) return stall_on(w, Unit::kSfu);
 
   // Guard mask over the effective lanes.
   const u32 eff = w.effective_mask();
@@ -666,11 +672,12 @@ void SmCore::exec_global_mem(Warp& w, const Instruction& ins, u32 guard_mask,
   // One pass: compute each lane's address, perform the functional access at
   // issue (keeps per-warp program order exact), and collect the addresses
   // for coalescing.
-  addr_scratch_.clear();
+  u64 addrs[kWarpSize];
+  u32 n = 0;
   for (u32 m = guard_mask; m != 0; m &= m - 1) {
     const u32 lane = static_cast<u32>(std::countr_zero(m));
     const u64 addr = static_cast<u64>(operand_value(w, ins.src[0], lane)) + off;
-    addr_scratch_.push_back(addr);
+    addrs[n++] = addr;
     if (is_write) {
       store_->write32(static_cast<memsys::DevPtr>(addr),
                       operand_value(w, ins.src[1], lane));
@@ -680,11 +687,13 @@ void SmCore::exec_global_mem(Warp& w, const Instruction& ins, u32 guard_mask,
     }
   }
 
-  memsys::coalesce_into(addr_scratch_, line_bytes, line_scratch_);
-  (is_write ? global_store_transactions_ : global_load_transactions_) +=
-      line_scratch_.size();
-  for (u64 line : line_scratch_) {
-    const memsys::MemResponse r = mem_->access_line(sm_id_, line, is_write, now);
+  u64 lines[kWarpSize];
+  const size_t nlines =
+      memsys::coalesce_into(std::span(addrs, n), line_bytes, lines);
+  (is_write ? global_store_transactions_ : global_load_transactions_) += nlines;
+  for (size_t i = 0; i < nlines; ++i) {
+    const memsys::MemResponse r =
+        mem_->access_line(sm_id_, lines[i], is_write, now);
     done = std::max(done, r.done);
     // MSHR-full backpressure: the LSU stays blocked until the hierarchy can
     // track another miss, so the structural-stall wake (and the event
@@ -699,7 +708,8 @@ void SmCore::exec_shared_mem(Warp& w, const Instruction& ins, u32 guard_mask,
   ResidentBlock& b = blocks_[w.block_slot];
   if (guard_mask == 0) return;
   if (b.shared.size() < 4) return;  // kernel declares no shared segment
-  addr_scratch_.clear();
+  u64 addrs[kWarpSize];
+  u32 n = 0;
   for (u32 m = guard_mask; m != 0; m &= m - 1) {
     const u32 lane = static_cast<u32>(std::countr_zero(m));
     u64 addr = static_cast<u64>(operand_value(w, ins.src[0], lane)) +
@@ -716,11 +726,11 @@ void SmCore::exec_shared_mem(Warp& w, const Instruction& ins, u32 guard_mask,
       addr = (addr % (b.shared.size() - 3)) & ~u64{3};
       smem_oob_wraps_ += 1;
     }
-    addr_scratch_.push_back(addr);
+    addrs[n++] = addr;
   }
 
-  const u32 conflicts =
-      memsys::smem_conflict_degree(addr_scratch_, mem_->params().smem_banks);
+  const u32 conflicts = memsys::smem_conflict_degree(
+      std::span(addrs, n), mem_->params().smem_banks);
   mem_free_ = now + conflicts;
   const Cycle done = now + mem_->params().smem_latency + (conflicts - 1);
   smem_accesses_ += 1;
@@ -730,7 +740,7 @@ void SmCore::exec_shared_mem(Warp& w, const Instruction& ins, u32 guard_mask,
   u32 i = 0;
   for (u32 m = guard_mask; m != 0; m &= m - 1) {
     const u32 lane = static_cast<u32>(std::countr_zero(m));
-    const u64 addr = addr_scratch_[i++];
+    const u64 addr = addrs[i++];
     // memcpy, not a u32* deref: a fault-corrupted (but in-bounds) address
     // may be misaligned, and the access must stay well-defined.
     u8* word = b.shared.data() + addr;
@@ -909,7 +919,7 @@ void SmCore::restore(
     b.num_warps = r.get32();
     b.warps_live = r.get32();
     b.barrier_count = r.get32();
-    b.shared.assign(static_cast<size_t>(r.get64()), 0);
+    b.shared.assign(static_cast<size_t>(r.get_count(1, "shared memory")), 0);
     r.get_bytes(b.shared.data(), b.shared.size());
     b.regs_reserved = r.get32();
     b.shared_reserved = r.get32();
@@ -932,23 +942,43 @@ void SmCore::restore(
     warp.ctrace = blocks_[warp.block_slot].launch->trace.get();
     warp.valid_mask = r.get32();
     warp.exited = r.get32();
-    warp.stack.resize(static_cast<size_t>(r.get64()));
+    warp.stack.resize(
+        static_cast<size_t>(r.get_count(12, "reconvergence stack")));
     for (StackEntry& e : warp.stack) {
       e.pc = r.get32();
       e.rpc = r.get32();
       e.mask = r.get32();
     }
     warp.regs = r.get_u32_vec();
-    warp.preds.assign(static_cast<size_t>(r.get64()), 0);
+    warp.preds.assign(static_cast<size_t>(r.get_count(1, "predicates")), 0);
     r.get_bytes(warp.preds.data(), warp.preds.size());
     warp.at_barrier = r.getb();
-    warp.pending.resize(static_cast<size_t>(r.get64()));
+    warp.pending.resize(
+        static_cast<size_t>(r.get_count(11, "pending writes")));
     for (Warp::Pending& p : warp.pending) {
       p.reg = r.get16();
       p.is_pred = r.getb();
       p.ready = r.get64();
     }
     warp.instructions = r.get64();
+  }
+
+  // Derived state: a structural stall record waits on the unit of the
+  // instruction at its warp's pc (a stalled warp has not moved since).
+  for (size_t i = 0; i < warps_.size(); ++i) {
+    StallRec& rec = warp_stall_[i];
+    rec.unit = Unit::kNone;
+    const Warp& warp = warps_[i];
+    if (!warp.active || rec.cls != IssueOutcome::kStructural || rec.wake == 0)
+      continue;
+    if (warp.stack.empty() || warp.pc() >= warp.prog->size())
+      throw ckpt::SnapshotError("snapshot structural stall at warp " +
+                                std::to_string(i) + " has no instruction");
+    switch (isa::unit_class(warp.prog->at(warp.pc()).op)) {
+      case UnitClass::kMem: rec.unit = Unit::kMem; break;
+      case UnitClass::kSfu: rec.unit = Unit::kSfu; break;
+      default: break;
+    }
   }
 
   for (u64* c : {&blocks_accepted_, &blocks_completed_, &active_cycles_,

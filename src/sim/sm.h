@@ -179,18 +179,30 @@ class SmCore {
   /// completion of a warp whose last instruction was EXIT.
   void post_issue(Warp& w, Cycle now);
   bool try_issue(Warp& w, Cycle now);
+  /// Execution unit a structural stall waits on (kNone for other stalls).
+  enum class Unit : u8 { kNone, kMem, kSfu };
+  Cycle unit_free(Unit u) const {
+    return u == Unit::kMem ? mem_free_ : sfu_free_;
+  }
   /// Record a failed issue attempt: remembers the warp's stall class and
   /// wake time — the earliest cycle the blocking condition can clear — and
   /// folds the latter into quiet_wake_. Until that cycle the warp is
   /// provably still blocked with the same class, so the issue walk skips
   /// the full hazard re-check (and the event engine can sleep through it).
   /// Returns `o` so call sites stay oneliners.
-  IssueOutcome stall(const Warp& w, IssueOutcome o, Cycle cand) {
+  IssueOutcome stall(const Warp& w, IssueOutcome o, Cycle cand,
+                     Unit unit = Unit::kNone) {
     StallRec& rec = warp_stall_[static_cast<size_t>(&w - warps_.data())];
     rec.cls = o;
     rec.wake = cand;
+    rec.unit = unit;
     if (cand < quiet_wake_) quiet_wake_ = cand;
     return o;
+  }
+  /// A structural stall on unit `u`: the wake follows the unit's live
+  /// next-free counter (see StallRec).
+  IssueOutcome stall_on(const Warp& w, Unit u) {
+    return stall(w, IssueOutcome::kStructural, unit_free(u), u);
   }
   /// Count one stall of class `cls`, exactly as a failed attempt would.
   void count_stall(IssueOutcome cls) {
@@ -247,21 +259,24 @@ class SmCore {
   // Event-engine bookkeeping: last cycle whose statistics are accounted,
   // whether the last simulated cycle made progress, the SM wake time and
   // the per-warp stall class + wake recorded by failed issue attempts.
-  // A warp's record stays valid until the recorded wake cycle: pending
-  // ready times are fixed at issue, unit next-free counters only move
-  // later, and barriers are cleared explicitly (which resets the record).
+  // A stalled warp does not change, its scoreboard only drains, and
+  // barriers are cleared explicitly (which resets the record). So a
+  // scoreboard record blocks until its recorded wake, and a structural
+  // record blocks while its unit is busy: the issue walk reads the unit's
+  // live next-free counter, which only moves forward, so a unit re-booked
+  // by another warp keeps the record blocked without a re-attempt. `unit`
+  // is derived state (the unit class of the instruction at the warp's pc),
+  // never serialized; restore() recomputes it.
   struct StallRec {
     Cycle wake = 0;  // 0 = must attempt; kNeverCycle = barrier (external)
     IssueOutcome cls = IssueOutcome::kStructural;
+    Unit unit = Unit::kNone;  // the busy unit of a structural stall
   };
   Cycle last_settled_ = 0;
   bool progress_ = false;
   Cycle quiet_wake_ = kNeverCycle;
   std::vector<StallRec> warp_stall_;  // parallel to warps_
 
-  // Scratch buffers reused across cycles.
-  std::vector<u64> addr_scratch_;
-  std::vector<u64> line_scratch_;
   // Immediate-splat rows for the lane-vector kernels (one per source slot).
   u32 splat_a_[kWarpSize];
   u32 splat_b_[kWarpSize];

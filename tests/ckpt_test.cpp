@@ -18,6 +18,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -878,6 +879,225 @@ TEST(CkptDecodeLengths, ReaderVectors) {
     ckpt::Reader r(bytes, no_sections);
     EXPECT_THROW((void)r.get_string(), ckpt::SnapshotError);
   }
+}
+
+// ---- Restore refuses corrupt counts before allocating ---------------------
+
+/// Blob offsets of the count fields SmCore::restore and
+/// MemHierarchy::restore allocate from, found by walking the "sm<i>" and
+/// "memsys" sections in their save() layout.
+struct CountFields {
+  std::vector<size_t> shared, stack, preds, pending;  // active blocks / warps
+  std::vector<size_t> mshr;                           // per SM
+  std::vector<u64> mshr_len;                          // entries, per SM
+};
+
+const ckpt::Section& section_named(const ckpt::Snapshot& s,
+                                   const std::string& name) {
+  for (const ckpt::Section& sec : s.sections)
+    if (sec.name == name) return sec;
+  throw std::runtime_error("no section " + name);
+}
+
+CountFields find_count_fields(const ckpt::Snapshot& s, const sim::GpuParams& p) {
+  CountFields f;
+  const std::vector<ckpt::Section> none;
+  for (u32 i = 0; i < p.num_sms; ++i) {
+    const ckpt::Section& sec = section_named(s, "sm" + std::to_string(i));
+    ckpt::Reader r(s.blob.data() + sec.offset, sec.len, none);
+    const auto here = [&] { return sec.offset + sec.len - r.remaining(); };
+    const auto skip_vec = [&](size_t each) { r.take(each * r.get64()); };
+    r.take(4 * 4 + 3 * 8);  // occupancy, unit counters, age
+    const u64 nsched = r.get64();
+    r.take(4 * nsched);
+    for (u64 k = 0; k < nsched; ++k) skip_vec(4);
+    r.take(8 + 1 + 8 + 9 * p.max_warps_per_sm);  // settle, stall records
+    for (u32 b = 0; b < p.max_blocks_per_sm; ++b) {
+      if (!r.getb()) continue;
+      r.take(8 * 4);
+      f.shared.push_back(here());
+      skip_vec(1);
+      r.take(3 * 4 + 8);
+    }
+    for (u32 w = 0; w < p.max_warps_per_sm; ++w) {
+      if (!r.getb()) continue;
+      r.take(8 + 4 * 4);
+      f.stack.push_back(here());
+      skip_vec(12);
+      skip_vec(4);  // registers
+      f.preds.push_back(here());
+      skip_vec(1);
+      r.take(1);
+      f.pending.push_back(here());
+      skip_vec(11);
+      r.take(8);
+    }
+    EXPECT_EQ(r.remaining(), 22u * 8) << "sm" << i << " layout walk is off";
+  }
+  const ckpt::Section& sec = section_named(s, "memsys");
+  ckpt::Reader r(s.blob.data() + sec.offset, sec.len, none);
+  for (int v = 0; v < 3; ++v) r.take(8 * r.get64());  // bandwidth counters
+  const u64 nsms = r.get64();
+  for (u64 i = 0; i < nsms; ++i) {
+    f.mshr.push_back(sec.offset + sec.len - r.remaining());
+    f.mshr_len.push_back(r.get64());
+    r.take(17 * f.mshr_len.back());
+  }
+  EXPECT_EQ(r.remaining(), 16u * 8) << "memsys layout walk is off";
+  return f;
+}
+
+void put_le64(std::vector<u8>& blob, size_t at, u64 v) {
+  for (int i = 0; i < 8; ++i) blob[at + i] = static_cast<u8>(v >> (8 * i));
+}
+
+u64 get_le64(const std::vector<u8>& blob, size_t at) {
+  u64 v = 0;
+  for (int i = 0; i < 8; ++i) v |= static_cast<u64>(blob[at + i]) << (8 * i);
+  return v;
+}
+
+// ---- Structural-stall herds across a restore ------------------------------
+
+/// A device whose every SM is full of warps queued on the LSU (or the SFU),
+/// launched but not yet synchronized. Deterministic, so two calls build
+/// devices with identical host histories.
+std::unique_ptr<runtime::Device> herd_device(sim::SimEngine engine, bool sfu) {
+  sim::GpuParams p;
+  p.engine = engine;
+  auto dev = std::make_unique<runtime::Device>(p);
+  dev->set_kernel_scheduler(sched::make_scheduler(sched::Policy::kDefault));
+  const u32 threads = testing::full_gpu_threads(p);
+  const memsys::DevPtr out = dev->malloc((threads * 32 + 64) * 4);
+  dev->launch(testing::make_launch(sfu ? testing::make_sfu_herd_kernel(24)
+                                       : testing::make_lsu_herd_kernel(24),
+                                   threads, 256, {out, threads}));
+  return dev;
+}
+
+/// Mid-herd snapshots of a straight run, and its final state.
+struct HerdRun {
+  std::vector<ckpt::SnapshotPtr> mid;
+  ckpt::SnapshotPtr final_state;
+};
+
+HerdRun run_herd(sim::SimEngine engine, bool sfu, std::vector<Cycle> targets) {
+  auto dev = herd_device(engine, sfu);
+  dev->set_checkpoint_targets(std::move(targets));
+  dev->synchronize();
+  return {dev->target_snapshots(), dev->snapshot()};
+}
+
+/// True when SM 0 of `s` has both its SFU and its LSU booked past the
+/// capture cycle (the unit counters open the "sm0" section, after four u32
+/// occupancy counters). A warp restored onto the wrong unit is then skipped
+/// while its own unit is free, so a capture here makes that bug visible.
+bool both_units_busy(const ckpt::Snapshot& s) {
+  const ckpt::Section& sec = section_named(s, "sm0");
+  return get_le64(s.blob, sec.offset + 16) > s.cycle &&
+         get_le64(s.blob, sec.offset + 24) > s.cycle;
+}
+
+class CkptHerd
+    : public ::testing::TestWithParam<std::pair<sim::SimEngine, bool>> {};
+
+TEST_P(CkptHerd, RestoreMidHerdRunsToTheStraightResult) {
+  const auto [engine, sfu] = GetParam();
+  std::vector<Cycle> targets;
+  for (Cycle t = 9000; t < 9100; t += 3) targets.push_back(t);
+  const HerdRun straight = run_herd(engine, sfu, targets);
+  // The stall records of the queued warps are in the snapshot; the unit
+  // each one waits on is not, and the restore derives it again.
+  u32 resumed_runs = 0;
+  for (const ckpt::SnapshotPtr& mid : straight.mid) {
+    ASSERT_NE(mid, nullptr);
+    ASSERT_LT(mid->cycle, straight.final_state->cycle);
+    if (!both_units_busy(*mid)) continue;
+    SCOPED_TRACE("capture@" + std::to_string(mid->cycle));
+    auto fresh = herd_device(engine, sfu);
+    fresh->arm_resume(mid);
+    fresh->synchronize();
+    const ckpt::SnapshotPtr resumed = fresh->snapshot();
+    EXPECT_EQ(resumed->hash(), straight.final_state->hash());
+    EXPECT_EQ(ckpt::first_divergence(*straight.final_state, *resumed), "");
+    const StatSet stats = fresh->gpu().collect_stats();
+    EXPECT_GT(stats.get("issue_stall_structural"),
+              4 * stats.get("instructions"));
+    if (++resumed_runs == 3) break;
+  }
+  EXPECT_GT(resumed_runs, 0u) << "no capture had both units busy";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EnginesAndUnits, CkptHerd,
+    ::testing::Values(std::pair{sim::SimEngine::kEvent, false},
+                      std::pair{sim::SimEngine::kEvent, true},
+                      std::pair{sim::SimEngine::kDense, false},
+                      std::pair{sim::SimEngine::kDense, true}),
+    [](const auto& info) {
+      return std::string(info.param.first == sim::SimEngine::kEvent ? "event_"
+                                                                    : "dense_") +
+             (info.param.second ? "sfu" : "lsu");
+    });
+
+/// Restoring `s` into a fresh device throws a SnapshotError naming `what`.
+void expect_restore_refused(const ckpt::Snapshot& s, const std::string& what) {
+  runtime::Device dev;
+  dev.set_kernel_scheduler(sched::make_scheduler(sched::Policy::kDefault));
+  try {
+    dev.restore(s);
+    FAIL() << "restored a snapshot with a corrupt " << what;
+  } catch (const ckpt::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+  }
+}
+
+TEST(CkptRestoreCounts, CorruptCountsAreRefused) {
+  const sim::GpuParams p;
+  const HerdRun run = run_herd(sim::SimEngine::kEvent, /*sfu=*/false, {6000});
+  ASSERT_NE(run.mid.at(0), nullptr);
+  const ckpt::Snapshot& good = *run.mid[0];
+  const CountFields f = find_count_fields(good, p);
+  ASSERT_FALSE(f.shared.empty());
+  ASSERT_FALSE(f.stack.empty());
+  ASSERT_EQ(f.mshr.size(), p.num_sms);
+  {
+    runtime::Device dev;  // the uncorrupted snapshot restores
+    dev.set_kernel_scheduler(sched::make_scheduler(sched::Policy::kDefault));
+    EXPECT_NO_THROW(dev.restore(good));
+  }
+
+  const std::pair<const std::vector<size_t>*, const char*> counts[] = {
+      {&f.shared, "shared memory"},     {&f.stack, "reconvergence stack"},
+      {&f.preds, "predicates"},         {&f.pending, "pending writes"},
+      {&f.mshr, "MSHR"}};
+  for (const auto& [offsets, what] : counts) {
+    for (size_t at : {offsets->front(), offsets->back()}) {
+      ckpt::Snapshot bad = good;
+      put_le64(bad.blob, at, kHugeLength);
+      expect_restore_refused(bad, what);
+    }
+  }
+
+  // An MSHR count that fits the input but not the geometry.
+  ckpt::Snapshot over = good;
+  put_le64(over.blob, f.mshr[0], p.mem.l1_mshr_entries + 1);
+  expect_restore_refused(over, "more than l1_mshr_entries");
+
+  // Entries out of (ready, line) order, and a line in flight twice.
+  size_t sm = 0;
+  while (sm < f.mshr.size() && f.mshr_len[sm] < 2) ++sm;
+  ASSERT_LT(sm, f.mshr.size()) << "no SM had two misses in flight";
+  const size_t e0 = f.mshr[sm] + 8;  // entry: line, ready, fill_dirty
+  const size_t e1 = e0 + 17;
+  ckpt::Snapshot swapped = good;
+  std::swap_ranges(swapped.blob.begin() + static_cast<long>(e0),
+                   swapped.blob.begin() + static_cast<long>(e1),
+                   swapped.blob.begin() + static_cast<long>(e1));
+  expect_restore_refused(swapped, "out of (ready, line) order");
+  ckpt::Snapshot dup = good;
+  put_le64(dup.blob, e1, get_le64(good.blob, e0));
+  expect_restore_refused(dup, "twice");
 }
 
 // ---- Policy / label / sweep validation ------------------------------------

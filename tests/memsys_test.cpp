@@ -62,21 +62,28 @@ TEST(Cache, ClearDropsEverything) {
   EXPECT_FALSE(c.probe(0));
 }
 
+/// Coalesced lines of `addrs` as a vector.
+std::vector<u64> lines_of(const std::vector<u64>& addrs, u32 line_bytes) {
+  std::vector<u64> lines(addrs.size());
+  lines.resize(coalesce_into(addrs, line_bytes, lines));
+  return lines;
+}
+
 TEST(Coalescer, ConsecutiveWordsShareOneLine) {
   std::vector<u64> addrs;
   for (u64 i = 0; i < 32; ++i) addrs.push_back(i * 4);
-  EXPECT_EQ(coalesce(addrs, 128).size(), 1u);
+  EXPECT_EQ(lines_of(addrs, 128).size(), 1u);
 }
 
 TEST(Coalescer, StridedAccessHitsManyLines) {
   std::vector<u64> addrs;
   for (u64 i = 0; i < 32; ++i) addrs.push_back(i * 128);
-  EXPECT_EQ(coalesce(addrs, 128).size(), 32u);
+  EXPECT_EQ(lines_of(addrs, 128).size(), 32u);
 }
 
 TEST(Coalescer, DeduplicatesIntoAscendingLineOrder) {
   const std::vector<u64> addrs = {400, 0, 404, 8};
-  const std::vector<u64> lines = coalesce(addrs, 128);
+  const std::vector<u64> lines = lines_of(addrs, 128);
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_EQ(lines[0], 0u);
   EXPECT_EQ(lines[1], 3u);

@@ -282,6 +282,68 @@ TEST(EngineEquivalenceMixed, DenseSteppingComposesWithEventRuns) {
   }
 }
 
+// ---- Structural-stall herds ------------------------------------------------
+// Every warp of a full SM queues on one busy unit. The event engine keeps
+// such a warp blocked by reading the unit's live next-free counter instead
+// of re-attempting the issue; the dense loop re-attempts every warp every
+// cycle. Both must count the same stalls and finish every block at the same
+// cycle.
+
+struct HerdArtifacts {
+  Cycle final_cycle = 0;
+  StatSet stats;
+  std::vector<BlockRecord> records;
+  std::vector<u32> memory;
+};
+
+HerdArtifacts run_herd(SimEngine engine, ExecMode mode, bool sfu) {
+  GpuParams params = engine_params(engine);
+  params.exec_mode = mode;
+  memsys::GlobalStore store;
+  Gpu gpu(params, &store);
+  gpu.set_kernel_scheduler(std::make_unique<sched::DefaultKernelScheduler>());
+  const u32 threads = testing::full_gpu_threads(params);
+  const u32 out_words = sfu ? threads : threads * 32 + 64;
+  const memsys::DevPtr out = store.alloc(out_words * 4);
+  gpu.launch(make_launch(sfu ? testing::make_sfu_herd_kernel(24)
+                             : testing::make_lsu_herd_kernel(24),
+                         threads, 256, {out, threads}));
+  HerdArtifacts a;
+  a.final_cycle = gpu.run_until_idle(100'000'000);
+  a.stats = gpu.collect_stats();
+  a.records = gpu.block_records();
+  for (u32 w = 0; w < out_words; ++w) a.memory.push_back(store.read32(out + w * 4));
+  return a;
+}
+
+class HerdEquivalence
+    : public ::testing::TestWithParam<std::pair<bool, ExecMode>> {};
+
+TEST_P(HerdEquivalence, EventEngineBitIdenticalToDense) {
+  const auto [sfu, mode] = GetParam();
+  const HerdArtifacts dense = run_herd(SimEngine::kDense, mode, sfu);
+  const HerdArtifacts event = run_herd(SimEngine::kEvent, mode, sfu);
+  // A herd: structural stalls outnumber issued instructions several times.
+  EXPECT_GT(dense.stats.get("issue_stall_structural"),
+            4 * dense.stats.get("instructions"));
+  EXPECT_EQ(dense.final_cycle, event.final_cycle);
+  expect_same_stats(dense.stats, event.stats, sfu ? "sfu herd" : "lsu herd");
+  expect_same_records(dense.records, event.records,
+                      sfu ? "sfu herd" : "lsu herd");
+  EXPECT_EQ(dense.memory, event.memory);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LsuAndSfu, HerdEquivalence,
+    ::testing::Values(std::pair{false, ExecMode::kBlock},
+                      std::pair{false, ExecMode::kInterp},
+                      std::pair{true, ExecMode::kBlock},
+                      std::pair{true, ExecMode::kInterp}),
+    [](const auto& info) {
+      return std::string(info.param.first ? "sfu_" : "lsu_") +
+             (info.param.second == ExecMode::kBlock ? "block" : "interp");
+    });
+
 }  // namespace
 }  // namespace higpu::sim
 
