@@ -37,29 +37,57 @@ ImagePtr make_image(const u8* data, size_t len) {
   return make_image(std::vector<u8>(data, data + len));
 }
 
+void check_store_pages(const std::vector<StorePage>& pages) {
+  for (size_t i = 0; i < pages.size(); ++i) {
+    const u32 index = pages[i].index;
+    if (index >= kStorePages)
+      throw SnapshotError("snapshot store page index " + std::to_string(index) +
+                          " is out of range (the address space has " +
+                          std::to_string(kStorePages) + " pages)");
+    if (i > 0 && index == pages[i - 1].index)
+      throw SnapshotError("snapshot store page table holds a duplicate index " +
+                          std::to_string(index));
+    if (i > 0 && index < pages[i - 1].index)
+      throw SnapshotError("snapshot store page table out of order: index " +
+                          std::to_string(index) + " after " +
+                          std::to_string(pages[i - 1].index));
+    if (pages[i].image == nullptr ||
+        pages[i].image->bytes.size() != kStorePageBytes)
+      throw SnapshotError("snapshot store page " + std::to_string(index) +
+                          " is not " + std::to_string(kStorePageBytes) +
+                          " bytes long");
+  }
+}
+
 namespace {
 
-/// Call `f` on every image of `s`: store pages, then launch history, then
-/// block-record history.
+/// Call `f` on every history image of `s`: launches, then block records.
 template <class F>
-void for_each_image(const Snapshot& s, F f) {
-  for (const auto* images : {&s.store_pages, &s.launch_images, &s.record_images})
+void for_each_history_image(const Snapshot& s, F f) {
+  for (const auto* images : {&s.launch_images, &s.record_images})
     for (const ImagePtr& image : *images) f(*image);
 }
 
 }  // namespace
 
 u64 Snapshot::hash() const {
-  // The blob's hash and every image's, hashed again as little-endian words.
+  // The blob's hash, each store page's index and hash, and each history
+  // image's hash, hashed again as little-endian words.
   Writer w;
   w.put64(hash64(blob.data(), blob.size()));
-  for_each_image(*this, [&w](const Image& image) { w.put64(image.hash); });
+  for (const StorePage& page : store_pages) {
+    w.put32(page.index);
+    w.put64(page.image->hash);
+  }
+  for_each_history_image(*this,
+                         [&w](const Image& image) { w.put64(image.hash); });
   return hash64(w.blob().data(), w.blob().size());
 }
 
 u64 Snapshot::size_bytes() const {
-  u64 n = blob.size();
-  for_each_image(*this, [&n](const Image& image) { n += image.bytes.size(); });
+  u64 n = blob.size() + store_extent;
+  for_each_history_image(*this,
+                         [&n](const Image& image) { n += image.bytes.size(); });
   return n;
 }
 
@@ -105,19 +133,24 @@ std::string localize(const Section& s, const std::vector<u8>& a,
 }
 
 /// "store @0x<address>" of the first differing store byte, or "" when the
-/// page lists hold the same contents. Callers have already checked that
-/// the two stores have the same size, hence the same paging.
+/// page lists hold the same contents. A page only one side holds compares
+/// against zeros, which is what the other side reads there.
 std::string store_divergence(const Snapshot& a, const Snapshot& b) {
-  if (a.store_pages.size() != b.store_pages.size()) return "store";
-  for (size_t i = 0; i < a.store_pages.size(); ++i) {
-    const Image& pa = *a.store_pages[i];
-    const Image& pb = *b.store_pages[i];
-    if (&pa == &pb) continue;  // shared image
-    if (pa.bytes.size() != pb.bytes.size()) return "store";
-    if (pa.hash == pb.hash && pa.bytes == pb.bytes) continue;
-    const u64 addr = i * kStorePageBytes +
-                     first_diff(pa.bytes.data(), pb.bytes.data(),
-                                pa.bytes.size());
+  static const std::vector<u8> zeros(kStorePageBytes, 0);
+  const auto& pa = a.store_pages;
+  const auto& pb = b.store_pages;
+  for (size_t i = 0, j = 0; i < pa.size() || j < pb.size();) {
+    const u64 ia = i < pa.size() ? pa[i].index : kStorePages;
+    const u64 ib = j < pb.size() ? pb[j].index : kStorePages;
+    const u64 index = std::min(ia, ib);
+    const Image* ima = ia == index ? pa[i++].image.get() : nullptr;
+    const Image* imb = ib == index ? pb[j++].image.get() : nullptr;
+    if (ima == imb) continue;  // shared image
+    const std::vector<u8>& ba = ima != nullptr ? ima->bytes : zeros;
+    const std::vector<u8>& bb = imb != nullptr ? imb->bytes : zeros;
+    if (ba == bb) continue;
+    const u64 addr =
+        index * kStorePageBytes + first_diff(ba.data(), bb.data(), ba.size());
     char buf[32];
     std::snprintf(buf, sizeof(buf), "store @0x%llx",
                   static_cast<unsigned long long>(addr));
@@ -160,7 +193,7 @@ std::string first_divergence(const Snapshot& a, const Snapshot& b) {
         std::memcmp(a.blob.data() + sa.offset, b.blob.data() + sb.offset,
                     sa.len) != 0)
       return localize(sa, a.blob, b.blob, sb.offset);
-    // The "store" section holds the allocator cursor and the store size;
+    // The "store" section holds the allocator cursor and the store extent;
     // with both equal, the contents are compared page by page.
     if (sa.name == "store") {
       std::string where = store_divergence(a, b);

@@ -26,11 +26,11 @@
 // place in the device's program table, so it stays valid for every later
 // snapshot of the same device.
 //
-// State that only grows is held beside the blob, as immutable hashed
-// images (ckpt::Image) that snapshots share by pointer:
-//  * the global store as 4 KiB page images (`store_pages`); a capture
-//    re-images only the pages written since the device's previous capture
-//    or restore;
+// Two kinds of state are held beside the blob, as immutable hashed images
+// (ckpt::Image) that snapshots share by pointer:
+//  * the global store's written pages (`store_pages`), 4 KiB each. They are
+//    the store's own pages: a capture takes their pointers and a restore
+//    hands them back, and a write after either copies the page it touches;
 //  * the launch and block-record history (`launch_images`,
 //    `record_images`). A launch stops changing once it finishes and block
 //    records are only ever appended, so each is encoded once, into images
@@ -85,10 +85,12 @@ void visit_fields(S& p, V&& v) {
   v("interval_cycles", p.interval_cycles);
 }
 
-/// Page size of the global-store images a Snapshot holds. Page i covers
-/// device addresses [i * kStorePageBytes, i * kStorePageBytes + size);
-/// every page but the store's last is full.
+/// Page size of the global store, and the exact length of every store page
+/// a Snapshot holds. Page i covers device addresses [i * kStorePageBytes,
+/// (i + 1) * kStorePageBytes).
 constexpr u64 kStorePageBytes = 4096;
+/// Pages in the 32-bit device address space; every page index is below it.
+constexpr u64 kStorePages = (u64{1} << 32) / kStorePageBytes;
 
 /// One immutable byte image held beside a snapshot's blob: a global-store
 /// page, or a run of launch or block-record history. Never changes once
@@ -104,6 +106,18 @@ ImagePtr make_image(std::vector<u8> bytes);
 /// Image a copy of `len` bytes at `data`.
 ImagePtr make_image(const u8* data, size_t len);
 
+/// One written page of a snapshot's global store. A page the store never
+/// wrote is absent and reads as zeros.
+struct StorePage {
+  u32 index = 0;  // device address / kStorePageBytes
+  ImagePtr image;
+};
+
+/// Throws SnapshotError, naming the fault, unless `pages` is ascending by
+/// index without duplicates, every index is below kStorePages and every
+/// image is exactly kStorePageBytes long.
+void check_store_pages(const std::vector<StorePage>& pages);
+
 class Snapshot {
  public:
   /// Bump on any change to the blob layout.
@@ -116,7 +130,9 @@ class Snapshot {
   /// v5: finished launches and block records move from the "gpu" section
   ///     to launch_images and record_images; launches name their program
   ///     by its index in the device's program table.
-  static constexpr u32 kVersion = 5;
+  /// v6: store_pages hold only the written pages, each a full page tagged
+  ///     with its index; the "store" section's size is the store's extent.
+  static constexpr u32 kVersion = 6;
   static constexpr u64 kMagic = 0x48474355434B5054ull;  // "HGPUCKPT"
 
   // ---- Capture metadata (duplicated from the blob for cheap access) -------
@@ -134,14 +150,17 @@ class Snapshot {
   /// The checkpoint target cycle this capture satisfies (== cycle unless
   /// the event engine stopped between events; then cycle <= target).
   Cycle target = 0;
+  /// The global store's extent (memsys::GlobalStore::extent()): its size
+  /// as one flat byte array, also saved in the "store" section.
+  u64 store_extent = 0;
 
   // ---- State --------------------------------------------------------------
   std::vector<u8> blob;
   std::vector<Section> sections;
   /// The device's program table: launches name their program by index.
   std::vector<isa::ProgramPtr> programs;
-  /// Global-store contents, page by page.
-  std::vector<ImagePtr> store_pages;
+  /// The global store's written pages, ascending by index.
+  std::vector<StorePage> store_pages;
   /// The longest prefix of launches that have all finished, encoded
   /// sim::Gpu::kLaunchesPerImage to an image (the last may hold fewer).
   /// Later launches are live state and stay in the blob.
@@ -150,14 +169,14 @@ class Snapshot {
   /// may hold fewer).
   std::vector<ImagePtr> record_images;
 
-  /// Hash over the blob and every image — two snapshots of identical
-  /// device state hash identically (the blob layout is padding-free and
-  /// deterministic, and every device cuts the same state into the same
-  /// images).
+  /// Hash over the blob, every store page's index and hash, and every
+  /// history image's hash — two snapshots of identical device state hash
+  /// identically (the blob layout is padding-free and deterministic, and
+  /// every device cuts the same state into the same images).
   u64 hash() const;
-  /// Serialized device state in bytes: the blob plus every image. This is
-  /// the size the state would have as one flat image, and what a rollback
-  /// is charged for (PlatformParams::restore_ns).
+  /// Serialized device state in bytes: the blob, the store extent and every
+  /// history image. This is the size the state would have as one flat
+  /// image, and what a rollback is charged for (PlatformParams::restore_ns).
   u64 size_bytes() const;
 
   const Section* find_section(const std::string& name) const;

@@ -34,45 +34,81 @@ constexpr size_t kInstructionBytes =
 /// program (empty name, no code), for bounding their counts.
 constexpr size_t kMinSectionBytes = 8 + 4 * 8;
 constexpr size_t kMinProgramBytes = 8 + 2 + 2 + 4 + 4 + 8;
-/// Length + hash ahead of every image's bytes.
+/// Length + hash ahead of every image's bytes, and the page index ahead of
+/// a store page's.
 constexpr size_t kImageHeaderBytes = 8 + 8;
+constexpr size_t kStorePageHeaderBytes = 4 + kImageHeaderBytes;
+
+void put_image(Writer& w, const Image& image) {
+  w.put64(image.bytes.size());
+  w.put64(image.hash);
+  w.put_bytes(image.bytes.data(), image.bytes.size());
+}
 
 void put_images(Writer& w, const std::vector<ImagePtr>& images) {
   w.put64(images.size());
-  for (const ImagePtr& image : images) {
-    w.put64(image->bytes.size());
-    w.put64(image->hash);
-    w.put_bytes(image->bytes.data(), image->bytes.size());
-  }
+  for (const ImagePtr& image : images) put_image(w, *image);
 }
 
-/// Read one image table and re-hash every image. `kind` names the images in
-/// errors, `max_len` bounds one image's length, and `where(i)` names image
-/// i when its bytes do not match its stored hash.
-template <class Where>
-std::vector<ImagePtr> get_images(Reader& r, const std::string& kind,
-                                 u64 max_len, const Where& where) {
+/// Read one image and re-hash it. `name()` names the image in errors; its
+/// length must be `exact_len` when that is nonzero, and fit in the bytes
+/// left either way.
+template <class Name>
+ImagePtr get_image(Reader& r, u64 exact_len, const Name& name) {
+  const u64 len = r.get64();
+  if (exact_len != 0 && len != exact_len)
+    throw SnapshotError("snapshot " + name() + " is " + std::to_string(len) +
+                        " bytes, not " + std::to_string(exact_len));
+  if (len > r.remaining())
+    throw SnapshotError("snapshot " + name() + " claims " +
+                        std::to_string(len) + " bytes (max " +
+                        std::to_string(r.remaining()) + ")");
+  const u64 hash = r.get64();
+  std::vector<u8> bytes(static_cast<size_t>(len));
+  r.get_bytes(bytes.data(), bytes.size());
+  ImagePtr image = make_image(std::move(bytes));
+  if (image->hash != hash)
+    throw SnapshotError("snapshot " + name() +
+                        " corrupted in transit (stored hash does not match "
+                        "its contents)");
+  return image;
+}
+
+/// Read one history image table; `kind` names its images with their index.
+std::vector<ImagePtr> get_images(Reader& r, const std::string& kind) {
   const u64 n = r.get_count(kImageHeaderBytes, (kind + " table").c_str());
   std::vector<ImagePtr> images;
   images.reserve(static_cast<size_t>(n));
-  for (u64 i = 0; i < n; ++i) {
-    const u64 len = r.get64();
-    if (len > max_len || len > r.remaining())
-      throw SnapshotError("snapshot " + kind + " " + std::to_string(i) +
-                          " claims " + std::to_string(len) + " bytes (max " +
-                          std::to_string(std::min<u64>(max_len, r.remaining())) +
-                          ")");
-    const u64 hash = r.get64();
-    std::vector<u8> bytes(static_cast<size_t>(len));
-    r.get_bytes(bytes.data(), bytes.size());
-    ImagePtr image = make_image(std::move(bytes));
-    if (image->hash != hash)
-      throw SnapshotError("snapshot " + kind + " " + where(i) +
-                          " corrupted in transit (stored hash does not match "
-                          "its contents)");
-    images.push_back(std::move(image));
-  }
+  for (u64 i = 0; i < n; ++i)
+    images.push_back(
+        get_image(r, 0, [&] { return kind + " " + std::to_string(i); }));
   return images;
+}
+
+void put_store_pages(Writer& w, const std::vector<StorePage>& pages) {
+  w.put64(pages.size());
+  for (const StorePage& page : pages) {
+    w.put32(page.index);
+    put_image(w, *page.image);
+  }
+}
+
+/// Read the store page table; a page is named by its device address.
+std::vector<StorePage> get_store_pages(Reader& r) {
+  const u64 n = r.get_count(kStorePageHeaderBytes, "store page table");
+  std::vector<StorePage> pages(static_cast<size_t>(n));
+  for (StorePage& page : pages) {
+    page.index = r.get32();
+    page.image = get_image(r, kStorePageBytes, [&] {
+      char buf[48];
+      std::snprintf(buf, sizeof(buf), "store page @0x%llx",
+                    static_cast<unsigned long long>(page.index) *
+                        kStorePageBytes);
+      return std::string(buf);
+    });
+  }
+  check_store_pages(pages);
+  return pages;
 }
 
 void put_program(Writer& w, const isa::KernelProgram& p) {
@@ -142,6 +178,7 @@ std::vector<u8> encode_snapshot(const Snapshot& snap) {
   w.put64(snap.launch_count);
   w.put64(static_cast<u64>(snap.now_ns));
   w.put64(snap.target);
+  w.put64(snap.store_extent);
 
   w.put64(snap.sections.size());
   for (const Section& s : snap.sections) {
@@ -155,7 +192,7 @@ std::vector<u8> encode_snapshot(const Snapshot& snap) {
   w.put64(snap.blob.size());
   w.put_bytes(snap.blob.data(), snap.blob.size());
 
-  put_images(w, snap.store_pages);
+  put_store_pages(w, snap.store_pages);
   put_images(w, snap.launch_images);
   put_images(w, snap.record_images);
 
@@ -213,6 +250,7 @@ SnapshotPtr decode_snapshot(const std::vector<u8>& bytes) {
   snap->launch_count = r.get64();
   snap->now_ns = static_cast<NanoSec>(r.get64());
   snap->target = r.get64();
+  snap->store_extent = r.get64();
 
   const u64 num_sections = r.get_count(kMinSectionBytes, "section table");
   snap->sections.reserve(static_cast<size_t>(num_sections));
@@ -246,17 +284,9 @@ SnapshotPtr decode_snapshot(const std::vector<u8>& bytes) {
 
   // Images, each re-hashed the same way; a store page is named by its
   // device address, a history image by its index.
-  snap->store_pages =
-      get_images(r, "store page", kStorePageBytes, [](u64 i) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "@0x%llx",
-                      static_cast<unsigned long long>(i * kStorePageBytes));
-        return std::string(buf);
-      });
-  const auto by_index = [](u64 i) { return std::to_string(i); };
-  snap->launch_images = get_images(r, "launch image", ~u64{0}, by_index);
-  snap->record_images =
-      get_images(r, "block-record image", ~u64{0}, by_index);
+  snap->store_pages = get_store_pages(r);
+  snap->launch_images = get_images(r, "launch image");
+  snap->record_images = get_images(r, "block-record image");
 
   const u64 num_programs = r.get_count(kMinProgramBytes, "program table");
   snap->programs.reserve(static_cast<size_t>(num_programs));

@@ -10,7 +10,8 @@
 //   sections   name / offset / length / record size / hash64 each
 //   blob       the raw state bytes
 //   images     three tables: store pages, launch images, block-record
-//              images; each a count, then per image: length, hash64, bytes
+//              images; each a count, then per image: length, hash64,
+//              bytes, with a store page's index ahead of its length
 //   programs   each KernelProgram serialized field-by-field (instructions,
 //              register/predicate/shared/param requirements)
 //   trailer    hash64 checksum over every preceding frame byte
@@ -38,7 +39,9 @@ namespace higpu::ckpt {
 /// snapshot *blob* layout is versioned independently by Snapshot::kVersion).
 /// v2: hash64 checksums and section hashes; store pages framed inline.
 /// v3: launch and block-record history images framed after the pages.
-constexpr u32 kWireVersion = 3;
+/// v4: the store extent joins the capture metadata; a store page carries
+///     its index, and only written pages are framed.
+constexpr u32 kWireVersion = 4;
 constexpr u64 kWireMagic = 0x48475055534E4150ull;  // "HGPUSNAP"
 
 /// Serialize a snapshot (blob + sections + store pages + programs +
@@ -47,9 +50,11 @@ std::vector<u8> encode_snapshot(const Snapshot& snap);
 
 /// Parse an encoded snapshot. Throws SnapshotError on: bad magic, frame
 /// version skew, a frame checksum mismatch (naming the expected/actual
-/// values), truncation, a length field larger than the bytes left, or a
-/// section or store page whose recomputed hash differs from the stored one
-/// (naming the section, or the store page's address). The returned snapshot
+/// values), truncation, a length field larger than the bytes left, a store
+/// page table out of order, with a duplicate or out-of-range index, or with
+/// a page that is not kStorePageBytes long, or a section or image whose
+/// recomputed hash differs from the stored one (naming the section, the
+/// store page's address or the history image's index). The returned snapshot
 /// is bit-identical to the encoded one (same blob and pages, hence same
 /// Snapshot::hash()).
 SnapshotPtr decode_snapshot(const std::vector<u8>& bytes);

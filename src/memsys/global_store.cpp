@@ -1,108 +1,144 @@
 #include "memsys/global_store.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 #include <new>
 
 namespace higpu::memsys {
 
-GlobalStore::GlobalStore(u64 capacity_bytes) : capacity_(capacity_bytes) {}
-
 DevPtr GlobalStore::alloc(u64 bytes) {
   const u64 start = align_up(next_, 256);
   const u64 end = start + align_up(bytes, 4);
-  if (end > capacity_ || end > 0xFFFFFFFFull) throw std::bad_alloc();
+  if (end > kCapacity) throw std::bad_alloc();
   next_ = static_cast<DevPtr>(end);
-  ensure(end);
+  reach(end);
   return static_cast<DevPtr>(start);
 }
 
 void GlobalStore::reset() { next_ = kBase; }
 
-void GlobalStore::ensure(u64 end) {
-  if (data_.size() < end) data_.resize(end, 0);
+void GlobalStore::reach(u64 end) const {
+  // Stores only when it grows: a store per access would chain every
+  // access through memory.
+  if (end > extent_) extent_ = std::min(end, u64{1} << 32);
+}
+
+const u8* GlobalStore::page_bytes(u32 index) const {
+  const Leaf* leaf = dir_[index >> kLeafShift].get();
+  return leaf != nullptr ? leaf->bytes[index & kLeafMask] : nullptr;
+}
+
+GlobalStore::Leaf& GlobalStore::leaf(u32 d) {
+  if (dir_[d] == nullptr) dir_[d] = std::make_unique<Leaf>();
+  return *dir_[d];
+}
+
+u8* GlobalStore::writable_page(u32 index) {
+  Leaf& leaf = this->leaf(index >> kLeafShift);
+  const u32 i = index & kLeafMask;
+  if (!leaf.owned[i]) {
+    auto page = std::make_shared<ckpt::Image>();
+    page->bytes = leaf.pages[i] != nullptr
+                      ? leaf.pages[i]->bytes
+                      : std::vector<u8>(ckpt::kStorePageBytes, 0);
+    leaf.bytes[i] = page->bytes.data();
+    leaf.pages[i] = std::move(page);
+    leaf.owned[i] = true;
+  }
+  return leaf.bytes[i];
 }
 
 u32 GlobalStore::read32(DevPtr addr) const {
-  assert(addr % 4 == 0 && "unaligned 32-bit global read");
-  if (addr + 4 > data_.size()) data_.resize(addr + 4, 0);
-  u32 v;
-  std::memcpy(&v, data_.data() + addr, 4);
+  u32 v = 0;
+  if ((addr & kPageMask) > kPageMask - 3) {
+    read_block(&v, addr, 4);
+    return v;
+  }
+  reach(u64{addr} + 4);
+  if (const u8* page = page_bytes(addr >> kPageShift))
+    std::memcpy(&v, page + (addr & kPageMask), 4);
   return v;
 }
 
 void GlobalStore::write32(DevPtr addr, u32 value) {
-  assert(addr % 4 == 0 && "unaligned 32-bit global write");
-  ensure(addr + 4);
-  std::memcpy(data_.data() + addr, &value, 4);
-  // An aligned word never straddles a page.
-  const u64 page = addr >> kPageShift;
-  if (page < dirty_.size()) dirty_[page] = 1;
+  if ((addr & kPageMask) > kPageMask - 3) {
+    write_block(addr, &value, 4);
+    return;
+  }
+  reach(u64{addr} + 4);
+  std::memcpy(writable_page(addr >> kPageShift) + (addr & kPageMask), &value,
+              4);
 }
 
 void GlobalStore::write_block(DevPtr dst, const void* src, u64 bytes) {
-  ensure(dst + bytes);
-  std::memcpy(data_.data() + dst, src, bytes);
-  if (bytes == 0) return;
-  const u64 end = std::min<u64>(((dst + bytes - 1) >> kPageShift) + 1,
-                                dirty_.size());
-  for (u64 p = dst >> kPageShift; p < end; ++p) dirty_[p] = 1;
+  reach(dst + bytes);
+  const u8* in = static_cast<const u8*>(src);
+  for (u64 done = 0; done < bytes;) {
+    const u32 addr = static_cast<u32>(dst + done);
+    const u32 off = addr & kPageMask;
+    const u64 n = std::min<u64>(bytes - done, ckpt::kStorePageBytes - off);
+    std::memcpy(writable_page(addr >> kPageShift) + off, in + done, n);
+    done += n;
+  }
 }
 
 void GlobalStore::read_block(void* dst, DevPtr src, u64 bytes) const {
-  if (data_.size() < src + bytes) data_.resize(src + bytes, 0);
-  std::memcpy(dst, data_.data() + src, bytes);
+  reach(src + bytes);
+  u8* out = static_cast<u8*>(dst);
+  for (u64 done = 0; done < bytes;) {
+    const u32 addr = static_cast<u32>(src + done);
+    const u32 off = addr & kPageMask;
+    const u64 n = std::min<u64>(bytes - done, ckpt::kStorePageBytes - off);
+    if (const u8* page = page_bytes(addr >> kPageShift))
+      std::memcpy(out + done, page + off, n);
+    else
+      std::memset(out + done, 0, n);
+    done += n;
+  }
 }
 
-std::vector<ckpt::ImagePtr> GlobalStore::save(ckpt::Writer& w) {
+void GlobalStore::save(ckpt::Writer& w, ckpt::Snapshot& snap) {
   w.put32(next_);
-  w.put64(data_.size());
-  const size_t pages = (data_.size() + ckpt::kStorePageBytes - 1) >> kPageShift;
-  images_.resize(pages);
-  dirty_.resize(pages, 1);
-  for (size_t i = 0; i < pages; ++i) {
-    // Growth shows as a length change: reads grow the store too, without
-    // passing through the write path that sets dirty bits.
-    const size_t off = i << kPageShift;
-    const size_t len =
-        std::min<size_t>(ckpt::kStorePageBytes, data_.size() - off);
-    if (dirty_[i] == 0 && images_[i] != nullptr &&
-        images_[i]->bytes.size() == len)
-      continue;
-    images_[i] = ckpt::make_image(data_.data() + off, len);
-    dirty_[i] = 0;
-    pages_imaged_ += 1;
+  w.put64(extent_);
+  snap.store_extent = extent_;
+  snap.store_pages.clear();
+  for (u32 d = 0; d < kLeaves; ++d) {
+    if (dir_[d] == nullptr) continue;
+    Leaf& leaf = *dir_[d];
+    for (u32 i = 0; i < kLeafPages; ++i) {
+      if (leaf.pages[i] == nullptr) continue;
+      if (leaf.owned[i]) {
+        ckpt::Image& page = *leaf.pages[i];
+        page.hash = ckpt::hash64(page.bytes.data(), page.bytes.size());
+        pages_imaged_ += 1;
+      }
+      snap.store_pages.push_back({(d << kLeafShift) | i, leaf.pages[i]});
+    }
+    leaf.owned.reset();
   }
-  return images_;
 }
 
-void GlobalStore::restore(ckpt::Reader& r,
-                          const std::vector<ckpt::ImagePtr>& pages) {
-  next_ = r.get32();
-  const u64 n = r.get64();
-  const u64 want = (n + ckpt::kStorePageBytes - 1) >> kPageShift;
-  if (pages.size() != want)
-    throw ckpt::SnapshotError("snapshot store of " + std::to_string(n) +
-                              " bytes needs " + std::to_string(want) +
-                              " pages, has " + std::to_string(pages.size()));
-  for (size_t i = 0; i < pages.size(); ++i) {
-    const u64 off = u64{i} << kPageShift;
-    if (pages[i]->bytes.size() != std::min<u64>(ckpt::kStorePageBytes, n - off))
-      throw ckpt::SnapshotError("snapshot store page " + std::to_string(i) +
-                                " has the wrong length");
+void GlobalStore::restore(ckpt::Reader& r, const ckpt::Snapshot& snap) {
+  ckpt::check_store_pages(snap.store_pages);
+  const DevPtr next = r.get32();
+  const u64 extent = r.get64();
+  if (extent != snap.store_extent)
+    throw ckpt::SnapshotError("snapshot store extent " +
+                              std::to_string(snap.store_extent) +
+                              " disagrees with its \"store\" section (" +
+                              std::to_string(extent) + ")");
+  next_ = next;
+  extent_ = extent;
+  for (std::unique_ptr<Leaf>& leaf : dir_)
+    if (leaf != nullptr) *leaf = Leaf{};
+  // Not owned, so never written in place: the cast only lets a later write
+  // find the bytes to copy.
+  for (const ckpt::StorePage& p : snap.store_pages) {
+    Leaf& leaf = this->leaf(p.index >> kLeafShift);
+    const u32 i = p.index & kLeafMask;
+    leaf.pages[i] = std::const_pointer_cast<ckpt::Image>(p.image);
+    leaf.bytes[i] = leaf.pages[i]->bytes.data();
   }
-  data_.resize(static_cast<size_t>(n));
-  // A page still holding the image it was saved or restored from, unwritten
-  // since, already has the snapshot's bytes.
-  const size_t kept = std::min(images_.size(), pages.size());
-  for (size_t i = 0; i < pages.size(); ++i) {
-    if (i < kept && images_[i] == pages[i] && dirty_[i] == 0) continue;
-    std::memcpy(data_.data() + (i << kPageShift), pages[i]->bytes.data(),
-                pages[i]->bytes.size());
-  }
-  images_ = pages;
-  dirty_.assign(pages.size(), 0);
 }
 
 }  // namespace higpu::memsys

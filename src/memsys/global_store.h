@@ -1,16 +1,28 @@
 // Functional backing store for GPU global memory, plus a bump allocator.
 //
-// Addresses are 32-bit (registers are 32-bit wide); the store grows lazily.
+// Addresses are 32-bit (registers are 32-bit wide) and wrap modulo 2^32.
+// The store is one page table: 4 KiB pages (ckpt::kStorePageBytes), each a
+// ckpt::Image, found through 1024 directory entries of 1024-page leaves.
+// A page exists once something is written to it; an unwritten page reads as
+// zeros and allocates nothing, so a write to a fault-corrupted address
+// costs one page (and the first time in its 4 MiB range, one leaf).
 //
-// Checkpoints are copy-on-write at page granularity (ckpt::kStorePageBytes).
-// The store stays one flat byte array for the simulator's reads and writes;
-// beside it, it keeps the page images of its last capture or restore and a
-// dirty bit per page. A write marks its pages dirty. A capture re-images the
-// dirty pages and pages whose length changed (growth), and shares every
-// other image with the previous capture.
+// The pages are also the checkpoint images. A capture hands out the page
+// pointers, and a restore adopts a snapshot's; neither copies a byte. A
+// write to a page a snapshot may share copies the page first. A per-page
+// `owned` flag decides: it is set when the store creates or copies a page
+// and cleared at capture and restore. (Not the pointer's use count:
+// snapshots cross campaign threads, and use_count() reads race.)
+//
+// Beside the pages the store keeps its extent: the high-water mark of every
+// alloc, read and write. That is the size the store would have as one flat
+// byte array grown to cover every access, and the store's share of
+// ckpt::Snapshot::size_bytes().
 #pragma once
 
-#include <vector>
+#include <array>
+#include <bitset>
+#include <memory>
 
 #include "ckpt/serial.h"
 #include "ckpt/snapshot.h"
@@ -23,9 +35,7 @@ using DevPtr = u32;
 
 class GlobalStore {
  public:
-  explicit GlobalStore(u64 capacity_bytes = 1ull << 30);
-
-  /// Allocate `bytes` (256-byte aligned). Throws std::bad_alloc on exhaustion.
+  /// Allocate `bytes` (256-byte aligned). Throws std::bad_alloc past 1 GiB.
   DevPtr alloc(u64 bytes);
 
   /// Release all allocations (arena-style reset). Contents are kept so old
@@ -36,7 +46,8 @@ class GlobalStore {
   /// Bytes currently allocated.
   u64 allocated() const { return next_ - kBase; }
 
-  // 32-bit word access (addresses must be 4-byte aligned).
+  // 32-bit word access. A word need not be aligned: one that straddles two
+  // pages, or the end of the address space, goes through the block path.
   u32 read32(DevPtr addr) const;
   void write32(DevPtr addr, u32 value);
 
@@ -44,30 +55,53 @@ class GlobalStore {
   void write_block(DevPtr dst, const void* src, u64 bytes);
   void read_block(void* dst, DevPtr src, u64 bytes) const;
 
-  // Checkpoint: save() writes the allocator cursor and the store size and
-  // returns the contents as page images; restore() reads them back.
-  std::vector<ckpt::ImagePtr> save(ckpt::Writer& w);
-  /// Throws ckpt::SnapshotError when `pages` do not tile the saved size.
-  void restore(ckpt::Reader& r, const std::vector<ckpt::ImagePtr>& pages);
+  /// High-water mark of every alloc, read and write (at most 2^32).
+  u64 extent() const { return extent_; }
 
-  /// Page images created by save() so far (deterministic: it counts the
-  /// pages written or grown between captures, not host work).
+  // Checkpoint: save() writes the allocator cursor and the extent and fills
+  // `snap`'s store pages and extent; restore() reads them back.
+  void save(ckpt::Writer& w, ckpt::Snapshot& snap);
+  /// Throws ckpt::SnapshotError when `snap`'s store pages are malformed
+  /// (see ckpt::check_store_pages) or its store_extent is not the saved one.
+  void restore(ckpt::Reader& r, const ckpt::Snapshot& snap);
+
+  /// Pages hashed by save() so far: those written since the previous save
+  /// or restore (deterministic: it counts pages, not host work).
   u64 pages_imaged() const { return pages_imaged_; }
 
  private:
   static constexpr DevPtr kBase = 256;  // keep nullptr-like 0 unmapped
-  static constexpr u64 kPageShift = 12;
+  static constexpr u64 kCapacity = 1ull << 30;
+  static constexpr u32 kPageShift = 12;
+  static constexpr u32 kPageMask = (1u << kPageShift) - 1;
   static_assert(u64{1} << kPageShift == ckpt::kStorePageBytes);
+  static constexpr u32 kLeafShift = 10;
+  static constexpr u32 kLeafPages = 1u << kLeafShift;
+  static constexpr u32 kLeafMask = kLeafPages - 1;
+  static constexpr u32 kLeaves = ckpt::kStorePages >> kLeafShift;
 
-  void ensure(u64 end);
+  /// 1024 consecutive pages. `bytes` is what reads and writes look up:
+  /// null until a page is first written, and written in place only while
+  /// the page is `owned`; otherwise a snapshot may hold it and it never
+  /// changes. `pages` holds the images the bytes live in.
+  struct Leaf {
+    std::array<u8*, kLeafPages> bytes{};
+    std::array<std::shared_ptr<ckpt::Image>, kLeafPages> pages;
+    std::bitset<kLeafPages> owned;
+  };
 
-  u64 capacity_;
+  /// Bytes of page `index`, or null when it was never written.
+  const u8* page_bytes(u32 index) const;
+  /// Bytes of page `index`, created or copied first unless owned.
+  u8* writable_page(u32 index);
+  /// Leaf `d`, allocated on first use.
+  Leaf& leaf(u32 d);
+  /// Raise the extent to `end` (capped at the 4 GiB address space).
+  void reach(u64 end) const;
+
+  std::array<std::unique_ptr<Leaf>, kLeaves> dir_;
   DevPtr next_ = kBase;
-  mutable std::vector<u8> data_;
-  /// Images of the last save()/restore(), page by page, and parallel dirty
-  /// bits. Pages past the end of `images_` are new and always imaged.
-  std::vector<ckpt::ImagePtr> images_;
-  std::vector<u8> dirty_;
+  mutable u64 extent_ = 0;  // const reads raise it too
   u64 pages_imaged_ = 0;
 };
 

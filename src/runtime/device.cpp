@@ -225,7 +225,7 @@ ckpt::SnapshotPtr Device::capture(Cycle nominal) {
   w.end_section();
 
   w.begin_section("store");
-  snap->store_pages = store_->save(w);
+  store_->save(w, *snap);
   w.end_section();
 
   gpu_->save(w, *snap);
@@ -296,7 +296,7 @@ void Device::restore_impl(const ckpt::Snapshot& s, bool restore_fault) {
   r.leave_section();
 
   r.enter_section("store");
-  store_->restore(r, s.store_pages);
+  store_->restore(r, s);
   r.leave_section();
 
   gpu_->restore(r, s, restore_fault);

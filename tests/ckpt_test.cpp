@@ -341,10 +341,8 @@ TEST(CkptRollback, RecoversFromTransientAndBeatsRetry) {
   expect_rollback_beats_retry("nn");
 }
 
-// The sanitizer CI jobs leave this case out: cfd's droop writes through
-// wild addresses that grow the dense global store, and the run peaks at
-// about 8 GiB RSS, more than sanitizer shadow memory leaves room for on a
-// CI runner. The case above keeps two workloads under the sanitizers.
+// cfd's droop writes through wild addresses; each costs the store one
+// page, so the sweep stays small enough for the sanitizer jobs.
 TEST(CkptRollback, BeatsRetryOnEveryWorkload) {
   for (const std::string& wl : workloads::all_names())
     expect_rollback_beats_retry(wl);
@@ -409,6 +407,14 @@ TEST(CkptSnapshot, RestoreRejectsMismatchedParameters) {
   EXPECT_THROW(dev2.restore(*snap), ckpt::SnapshotError);
 }
 
+/// The image of the store page holding `addr` in `s`, or null when that
+/// page was never written.
+ckpt::ImagePtr store_page(const ckpt::Snapshot& s, memsys::DevPtr addr) {
+  for (const ckpt::StorePage& page : s.store_pages)
+    if (page.index == addr / ckpt::kStorePageBytes) return page.image;
+  return nullptr;
+}
+
 TEST(CkptSnapshot, DivergenceNamesTheStore) {
   runtime::Device dev;
   dev.set_kernel_scheduler(sched::make_scheduler(sched::Policy::kSrrs));
@@ -428,8 +434,8 @@ TEST(CkptSnapshot, DivergenceNamesTheStore) {
   // Copy-on-write: the write after the first capture re-imaged a page for
   // the second one and left the first snapshot untouched.
   EXPECT_EQ(ckpt::encode_snapshot(*a), a_bytes);
-  EXPECT_NE(a->store_pages[p / ckpt::kStorePageBytes],
-            b->store_pages[p / ckpt::kStorePageBytes]);
+  EXPECT_NE(store_page(*a, p), nullptr);
+  EXPECT_NE(store_page(*a, p), store_page(*b, p));
 }
 
 // ---- Page-shared store images ---------------------------------------------
@@ -456,8 +462,10 @@ TEST(CkptStorePages, UnwrittenStoreImagesNoPages) {
   const ckpt::SnapshotPtr b = dev.snapshot();
   EXPECT_EQ(store.pages_imaged(), after_first);  // nothing written: 0 pages
   ASSERT_EQ(a->store_pages.size(), b->store_pages.size());
-  for (size_t i = 0; i < a->store_pages.size(); ++i)
-    EXPECT_EQ(a->store_pages[i], b->store_pages[i]) << "page " << i;
+  for (size_t i = 0; i < a->store_pages.size(); ++i) {
+    EXPECT_EQ(a->store_pages[i].index, b->store_pages[i].index);
+    EXPECT_EQ(a->store_pages[i].image, b->store_pages[i].image) << "page " << i;
+  }
   EXPECT_EQ(a->hash(), b->hash());
 
   dev.gpu().store().write32(p + 8, 7);
@@ -470,7 +478,7 @@ TEST(CkptStorePages, UnwrittenStoreImagesNoPages) {
 TEST(CkptStorePages, RestoreThenCaptureRoundTrips) {
   runtime::Device dev;
   dev.set_kernel_scheduler(sched::make_scheduler(sched::Policy::kSrrs));
-  // 256 + 5000 bytes: one full page and a partial last page.
+  // 256 + 5000 bytes: two pages, each held whole.
   const memsys::DevPtr p = dev.malloc(5000);
   std::vector<u8> data(5000);
   for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<u8>(i * 7);
@@ -478,10 +486,10 @@ TEST(CkptStorePages, RestoreThenCaptureRoundTrips) {
   const u64 size_a = p + 5000;
   const ckpt::SnapshotPtr a = dev.snapshot();
   ASSERT_EQ(a->store_pages.size(), 2u);
-  EXPECT_LT(a->store_pages.back()->bytes.size(), ckpt::kStorePageBytes);
+  EXPECT_EQ(a->store_pages.back().image->bytes.size(), ckpt::kStorePageBytes);
   const std::vector<u8> bytes_a = store_bytes(dev, size_a);
 
-  // A write straddling the page boundary, then growth of the last page.
+  // A write straddling the page boundary, then growth of the extent.
   const u8 straddle[6] = {1, 2, 3, 4, 5, 6};
   dev.memcpy_h2d(static_cast<memsys::DevPtr>(ckpt::kStorePageBytes - 3),
                  straddle, sizeof(straddle));
@@ -525,9 +533,10 @@ TEST(CkptStorePages, CorruptPageIsNamedOnDecode) {
 
   // Flip a byte of one page image but keep its stored hash: the damage
   // predates encoding, so only the per-page check can catch it.
-  auto page = std::make_shared<ckpt::Image>(*bad.store_pages[1]);
+  ASSERT_EQ(bad.store_pages[1].index, 1u);
+  auto page = std::make_shared<ckpt::Image>(*bad.store_pages[1].image);
   page->bytes[17] ^= 0xFF;
-  bad.store_pages[1] = page;
+  bad.store_pages[1].image = page;
   try {
     (void)ckpt::decode_snapshot(ckpt::encode_snapshot(bad));
     FAIL() << "a corrupt store page decoded";
@@ -536,6 +545,29 @@ TEST(CkptStorePages, CorruptPageIsNamedOnDecode) {
               std::string::npos)
         << e.what();
   }
+}
+
+TEST(CkptStorePages, RestoreRefusesMalformedPages) {
+  runtime::Device dev;
+  dev.set_kernel_scheduler(sched::make_scheduler(sched::Policy::kSrrs));
+  const memsys::DevPtr p = dev.malloc(64);
+  const u32 v = 5;
+  dev.memcpy_h2d(p, &v, 4);
+  const ckpt::SnapshotPtr good = dev.snapshot();
+
+  ckpt::Snapshot extent = *good;
+  extent.store_extent += 1;
+  EXPECT_THROW(dev.restore(extent), ckpt::SnapshotError);
+
+  ckpt::Snapshot shorter = *good;
+  ASSERT_EQ(shorter.store_pages.size(), 1u);
+  shorter.store_pages[0].image = ckpt::make_image(std::vector<u8>(100, 0));
+  EXPECT_THROW(dev.restore(shorter), ckpt::SnapshotError);
+
+  dev.restore(*good);
+  u32 back = 0;
+  dev.memcpy_d2h(&back, p, 4);
+  EXPECT_EQ(back, 5u);
 }
 
 // ---- Launch and block-record history images --------------------------------
@@ -759,7 +791,7 @@ std::vector<u8> frame_with(const std::function<void(ckpt::Writer&)>& body) {
   w.put64(ckpt::kWireMagic);
   w.put32(ckpt::kWireVersion);
   w.put32(ckpt::Snapshot::kVersion);
-  for (int i = 0; i < 5; ++i) w.put64(0);  // capture metadata
+  for (int i = 0; i < 6; ++i) w.put64(0);  // capture metadata
   body(w);
   std::vector<u8> out = w.take_blob();
   const u64 sum = ckpt::hash64(out.data(), out.size());
@@ -803,10 +835,72 @@ TEST(CkptDecodeLengths, StorePage) {
                    w.put64(0);  // sections
                    w.put64(0);  // blob
                    w.put64(1);  // one page...
+                   w.put32(0);  // ...its index...
                    w.put64(kHugeLength);
                    w.put64(0);  // ...and its hash
                  }),
-                 "store page 0");
+                 "store page @0x0");
+}
+
+// ---- The store page table holds ascending, in-range, whole pages ---------
+
+/// Frame one store page of `len` zero bytes at `index`.
+void put_zero_page(ckpt::Writer& w, u32 index, u64 len) {
+  const std::vector<u8> zeros(len, 0);
+  w.put32(index);
+  w.put64(len);
+  w.put64(ckpt::hash64(zeros.data(), zeros.size()));
+  w.put_bytes(zeros.data(), zeros.size());
+}
+
+/// A frame whose store page table holds zero pages at `indices`, each
+/// `len` bytes long.
+std::vector<u8> frame_with_pages(const std::vector<u32>& indices,
+                                 u64 len = ckpt::kStorePageBytes) {
+  return frame_with([&](ckpt::Writer& w) {
+    w.put64(0);  // sections
+    w.put64(0);  // blob
+    w.put64(indices.size());
+    for (u32 index : indices) put_zero_page(w, index, len);
+    for (int i = 0; i < 3; ++i) w.put64(0);  // history tables and programs
+  });
+}
+
+TEST(CkptDecodeStorePages, WellFormedTableDecodes) {
+  const ckpt::SnapshotPtr snap =
+      ckpt::decode_snapshot(frame_with_pages({0, 7, (1u << 20) - 1}));
+  ASSERT_EQ(snap->store_pages.size(), 3u);
+  EXPECT_EQ(snap->store_pages[2].index, (1u << 20) - 1);
+}
+
+TEST(CkptDecodeStorePages, OutOfOrder) {
+  expect_refused(frame_with_pages({3, 2}), "store page table out of order");
+}
+
+TEST(CkptDecodeStorePages, DuplicateIndex) {
+  expect_refused(frame_with_pages({2, 2}), "duplicate index 2");
+}
+
+TEST(CkptDecodeStorePages, IndexOutOfRange) {
+  expect_refused(frame_with_pages({1u << 20}),
+                 "store page index 1048576 is out of range");
+}
+
+TEST(CkptDecodeStorePages, ShortPage) {
+  expect_refused(frame_with_pages({1}, 100), "store page @0x1000 is 100 bytes");
+}
+
+TEST(CkptDecodeStorePages, CountPastTheBytesLeft) {
+  // Two pages claimed, one framed: the count is refused before either is
+  // read.
+  expect_refused(frame_with([](ckpt::Writer& w) {
+                   w.put64(0);  // sections
+                   w.put64(0);  // blob
+                   w.put64(2);
+                   w.put32(0);
+                   w.put64(ckpt::kStorePageBytes);
+                 }),
+                 "store page table length 2 exceeds");
 }
 
 TEST(CkptDecodeLengths, LaunchImageTable) {

@@ -135,6 +135,68 @@ TEST(GlobalStore, BlockTransfers) {
   EXPECT_EQ(in, out);
 }
 
+TEST(GlobalStore, LastWordOfTheAddressSpace) {
+  GlobalStore g;
+  g.write32(0xFFFFFFFCu, 0xA1B2C3D4u);
+  EXPECT_EQ(g.read32(0xFFFFFFFCu), 0xA1B2C3D4u);
+  EXPECT_EQ(g.read32(0), 0u);  // no wrap into the first page
+  EXPECT_EQ(g.extent(), u64{1} << 32);
+}
+
+TEST(GlobalStore, UnalignedWordsStraddlingPages) {
+  GlobalStore g;
+  // Byte for byte what a flat little-endian array holds: the low half in
+  // the first page, the high half in the next (or, at the end of the
+  // address space, in page 0).
+  for (const DevPtr addr : {DevPtr{0x0FFE}, DevPtr{0xFFFFFFFE}}) {
+    g.write32(addr, 0x44332211u);
+    EXPECT_EQ(g.read32(addr), 0x44332211u) << std::hex << addr;
+    u8 bytes[4];
+    for (u32 i = 0; i < 4; ++i)
+      g.read_block(&bytes[i], static_cast<DevPtr>(addr + i), 1);
+    EXPECT_EQ(bytes[0], 0x11);
+    EXPECT_EQ(bytes[1], 0x22);
+    EXPECT_EQ(bytes[2], 0x33);
+    EXPECT_EQ(bytes[3], 0x44);
+  }
+  EXPECT_EQ(g.read32(0), 0x4433u);  // the wrapped half of the second word
+}
+
+/// Capture `g` alone: its store pages and extent.
+ckpt::Snapshot capture(GlobalStore& g) {
+  ckpt::Writer w;
+  ckpt::Snapshot snap;
+  g.save(w, snap);
+  return snap;
+}
+
+TEST(GlobalStore, WildWriteAddsOnePage) {
+  GlobalStore g;
+  const DevPtr p = g.alloc(64);
+  g.write32(p, 1);
+  const ckpt::Snapshot a = capture(g);
+  const u64 imaged = g.pages_imaged();
+  g.write32(0xDEADBEE0u, 2);
+  const ckpt::Snapshot b = capture(g);
+  EXPECT_EQ(g.pages_imaged(), imaged + 1);
+  EXPECT_EQ(b.store_pages.size(), a.store_pages.size() + 1);
+  EXPECT_EQ(b.store_pages.back().index, 0xDEADBEE0u / ckpt::kStorePageBytes);
+  // The flat-state size still counts up to the wild address.
+  EXPECT_EQ(b.store_extent, 0xDEADBEE4u);
+}
+
+TEST(GlobalStore, WildReadAddsNoPage) {
+  GlobalStore g;
+  const DevPtr p = g.alloc(64);
+  g.write32(p, 1);
+  const ckpt::Snapshot a = capture(g);
+  EXPECT_EQ(g.read32(0xDEADBEE0u), 0u);
+  const ckpt::Snapshot b = capture(g);
+  EXPECT_EQ(b.store_pages.size(), a.store_pages.size());
+  EXPECT_EQ(b.store_pages.front().image, a.store_pages.front().image);
+  EXPECT_EQ(b.store_extent, 0xDEADBEE4u);
+}
+
 TEST(Hierarchy, L1HitIsFasterThanMiss) {
   MemParams mp;
   MemHierarchy mem(2, mp);
