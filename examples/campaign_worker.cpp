@@ -3,17 +3,17 @@
 // Two modes:
 //
 //   campaign_worker --fd=N [--id=K] [--heartbeat-ms=M]
-//       Protocol mode: speak higpu.wire/3 over inherited file descriptor N.
+//       Protocol mode: speak higpu.wire/4 over inherited file descriptor N.
 //       This is how dist::run_distributed launches the fleet; it is not
 //       meant to be started by hand.
 //
 //   campaign_worker --work=FILE --out=FILE
 //       One-shot file mode: FILE holds one encoded kWork payload (the
-//       exact bytes a coordinator would ship, snapshots included); the
-//       scenario runs in this fresh process and its result is written to
-//       --out as one higpu.campaign.jsonl/1 line. Exists for the
-//       cross-process snapshot-portability test and for debugging single
-//       units outside a campaign.
+//       exact bytes a coordinator would ship); the unit runs in this fresh
+//       process through exp::run_unit and --out receives one
+//       higpu.campaign.jsonl/1 line per member, in execution order. Exists
+//       for the cross-process unit test and for debugging single units
+//       outside a campaign.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -59,18 +59,14 @@ std::vector<u8> read_file_bytes(const std::string& path) {
 
 int run_file_mode(const std::string& work_path, const std::string& out_path) {
   const dist::WorkItem item = dist::decode_work(read_file_bytes(work_path));
-  exp::SnapshotIo io;
-  io.resume = item.resume;
-  io.divergence_ref = item.divergence_ref;
-  const exp::ScenarioResult result =
-      exp::run_scenario(item.spec, item.index, nullptr, nullptr, &io);
-  const std::string line = exp::result_to_jsonl(result);
   std::FILE* f = std::fopen(out_path.c_str(), "wb");
   if (!f) throw std::runtime_error("cannot open '" + out_path + "'");
-  std::fprintf(f, "%s\n", line.c_str());
+  dist::run_item(item, [f](const exp::ScenarioResult& r) {
+    std::fprintf(f, "%s\n", exp::result_to_jsonl(r).c_str());
+  });
   std::fclose(f);
-  // The scenario's own failure is data, not a process failure: the caller
-  // reads ok/error from the record.
+  // A scenario's own failure is data, not a process failure: the caller
+  // reads ok/error from each record.
   return 0;
 }
 

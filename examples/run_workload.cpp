@@ -592,14 +592,12 @@ int main(int argc, char** argv) {
       if (set.size() > 1) dcfg.on_result = print_result;
       const dist::DistReport rep = dist::run_distributed(set, dcfg);
       std::printf("distributed: %u workers, %llu units shipped, %llu "
-                  "resumed, %llu executed, %llu workers died, %.1f KiB of "
-                  "snapshots shipped\n",
+                  "resumed, %llu executed, %llu workers died\n",
                   dcfg.workers,
                   static_cast<unsigned long long>(rep.units_shipped),
                   static_cast<unsigned long long>(rep.resumed),
                   static_cast<unsigned long long>(rep.executed),
-                  static_cast<unsigned long long>(rep.workers_died),
-                  static_cast<double>(rep.snapshot_bytes_shipped) / 1024.0);
+                  static_cast<unsigned long long>(rep.workers_died));
       if (rep.stopped_early) {
         // A deliberate --stop-after "crash" did what was asked; the journal
         // holds everything accepted so far for a later --resume.

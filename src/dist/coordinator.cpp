@@ -1,14 +1,12 @@
 #include "dist/coordinator.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <deque>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include <poll.h>
@@ -31,13 +29,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// One shippable scenario: index into the set plus the snapshots its kWork
-/// frame carries (null for run-from-scratch).
+/// One shippable work unit: the pending members of an exp::WorkUnit. A
+/// worker's in-flight task shrinks as its members' results arrive.
 struct Task {
   u64 unit_id = 0;
-  u32 index = 0;
-  ckpt::SnapshotPtr resume;
-  ckpt::SnapshotPtr divergence_ref;
+  std::vector<size_t> members;
 };
 
 struct WorkerProc {
@@ -46,30 +42,29 @@ struct WorkerProc {
   u32 id = 0;
   bool alive = false;
   bool ready = false;  // Hello received
-  bool busy = false;
-  Task inflight;
+  Task inflight;       // members not yet reported; empty when idle
   Clock::time_point last_heard;
+
+  bool busy() const { return !inflight.members.empty(); }
 };
 
-/// Shared mutable campaign state; the base-run thread pool and the poll
-/// loop both funnel accepted results through here.
+/// Campaign state the poll loop and the inline fallback funnel accepted
+/// results through.
 struct Progress {
   const DistConfig* cfg = nullptr;
-  std::mutex mu;
   std::map<u32, exp::ScenarioResult> results;
   std::optional<Journal> journal;
-  u64 executed = 0;   // results accepted this run (not resumed)
+  u64 executed = 0;      // results accepted this run (not resumed)
   bool stopped = false;  // stop_after_results tripped
 
-  /// Record one result: journal it, count it, surface it. Duplicate
-  /// indices (a result that raced a redispatch) are dropped silently —
-  /// determinism makes the copies identical, and the journal scan enforces
-  /// that on the next resume.
+  /// Record one result: journal it, count it, surface it. A result that
+  /// arrives after the simulated crash (stop_after_results) is dropped, as
+  /// a crashed coordinator would never see it. Duplicate indices are
+  /// dropped silently — determinism makes the copies identical, and the
+  /// journal scan enforces that on the next resume.
   void accept(const exp::ScenarioResult& r) {
-    std::lock_guard<std::mutex> lock(mu);
-    const auto [it, inserted] = results.emplace(r.index, r);
-    (void)it;
-    if (!inserted) return;
+    if (stopped) return;
+    if (!results.emplace(r.index, r).second) return;
     if (journal) journal->add(r);
     ++executed;
     if (cfg->on_result) cfg->on_result(r);
@@ -79,28 +74,17 @@ struct Progress {
 
   /// Append one auxiliary record (log / flight / fleet) to the journal.
   void aux(const std::string& json_line) {
-    std::lock_guard<std::mutex> lock(mu);
     if (journal) journal->add_aux(json_line);
   }
 
-  bool done(size_t total) {
-    std::lock_guard<std::mutex> lock(mu);
-    return results.size() >= total;
-  }
-  bool stopped_now() {
-    std::lock_guard<std::mutex> lock(mu);
-    return stopped;
+  bool done(size_t total) const { return results.size() >= total; }
+
+  /// Run one unit on the calling thread (no fleet, or a dead one).
+  void run_inline(const exp::ScenarioSet& set, const Task& t) {
+    exp::run_unit(set, t.members,
+                  [this](const exp::ScenarioResult& r) { accept(r); });
   }
 };
-
-void run_task_inline(const exp::ScenarioSet& set, const Task& t,
-                     Progress& progress) {
-  exp::SnapshotIo io;
-  io.resume = t.resume;
-  io.divergence_ref = t.divergence_ref;
-  progress.accept(
-      exp::run_scenario(set[t.index], t.index, nullptr, nullptr, &io));
-}
 
 /// Fork one worker connected over an AF_UNIX socketpair; the child sees its
 /// end as fd 3.
@@ -199,99 +183,38 @@ DistReport run_distributed(const exp::ScenarioSet& set,
     }
   }
 
-  // ---- Plan: decompose into units, decide which groups get a shared base
-  // run and which scenarios ship as standalone tasks. On resume only
-  // *missing* scenarios execute: a group whose journal already holds every
-  // member is skipped outright, and a group whose clean member is journaled
-  // runs its pending forks from scratch rather than re-simulating the base
+  // ---- Plan: decompose into units. On resume a unit holds only its
+  // members missing from the journal, and one with none left is skipped;
+  // run_unit decides from what remains whether a base run is worth it
   // (bit-identical either way — forking is purely an acceleration).
-  const std::vector<exp::WorkUnit> units =
-      plan_units(set, config.snapshot_fast_forward);
-
-  std::vector<std::vector<size_t>> base_groups;  // pending members per group
   std::vector<Task> tasks;
-  u64 next_unit_id = 0;
-  for (const exp::WorkUnit& unit : units) {
-    std::vector<size_t> pending;
+  for (const exp::WorkUnit& unit :
+       plan_units(set, config.snapshot_fast_forward)) {
+    Task t;
     for (size_t m : unit.members)
-      if (!progress.results.count(static_cast<u32>(m))) pending.push_back(m);
-    if (pending.empty()) continue;
-    size_t pending_faults = 0;
-    for (size_t m : pending)
-      if (set[m].fault.active()) ++pending_faults;
-    if (pending.size() >= 2 && pending_faults >= 2) {
-      base_groups.push_back(std::move(pending));
-    } else {
-      for (size_t m : pending) {
-        Task t;
-        t.unit_id = next_unit_id++;
-        t.index = static_cast<u32>(m);
-        tasks.push_back(std::move(t));
-      }
-    }
+      if (!progress.results.count(static_cast<u32>(m))) t.members.push_back(m);
+    if (t.members.empty()) continue;
+    t.unit_id = tasks.size();
+    tasks.push_back(std::move(t));
   }
-
-  // ---- Base runs: local, on a small thread pool. Each completed base
-  // contributes its clean result (when that scenario is pending) and turns
-  // its fault members into snapshot-carrying tasks.
-  if (!base_groups.empty() && !progress.stopped_now()) {
-    std::mutex task_mu;
-    std::atomic<size_t> next{0};
-    const size_t pool =
-        std::min<size_t>(base_groups.size(),
-                         std::max<u32>(1, config.workers ? config.workers
-                                                         : 2));
-    std::vector<std::thread> threads;
-    threads.reserve(pool);
-    for (size_t p = 0; p < pool; ++p) {
-      threads.emplace_back([&] {
-        for (;;) {
-          const size_t g = next.fetch_add(1);
-          if (g >= base_groups.size() || progress.stopped_now()) return;
-          const std::vector<size_t>& members = base_groups[g];
-          const exp::GroupBase base = exp::run_group_base(set, members);
-          if (base.result_index != exp::GroupBase::kSynthetic)
-            progress.accept(base.result);
-          std::lock_guard<std::mutex> lock(task_mu);
-          for (size_t m : members) {
-            if (m == base.result_index) continue;
-            Task t;
-            t.unit_id = 0;  // renumbered below, after deterministic sort
-            t.index = static_cast<u32>(m);
-            if (set[m].fault.active() && base.ok()) {
-              t.resume = base.snapshot_for(set[m].fault.start);
-              t.divergence_ref = base.final_state;
-            }
-            tasks.push_back(std::move(t));
-          }
-        }
-      });
-    }
-    for (std::thread& t : threads) t.join();
-    // Pool completion order is nondeterministic; re-sort so sharding (and
-    // therefore which worker runs what) depends only on the campaign.
-    std::sort(tasks.begin(), tasks.end(),
-              [](const Task& a, const Task& b) { return a.index < b.index; });
-  }
-  for (size_t i = 0; i < tasks.size(); ++i) tasks[i].unit_id = i;
 
   // ---- Dispatch. Zero workers (or a fully dead fleet, below) degrades to
   // inline execution on the coordinator.
   const bool want_fleet = config.workers > 0 && !tasks.empty();
   if (!want_fleet) {
     for (const Task& t : tasks) {
-      if (progress.stopped_now()) break;
-      run_task_inline(set, t, progress);
+      if (progress.stopped) break;
+      progress.run_inline(set, t);
     }
   } else {
     const std::string exe =
         config.worker_exe.empty() ? default_worker_exe() : config.worker_exe;
     std::vector<WorkerProc> fleet;
-    std::vector<std::deque<Task>> shards(config.workers);
-    for (size_t i = 0; i < tasks.size(); ++i)
-      shards[i % config.workers].push_back(tasks[i]);
     for (u32 i = 0; i < config.workers; ++i)
       fleet.push_back(spawn_worker(exe, i, config.heartbeat_interval_ms));
+    std::vector<std::deque<Task>> shards(config.workers);
+    for (size_t i = 0; i < tasks.size(); ++i)
+      shards[i % config.workers].push_back(std::move(tasks[i]));
 
     u64 accepted_before_chaos = 0;
     bool chaos_done = config.chaos_kill_after == 0;
@@ -299,7 +222,7 @@ DistReport run_distributed(const exp::ScenarioSet& set,
     // Fleet observability: per-worker ship/result/log/flight counts plus
     // steal and death totals, journaled as one {"fleet": ...} record when
     // the campaign ends. Driven by wall time, so diagnostic only — never
-    // resume state. Only the poll thread touches it.
+    // resume state.
     obs::Registry fleet_reg;
     const auto wkey = [](u32 id, const char* what) {
       return "dist.w" + std::to_string(id) + "." + what;
@@ -307,7 +230,7 @@ DistReport run_distributed(const exp::ScenarioSet& set,
 
     auto pop_task = [&](size_t self) -> std::optional<Task> {
       if (!shards[self].empty()) {
-        Task t = shards[self].front();
+        Task t = std::move(shards[self].front());
         shards[self].pop_front();
         return t;
       }
@@ -321,7 +244,7 @@ DistReport run_distributed(const exp::ScenarioSet& set,
           victim = s;
         }
       if (victim == shards.size()) return std::nullopt;
-      Task t = shards[victim].back();
+      Task t = std::move(shards[victim].back());
       shards[victim].pop_back();
       fleet_reg.count("dist.steals");
       return t;
@@ -333,38 +256,35 @@ DistReport run_distributed(const exp::ScenarioSet& set,
       reap(w);
       ++report.workers_died;
       fleet_reg.count("dist.worker_deaths");
-      if (w.busy) {
-        // Its in-flight unit is unaccounted for — put it back at the front
-        // of that worker's shard so a surviving worker steals it.
-        shards[w.id % shards.size()].push_front(w.inflight);
-        w.busy = false;
+      if (w.busy()) {
+        // Its unreported members are unaccounted for — put them back, as
+        // one unit, at the front of that worker's shard so a surviving
+        // worker steals them.
+        shards[w.id % shards.size()].push_front(std::move(w.inflight));
+        w.inflight = {};
       }
     };
 
     auto dispatch = [&](WorkerProc& w) {
-      if (!w.alive || !w.ready || w.busy) return;
-      const std::optional<Task> t = pop_task(w.id % shards.size());
+      if (!w.alive || !w.ready || w.busy()) return;
+      std::optional<Task> t = pop_task(w.id % shards.size());
       if (!t) return;
       WorkItem item;
       item.unit_id = t->unit_id;
-      item.index = t->index;
-      item.spec = set[t->index];
-      item.resume = t->resume;
-      item.divergence_ref = t->divergence_ref;
-      const std::vector<u8> payload = encode_work(item);
+      for (size_t m : t->members) {
+        item.indices.push_back(static_cast<u32>(m));
+        item.specs.push_back(set[m]);
+      }
       try {
-        send_frame(w.fd, Msg::kWork, payload);
+        send_frame(w.fd, Msg::kWork, encode_work(item));
       } catch (const WireError&) {
-        shards[w.id % shards.size()].push_front(*t);
+        shards[w.id % shards.size()].push_front(std::move(*t));
         mark_dead(w);
         return;
       }
-      w.busy = true;
-      w.inflight = *t;
+      w.inflight = std::move(*t);
       ++report.units_shipped;
       fleet_reg.count(wkey(w.id, "units_shipped"));
-      if (t->resume || t->divergence_ref)
-        report.snapshot_bytes_shipped += payload.size();
     };
 
     auto handle_frame = [&](WorkerProc& w, const Frame& frame) {
@@ -387,11 +307,20 @@ DistReport run_distributed(const exp::ScenarioSet& set,
             throw WireError("worker result indices disagree (frame says " +
                             std::to_string(msg.index) + ", record says " +
                             std::to_string(r.index) + ")");
-          w.busy = false;
+          std::vector<size_t>& pending = w.inflight.members;
+          const auto it = std::find(pending.begin(), pending.end(),
+                                    static_cast<size_t>(msg.index));
+          if (msg.unit_id != w.inflight.unit_id || it == pending.end())
+            throw WireError("worker returned scenario " +
+                            std::to_string(msg.index) + " of unit " +
+                            std::to_string(msg.unit_id) +
+                            ", which is not pending in its in-flight unit " +
+                            std::to_string(w.inflight.unit_id));
+          pending.erase(it);
           ++accepted_before_chaos;
           fleet_reg.count(wkey(w.id, "results"));
           progress.accept(r);
-          dispatch(w);
+          dispatch(w);  // a no-op until the unit's last member lands
           break;
         }
         case Msg::kLog: {
@@ -418,15 +347,18 @@ DistReport run_distributed(const exp::ScenarioSet& set,
       }
     };
 
-    while (!progress.done(set.size()) && !progress.stopped_now()) {
-      // Chaos: SIGKILL one live worker once enough results have landed.
+    while (!progress.done(set.size()) && !progress.stopped) {
+      // Chaos: SIGKILL one live worker once enough results have landed,
+      // preferring one with a unit in flight so the kill lands mid-unit.
       if (!chaos_done && accepted_before_chaos >= config.chaos_kill_after) {
+        WorkerProc* victim = nullptr;
         for (WorkerProc& w : fleet)
-          if (w.alive) {
-            ::kill(w.pid, SIGKILL);  // death surfaces as EOF below
-            chaos_done = true;
-            break;
-          }
+          if (w.alive && (victim == nullptr || (w.busy() && !victim->busy())))
+            victim = &w;
+        if (victim != nullptr) {
+          ::kill(victim->pid, SIGKILL);  // death surfaces as EOF below
+          chaos_done = true;
+        }
       }
 
       std::vector<pollfd> pfds;
@@ -440,9 +372,9 @@ DistReport run_distributed(const exp::ScenarioSet& set,
         // Whole fleet is gone: finish the campaign inline rather than
         // abandoning it.
         for (std::deque<Task>& shard : shards)
-          while (!shard.empty() && !progress.stopped_now()) {
-            run_task_inline(set, shard.front(), progress);
-            shard.pop_front();
+          for (const Task& t : shard) {
+            if (progress.stopped) break;
+            progress.run_inline(set, t);
           }
         break;
       }
@@ -479,7 +411,7 @@ DistReport run_distributed(const exp::ScenarioSet& set,
       for (WorkerProc& w : fleet) dispatch(w);
     }
 
-    const bool crashed = progress.stopped_now();
+    const bool crashed = progress.stopped;
     for (WorkerProc& w : fleet) {
       if (!w.alive) continue;
       if (crashed) {
@@ -499,7 +431,7 @@ DistReport run_distributed(const exp::ScenarioSet& set,
   }
 
   // ---- Assemble the campaign view (set order).
-  report.stopped_early = progress.stopped_now();
+  report.stopped_early = progress.stopped;
   report.executed = progress.executed;
   report.campaign.jobs = std::max<u32>(1, config.workers);
   report.campaign.results.reserve(set.size());

@@ -4,20 +4,21 @@
 // campaign_worker processes:
 //
 //   * the ScenarioSet decomposes into the same WorkUnits as the in-process
-//     CampaignRunner (exp::plan_units / same_but_fault grouping);
-//   * each multi-fault group's clean base scenario runs locally on a
-//     coordinator thread pool, capturing snapshots at every member's
-//     injection cycle;
-//   * every remaining scenario becomes one wire task — fault forks carry
-//     their base snapshot and the clean final state (divergence reference)
-//     inside the kWork frame — dealt round-robin into per-worker shards;
-//   * a poll() loop dispatches one task per worker at a time, accepts
-//     kResult frames, and lets an idle worker steal from the largest
+//     CampaignRunner (exp::plan_units / same_but_fault grouping), dealt
+//     round-robin into per-worker shards right after planning;
+//   * each kWork frame carries one unit's pending members (indices and
+//     specs); the worker runs it through exp::run_unit — the group's clean
+//     base run, then each fault fork against the snapshots that base
+//     captured — and streams one kResult per member, so snapshots never
+//     leave the process that captured them;
+//   * a poll() loop dispatches one unit per worker at a time, accepts
+//     kResult frames (a result for a member not pending in that worker's
+//     unit is a WireError), and lets an idle worker steal from the largest
 //     remaining shard, so a slow shard never serializes the campaign;
 //   * workers heartbeat; EOF, a wire error or a heartbeat gap longer than
-//     `heartbeat_timeout_ms` declares a worker dead, its in-flight task is
-//     re-enqueued, and the campaign continues (inline on the coordinator if
-//     the whole fleet dies);
+//     `heartbeat_timeout_ms` declares a worker dead, its unreported members
+//     are re-enqueued as one unit, and the campaign continues (inline on
+//     the coordinator if the whole fleet dies);
 //   * every accepted result is appended to the JSONL journal and flushed
 //     before the next dispatch, so a killed coordinator can resume.
 //
@@ -47,8 +48,8 @@ struct DistConfig {
   /// only the missing scenario indices. The journal's campaign fingerprint
   /// must match `set` (JournalError otherwise).
   bool resume = false;
-  /// Share clean base runs across same_but_fault groups (matches
-  /// CampaignRunner::Config::snapshot_fast_forward).
+  /// Ship same_but_fault groups as one unit that shares a clean base run
+  /// (matches CampaignRunner::Config::snapshot_fast_forward).
   bool snapshot_fast_forward = true;
 
   int heartbeat_interval_ms = 200;
@@ -71,10 +72,13 @@ struct DistReport {
   exp::CampaignResult campaign;
   /// Scenarios loaded from the journal instead of executed.
   u64 resumed = 0;
-  /// Scenarios actually executed this run (local bases + worker results).
+  /// Scenarios actually executed this run (worker and inline results).
   u64 executed = 0;
   u64 workers_died = 0;
+  /// kWork frames sent (one per unit, plus one per re-dispatched remainder).
   u64 units_shipped = 0;
+  /// Snapshot bytes in kWork frames. Always 0 since higpu.wire/4: a unit's
+  /// snapshots stay in the worker that captured them.
   u64 snapshot_bytes_shipped = 0;
   bool stopped_early = false;
 };

@@ -1,5 +1,6 @@
 #include "dist/protocol.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -15,6 +16,8 @@ namespace {
 // Frame header/trailer are built with the same little-endian primitives as
 // payloads so the wire format is struct-padding-free end to end.
 constexpr size_t kHeaderBytes = 4 + 1 + 8;  // magic + type + length
+/// Payload bytes read (and allocated) per step of recv_frame.
+constexpr u64 kReadChunk = 1ull << 20;
 
 void write_all(int fd, const u8* data, size_t len) {
   size_t done = 0;
@@ -49,28 +52,6 @@ bool read_all(int fd, u8* data, size_t len, bool eof_ok) {
     done += static_cast<size_t>(n);
   }
   return true;
-}
-
-void put_snapshot_opt(ckpt::Writer& w, const ckpt::SnapshotPtr& snap) {
-  if (!snap) {
-    w.putb(false);
-    return;
-  }
-  w.putb(true);
-  const std::vector<u8> framed = ckpt::encode_snapshot(*snap);
-  w.put64(framed.size());
-  w.put_bytes(framed.data(), framed.size());
-}
-
-ckpt::SnapshotPtr get_snapshot_opt(ckpt::Reader& r) {
-  if (!r.getb()) return nullptr;
-  const u64 n = r.get_count(1, "framed snapshot");
-  std::vector<u8> framed(static_cast<size_t>(n));
-  r.get_bytes(framed.data(), framed.size());
-  // decode_snapshot revalidates the inner frame (checksum, magic, per-
-  // section hashes), so snapshot corruption is caught even if the outer
-  // frame survived.
-  return ckpt::decode_snapshot(framed);
 }
 
 /// Inverse of ckpt::put_fields for the spec records. `path` ("gpu.mem.")
@@ -140,9 +121,24 @@ bool recv_frame(int fd, Frame* out) {
     throw WireError("wire frame claims implausible payload of " +
                     std::to_string(length) + " bytes");
 
+  // The length is only a claim until the bytes arrive: grow the payload one
+  // bounded chunk at a time so a lying header followed by EOF costs at most
+  // one chunk of memory, not the whole claimed length.
   out->type = static_cast<Msg>(type);
-  out->payload.resize(static_cast<size_t>(length));
-  read_all(fd, out->payload.data(), out->payload.size(), /*eof_ok=*/false);
+  out->payload.clear();
+  while (out->payload.size() < length) {
+    const size_t have = out->payload.size();
+    const size_t chunk =
+        static_cast<size_t>(std::min<u64>(kReadChunk, length - have));
+    out->payload.resize(have + chunk);
+    try {
+      read_all(fd, out->payload.data() + have, chunk, /*eof_ok=*/false);
+    } catch (const WireError& e) {
+      throw WireError("wire frame payload of " + std::to_string(length) +
+                      " bytes broken after " + std::to_string(have) +
+                      " bytes: " + e.what());
+    }
+  }
 
   std::vector<u8> trailer(8);
   read_all(fd, trailer.data(), trailer.size(), /*eof_ok=*/false);
@@ -173,10 +169,11 @@ exp::ScenarioSpec get_spec(ckpt::Reader& r) {
 std::vector<u8> encode_work(const WorkItem& item) {
   ckpt::Writer w;
   w.put64(item.unit_id);
-  w.put32(item.index);
-  put_spec(w, item.spec);
-  put_snapshot_opt(w, item.resume);
-  put_snapshot_opt(w, item.divergence_ref);
+  w.put64(item.indices.size());
+  for (size_t k = 0; k < item.indices.size(); ++k) {
+    w.put32(item.indices[k]);
+    put_spec(w, item.specs[k]);
+  }
   return w.take_blob();
 }
 
@@ -184,10 +181,14 @@ WorkItem decode_work(const std::vector<u8>& payload) {
   ckpt::Reader r(payload, {});
   WorkItem item;
   item.unit_id = r.get64();
-  item.index = r.get32();
-  item.spec = get_spec(r);
-  item.resume = get_snapshot_opt(r);
-  item.divergence_ref = get_snapshot_opt(r);
+  // Each member is at least its index and a spec's workload-name length.
+  const u64 n = r.get_count(4 + 8, "unit members");
+  item.indices.reserve(n);
+  item.specs.reserve(n);
+  for (u64 k = 0; k < n; ++k) {
+    item.indices.push_back(r.get32());
+    item.specs.push_back(get_spec(r));
+  }
   return item;
 }
 

@@ -1,4 +1,4 @@
-// higpu.wire/3 — the coordinator <-> worker message protocol.
+// higpu.wire/4 — the coordinator <-> worker message protocol.
 //
 // Transport is any reliable byte stream (the coordinator uses an AF_UNIX
 // socketpair shared with each forked worker). Every message is one frame:
@@ -18,11 +18,12 @@
 //
 // Payloads:
 //   kHello      u32 protocol version, u32 worker id (echoed by the worker)
-//   kWork       u64 unit id, u32 scenario index, ScenarioSpec,
-//               optional framed base snapshot (ckpt::encode_snapshot),
-//               optional framed clean-final-state snapshot (divergence ref)
+//   kWork       u64 unit id, u64 member count, then per member a u32
+//               scenario index and its ScenarioSpec — one exp::WorkUnit.
+//               The worker runs it through exp::run_unit (the group's base
+//               run, then each fork), so no snapshot crosses the wire.
 //   kResult     u64 unit id, u32 scenario index, one higpu.campaign.jsonl/1
-//               record (the worker's ScenarioResult)
+//               record (the worker's ScenarioResult); one per unit member
 //   kHeartbeat  (empty) — liveness, sent periodically by workers
 //   kShutdown   (empty) — coordinator tells the worker to exit cleanly
 //   kLog        u32 level, string line — one formatted worker log line
@@ -37,14 +38,14 @@
 #include <vector>
 
 #include "ckpt/serial.h"
-#include "ckpt/wire.h"
 #include "exp/scenario.h"
 
 namespace higpu::dist {
 
 /// v2: the frame checksum is ckpt::hash64 (was FNV-1a).
 /// v3: framed snapshots carry launch and block-record history images.
-constexpr u32 kProtocolVersion = 3;
+/// v4: kWork carries a whole work unit (indices and specs), no snapshots.
+constexpr u32 kProtocolVersion = 4;
 constexpr u32 kFrameMagic = 0x52574748u;  // "HGWR"
 /// Upper bound on a frame payload; anything larger means a desynchronized
 /// or corrupted stream, not a legitimate message.
@@ -94,18 +95,17 @@ bool recv_frame(int fd, Frame* out);
 void put_spec(ckpt::Writer& w, const exp::ScenarioSpec& spec);
 exp::ScenarioSpec get_spec(ckpt::Reader& r);
 
-/// One unit of distributed work.
+/// One unit of distributed work: the pending members of one exp::WorkUnit.
 struct WorkItem {
   u64 unit_id = 0;
-  u32 index = 0;  // position in the campaign's ScenarioSet
-  exp::ScenarioSpec spec;
-  /// Base snapshot to resume from (fault fork), or null (run from scratch).
-  ckpt::SnapshotPtr resume;
-  /// Clean final state for divergence diagnosis, or null.
-  ckpt::SnapshotPtr divergence_ref;
+  /// Positions in the campaign's ScenarioSet, parallel to `specs`.
+  std::vector<u32> indices;
+  std::vector<exp::ScenarioSpec> specs;
 };
 
 std::vector<u8> encode_work(const WorkItem& item);
+/// Throws (naming "unit members") when the member count exceeds what the
+/// remaining bytes could hold, before allocating anything from it.
 WorkItem decode_work(const std::vector<u8>& payload);
 
 struct ResultMsg {

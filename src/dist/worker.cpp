@@ -5,11 +5,12 @@
 #include <condition_variable>
 #include <cstdio>
 #include <mutex>
+#include <optional>
 #include <thread>
+#include <utility>
 
 #include "common/log.h"
 #include "core/exec.h"
-#include "dist/protocol.h"
 #include "exp/campaign.h"
 #include "exp/result_io.h"
 #include "obs/trace.h"
@@ -34,34 +35,24 @@ class FrameSender {
   std::mutex mu_;
 };
 
-/// Runs one unit with a tracer attached so redundancy miscompares leave a
-/// flight-recorder dump; any dumps are shipped to the coordinator before
-/// the result frame.
-exp::ScenarioResult run_work(const WorkItem& item, FrameSender& sender) {
-  exp::SnapshotIo io;
-  io.resume = item.resume;
-  io.divergence_ref = item.divergence_ref;
-  obs::Tracer tracer;
-  const exp::ScenarioProbe pre_run = [&tracer](runtime::Device& dev,
-                                               workloads::Workload&,
-                                               core::ExecSession&) {
-    dev.set_tracer(&tracer);
-  };
-  const exp::ScenarioProbe probe = [&sender](runtime::Device&,
-                                             workloads::Workload&,
-                                             core::ExecSession& session) {
-    for (const std::string& dump : session.flight_dumps()) {
-      try {
-        sender.send(Msg::kFlight, encode_flight(dump));
-      } catch (const WireError&) {
-        return;  // coordinator gone; the result send will fail loudly
-      }
-    }
-  };
-  return exp::run_scenario(item.spec, item.index, probe, pre_run, &io);
-}
-
 }  // namespace
+
+void run_item(const WorkItem& item, const exp::ResultSink& emit,
+              const exp::ScenarioProbe& probe,
+              const exp::ScenarioProbe& pre_run) {
+  exp::ScenarioSet set;
+  for (const exp::ScenarioSpec& spec : item.specs) set.add(spec);
+  std::vector<size_t> members(set.size());
+  for (size_t k = 0; k < members.size(); ++k) members[k] = k;
+  // run_unit numbers results by position in the local set.
+  exp::run_unit(
+      set, members,
+      [&](exp::ScenarioResult r) {
+        r.index = item.indices[r.index];
+        emit(std::move(r));
+      },
+      probe, pre_run);
+}
 
 int worker_main(int fd, u32 worker_id, int heartbeat_interval_ms) {
   FrameSender sender(fd);
@@ -106,6 +97,27 @@ int worker_main(int fd, u32 worker_id, int heartbeat_interval_ms) {
     });
   }
 
+  // Every run of a unit but its base run gets a fresh tracer, so redundancy
+  // miscompares leave a flight-recorder dump; any dumps are shipped to the
+  // coordinator before that member's result frame.
+  std::optional<obs::Tracer> tracer;
+  const exp::ScenarioProbe pre_run = [&tracer](runtime::Device& dev,
+                                               workloads::Workload&,
+                                               core::ExecSession&) {
+    dev.set_tracer(&tracer.emplace());
+  };
+  const exp::ScenarioProbe probe = [&sender](runtime::Device&,
+                                             workloads::Workload&,
+                                             core::ExecSession& session) {
+    for (const std::string& dump : session.flight_dumps()) {
+      try {
+        sender.send(Msg::kFlight, encode_flight(dump));
+      } catch (const WireError&) {
+        return;  // coordinator gone; the result send will fail loudly
+      }
+    }
+  };
+
   int exit_code = 0;
   try {
     Frame frame;
@@ -116,15 +128,18 @@ int worker_main(int fd, u32 worker_id, int heartbeat_interval_ms) {
       if (frame.type != Msg::kWork) continue;  // kHeartbeat etc.: ignore
       const WorkItem item = decode_work(frame.payload);
       wtr.instant(wtrack, obs::Ev::kUnitShip, log_monotonic_ms() * 1000000ull,
-                  item.unit_id, item.index);
-      const exp::ScenarioResult result = run_work(item, sender);
-      wtr.instant(wtrack, obs::Ev::kUnitResult,
-                  log_monotonic_ms() * 1000000ull, item.unit_id, item.index);
-      ResultMsg msg;
-      msg.unit_id = item.unit_id;
-      msg.index = item.index;
-      msg.jsonl = exp::result_to_jsonl(result);
-      sender.send(Msg::kResult, encode_result(msg));
+                  item.unit_id, item.indices.size());
+      // One kResult per member, as each completes.
+      const auto emit = [&](const exp::ScenarioResult& r) {
+        wtr.instant(wtrack, obs::Ev::kUnitResult,
+                    log_monotonic_ms() * 1000000ull, item.unit_id, r.index);
+        ResultMsg msg;
+        msg.unit_id = item.unit_id;
+        msg.index = r.index;
+        msg.jsonl = exp::result_to_jsonl(r);
+        sender.send(Msg::kResult, encode_result(msg));
+      };
+      run_item(item, emit, probe, pre_run);
     }
   } catch (const std::exception& e) {
     wtr.instant(wtrack, obs::Ev::kWorkerDeath, log_monotonic_ms() * 1000000ull,

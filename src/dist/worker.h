@@ -2,11 +2,11 @@
 //
 // A worker is a child process holding one end of an AF_UNIX socketpair. Its
 // loop is deliberately dumb: say Hello, then for every kWork frame decode
-// the ScenarioSpec (and base/divergence snapshots when shipped), run the
-// scenario through the exact same exp::run_scenario / SnapshotIo resume
-// path the in-process CampaignRunner uses, and stream the result back as a
-// higpu.campaign.jsonl/1 record. All policy — sharding, stealing, retry,
-// journaling — lives in the coordinator; determinism lives in the
+// the unit's specs, run them through the exact same exp::run_unit the
+// in-process CampaignRunner uses (a group's clean base run, then each fault
+// fork against the snapshots it captured), and stream each member's result
+// back as a higpu.campaign.jsonl/1 record. All policy — sharding, stealing,
+// retry, journaling — lives in the coordinator; determinism lives in the
 // simulator. A background thread emits kHeartbeat frames so the
 // coordinator can distinguish "busy simulating" from "dead".
 //
@@ -15,8 +15,16 @@
 #pragma once
 
 #include "common/types.h"
+#include "dist/protocol.h"
+#include "exp/units.h"
 
 namespace higpu::dist {
+
+/// Run the unit `item` carries through exp::run_unit on the calling thread.
+/// `emit` receives each member's result, numbered by its campaign index.
+void run_item(const WorkItem& item, const exp::ResultSink& emit,
+              const exp::ScenarioProbe& probe = nullptr,
+              const exp::ScenarioProbe& pre_run = nullptr);
 
 /// Run the worker protocol loop over `fd` until kShutdown or EOF.
 /// `worker_id` is echoed in the Hello frame. `heartbeat_interval_ms` <= 0

@@ -238,33 +238,6 @@ std::string CampaignResult::to_csv() const {
   return table.render_csv();
 }
 
-namespace {
-
-/// Execute one fault-sweep group with a shared clean base run, via the
-/// exp/units.h helpers also used by the distributed coordinator. Members
-/// whose snapshot is unavailable (the base finished before the target, or
-/// the base itself failed) fall back to from-scratch execution, so
-/// fast-forward is purely an acceleration: per-scenario results never
-/// depend on it.
-void run_ff_group(const ScenarioSet& set, const std::vector<size_t>& members,
-                  const std::function<void(const ScenarioResult&)>& report,
-                  std::vector<ScenarioResult>& results) {
-  const GroupBase base = run_group_base(set, members);
-  if (base.result_index != GroupBase::kSynthetic) {
-    results[base.result_index] = base.result;
-    report(results[base.result_index]);
-  }
-  for (size_t i : members) {
-    if (i == base.result_index) continue;
-    results[i] = set[i].fault.active()
-                     ? run_fork(set, i, base)
-                     : run_scenario(set[i], static_cast<u32>(i));
-    report(results[i]);
-  }
-}
-
-}  // namespace
-
 CampaignResult CampaignRunner::run(const ScenarioSet& set) const {
   set.validate_all();
 
@@ -288,27 +261,17 @@ CampaignResult CampaignRunner::run(const ScenarioSet& set) const {
   std::atomic<size_t> next{0};
   std::mutex report_mutex;
 
-  const auto report = [&](const ScenarioResult& r) {
+  const ResultSink store = [&](ScenarioResult r) {
     if (cfg_.on_result) {
       std::lock_guard<std::mutex> lock(report_mutex);
       cfg_.on_result(r);
     }
+    out.results[r.index] = std::move(r);
   };
-
   auto worker = [&] {
     for (size_t u = next.fetch_add(1); u < units.size();
-         u = next.fetch_add(1)) {
-      const WorkUnit& unit = units[u];
-      if (unit.worth_base_run()) {
-        run_ff_group(set, unit.members, report, out.results);
-        continue;
-      }
-      for (size_t i : unit.members) {
-        ScenarioResult r = run_scenario(set[i], static_cast<u32>(i));
-        report(r);
-        out.results[i] = std::move(r);
-      }
-    }
+         u = next.fetch_add(1))
+      run_unit(set, units[u].members, store);
   };
 
   if (jobs <= 1) {

@@ -1,36 +1,32 @@
 #include "exp/units.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace higpu::exp {
 
+WorkUnit WorkUnit::of(const ScenarioSet& set, std::vector<size_t> members) {
+  WorkUnit u;
+  u.members = std::move(members);
+  for (size_t m : u.members)
+    if (set[m].fault.active()) ++u.fault_members;
+  return u;
+}
+
 std::vector<WorkUnit> plan_units(const ScenarioSet& set, bool group_faults) {
   std::vector<WorkUnit> units;
-  if (!group_faults) {
-    units.reserve(set.size());
-    for (size_t i = 0; i < set.size(); ++i) {
-      WorkUnit u;
-      u.members.push_back(i);
-      u.fault_members = set[i].fault.active() ? 1 : 0;
-      units.push_back(std::move(u));
-    }
-    return units;
-  }
   std::vector<bool> grouped(set.size(), false);
   for (size_t i = 0; i < set.size(); ++i) {
     if (grouped[i]) continue;
-    WorkUnit u;
-    u.members.push_back(i);
+    std::vector<size_t> members = {i};
     grouped[i] = true;
-    for (size_t j = i + 1; j < set.size(); ++j) {
+    for (size_t j = i + 1; group_faults && j < set.size(); ++j) {
       if (!grouped[j] && set[i].same_but_fault(set[j])) {
-        u.members.push_back(j);
+        members.push_back(j);
         grouped[j] = true;
       }
     }
-    for (size_t m : u.members)
-      if (set[m].fault.active()) ++u.fault_members;
-    units.push_back(std::move(u));
+    units.push_back(WorkUnit::of(set, std::move(members)));
   }
   return units;
 }
@@ -77,13 +73,33 @@ GroupBase run_group_base(const ScenarioSet& set,
 }
 
 ScenarioResult run_fork(const ScenarioSet& set, size_t i,
-                        const GroupBase& base) {
+                        const GroupBase& base, const ScenarioProbe& probe,
+                        const ScenarioProbe& pre_run) {
   SnapshotIo io;
   if (base.ok()) {
     io.resume = base.snapshot_for(set[i].fault.start);
     io.divergence_ref = base.final_state;
   }
-  return run_scenario(set[i], static_cast<u32>(i), nullptr, nullptr, &io);
+  return run_scenario(set[i], static_cast<u32>(i), probe, pre_run, &io);
+}
+
+void run_unit(const ScenarioSet& set, const std::vector<size_t>& members,
+              const ResultSink& emit, const ScenarioProbe& probe,
+              const ScenarioProbe& pre_run) {
+  const auto from_scratch = [&](size_t i) {
+    return run_scenario(set[i], static_cast<u32>(i), probe, pre_run);
+  };
+  if (!WorkUnit::of(set, members).worth_base_run()) {
+    for (size_t i : members) emit(from_scratch(i));
+    return;
+  }
+  const GroupBase base = run_group_base(set, members);
+  if (base.result_index != GroupBase::kSynthetic) emit(base.result);
+  for (size_t i : members) {
+    if (i == base.result_index) continue;
+    emit(set[i].fault.active() ? run_fork(set, i, base, probe, pre_run)
+                               : from_scratch(i));
+  }
 }
 
 }  // namespace higpu::exp

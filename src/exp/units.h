@@ -1,19 +1,23 @@
-// Work-unit planning and shared-base execution for campaign backends.
+// Work-unit planning and execution for campaign backends.
 //
 // Both campaign executors — the in-process CampaignRunner thread pool and
 // the dist:: coordinator/worker service — decompose a ScenarioSet the same
 // way: scenarios that are the same experiment under different fault plans
 // (ScenarioSpec::same_but_fault) form one *group* that can share a single
-// clean base run; everything else is a singleton unit. The group's base run
-// is simulated once with snapshots captured at every member's injection
-// cycle, and each faulted member then forks from the snapshot covering its
-// own injection point (runtime::Device::arm_resume) instead of re-simulating
-// the common prefix. Forking is purely an acceleration: per-scenario results
-// are bit-identical to from-scratch execution (pinned by tests/ckpt_test.cpp
-// and tests/dist_test.cpp), so any executor may group or not, locally or
-// across processes, without changing campaign output.
+// clean base run; everything else is a singleton unit. Both then hand each
+// unit to run_unit(): the group's base run is simulated once with snapshots
+// captured at every member's injection cycle, and each faulted member then
+// forks from the snapshot covering its own injection point
+// (runtime::Device::arm_resume) instead of re-simulating the common prefix.
+// A unit runs start to finish in one process, so its snapshots never leave
+// the process that captured them. Forking is purely an acceleration:
+// per-scenario results are bit-identical to from-scratch execution (pinned
+// by tests/ckpt_test.cpp and tests/dist_test.cpp), so any executor may
+// group or not, locally or across processes, without changing campaign
+// output.
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "exp/campaign.h"
@@ -26,6 +30,9 @@ struct WorkUnit {
   /// Number of members with an active fault plan. A unit is worth a shared
   /// base run when it has >= 2 of them (see worth_base_run()).
   size_t fault_members = 0;
+
+  /// The unit of `members` (indices into `set`), fault members counted.
+  static WorkUnit of(const ScenarioSet& set, std::vector<size_t> members);
 
   bool worth_base_run() const {
     return members.size() >= 2 && fault_members >= 2;
@@ -71,8 +78,25 @@ GroupBase run_group_base(const ScenarioSet& set,
 /// Run one fork scenario (index `i` of `set`) against a completed base:
 /// resumes from the snapshot covering its injection cycle when available
 /// (from scratch otherwise — missing snapshots degrade to correctness, not
-/// failure) and diffs its final state against the clean run's.
+/// failure) and diffs its final state against the clean run's. `probe` and
+/// `pre_run` pass through to run_scenario.
 ScenarioResult run_fork(const ScenarioSet& set, size_t i,
-                        const GroupBase& base);
+                        const GroupBase& base,
+                        const ScenarioProbe& probe = nullptr,
+                        const ScenarioProbe& pre_run = nullptr);
+
+/// Receives each member's result as it completes (execution order).
+using ResultSink = std::function<void(ScenarioResult)>;
+
+/// Run the unit of `members` (indices into `set`) on the calling thread and
+/// hand every member's result to `emit`. A unit worth a base run
+/// (WorkUnit::worth_base_run) runs its clean base through run_group_base,
+/// then each remaining member: a fault member forks from the base, a
+/// fault-free one runs from scratch. Any other unit runs each member from
+/// scratch with no snapshot traffic. `probe` and `pre_run` apply to every
+/// run except the base run.
+void run_unit(const ScenarioSet& set, const std::vector<size_t>& members,
+              const ResultSink& emit, const ScenarioProbe& probe = nullptr,
+              const ScenarioProbe& pre_run = nullptr);
 
 }  // namespace higpu::exp

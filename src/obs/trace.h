@@ -56,8 +56,8 @@ enum class Ev : u16 {
   kReqShed,        // instant: a0 = request id, a1 = 0 expired / 1 overflow
   kDegrade,        // instant: ladder move. a0 = from level, a1 = to level
   kCompareFail,    // instant: redundancy miscompare. a0 = dissenting words
-  kUnitShip,       // instant: a0 = unit id, a1 = worker id
-  kUnitResult,     // instant: a0 = unit id, a1 = worker id
+  kUnitShip,       // instant: a0 = unit id, a1 = member count
+  kUnitResult,     // instant: a0 = unit id, a1 = scenario index
   kUnitSteal,      // instant: a0 = unit id, a1 = stealing worker
   kWorkerDeath,    // instant: a0 = worker id
   kLogLine,        // instant: a0 = log level

@@ -3,18 +3,22 @@
 // The headline pin is the determinism contract: dist::run_distributed
 // produces results bit-identical (ScenarioResult::deterministic_fields_equal)
 // to CampaignRunner jobs=1 at any worker count, under work stealing, across
-// a worker SIGKILL mid-campaign, and across a simulated coordinator crash
-// plus journal resume. Around it: the higpu.wire/3 frame and payload codecs
-// (corruption is loud, never misinterpreted), wire-framed snapshot
-// round-trips with per-section integrity (a corrupted section is named),
-// JSONL result round-trips including control characters in error strings,
-// journal scan/resume semantics (torn tails tolerated, corrupted records
-// named, foreign campaigns refused, only missing scenarios re-executed),
-// and cross-process snapshot portability through the campaign_worker file
-// mode (a parameter-mismatched snapshot is refused cleanly).
+// a worker SIGKILL mid-campaign (also inside a multi-member unit), and
+// across a simulated coordinator crash plus journal resume. Around it: the
+// higpu.wire/4 frame and payload codecs (corruption is loud, never
+// misinterpreted; a lying length or member count allocates nothing),
+// wire-framed snapshot round-trips with per-section integrity (a corrupted
+// section is named), JSONL result round-trips including control characters
+// in error strings, journal scan/resume semantics (torn tails tolerated,
+// corrupted records named, foreign campaigns refused, only missing
+// scenarios re-executed), a group unit run in a fresh campaign_worker
+// process through its file mode, and a parameter-mismatched snapshot
+// refused cleanly.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -31,6 +35,7 @@
 #include "dist/protocol.h"
 #include "exp/campaign.h"
 #include "exp/result_io.h"
+#include "exp/units.h"
 
 namespace higpu {
 namespace {
@@ -50,7 +55,7 @@ ScenarioSpec test_spec(const std::string& workload) {
 
 /// A small campaign that exercises every dispatch shape: fault-free
 /// singletons, and a same_but_fault group (clean member + two faults) that
-/// gets a shared base run and snapshot-carrying forks.
+/// ships as one unit whose worker forks both faults from a shared base run.
 ScenarioSet mixed_set() {
   ScenarioSet set = ScenarioSet::of(test_spec("hotspot"))
                         .sweep_faults({FaultPlan::none(),
@@ -236,6 +241,34 @@ TEST(WireFrame, CorruptedPayloadIsLoud) {
   ::close(sv2[1]);
 }
 
+/// Peak resident set of this process in MiB.
+double peak_rss_mib() {
+  rusage ru{};
+  ::getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;
+}
+
+TEST(WireFrame, LyingLengthAllocatesOnlyWhatArrives) {
+  // A header claiming 0xF0000000 payload bytes, then EOF: a torn frame,
+  // refused after reading what arrived, not after allocating 3.75 GiB.
+  ckpt::Writer w;
+  w.put32(dist::kFrameMagic);
+  w.put8(static_cast<u8>(dist::Msg::kWork));
+  w.put64(0xF0000000ull);
+  const std::vector<u8>& header = w.blob();
+  ASSERT_EQ(13u, header.size());
+  int sv[2];
+  ASSERT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM, 0, sv));
+  ASSERT_EQ(static_cast<ssize_t>(header.size()),
+            ::write(sv[0], header.data(), header.size()));
+  ::close(sv[0]);
+  const double before = peak_rss_mib();
+  dist::Frame f;
+  EXPECT_THROW(dist::recv_frame(sv[1], &f), dist::WireError);
+  ::close(sv[1]);
+  EXPECT_LT(peak_rss_mib() - before, 64.0) << "peak RSS followed the claim";
+}
+
 // ---- ScenarioSpec codec ----------------------------------------------------
 
 TEST(WireSpec, RoundTripPreservesEveryField) {
@@ -409,28 +442,46 @@ TEST(SnapshotWire, FileRoundTripAndWorkItemCodec) {
   EXPECT_EQ(snap->blob, back->blob);
   std::remove(path.c_str());
 
+  // The unit codec: indices and specs survive in member order.
   dist::WorkItem item;
   item.unit_id = 7;
-  item.index = 3;
-  item.spec = test_spec("hotspot");
-  item.spec.fault = FaultPlan::droop(2000, 50, 2);
-  item.resume = snap;
-  item.divergence_ref = final_state;
+  item.indices = {3, 0, 5};
+  item.specs = {test_spec("hotspot"), test_spec("hotspot"), test_spec("nw")};
+  item.specs[0].fault = FaultPlan::droop(2000, 50, 2);
   const dist::WorkItem got = dist::decode_work(dist::encode_work(item));
   EXPECT_EQ(7u, got.unit_id);
-  EXPECT_EQ(3u, got.index);
-  EXPECT_TRUE(item.spec == got.spec);
-  ASSERT_NE(nullptr, got.resume);
-  EXPECT_EQ(snap->blob, got.resume->blob);
-  ASSERT_NE(nullptr, got.divergence_ref);
-  EXPECT_EQ(final_state->blob, got.divergence_ref->blob);
+  EXPECT_EQ(item.indices, got.indices);
+  EXPECT_EQ(item.specs, got.specs);
 
-  dist::WorkItem bare;
-  bare.index = 1;
-  bare.spec = test_spec("nw");
-  const dist::WorkItem got_bare = dist::decode_work(dist::encode_work(bare));
-  EXPECT_EQ(nullptr, got_bare.resume);
-  EXPECT_EQ(nullptr, got_bare.divergence_ref);
+  const dist::WorkItem empty = dist::decode_work(dist::encode_work({}));
+  EXPECT_TRUE(empty.indices.empty());
+  EXPECT_TRUE(empty.specs.empty());
+}
+
+// ---- Work-unit codec -------------------------------------------------------
+
+TEST(WireWork, MemberCountPastBytesLeftIsRefusedByName) {
+  dist::WorkItem item;
+  item.unit_id = 1;
+  item.indices = {0};
+  item.specs = {test_spec("hotspot")};
+  std::vector<u8> bytes = dist::encode_work(item);
+  // The member count follows the u64 unit id; claim 2^40 members.
+  ckpt::Writer w;
+  w.put64(1ull << 40);
+  std::copy(w.blob().begin(), w.blob().end(), bytes.begin() + 8);
+  try {
+    dist::decode_work(bytes);
+    FAIL() << "an impossible member count was accepted";
+  } catch (const std::exception& e) {
+    EXPECT_NE(std::string(e.what()).find("unit members"), std::string::npos)
+        << e.what();
+  }
+
+  // A truncated member is refused too, never read past the end.
+  bytes = dist::encode_work(item);
+  bytes.resize(bytes.size() - 3);
+  EXPECT_THROW(dist::decode_work(bytes), std::exception);
 }
 
 // ---- JSONL result records (satellite 2) ------------------------------------
@@ -580,10 +631,10 @@ TEST(Distributed, BitIdenticalAtAnyWorkerCount) {
     EXPECT_FALSE(rep.stopped_early);
     EXPECT_EQ(0u, rep.workers_died) << "workers=" << workers;
     expect_equals_golden(rep.campaign, golden);
-    if (workers >= 2) {
-      // The fault forks of the hotspot group ship their base snapshot.
-      EXPECT_GT(rep.snapshot_bytes_shipped, 0u) << "workers=" << workers;
-    }
+    // One frame per unit (the hotspot group and two singletons), and the
+    // group's snapshots never leave its worker.
+    EXPECT_EQ(3u, rep.units_shipped) << "workers=" << workers;
+    EXPECT_EQ(0u, rep.snapshot_bytes_shipped) << "workers=" << workers;
   }
 }
 
@@ -610,6 +661,68 @@ TEST(Distributed, SurvivesWorkerSigkill) {
   cfg.chaos_kill_after = 1;  // SIGKILL a live worker after the 1st result
   const dist::DistReport rep = dist::run_distributed(set, cfg);
   EXPECT_GE(rep.workers_died, 1u);
+  expect_equals_golden(rep.campaign, golden);
+}
+
+TEST(Distributed, KillInsideUnitRedispatchesItsRemainder) {
+  // One unit of six members: the kill lands on the worker running it after
+  // its first result, and the other worker runs the five unreported
+  // members as one unit.
+  const ScenarioSet set =
+      ScenarioSet::of(test_spec("hotspot"))
+          .sweep_faults({FaultPlan::none(), FaultPlan::droop(1000, 50, 1),
+                         FaultPlan::droop(2000, 50, 2),
+                         FaultPlan::droop(3000, 50, 3),
+                         FaultPlan::transient_sm(1, 2500, 40, 3),
+                         FaultPlan::transient_sm(2, 4000, 40, 4)});
+  ASSERT_EQ(1u, exp::plan_units(set, true).size());
+  const exp::CampaignResult golden = golden_jobs1(set);
+  dist::DistConfig cfg;
+  cfg.workers = 2;
+  cfg.chaos_kill_after = 1;
+  const dist::DistReport rep = dist::run_distributed(set, cfg);
+  EXPECT_EQ(1u, rep.workers_died);
+  EXPECT_EQ(2u, rep.units_shipped);
+  EXPECT_EQ(set.size(), rep.executed);
+  expect_equals_golden(rep.campaign, golden);
+}
+
+TEST(Distributed, ResultOutsideTheUnitKillsTheWorker) {
+  // A fake worker: a script that says Hello, then returns a well-formed
+  // result for scenario 5, which is not in the one-member unit it is
+  // given. The coordinator must treat it as dead and finish inline.
+  const ScenarioSet set = ScenarioSet::of(test_spec("nw"));
+  const exp::CampaignResult golden = golden_jobs1(set);
+  ScenarioResult stray;
+  stray.index = 5;
+  stray.workload = "nw";
+  stray.label = "stray";
+  int sv[2];
+  ASSERT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM, 0, sv));
+  dist::send_frame(sv[0], dist::Msg::kHello, dist::encode_hello(0));
+  dist::send_frame(sv[0], dist::Msg::kResult,
+                   dist::encode_result({0, 5, exp::result_to_jsonl(stray)}));
+  ::close(sv[0]);
+  std::string frames;
+  char buf[4096];
+  for (ssize_t n; (n = ::read(sv[1], buf, sizeof buf)) > 0;)
+    frames.append(buf, static_cast<size_t>(n));
+  ::close(sv[1]);
+  const std::string frames_path = tmp_path("stray.bin");
+  const std::string script = tmp_path("stray_worker.sh");
+  write_text(frames_path, frames);
+  write_text(script, "#!/bin/sh\ncat '" + frames_path +
+                         "' >&3\nexec sleep 30\n");
+  ASSERT_EQ(0, ::chmod(script.c_str(), 0755));
+
+  dist::DistConfig cfg;
+  cfg.workers = 1;
+  cfg.worker_exe = script;
+  const dist::DistReport rep = dist::run_distributed(set, cfg);
+  std::remove(frames_path.c_str());
+  std::remove(script.c_str());
+  EXPECT_EQ(1u, rep.workers_died);
+  EXPECT_EQ(1u, rep.executed);
   expect_equals_golden(rep.campaign, golden);
 }
 
@@ -683,11 +796,11 @@ TEST(Distributed, ResumeRefusesForeignJournal) {
   std::remove(path.c_str());
 }
 
-// ---- Cross-process snapshot portability (satellite 3) ----------------------
+// ---- A unit in a fresh process ----------------------------------------------
 
 /// Run one encoded WorkItem through a freshly spawned campaign_worker in
-/// file mode and parse the result record it writes.
-ScenarioResult run_in_fresh_process(const dist::WorkItem& item) {
+/// file mode and parse the result records it writes, one per member.
+std::vector<ScenarioResult> run_in_fresh_process(const dist::WorkItem& item) {
   const std::string work = tmp_path("work.bin");
   const std::string out = tmp_path("out.jsonl");
   const std::vector<u8> payload = dist::encode_work(item);
@@ -700,54 +813,56 @@ ScenarioResult run_in_fresh_process(const dist::WorkItem& item) {
                           " --out=" + out;
   const int rc = std::system(cmd.c_str());
   EXPECT_EQ(0, rc) << cmd;
-  std::string line = read_text(out);
+  std::istringstream lines(read_text(out));
   std::remove(work.c_str());
   std::remove(out.c_str());
-  while (!line.empty() && (line.back() == '\n' || line.back() == '\r'))
-    line.pop_back();
-  return exp::result_from_jsonl(line);
+  std::vector<ScenarioResult> results;
+  for (std::string line; std::getline(lines, line);)
+    results.push_back(exp::result_from_jsonl(line));
+  return results;
 }
 
-TEST(Distributed, SnapshotIsPortableAcrossProcesses) {
-  ckpt::SnapshotPtr snap, final_state;
-  capture_base(&snap, &final_state);
-
+TEST(Distributed, GroupUnitRunsInFreshProcess) {
+  // The hotspot group of mixed_set as a kWork unit: the fresh process runs
+  // its base and forks the two faults from the snapshots it captured.
+  const ScenarioSet set = mixed_set();
+  const exp::CampaignResult golden = golden_jobs1(set);
+  const exp::WorkUnit unit = exp::plan_units(set, true).front();
+  ASSERT_TRUE(unit.worth_base_run());
   dist::WorkItem item;
-  item.index = 1;
-  item.spec = test_spec("hotspot");
-  item.spec.fault = FaultPlan::droop(2000, 50, 2);
-  item.resume = snap;
-  item.divergence_ref = final_state;
+  item.unit_id = 0;
+  for (size_t m : unit.members) {
+    item.indices.push_back(static_cast<u32>(m));
+    item.specs.push_back(set[m]);
+  }
 
-  // In-process reference: the same fork resumed from the same snapshot.
-  SnapshotIo io;
-  io.resume = snap;
-  io.divergence_ref = final_state;
-  const ScenarioResult local =
-      exp::run_scenario(item.spec, item.index, nullptr, nullptr, &io);
-  ASSERT_TRUE(local.ok) << local.error;
-
-  const ScenarioResult remote = run_in_fresh_process(item);
-  ASSERT_TRUE(remote.ok) << remote.error;
-  EXPECT_TRUE(local.deterministic_fields_equal(remote))
-      << "cross-process resume is not bit-identical";
+  const std::vector<ScenarioResult> remote = run_in_fresh_process(item);
+  ASSERT_EQ(unit.members.size(), remote.size());
+  std::vector<bool> seen(set.size(), false);
+  for (const ScenarioResult& r : remote) {
+    ASSERT_LT(r.index, set.size());
+    EXPECT_FALSE(seen[r.index]) << "scenario " << r.index << " reported twice";
+    seen[r.index] = true;
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_TRUE(r.deterministic_fields_equal(golden.results[r.index]))
+        << "scenario " << r.index << " differs from the jobs=1 golden";
+  }
+  for (size_t m : unit.members) EXPECT_TRUE(seen[m]) << "scenario " << m;
 }
 
 TEST(Distributed, MismatchedSnapshotIsRefusedCleanly) {
   ckpt::SnapshotPtr snap, final_state;
   capture_base(&snap, &final_state);  // captured on the default 6-SM GPU
 
-  dist::WorkItem item;
-  item.index = 0;
-  item.spec = test_spec("hotspot");
-  item.spec.gpu.num_sms = 4;  // a different device than the snapshot's
-  item.spec.fault = FaultPlan::droop(2000, 50, 2);
-  item.resume = snap;
-
-  const ScenarioResult remote = run_in_fresh_process(item);
-  EXPECT_FALSE(remote.ok);
-  EXPECT_NE(std::string::npos, remote.error.find("parameters"))
-      << "refusal should name the parameter mismatch, got: " << remote.error;
+  ScenarioSpec spec = test_spec("hotspot");
+  spec.gpu.num_sms = 4;  // a different device than the snapshot's
+  spec.fault = FaultPlan::droop(2000, 50, 2);
+  SnapshotIo io;
+  io.resume = snap;
+  const ScenarioResult r = exp::run_scenario(spec, 0, nullptr, nullptr, &io);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(std::string::npos, r.error.find("parameters"))
+      << "refusal should name the parameter mismatch, got: " << r.error;
 }
 
 }  // namespace
