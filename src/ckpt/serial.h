@@ -15,6 +15,11 @@
 // of them with one extend() and fills it in one pass; the Reader mirrors
 // this with take() and load_le.
 //
+// Records are written and read through their one visit_fields list
+// (common/fields.h): put_fields appends the listed fields in order and
+// get_fields reads them back, refusing an enum byte past the enum's last
+// enumerator with an error that names the field's path ("sm0.warp.stack").
+//
 // The section table doubles as the diagnosis index: every section records
 // its byte range and hash, and an optional fixed record size (e.g. one L1
 // set, one DRAM bank) that lets ckpt::first_divergence translate a byte
@@ -31,6 +36,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -80,6 +86,15 @@ struct Section {
   u64 hash = 0;
 };
 
+template <FieldsOf<Section> S, class V>
+void visit_fields(S& s, V&& v) {
+  v("name", s.name);
+  v("offset", s.offset);
+  v("len", s.len);
+  v("record_size", s.record_size);
+  v("hash", s.hash);
+}
+
 class Writer {
  public:
   /// Grow the blob by `n` bytes and return the first of them. The caller
@@ -108,22 +123,6 @@ class Writer {
     put64(s.size());
     put_bytes(s.data(), s.size());
   }
-  void put_u32_vec(const std::vector<u32>& v) {
-    put64(v.size());
-    u8* p = extend(4 * v.size());
-    for (u32 x : v) {
-      store_le<4>(p, x);
-      p += 4;
-    }
-  }
-  void put_u64_vec(const std::vector<u64>& v) {
-    put64(v.size());
-    u8* p = extend(8 * v.size());
-    for (u64 x : v) {
-      store_le<8>(p, x);
-      p += 8;
-    }
-  }
 
   void begin_section(std::string name, u64 record_size = 0);
   void end_section();
@@ -141,22 +140,61 @@ class Writer {
   u64 open_record_size_ = 0;
 };
 
-/// Append `rec`'s visit_fields in order: enums as one byte, integers at
-/// their width, floats as f64, strings and u32 vectors length-prefixed.
-/// Fields tagged `skip` (other than kNone) are left out.
+template <class T>
+inline constexpr bool kIsVector = false;
+template <class E, class A>
+inline constexpr bool kIsVector<std::vector<E, A>> = true;
+
+/// An integer field, stored at its own width (a bool as one byte).
+template <class F>
+inline constexpr bool kIsInt =
+    std::is_integral_v<F> && (sizeof(F) == 1 || sizeof(F) == 2 ||
+                              sizeof(F) == 4 || sizeof(F) == 8);
+
 template <FieldRecord T>
-void put_fields(Writer& w, const T& rec, FieldTag skip = FieldTag::kNone) {
+void put_fields(Writer& w, const T& rec, FieldTag skip = FieldTag::kNone);
+
+/// Append one field: a record through its visit_fields, an enum as one
+/// byte, an integer at its width, a float as f64, a string or vector as a
+/// u64 count and then its elements.
+template <class F>
+void put_field(Writer& w, const F& f, FieldTag skip = FieldTag::kNone) {
+  if constexpr (FieldRecord<F>) {
+    put_fields(w, f, skip);
+  } else if constexpr (std::is_enum_v<F>) {
+    w.put8(static_cast<u8>(f));
+  } else if constexpr (kIsInt<F>) {
+    store_le<sizeof(F)>(w.extend(sizeof(F)), static_cast<u64>(f));
+  } else if constexpr (std::is_floating_point_v<F>) {
+    w.putf64(f);
+  } else if constexpr (std::is_same_v<F, std::string>) {
+    w.put_string(f);
+  } else {
+    static_assert(kIsVector<F>, "no encoding for this field type");
+    using E = typename F::value_type;
+    w.put64(f.size());
+    if constexpr (std::is_same_v<E, u8>) {
+      w.put_bytes(f.data(), f.size());
+    } else if constexpr (kIsInt<E>) {
+      u8* p = w.extend(sizeof(E) * f.size());
+      for (E x : f) {
+        store_le<sizeof(E)>(p, static_cast<u64>(x));
+        p += sizeof(E);
+      }
+    } else {
+      for (const E& e : f) put_field(w, e, skip);
+    }
+  }
+}
+
+/// Append `rec`'s visit_fields in order (see put_field). Fields tagged
+/// `skip` (other than kNone) are left out.
+template <FieldRecord T>
+void put_fields(Writer& w, const T& rec, FieldTag skip) {
   visit_fields(rec, [&](const char*, const auto& f,
                         FieldTag tag = FieldTag::kNone) {
-    using F = std::remove_cvref_t<decltype(f)>;
     if (skip != FieldTag::kNone && tag == skip) return;
-    if constexpr (FieldRecord<F>) put_fields(w, f, skip);
-    else if constexpr (std::is_enum_v<F>) w.put8(static_cast<u8>(f));
-    else if constexpr (std::is_same_v<F, u32>) w.put32(f);
-    else if constexpr (std::is_same_v<F, u64>) w.put64(f);
-    else if constexpr (std::is_floating_point_v<F>) w.putf64(f);
-    else if constexpr (std::is_same_v<F, std::string>) w.put_string(f);
-    else w.put_u32_vec(f);
+    put_field(w, f, skip);
   });
 }
 
@@ -164,6 +202,21 @@ void put_fields(Writer& w, const T& rec, FieldTag skip = FieldTag::kNone) {
 class SnapshotError : public std::runtime_error {
  public:
   explicit SnapshotError(const std::string& what) : std::runtime_error(what) {}
+};
+
+/// Where a field sits in its record tree, for error messages. Decoders
+/// keep the nodes on their stack, so the path is only spelled out when a
+/// field is refused.
+struct FieldPath {
+  std::string_view name;
+  const FieldPath* up = nullptr;
+  /// The names from the root down, joined by '.': "sm0.warp_stall.cls".
+  std::string str() const {
+    std::string s = up != nullptr ? up->str() : std::string();
+    if (!s.empty() && !name.empty()) s += '.';
+    s.append(name);
+    return s;
+  }
 };
 
 class Reader {
@@ -203,27 +256,16 @@ class Reader {
     pos_ += static_cast<size_t>(n);
     return s;
   }
-  std::vector<u32> get_u32_vec() {
-    const size_t n = static_cast<size_t>(get_count(4, "u32 vector"));
-    std::vector<u32> v(n);
-    const u8* p = take(4 * n);
-    for (size_t i = 0; i < n; ++i) v[i] = static_cast<u32>(load_le<4>(p + 4 * i));
-    return v;
-  }
-  std::vector<u64> get_u64_vec() {
-    const size_t n = static_cast<size_t>(get_count(8, "u64 vector"));
-    std::vector<u64> v(n);
-    const u8* p = take(8 * n);
-    for (size_t i = 0; i < n; ++i) v[i] = load_le<8>(p + 8 * i);
-    return v;
-  }
   /// Read an element count and refuse it unless `n` elements of at least
   /// `min_bytes_each` bytes fit in the unread input: a corrupt length field
   /// throws here, before anything is allocated from it.
   u64 get_count(size_t min_bytes_each, const char* what) {
+    return get_count(min_bytes_each, FieldPath{what});
+  }
+  u64 get_count(size_t min_bytes_each, const FieldPath& what) {
     const u64 n = get64();
     if (n > remaining() / min_bytes_each)
-      throw SnapshotError(std::string(what) + " length " + std::to_string(n) +
+      throw SnapshotError(what.str() + " length " + std::to_string(n) +
                           " exceeds the " + std::to_string(remaining()) +
                           " bytes left at byte " + std::to_string(pos_));
     return n;
@@ -257,5 +299,81 @@ class Reader {
   size_t section_end_ = 0;
   bool in_section_ = false;
 };
+
+/// The fewest bytes put_field writes for an F, which bounds how many Fs a
+/// decoded count may claim. A record counts the fields its visitor lists
+/// for a default-constructed one.
+template <class F>
+size_t min_field_bytes() {
+  if constexpr (FieldRecord<F>) {
+    size_t n = 0;
+    F rec{};
+    visit_fields(rec, [&n](const char*, auto& f, FieldTag = FieldTag::kNone) {
+      n += min_field_bytes<std::remove_cvref_t<decltype(f)>>();
+    });
+    return n;
+  } else if constexpr (std::is_enum_v<F>) {
+    return 1;
+  } else if constexpr (kIsInt<F>) {
+    return sizeof(F);
+  } else {
+    return 8;  // f64, or the count of a string or vector
+  }
+}
+
+template <class Error = SnapshotError, FieldRecord T>
+void get_fields(Reader& r, T& rec, const FieldPath& at = {});
+
+/// Inverse of put_field. `at` names `f` in errors: an enum byte no
+/// enumerator has throws `Error` naming it, never casts into the enum
+/// (every enum a record holds names its last enumerator in enum_last).
+/// Counts are checked against the bytes left before anything is allocated.
+template <class Error = SnapshotError, class F>
+void get_field(Reader& r, F& f, const FieldPath& at) {
+  if constexpr (FieldRecord<F>) {
+    get_fields<Error>(r, f, at);
+  } else if constexpr (std::is_enum_v<F>) {
+    const u8 v = r.get8();
+    if (v > static_cast<u8>(enum_last(F{})))
+      throw Error("field " + at.str() + " holds out-of-range enum value " +
+                  std::to_string(v));
+    f = static_cast<F>(v);
+  } else if constexpr (std::is_same_v<F, bool>) {
+    f = r.getb();
+  } else if constexpr (kIsInt<F>) {
+    f = static_cast<F>(load_le<sizeof(F)>(r.take(sizeof(F))));
+  } else if constexpr (std::is_floating_point_v<F>) {
+    f = F(r.getf64());
+  } else if constexpr (std::is_same_v<F, std::string>) {
+    f = r.get_string();
+  } else {
+    static_assert(kIsVector<F>, "no encoding for this field type");
+    using E = typename F::value_type;
+    // assign, not resize: a vector that must grow is allocated at exactly
+    // the decoded size.
+    f.assign(static_cast<size_t>(r.get_count(min_field_bytes<E>(), at)), E{});
+    if constexpr (std::is_same_v<E, u8>) {
+      r.get_bytes(f.data(), f.size());
+    } else if constexpr (kIsInt<E>) {
+      const u8* p = r.take(sizeof(E) * f.size());
+      for (E& x : f) {
+        x = static_cast<E>(load_le<sizeof(E)>(p));
+        p += sizeof(E);
+      }
+    } else {
+      for (E& e : f) get_field<Error>(r, e, at);
+    }
+  }
+}
+
+/// Inverse of put_fields: read `rec`'s visit_fields in order. A field's
+/// path is `at`'s followed by the names its visitors give it.
+template <class Error, FieldRecord T>
+void get_fields(Reader& r, T& rec, const FieldPath& at) {
+  visit_fields(rec, [&](const char* name, auto& f,
+                        FieldTag = FieldTag::kNone) {
+    get_field<Error>(r, f, FieldPath{name, &at});
+  });
+}
 
 }  // namespace higpu::ckpt

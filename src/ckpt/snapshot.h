@@ -182,6 +182,18 @@ class Snapshot {
   const Section* find_section(const std::string& name) const;
 };
 
+/// The capture metadata, which a wire frame carries ahead of the section
+/// table, the blob, the images and the programs.
+template <FieldsOf<Snapshot> S, class V>
+void visit_fields(S& s, V&& v) {
+  v("cycle", s.cycle);
+  v("sync_seq", s.sync_seq);
+  v("launch_count", s.launch_count);
+  v("now_ns", s.now_ns);
+  v("target", s.target);
+  v("store_extent", s.store_extent);
+}
+
 using SnapshotPtr = std::shared_ptr<const Snapshot>;
 
 /// Name of the first architecturally divergent component between two

@@ -1,9 +1,6 @@
 #include "ckpt/wire.h"
 
-#include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 
 #include "isa/instruction.h"
 
@@ -11,28 +8,8 @@ namespace higpu::ckpt {
 
 namespace {
 
-void put_operand(Writer& w, const isa::Operand& o) {
-  w.put8(static_cast<u8>(o.kind));
-  w.put16(o.reg);
-  w.put32(o.imm);
-}
-
-isa::Operand get_operand(Reader& r) {
-  isa::Operand o;
-  o.kind = static_cast<isa::OperandKind>(r.get8());
-  o.reg = r.get16();
-  o.imm = r.get32();
-  return o;
-}
-
-/// Encoded size of one instruction (put_program's per-instruction fields).
-constexpr size_t kInstructionBytes =
-    2 + 2 + 1 + 2 + sizeof(isa::Instruction::src) /
-                        sizeof(isa::Instruction::src[0]) * (1 + 2 + 4) +
-    1 + 1 + 2 + 1 + 4 + 4 + 4;
-/// Smallest encodings of a section-table entry (empty name) and of a
-/// program (empty name, no code), for bounding their counts.
-constexpr size_t kMinSectionBytes = 8 + 4 * 8;
+/// Smallest encoding of a program (empty name, no code), for bounding the
+/// program count.
 constexpr size_t kMinProgramBytes = 8 + 2 + 2 + 4 + 4 + 8;
 /// Length + hash ahead of every image's bytes, and the page index ahead of
 /// a store page's.
@@ -117,21 +94,7 @@ void put_program(Writer& w, const isa::KernelProgram& p) {
   w.put16(p.num_preds());
   w.put32(p.shared_bytes());
   w.put32(p.num_params());
-  w.put64(p.code().size());
-  for (const isa::Instruction& ins : p.code()) {
-    w.put16(static_cast<u16>(ins.op));
-    w.put16(static_cast<u16>(ins.guard));
-    w.putb(ins.guard_neg);
-    w.put16(ins.dst);
-    for (const isa::Operand& o : ins.src) put_operand(w, o);
-    w.put8(static_cast<u8>(ins.cmp));
-    w.put8(static_cast<u8>(ins.dtype));
-    w.put16(static_cast<u16>(ins.pred_src));
-    w.put8(static_cast<u8>(ins.sreg));
-    w.put32(ins.target);
-    w.put32(ins.reconv_pc);
-    w.put32(static_cast<u32>(ins.mem_offset));
-  }
+  put_field(w, p.code());
 }
 
 isa::ProgramPtr get_program(Reader& r) {
@@ -140,25 +103,9 @@ isa::ProgramPtr get_program(Reader& r) {
   const u16 num_preds = r.get16();
   const u32 shared_bytes = r.get32();
   const u32 num_params = r.get32();
-  const u64 n = r.get_count(kInstructionBytes, "program code");
   std::vector<isa::Instruction> code;
-  code.reserve(static_cast<size_t>(n));
-  for (u64 i = 0; i < n; ++i) {
-    isa::Instruction ins;
-    ins.op = static_cast<isa::Op>(r.get16());
-    ins.guard = static_cast<i16>(r.get16());
-    ins.guard_neg = r.getb();
-    ins.dst = r.get16();
-    for (isa::Operand& o : ins.src) o = get_operand(r);
-    ins.cmp = static_cast<isa::CmpOp>(r.get8());
-    ins.dtype = static_cast<isa::DType>(r.get8());
-    ins.pred_src = static_cast<i16>(r.get16());
-    ins.sreg = static_cast<isa::SReg>(r.get8());
-    ins.target = r.get32();
-    ins.reconv_pc = r.get32();
-    ins.mem_offset = static_cast<i32>(r.get32());
-    code.push_back(ins);
-  }
+  const FieldPath program{"program"};
+  get_field(r, code, FieldPath{"code", &program});
   return std::make_shared<const isa::KernelProgram>(
       std::move(name), std::move(code), num_regs, num_preds, shared_bytes,
       num_params);
@@ -172,25 +119,9 @@ std::vector<u8> encode_snapshot(const Snapshot& snap) {
   w.put32(kWireVersion);
   w.put32(Snapshot::kVersion);
 
-  // Capture metadata (mirrors the cheap-access copies on Snapshot).
-  w.put64(snap.cycle);
-  w.put64(snap.sync_seq);
-  w.put64(snap.launch_count);
-  w.put64(static_cast<u64>(snap.now_ns));
-  w.put64(snap.target);
-  w.put64(snap.store_extent);
-
-  w.put64(snap.sections.size());
-  for (const Section& s : snap.sections) {
-    w.put_string(s.name);
-    w.put64(s.offset);
-    w.put64(s.len);
-    w.put64(s.record_size);
-    w.put64(s.hash);
-  }
-
-  w.put64(snap.blob.size());
-  w.put_bytes(snap.blob.data(), snap.blob.size());
+  put_fields(w, snap);  // capture metadata
+  put_field(w, snap.sections);
+  put_field(w, snap.blob);
 
   put_store_pages(w, snap.store_pages);
   put_images(w, snap.launch_images);
@@ -245,28 +176,9 @@ SnapshotPtr decode_snapshot(const std::vector<u8>& bytes) {
                         std::to_string(Snapshot::kVersion));
 
   auto snap = std::make_shared<Snapshot>();
-  snap->cycle = r.get64();
-  snap->sync_seq = r.get64();
-  snap->launch_count = r.get64();
-  snap->now_ns = static_cast<NanoSec>(r.get64());
-  snap->target = r.get64();
-  snap->store_extent = r.get64();
-
-  const u64 num_sections = r.get_count(kMinSectionBytes, "section table");
-  snap->sections.reserve(static_cast<size_t>(num_sections));
-  for (u64 i = 0; i < num_sections; ++i) {
-    Section s;
-    s.name = r.get_string();
-    s.offset = static_cast<size_t>(r.get64());
-    s.len = static_cast<size_t>(r.get64());
-    s.record_size = r.get64();
-    s.hash = r.get64();
-    snap->sections.push_back(std::move(s));
-  }
-
-  const u64 blob_len = r.get_count(1, "snapshot blob");
-  snap->blob.resize(static_cast<size_t>(blob_len));
-  r.get_bytes(snap->blob.data(), snap->blob.size());
+  get_fields(r, *snap);
+  get_field(r, snap->sections, FieldPath{"section table"});
+  get_field(r, snap->blob, FieldPath{"snapshot blob"});
 
   // Per-section integrity: recompute each section's hash over the received
   // blob. The frame checksum already rules out transport corruption; this
@@ -292,36 +204,6 @@ SnapshotPtr decode_snapshot(const std::vector<u8>& bytes) {
   snap->programs.reserve(static_cast<size_t>(num_programs));
   for (u64 i = 0; i < num_programs; ++i) snap->programs.push_back(get_program(r));
   return snap;
-}
-
-void write_snapshot_file(const std::string& path, const Snapshot& snap) {
-  const std::vector<u8> bytes = encode_snapshot(snap);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr)
-    throw std::runtime_error("cannot write snapshot file '" + path +
-                             "': " + std::strerror(errno));
-  const size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool flushed = std::fflush(f) == 0;
-  std::fclose(f);
-  if (written != bytes.size() || !flushed)
-    throw std::runtime_error("short write to snapshot file '" + path + "'");
-}
-
-SnapshotPtr read_snapshot_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr)
-    throw std::runtime_error("cannot read snapshot file '" + path +
-                             "': " + std::strerror(errno));
-  std::vector<u8> bytes;
-  u8 buf[1 << 16];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-    bytes.insert(bytes.end(), buf, buf + n);
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error)
-    throw std::runtime_error("error reading snapshot file '" + path + "'");
-  return decode_snapshot(bytes);
 }
 
 }  // namespace higpu::ckpt

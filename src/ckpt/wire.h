@@ -1,10 +1,10 @@
-// Wire/file framing for ckpt::Snapshot — the unit of distribution.
+// Wire framing for ckpt::Snapshot.
 //
 // An in-memory Snapshot is four things: the padding-free state blob, its
 // section table, the images held beside it (global-store pages, launch and
 // block-record history), and the immutable kernel programs launches
 // reference by index. encode_snapshot() frames all four as one
-// self-contained byte stream that can cross a socket or live in a file:
+// self-contained byte stream:
 //
 //   header     magic, frame version, snapshot version, capture metadata
 //   sections   name / offset / length / record size / hash64 each
@@ -12,8 +12,9 @@
 //   images     three tables: store pages, launch images, block-record
 //              images; each a count, then per image: length, hash64,
 //              bytes, with a store page's index ahead of its length
-//   programs   each KernelProgram serialized field-by-field (instructions,
-//              register/predicate/shared/param requirements)
+//   programs   each KernelProgram's register/predicate/shared/param
+//              requirements, then its code through isa::Instruction's
+//              visit_fields
 //   trailer    hash64 checksum over every preceding frame byte
 //
 // decode_snapshot() refuses corruption loudly instead of restoring garbage:
@@ -28,7 +29,6 @@
 // checks inside the blob.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "ckpt/snapshot.h"
@@ -41,7 +41,10 @@ namespace higpu::ckpt {
 /// v3: launch and block-record history images framed after the pages.
 /// v4: the store extent joins the capture metadata; a store page carries
 ///     its index, and only written pages are framed.
-constexpr u32 kWireVersion = 4;
+/// v5: program code is encoded through isa::Instruction's visit_fields, so
+///     an opcode takes one byte (it took two), and a decoded enum field no
+///     enumerator has is refused by its name ("program.code.op").
+constexpr u32 kWireVersion = 5;
 constexpr u64 kWireMagic = 0x48475055534E4150ull;  // "HGPUSNAP"
 
 /// Serialize a snapshot (blob + sections + store pages + programs +
@@ -54,18 +57,11 @@ std::vector<u8> encode_snapshot(const Snapshot& snap);
 /// page table out of order, with a duplicate or out-of-range index, or with
 /// a page that is not kStorePageBytes long, or a section or image whose
 /// recomputed hash differs from the stored one (naming the section, the
-/// store page's address or the history image's index). The returned snapshot
+/// store page's address or the history image's index), or a program whose
+/// code holds an enum value no enumerator has (naming the field, e.g.
+/// "program.code.src.kind"). The returned snapshot
 /// is bit-identical to the encoded one (same blob and pages, hence same
 /// Snapshot::hash()).
 SnapshotPtr decode_snapshot(const std::vector<u8>& bytes);
-
-/// Write an encoded snapshot to `path` (atomically enough for our purposes:
-/// full write + flush; the decode checksum catches torn files). Throws
-/// std::runtime_error on I/O failure.
-void write_snapshot_file(const std::string& path, const Snapshot& snap);
-
-/// Read + decode a snapshot file. Throws std::runtime_error if the file
-/// can't be read, SnapshotError if its contents fail validation.
-SnapshotPtr read_snapshot_file(const std::string& path);
 
 }  // namespace higpu::ckpt

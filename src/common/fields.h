@@ -1,10 +1,15 @@
-// One field list per record. Beside its declaration a plain record defines
+// One field list per record. Beside its declaration a record defines
 //   template <FieldsOf<Rec> S, class V> void visit_fields(S& r, V&& v)
-// calling v("name", r.member) once per member in declaration order, with at
-// most one FieldTag as a third argument. Result equality, the JSONL and wire
-// codecs and the snapshot parameter fingerprint all visit that one list. An
-// enum a record holds names its last enumerator in `constexpr E enum_last(E)`
-// so decoders can refuse any other value.
+// calling v("name", r.member) once per field in serialization order, with
+// at most one FieldTag as a third argument (a class whose state is private
+// makes it a hidden friend). Result equality, the JSONL and wire codecs,
+// the snapshot parameter fingerprint, device snapshot save/restore and the
+// SM and memory-system statistics all visit these lists. A visitor over
+// device state also writes the loops over fixed-size per-slot arrays, and
+// may stop after an `active` flag that says the rest of the slot is empty.
+// Fields are records, enums, bool, integers, floats, strings and vectors
+// of these. An enum a record holds names its last enumerator in
+// `constexpr E enum_last(E)` so decoders can refuse any other value.
 #pragma once
 
 #include <concepts>
@@ -22,6 +27,9 @@ enum class FieldTag : u8 {
   /// Never changes what a valid program computes (it governs only derived
   /// state): outside runtime::Device's snapshot parameter fingerprint.
   kNotFingerprinted,
+  /// A statistics counter reported even while it is zero; the others
+  /// appear once nonzero.
+  kReportedWhenZero,
 };
 
 /// `S` is `T` or `const T`, so one visit_fields serves readers and writers.

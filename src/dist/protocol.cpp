@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <type_traits>
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -52,31 +51,6 @@ bool read_all(int fd, u8* data, size_t len, bool eof_ok) {
     done += static_cast<size_t>(n);
   }
   return true;
-}
-
-/// Inverse of ckpt::put_fields for the spec records. `path` ("gpu.mem.")
-/// prefixes field names, so an enum byte no enumerator has is a WireError
-/// naming its field, never a cast into an invalid enum.
-template <FieldRecord T>
-void get_fields(ckpt::Reader& r, T& rec, const std::string& path) {
-  visit_fields(rec, [&](const char* name, auto& f,
-                        FieldTag = FieldTag::kNone) {
-    using F = std::remove_cvref_t<decltype(f)>;
-    if constexpr (FieldRecord<F>) get_fields(r, f, path + name + ".");
-    else if constexpr (std::is_same_v<F, u32>) f = r.get32();
-    else if constexpr (std::is_same_v<F, u64>) f = r.get64();
-    else if constexpr (std::is_floating_point_v<F>) f = F(r.getf64());
-    else if constexpr (std::is_same_v<F, std::string>) f = r.get_string();
-    else if constexpr (std::is_same_v<F, std::vector<u32>>) f = r.get_u32_vec();
-    else {  // an enum
-      const u8 v = r.get8();
-      if (v > static_cast<u8>(enum_last(F{})))
-        throw WireError("spec field " + path + name +
-                        " holds out-of-range enum value " +
-                        std::to_string(v));
-      f = static_cast<F>(v);
-    }
-  });
 }
 
 }  // namespace
@@ -160,7 +134,7 @@ void put_spec(ckpt::Writer& w, const exp::ScenarioSpec& spec) {
 
 exp::ScenarioSpec get_spec(ckpt::Reader& r) {
   exp::ScenarioSpec spec;
-  get_fields(r, spec, "");
+  ckpt::get_fields<WireError>(r, spec, ckpt::FieldPath{"spec"});
   return spec;
 }
 

@@ -91,7 +91,7 @@ bool recv_frame(int fd, Frame* out);
 /// ScenarioSpec serialization over its visit_fields (ckpt::put_fields), so
 /// the worker reconstructs the exact experiment and a scenario runs
 /// bit-identically in any process. get_spec throws WireError naming the
-/// field (e.g. "gpu.mem.l1_write_policy") for an out-of-range enum byte.
+/// field (e.g. "spec.gpu.mem.l1_write_policy") for an out-of-range enum byte.
 void put_spec(ckpt::Writer& w, const exp::ScenarioSpec& spec);
 exp::ScenarioSpec get_spec(ckpt::Reader& r);
 

@@ -72,25 +72,11 @@ Cycle FaultInjector::next_trigger_cycle(Cycle now) const {
 }
 
 void FaultInjector::save_state(ckpt::Writer& w) const {
-  w.put8(static_cast<u8>(mode_));
-  w.put32(sm_);
-  w.put64(start_);
-  w.put64(end_);
-  w.put32(bit_);
-  w.put32(sm_offset_);
-  w.put64(corruptions_);
-  w.put64(diverted_);
+  ckpt::put_fields(w, *this);
 }
 
 void FaultInjector::restore_state(ckpt::Reader& r) {
-  mode_ = static_cast<Mode>(r.get8());
-  sm_ = r.get32();
-  start_ = r.get64();
-  end_ = r.get64();
-  bit_ = r.get32();
-  sm_offset_ = r.get32();
-  corruptions_ = r.get64();
-  diverted_ = r.get64();
+  ckpt::get_fields(r, *this, ckpt::FieldPath{"fault"});
 }
 
 void FaultInjector::on_rollback() {

@@ -14,6 +14,7 @@
 //    paper's modified global kernel scheduler).
 #pragma once
 
+#include "common/fields.h"
 #include "common/types.h"
 #include "sim/fault_hook.h"
 
@@ -51,6 +52,19 @@ class FaultInjector final : public sim::IFaultHook {
 
  private:
   enum class Mode { kNone, kDroop, kTransientSm, kPermanentSm, kScheduler };
+  friend constexpr Mode enum_last(Mode) { return Mode::kScheduler; }
+  template <FieldsOf<FaultInjector> S, class V>
+  friend void visit_fields(S& f, V&& v) {
+    v("mode", f.mode_);
+    v("sm", f.sm_);
+    v("start", f.start_);
+    v("end", f.end_);
+    v("bit", f.bit_);
+    v("sm_offset", f.sm_offset_);
+    v("corruptions", f.corruptions_);
+    v("diverted", f.diverted_);
+  }
+
   Mode mode_ = Mode::kNone;
   u32 sm_ = 0;
   Cycle start_ = 0;

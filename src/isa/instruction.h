@@ -3,6 +3,7 @@
 
 #include <cassert>
 
+#include "common/fields.h"
 #include "common/types.h"
 #include "isa/opcode.h"
 
@@ -27,6 +28,7 @@ struct PredReg {
 };
 
 enum class OperandKind : u8 { kNone, kReg, kImm };
+constexpr OperandKind enum_last(OperandKind) { return OperandKind::kImm; }
 
 /// A source operand: either a register or a 32-bit immediate (raw bits;
 /// interpretation — int vs float — is defined by the opcode).
@@ -49,6 +51,13 @@ struct Operand {
   bool is_imm() const { return kind == OperandKind::kImm; }
   bool present() const { return kind != OperandKind::kNone; }
 };
+
+template <FieldsOf<Operand> S, class V>
+void visit_fields(S& o, V&& v) {
+  v("kind", o.kind);
+  v("reg", o.reg);
+  v("imm", o.imm);
+}
 
 /// Integer immediate operand.
 inline Operand imm(i32 v) { return Operand::make_imm(static_cast<u32>(v)); }
@@ -101,5 +110,21 @@ struct Instruction {
     return *this;
   }
 };
+
+template <FieldsOf<Instruction> S, class V>
+void visit_fields(S& i, V&& v) {
+  v("op", i.op);
+  v("guard", i.guard);
+  v("guard_neg", i.guard_neg);
+  v("dst", i.dst);
+  for (auto& o : i.src) v("src", o);
+  v("cmp", i.cmp);
+  v("dtype", i.dtype);
+  v("pred_src", i.pred_src);
+  v("sreg", i.sreg);
+  v("target", i.target);
+  v("reconv_pc", i.reconv_pc);
+  v("mem_offset", i.mem_offset);
+}
 
 }  // namespace higpu::isa

@@ -66,6 +66,7 @@ enum class Op : u8 {
   // Synchronization.
   kBar,  // block-wide barrier
 };
+constexpr Op enum_last(Op) { return Op::kBar; }
 
 /// Special (read-only) registers exposed through S2R.
 enum class SReg : u8 {
@@ -84,12 +85,15 @@ enum class SReg : u8 {
   kLaneId,
   kWarpId,
 };
+constexpr SReg enum_last(SReg) { return SReg::kWarpId; }
 
 /// Comparison operators for SETP.
 enum class CmpOp : u8 { kLt, kLe, kGt, kGe, kEq, kNe };
+constexpr CmpOp enum_last(CmpOp) { return CmpOp::kNe; }
 
 /// Data interpretation for SETP comparisons.
 enum class DType : u8 { kI32, kU32, kF32 };
+constexpr DType enum_last(DType) { return DType::kF32; }
 
 /// Execution-unit class an opcode issues to; drives latency/throughput.
 enum class UnitClass : u8 {

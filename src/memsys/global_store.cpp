@@ -98,8 +98,7 @@ void GlobalStore::read_block(void* dst, DevPtr src, u64 bytes) const {
 }
 
 void GlobalStore::save(ckpt::Writer& w, ckpt::Snapshot& snap) {
-  w.put32(next_);
-  w.put64(extent_);
+  ckpt::put_fields(w, *this);
   snap.store_extent = extent_;
   snap.store_pages.clear();
   for (u32 d = 0; d < kLeaves; ++d) {
@@ -120,15 +119,12 @@ void GlobalStore::save(ckpt::Writer& w, ckpt::Snapshot& snap) {
 
 void GlobalStore::restore(ckpt::Reader& r, const ckpt::Snapshot& snap) {
   ckpt::check_store_pages(snap.store_pages);
-  const DevPtr next = r.get32();
-  const u64 extent = r.get64();
-  if (extent != snap.store_extent)
+  ckpt::get_fields(r, *this, ckpt::FieldPath{"store"});
+  if (extent_ != snap.store_extent)
     throw ckpt::SnapshotError("snapshot store extent " +
                               std::to_string(snap.store_extent) +
                               " disagrees with its \"store\" section (" +
-                              std::to_string(extent) + ")");
-  next_ = next;
-  extent_ = extent;
+                              std::to_string(extent_) + ")");
   for (std::unique_ptr<Leaf>& leaf : dir_)
     if (leaf != nullptr) *leaf = Leaf{};
   // Not owned, so never written in place: the cast only lets a later write

@@ -99,6 +99,13 @@ class GlobalStore {
   /// Raise the extent to `end` (capped at the 4 GiB address space).
   void reach(u64 end) const;
 
+  /// The "store" snapshot section; the pages travel beside the blob.
+  template <FieldsOf<GlobalStore> S, class V>
+  friend void visit_fields(S& g, V&& v) {
+    v("next", g.next_);
+    v("extent", g.extent_);
+  }
+
   std::array<std::unique_ptr<Leaf>, kLeaves> dir_;
   DevPtr next_ = kBase;
   mutable u64 extent_ = 0;  // const reads raise it too

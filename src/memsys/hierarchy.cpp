@@ -4,10 +4,6 @@
 
 namespace higpu::memsys {
 
-namespace {
-constexpr size_t kMshrEntryBytes = 17;  // line, ready, fill_dirty
-}  // namespace
-
 MemHierarchy::MemHierarchy(u32 num_sms, const MemParams& params)
     // Reject nonsensical geometry before any member computes with it
     // (lines_per_row_ divides by line_bytes; the DRAM model subtracts the
@@ -47,40 +43,19 @@ void MemHierarchy::reset() {
   std::fill(dram_channel_free_.begin(), dram_channel_free_.end(), 0);
   std::fill(dram_banks_.begin(), dram_banks_.end(), DramBank{});
   for (auto& m : mshr_) m.clear();
-  l1_hits_ = l1_misses_ = 0;
-  l1_write_hits_ = l1_write_misses_ = 0;
-  l1_mshr_merges_ = l1_writebacks_ = 0;
-  l1_mshr_stalls_ = l1_mshr_stall_cycles_ = 0;
-  l1_write_through_ = 0;
-  l2_hits_ = l2_misses_ = 0;
-  dram_reads_ = dram_writebacks_ = 0;
-  dram_row_hits_ = dram_row_misses_ = 0;
-  atomics_ = 0;
+  visit_counters(*this, [](const char*, u64& c, FieldTag = FieldTag::kNone) {
+    c = 0;
+  });
 }
 
 StatSet MemHierarchy::stats() const {
   StatSet s;
   // Counters appear only once nonzero, mirroring StatSet entries that were
   // created on first add().
-  auto put = [&s](const char* name, u64 v) {
-    if (v) s.add(name, v);
-  };
-  put("l1_hits", l1_hits_);
-  put("l1_misses", l1_misses_);
-  put("l1_write_hits", l1_write_hits_);
-  put("l1_write_misses", l1_write_misses_);
-  put("l1_mshr_merges", l1_mshr_merges_);
-  put("l1_mshr_stalls", l1_mshr_stalls_);
-  put("l1_mshr_stall_cycles", l1_mshr_stall_cycles_);
-  put("l1_write_through", l1_write_through_);
-  put("l1_writebacks", l1_writebacks_);
-  put("l2_hits", l2_hits_);
-  put("l2_misses", l2_misses_);
-  put("dram_reads", dram_reads_);
-  put("dram_writebacks", dram_writebacks_);
-  put("dram_row_hits", dram_row_hits_);
-  put("dram_row_misses", dram_row_misses_);
-  put("atomics", atomics_);
+  visit_counters(*this, [&s](const char* name, u64 v,
+                             FieldTag = FieldTag::kNone) {
+    if (v != 0) s.add(name, v);
+  });
   return s;
 }
 
@@ -306,32 +281,11 @@ void MemHierarchy::save(ckpt::Writer& w) const {
   // snapshot diff maps its first differing byte to a real bank index;
   // channel-bus bandwidth counters live in the bookkeeping section.
   w.begin_section("dram", /*record_size=*/16);
-  for (const DramBank& b : dram_banks_) {
-    w.put64(b.busy_until);
-    w.put64(b.open_row);
-  }
+  for (const DramBank& b : dram_banks_) ckpt::put_fields(w, b);
   w.end_section();
 
   w.begin_section("memsys");
-  w.put_u64_vec(dram_channel_free_);
-  w.put_u64_vec(l1_port_free_);
-  w.put_u64_vec(l2_bank_free_);
-  w.put64(mshr_.size());
-  // Entries go out in their canonical (ready, line) order.
-  for (const auto& mshr : mshr_) {
-    w.put64(mshr.size());
-    for (const MshrEntry& e : mshr) {
-      w.put64(e.line);
-      w.put64(e.ready);
-      w.putb(e.fill_dirty);
-    }
-  }
-  for (u64 c : {l1_hits_, l1_misses_, l1_write_hits_, l1_write_misses_,
-                l1_mshr_merges_, l1_writebacks_, l1_mshr_stalls_,
-                l1_mshr_stall_cycles_, l1_write_through_, l2_hits_,
-                l2_misses_, dram_reads_, dram_writebacks_, dram_row_hits_,
-                dram_row_misses_, atomics_})
-    w.put64(c);
+  ckpt::put_fields(w, *this);
   w.end_section();
 }
 
@@ -345,32 +299,14 @@ void MemHierarchy::restore(ckpt::Reader& r) {
   l2_.restore(r);
   r.leave_section();
 
+  const ckpt::FieldPath dram{"dram"};
   r.enter_section("dram");
-  for (DramBank& b : dram_banks_) {
-    b.busy_until = r.get64();
-    b.open_row = r.get64();
-  }
+  for (DramBank& b : dram_banks_) ckpt::get_fields(r, b, dram);
   r.leave_section();
 
   r.enter_section("memsys");
-  dram_channel_free_ = r.get_u64_vec();
-  l1_port_free_ = r.get_u64_vec();
-  l2_bank_free_ = r.get_u64_vec();
-  const u64 n_mshr = r.get64();
-  if (n_mshr != mshr_.size())
-    throw ckpt::SnapshotError("snapshot MSHR array count mismatch");
-  for (auto& mshr : mshr_) {
-    const u64 n = r.get_count(kMshrEntryBytes, "MSHR");
-    if (n > params_.l1_mshr_entries)
-      throw ckpt::SnapshotError("snapshot MSHR holds " + std::to_string(n) +
-                                " entries, more than l1_mshr_entries (" +
-                                std::to_string(params_.l1_mshr_entries) + ")");
-    mshr.resize(static_cast<size_t>(n));
-    for (MshrEntry& e : mshr) {
-      e.line = r.get64();
-      e.ready = r.get64();
-      e.fill_dirty = r.getb();
-    }
+  ckpt::get_fields(r, *this, ckpt::FieldPath{"memsys"});
+  for (const auto& mshr : mshr_) {
     // A line is in flight at most once, and the (ready, line) order is what
     // reaping and MSHR-full stalls rely on.
     for (size_t i = 0; i < mshr.size(); ++i)
@@ -386,12 +322,6 @@ void MemHierarchy::restore(ckpt::Reader& r) {
             "snapshot MSHR entries out of (ready, line) order");
     }
   }
-  for (u64* c : {&l1_hits_, &l1_misses_, &l1_write_hits_, &l1_write_misses_,
-                 &l1_mshr_merges_, &l1_writebacks_, &l1_mshr_stalls_,
-                 &l1_mshr_stall_cycles_, &l1_write_through_, &l2_hits_,
-                 &l2_misses_, &dram_reads_, &dram_writebacks_,
-                 &dram_row_hits_, &dram_row_misses_, &atomics_})
-    *c = r.get64();
   r.leave_section();
 }
 

@@ -106,6 +106,13 @@ class MemHierarchy {
     u64 line;
     Cycle ready;      // fill-completion cycle, fixed at allocation
     bool fill_dirty;  // a store merged in flight: fill installs the line dirty
+
+    template <FieldsOf<MshrEntry> S, class V>
+    friend void visit_fields(S& e, V&& v) {
+      v("line", e.line);
+      v("ready", e.ready);
+      v("fill_dirty", e.fill_dirty);
+    }
   };
   /// Insert `e` at its (ready, line) position.
   void insert_entry(u32 sm, const MshrEntry& e);
@@ -128,6 +135,12 @@ class MemHierarchy {
   struct DramBank {
     Cycle busy_until = 0;
     u64 open_row = kNoOpenRow;
+
+    template <FieldsOf<DramBank> S, class V>
+    friend void visit_fields(S& b, V&& v) {
+      v("busy_until", b.busy_until);
+      v("open_row", b.open_row);
+    }
   };
   std::vector<DramBank> dram_banks_;       // channels * banks_per_channel
   std::vector<std::vector<MshrEntry>> mshr_;
@@ -145,6 +158,51 @@ class MemHierarchy {
   u64 dram_reads_ = 0, dram_writebacks_ = 0;
   u64 dram_row_hits_ = 0, dram_row_misses_ = 0;
   u64 atomics_ = 0;
+
+  /// The "memsys" snapshot section: bandwidth counters, MSHRs (entries in
+  /// their (ready, line) order) and statistics.
+  template <FieldsOf<MemHierarchy> S, class V>
+  friend void visit_fields(S& m, V&& v) {
+    v("dram_channel_free", m.dram_channel_free_);
+    v("l1_port_free", m.l1_port_free_);
+    v("l2_bank_free", m.l2_bank_free_);
+    // One MSHR per SM. Each is held to l1_mshr_entries as soon as it is
+    // read, so a restore names an over-long one instead of misreading the
+    // next SM's as garbage.
+    u64 n = m.mshr_.size();
+    v("mshr_count", n);
+    if (n != m.mshr_.size())
+      throw ckpt::SnapshotError("snapshot MSHR array count mismatch");
+    for (auto& mshr : m.mshr_) {
+      v("mshr", mshr);
+      if (mshr.size() > m.params_.l1_mshr_entries)
+        throw ckpt::SnapshotError(
+            "snapshot MSHR holds " + std::to_string(mshr.size()) +
+            " entries, more than l1_mshr_entries (" +
+            std::to_string(m.params_.l1_mshr_entries) + ")");
+    }
+    visit_counters(m, v);
+  }
+  /// The statistics counters, named as stats() reports them.
+  template <FieldsOf<MemHierarchy> S, class V>
+  static void visit_counters(S& m, V&& v) {
+    v("l1_hits", m.l1_hits_);
+    v("l1_misses", m.l1_misses_);
+    v("l1_write_hits", m.l1_write_hits_);
+    v("l1_write_misses", m.l1_write_misses_);
+    v("l1_mshr_merges", m.l1_mshr_merges_);
+    v("l1_writebacks", m.l1_writebacks_);
+    v("l1_mshr_stalls", m.l1_mshr_stalls_);
+    v("l1_mshr_stall_cycles", m.l1_mshr_stall_cycles_);
+    v("l1_write_through", m.l1_write_through_);
+    v("l2_hits", m.l2_hits_);
+    v("l2_misses", m.l2_misses_);
+    v("dram_reads", m.dram_reads_);
+    v("dram_writebacks", m.dram_writebacks_);
+    v("dram_row_hits", m.dram_row_hits_);
+    v("dram_row_misses", m.dram_row_misses_);
+    v("atomics", m.atomics_);
+  }
 };
 
 }  // namespace higpu::memsys

@@ -215,13 +215,8 @@ ckpt::SnapshotPtr Device::capture(Cycle nominal) {
   w.put64(params_fingerprint());
   w.end_section();
 
-  // sim_wall_sec_ is real host wall-clock (non-deterministic); it stays out
-  // of the blob so snapshots of identical modelled state hash identically.
   w.begin_section("host");
-  w.put64(now_ns_);
-  w.put64(gpu_cycles_);
-  w.put64(synced_upto_);
-  w.put64(sync_seq_);
+  ckpt::put_fields(w, *this);
   w.end_section();
 
   w.begin_section("store");
@@ -289,10 +284,7 @@ void Device::restore_impl(const ckpt::Snapshot& s, bool restore_fault) {
   r.leave_section();
 
   r.enter_section("host");
-  now_ns_ = r.get64();
-  gpu_cycles_ = r.get64();
-  synced_upto_ = r.get64();
-  sync_seq_ = r.get64();
+  ckpt::get_fields(r, *this, ckpt::FieldPath{"host"});
   r.leave_section();
 
   r.enter_section("store");

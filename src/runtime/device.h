@@ -205,6 +205,17 @@ class Device {
   void restore_impl(const ckpt::Snapshot& s, bool restore_fault);
   u64 params_fingerprint() const;
 
+  /// The host timeline: the "host" snapshot section. sim_wall_sec_ is real
+  /// host wall-clock time (non-deterministic) and stays out, so snapshots
+  /// of identical modelled state hash identically.
+  template <FieldsOf<Device> S, class V>
+  friend void visit_fields(S& d, V&& v) {
+    v("now_ns", d.now_ns_);
+    v("gpu_cycles", d.gpu_cycles_);
+    v("synced_upto", d.synced_upto_);
+    v("sync_seq", d.sync_seq_);
+  }
+
   PlatformParams platform_;
   std::unique_ptr<memsys::GlobalStore> store_;
   std::unique_ptr<sim::Gpu> gpu_;

@@ -63,10 +63,10 @@ class EdfKernelScheduler final : public sim::IKernelScheduler {
     return it == deadline_.end() ? kNoDeadline : it->second;
   }
 
+  // The deadline table follows the visited fields by hand: its count is a
+  // u32, where the field codec counts with a u64.
   void save_state(ckpt::Writer& w) const override {
-    w.put8(static_cast<u8>(placement_));
-    w.put32(rr_cursor_);
-    w.put32(first_unfinished_);
+    ckpt::put_fields(w, *this);
     w.put32(static_cast<u32>(deadline_.size()));
     for (const auto& [stream, ns] : deadline_) {  // std::map: sorted, stable
       w.put32(stream);
@@ -74,9 +74,7 @@ class EdfKernelScheduler final : public sim::IKernelScheduler {
     }
   }
   void restore_state(ckpt::Reader& r) override {
-    placement_ = static_cast<Placement>(r.get8());
-    rr_cursor_ = r.get32();
-    first_unfinished_ = r.get32();
+    ckpt::get_fields(r, *this, ckpt::FieldPath{"sched"});
     deadline_.clear();
     const u32 n = r.get32();
     for (u32 i = 0; i < n; ++i) {
@@ -86,6 +84,14 @@ class EdfKernelScheduler final : public sim::IKernelScheduler {
   }
 
  private:
+  friend constexpr Placement enum_last(Placement) { return Placement::kSrrs; }
+  template <FieldsOf<EdfKernelScheduler> S, class V>
+  friend void visit_fields(S& s, V&& v) {
+    v("placement", s.placement_);
+    v("rr_cursor", s.rr_cursor_);
+    v("first_unfinished", s.first_unfinished_);
+  }
+
   Placement placement_;
   u32 rr_cursor_ = 0;        // greedy-placement SM round-robin cursor
   u32 first_unfinished_ = 0; // skip the finished launch prefix in O(1)

@@ -29,16 +29,18 @@ class DefaultKernelScheduler final : public sim::IKernelScheduler {
   std::string name() const override { return "default"; }
   void dispatch(sim::Gpu& gpu) override;
   void reset() override { rr_cursor_ = first_pending_ = 0; }
-  void save_state(ckpt::Writer& w) const override {
-    w.put32(rr_cursor_);
-    w.put32(first_pending_);
-  }
+  void save_state(ckpt::Writer& w) const override { ckpt::put_fields(w, *this); }
   void restore_state(ckpt::Reader& r) override {
-    rr_cursor_ = r.get32();
-    first_pending_ = r.get32();
+    ckpt::get_fields(r, *this, ckpt::FieldPath{"sched"});
   }
 
  private:
+  template <FieldsOf<DefaultKernelScheduler> S, class V>
+  friend void visit_fields(S& s, V&& v) {
+    v("rr_cursor", s.rr_cursor_);
+    v("first_pending", s.first_pending_);
+  }
+
   u32 rr_cursor_ = 0;  // SM round-robin cursor for fair greedy placement
   u32 first_pending_ = 0;  // skip the fully-dispatched launch prefix
 };
@@ -48,14 +50,17 @@ class SrrsKernelScheduler final : public sim::IKernelScheduler {
   std::string name() const override { return "srrs"; }
   void dispatch(sim::Gpu& gpu) override;
   void reset() override { first_unfinished_ = 0; }
-  void save_state(ckpt::Writer& w) const override {
-    w.put32(first_unfinished_);
-  }
+  void save_state(ckpt::Writer& w) const override { ckpt::put_fields(w, *this); }
   void restore_state(ckpt::Reader& r) override {
-    first_unfinished_ = r.get32();
+    ckpt::get_fields(r, *this, ckpt::FieldPath{"sched"});
   }
 
  private:
+  template <FieldsOf<SrrsKernelScheduler> S, class V>
+  friend void visit_fields(S& s, V&& v) {
+    v("first_unfinished", s.first_unfinished_);
+  }
+
   u32 first_unfinished_ = 0;  // skip the finished launch prefix
 };
 

@@ -10,7 +10,10 @@
 namespace higpu::sim {
 
 Gpu::Gpu(const GpuParams& params, memsys::GlobalStore* store)
-    : params_(params), store_(store), mem_(params.num_sms, params.mem) {
+    : params_(params),
+      store_(store),
+      mem_(params.num_sms, params.mem),
+      sm_wake_(params.num_sms, kNeverCycle) {
   assert(store != nullptr);
   sms_.reserve(params.num_sms);
   for (u32 i = 0; i < params.num_sms; ++i) {
@@ -434,26 +437,6 @@ u32 Gpu::program_index(const isa::ProgramPtr& p) {
   return it->second;
 }
 
-void Gpu::put_launch(ckpt::Writer& w, const LaunchSlot& slot) const {
-  const KernelLaunch& l = slot.launch;
-  w.put32(slot.program);
-  for (u32 d : {l.grid.x, l.grid.y, l.grid.z, l.block.x, l.block.y, l.block.z})
-    w.put32(d);
-  w.put_u32_vec(l.params);
-  w.put32(l.hints.start_sm);
-  w.put64(l.hints.sm_mask);
-  w.put32(l.stream);
-  w.put_string(l.tag);
-  const KernelState& ks = slot.state;
-  w.put32(ks.launch_id);
-  w.put64(ks.arrival);
-  w.put32(ks.blocks_dispatched);
-  w.put32(ks.blocks_done);
-  w.put32(ks.total_blocks);
-  w.put64(ks.first_dispatch_cycle);
-  w.put64(ks.done_cycle);
-}
-
 void Gpu::save(ckpt::Writer& w, ckpt::Snapshot& snap) {
   // Launches before first_unfinished_ never change again and block records
   // are only ever appended: image what is new since the last save() or
@@ -462,7 +445,7 @@ void Gpu::save(ckpt::Writer& w, ckpt::Snapshot& snap) {
                       (records_.size() - records_imaged_);
   append_images(launch_images_, launches_imaged_, first_unfinished_,
                 kLaunchesPerImage, [this](ckpt::Writer& iw, u64 i) {
-                  put_launch(iw, *launches_[static_cast<size_t>(i)]);
+                  ckpt::put_fields(iw, *launches_[static_cast<size_t>(i)]);
                 });
   append_images(record_images_, records_imaged_, records_.size(),
                 kRecordsPerImage, [this](ckpt::Writer& iw, u64 i) {
@@ -472,31 +455,15 @@ void Gpu::save(ckpt::Writer& w, ckpt::Snapshot& snap) {
   snap.record_images = record_images_;
   snap.programs = programs_;
 
+  // The wake heap is not saved: restore() rebuilds it from sm_wake_, one
+  // live entry per sleeping SM (stale lazy-deletion entries are semantic
+  // no-ops, and dropping them keeps snapshots of identical states
+  // byte-identical).
   w.begin_section("gpu");
-  w.put64(cycle_);
-  w.put64(last_arrival_);
-  w.put64(last_dispatch_cycle_);
-  w.putb(dispatched_this_cycle_);
-  w.put64(ff_cycles_);
-  w.putb(event_primed_);
-  w.put64(dispatch_wake_);
-  if (sm_wake_.empty()) {
-    // Never entered the event engine: serialize the canonical empty wake
-    // table so save -> restore -> save round-trips byte-identically.
-    const std::vector<Cycle> all_asleep(sms_.size(), kNeverCycle);
-    w.put_u64_vec(all_asleep);
-  } else {
-    w.put_u64_vec(sm_wake_);
-  }
-  // The wake heap normalized: one live entry per sleeping SM (stale
-  // lazy-deletion entries are dropped — they are semantic no-ops, and
-  // normalizing keeps snapshots of identical states byte-identical).
-  w.put64(arrival_cursor_);
-  w.put32(kernels_finished_);
-
+  ckpt::put_fields(w, *this);
   w.put64(launches_.size());
   for (size_t i = first_unfinished_; i < launches_.size(); ++i)
-    put_launch(w, *launches_[i]);
+    ckpt::put_fields(w, *launches_[i]);
   w.put64(records_.size());
 
   const auto stat_entries = stats_.entries();
@@ -528,38 +495,20 @@ void Gpu::save(ckpt::Writer& w, ckpt::Snapshot& snap) {
 
 void Gpu::read_launch(ckpt::Reader& r) {
   auto slot = std::make_unique<LaunchSlot>();
-  slot->program = r.get32();
+  ckpt::get_fields(r, *slot, ckpt::FieldPath{"launch"});
   if (slot->program >= programs_.size())
     throw ckpt::SnapshotError("snapshot launch names program " +
                               std::to_string(slot->program) + " of " +
                               std::to_string(programs_.size()));
   KernelLaunch& l = slot->launch;
   l.program = programs_[slot->program];
-  l.grid.x = r.get32();
-  l.grid.y = r.get32();
-  l.grid.z = r.get32();
-  l.block.x = r.get32();
-  l.block.y = r.get32();
-  l.block.z = r.get32();
-  l.params = r.get_u32_vec();
-  l.hints.start_sm = r.get32();
-  l.hints.sm_mask = r.get64();
-  l.stream = r.get32();
-  l.tag = r.get_string();
   // Traces are derived state: rebuilt (via the process-wide cache), not
   // deserialized. The compile-time stats ride in the stats_ snapshot, so
   // no attach_trace() accounting here. Must happen before the SMs are
   // restored — they re-derive warp.ctrace from the launch.
   if (params_.exec_mode == ExecMode::kBlock)
     l.trace = blockexec::trace_for(l.program);
-  KernelState& ks = slot->state;
-  ks.launch_id = r.get32();
-  ks.arrival = r.get64();
-  ks.blocks_dispatched = r.get32();
-  ks.blocks_done = r.get32();
-  ks.total_blocks = r.get32();
-  ks.first_dispatch_cycle = r.get64();
-  ks.done_cycle = r.get64();
+  const KernelState& ks = slot->state;
   if (ks.launch_id != launches_.size())
     throw ckpt::SnapshotError("snapshot launch " +
                               std::to_string(launches_.size()) +
@@ -641,17 +590,7 @@ void Gpu::restore(ckpt::Reader& r, const ckpt::Snapshot& snap,
     program_ids_.try_emplace(programs_[i].get(), i);
 
   r.enter_section("gpu");
-  cycle_ = r.get64();
-  last_arrival_ = r.get64();
-  last_dispatch_cycle_ = r.get64();
-  dispatched_this_cycle_ = r.getb();
-  ff_cycles_ = r.get64();
-  event_primed_ = r.getb();
-  dispatch_wake_ = r.get64();
-  sm_wake_ = r.get_u64_vec();
-  // A device that never entered the event engine (dense runs, fresh
-  // devices) has no wake table yet; its snapshot carries an empty one.
-  if (sm_wake_.empty()) sm_wake_.assign(sms_.size(), kNeverCycle);
+  ckpt::get_fields(r, *this, ckpt::FieldPath{"gpu"});
   if (sm_wake_.size() != sms_.size())
     throw ckpt::SnapshotError("snapshot SM count mismatch");
   // Rebuild the heap from the normalized wake times. Pop order is a strict
@@ -660,8 +599,6 @@ void Gpu::restore(ckpt::Reader& r, const ckpt::Snapshot& snap,
   wake_heap_ = {};
   for (u32 i = 0; i < sm_wake_.size(); ++i)
     if (sm_wake_[i] != kNeverCycle) wake_heap_.push({sm_wake_[i], i});
-  arrival_cursor_ = static_cast<size_t>(r.get64());
-  kernels_finished_ = r.get32();
 
   restore_launches(r, snap.launch_images, r.get64());
   restore_records(snap.record_images, r.get64());
@@ -684,7 +621,7 @@ void Gpu::restore(ckpt::Reader& r, const ckpt::Snapshot& snap,
   r.leave_section();
 
   const auto launch_of = [this](u32 id) -> const KernelLaunch* {
-    return &launches_.at(id)->launch;
+    return id < launches_.size() ? &launches_[id]->launch : nullptr;
   };
   for (u32 i = 0; i < num_sms(); ++i) {
     r.enter_section("sm" + std::to_string(i));

@@ -165,10 +165,25 @@ class Gpu {
  private:
   struct LaunchSlot;
 
+  /// The engine bookkeeping of the "gpu" snapshot section. The launches,
+  /// block-record count and statistics follow it there.
+  template <FieldsOf<Gpu> S, class V>
+  friend void visit_fields(S& g, V&& v) {
+    v("cycle", g.cycle_);
+    v("last_arrival", g.last_arrival_);
+    v("last_dispatch_cycle", g.last_dispatch_cycle_);
+    v("dispatched_this_cycle", g.dispatched_this_cycle_);
+    v("ff_cycles", g.ff_cycles_);
+    v("event_primed", g.event_primed_);
+    v("dispatch_wake", g.dispatch_wake_);
+    v("sm_wake", g.sm_wake_);
+    v("arrival_cursor", g.arrival_cursor_);
+    v("kernels_finished", g.kernels_finished_);
+  }
+
   void on_block_done(const BlockRecord& rec);
   /// Index of `p` in programs_, appending it on first use.
   u32 program_index(const isa::ProgramPtr& p);
-  void put_launch(ckpt::Writer& w, const LaunchSlot& slot) const;
   /// Decode one launch and append it (restore).
   void read_launch(ckpt::Reader& r);
   void restore_launches(ckpt::Reader& r, const std::vector<ckpt::ImagePtr>& images,
@@ -209,7 +224,7 @@ class Gpu {
 
   // Event-engine state. sm_wake_[i] is the next cycle SM i must simulate;
   // kNeverCycle marks SMs outside the active set (no resident blocks and
-  // nothing pending). The heap holds (wake, sm) pairs with lazy deletion:
+  // nothing pending), as it does every SM of a new Gpu. The heap holds (wake, sm) pairs with lazy deletion:
   // an entry is stale when it no longer matches sm_wake_. All of this is
   // serializable (dispatch_wake_ included) so a snapshot taken mid-run
   // resumes without the conservative active-set rebuild: event_primed_
@@ -237,6 +252,13 @@ class Gpu {
     KernelLaunch launch;
     KernelState state;
     u32 program = 0;  // index of launch.program in programs_
+
+    template <FieldsOf<LaunchSlot> S, class V>
+    friend void visit_fields(S& l, V&& v) {
+      v("program", l.program);
+      v("launch", l.launch);
+      v("state", l.state);
+    }
   };
   std::vector<std::unique_ptr<LaunchSlot>> launches_;
   std::vector<KernelState*> state_ptrs_;  // parallel to launches_

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.h"
 #include "common/types.h"
 #include "isa/program.h"
 
@@ -19,6 +20,13 @@ struct Dim3 {
   u32 count() const { return x * y * z; }
 };
 
+template <FieldsOf<Dim3> S, class V>
+void visit_fields(S& d, V&& v) {
+  v("x", d.x);
+  v("y", d.y);
+  v("z", d.z);
+}
+
 /// Per-launch knobs consumed by the pluggable kernel scheduler. These are the
 /// paper's proposed "software-controlled kernel scheduling" interface:
 /// SRRS uses `start_sm`; HALF uses `sm_mask`.
@@ -32,6 +40,12 @@ struct SchedHints {
     return sm_mask == 0 || (sm_mask >> sm) & 1;
   }
 };
+
+template <FieldsOf<SchedHints> S, class V>
+void visit_fields(S& h, V&& v) {
+  v("start_sm", h.start_sm);
+  v("sm_mask", h.sm_mask);
+}
 
 /// Everything the GPU needs to run one kernel grid.
 struct KernelLaunch {
@@ -54,6 +68,18 @@ struct KernelLaunch {
   u32 total_blocks() const { return grid.count(); }
   u32 threads_per_block() const { return block.count(); }
 };
+
+/// The snapshot fields of a launch. Its program is saved as an index into
+/// the device's program table (sim::Gpu), and its trace is rebuilt.
+template <FieldsOf<KernelLaunch> S, class V>
+void visit_fields(S& l, V&& v) {
+  v("grid", l.grid);
+  v("block", l.block);
+  v("params", l.params);
+  v("hints", l.hints);
+  v("stream", l.stream);
+  v("tag", l.tag);
+}
 
 /// Execution record of one thread block; the raw material for the
 /// DiversityMonitor and the scheduler built-in self-test.

@@ -28,6 +28,17 @@ struct KernelState {
   bool finished() const { return blocks_done == total_blocks; }
 };
 
+template <FieldsOf<KernelState> S, class V>
+void visit_fields(S& k, V&& v) {
+  v("launch_id", k.launch_id);
+  v("arrival", k.arrival);
+  v("blocks_dispatched", k.blocks_dispatched);
+  v("blocks_done", k.blocks_done);
+  v("total_blocks", k.total_blocks);
+  v("first_dispatch_cycle", k.first_dispatch_cycle);
+  v("done_cycle", k.done_cycle);
+}
+
 class IKernelScheduler {
  public:
   virtual ~IKernelScheduler() = default;

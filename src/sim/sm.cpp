@@ -435,35 +435,12 @@ void SmCore::exec_superop(Warp& w, const blockexec::SuperOp& sop,
 
 StatSet SmCore::snapshot_stats() const {
   StatSet s;
-  // Counters appear only once nonzero, mirroring the behaviour when they
-  // were StatSet entries created on first add().
-  auto put = [&s](const char* name, u64 v) {
-    if (v) s.add(name, v);
-  };
-  put("blocks_accepted", blocks_accepted_);
-  put("blocks_completed", blocks_completed_);
-  put("active_cycles", active_cycles_);
-  put("instructions", instructions_);
-  put("divergent_branches", divergent_branches_);
-  put("barriers", barriers_);
-  put("smem_accesses", smem_accesses_);
-  put("smem_bank_conflicts", smem_bank_conflicts_);
-  put("smem_oob_wraps", smem_oob_wraps_);
-  put("global_atomics", global_atomics_);
-  put("global_load_transactions", global_load_transactions_);
-  put("global_store_transactions", global_store_transactions_);
-  put("block_exec_hits", block_exec_hits_);
-  put("block_fallback_exits", block_fallback_exits_);
-  s.add("issue_attempts_issued", issued_attempts_);
-  s.add("issue_stall_scoreboard", stall_scoreboard_);
-  s.add("issue_stall_barrier", stall_barrier_);
-  s.add("issue_stall_structural", stall_structural_);
-  // Cycle attribution (obs::SmCycles). Unconditional so the engine
-  // equivalence suites pin the classification even when a bucket is zero.
-  s.add("cycles_issued", cycles_issued_);
-  s.add("cycles_stall_scoreboard", cycles_stall_scoreboard_);
-  s.add("cycles_stall_barrier", cycles_stall_barrier_);
-  s.add("cycles_stall_structural", cycles_stall_structural_);
+  // A counter appears once nonzero, mirroring the behaviour when they were
+  // StatSet entries created on first add(), unless it is always reported.
+  visit_counters(*this, [&s](const char* name, u64 v,
+                             FieldTag tag = FieldTag::kNone) {
+    if (v != 0 || tag == FieldTag::kReportedWhenZero) s.add(name, v);
+  });
   return s;
 }
 
@@ -804,173 +781,48 @@ void SmCore::complete_warp(Warp& w, Cycle now) {
   }
 }
 
-void SmCore::save(ckpt::Writer& w) const {
-  w.put32(warps_used_);
-  w.put32(blocks_used_);
-  w.put32(regs_used_);
-  w.put32(shared_used_);
-  w.put64(sfu_free_);
-  w.put64(mem_free_);
-  w.put64(age_counter_);
-  w.put64(last_issued_.size());
-  for (i32 s : last_issued_) w.put32(static_cast<u32>(s));
-  for (const std::vector<u32>& order : sched_order_) w.put_u32_vec(order);
-  w.put64(last_settled_);
-  w.putb(progress_);
-  w.put64(quiet_wake_);
-  for (const StallRec& rec : warp_stall_) {
-    w.put64(rec.wake);
-    w.put8(static_cast<u8>(rec.cls));
-  }
-
-  for (const ResidentBlock& b : blocks_) {
-    w.putb(b.active);
-    if (!b.active) continue;
-    w.put32(b.launch_id);
-    w.put32(b.block_linear);
-    w.put32(b.block_idx.x);
-    w.put32(b.block_idx.y);
-    w.put32(b.block_idx.z);
-    w.put32(b.num_warps);
-    w.put32(b.warps_live);
-    w.put32(b.barrier_count);
-    w.put64(b.shared.size());
-    w.put_bytes(b.shared.data(), b.shared.size());
-    w.put32(b.regs_reserved);
-    w.put32(b.shared_reserved);
-    w.put32(b.intended_sm);
-    w.put64(b.dispatch_cycle);
-  }
-
-  for (const Warp& warp : warps_) {
-    w.putb(warp.active);
-    if (!warp.active) continue;
-    w.put64(warp.age);
-    w.put32(warp.block_slot);
-    w.put32(warp.warp_in_block);
-    w.put32(warp.valid_mask);
-    w.put32(warp.exited);
-    w.put64(warp.stack.size());
-    for (const StackEntry& e : warp.stack) {
-      w.put32(e.pc);
-      w.put32(e.rpc);
-      w.put32(e.mask);
-    }
-    w.put_u32_vec(warp.regs);
-    w.put64(warp.preds.size());
-    w.put_bytes(warp.preds.data(), warp.preds.size());
-    w.putb(warp.at_barrier);
-    w.put64(warp.pending.size());
-    for (const Warp::Pending& p : warp.pending) {
-      w.put16(p.reg);
-      w.putb(p.is_pred);
-      w.put64(p.ready);
-    }
-    w.put64(warp.instructions);
-  }
-
-  for (u64 c : {blocks_accepted_, blocks_completed_, active_cycles_,
-                instructions_, divergent_branches_, barriers_,
-                smem_accesses_, smem_bank_conflicts_, smem_oob_wraps_,
-                global_atomics_,
-                global_load_transactions_, global_store_transactions_,
-                stall_scoreboard_, stall_barrier_, stall_structural_,
-                issued_attempts_, block_exec_hits_, block_fallback_exits_,
-                cycles_issued_, cycles_stall_scoreboard_,
-                cycles_stall_barrier_, cycles_stall_structural_})
-    w.put64(c);
-}
-
 void SmCore::restore(
     ckpt::Reader& r,
     const std::function<const KernelLaunch*(u32)>& launch_of) {
-  warps_used_ = r.get32();
-  blocks_used_ = r.get32();
-  regs_used_ = r.get32();
-  shared_used_ = r.get32();
-  sfu_free_ = r.get64();
-  mem_free_ = r.get64();
-  age_counter_ = r.get64();
-  const u64 nsched = r.get64();
-  if (nsched != last_issued_.size())
+  const std::string name = "sm" + std::to_string(sm_id_);
+  ckpt::get_fields(r, *this, ckpt::FieldPath{name});
+  if (last_issued_.size() != sched_order_.size())
     throw ckpt::SnapshotError("snapshot warp-scheduler count mismatch");
-  for (i32& s : last_issued_) s = static_cast<i32>(r.get32());
-  for (std::vector<u32>& order : sched_order_) order = r.get_u32_vec();
-  last_settled_ = r.get64();
-  progress_ = r.getb();
-  quiet_wake_ = r.get64();
-  for (StallRec& rec : warp_stall_) {
-    rec.wake = r.get64();
-    rec.cls = static_cast<IssueOutcome>(r.get8());
-  }
 
+  // An inactive slot is only its `active` byte in the snapshot: clear the
+  // rest. Derived state: the block -> launch and warp -> program pointers
+  // (the restoring GPU attached traces to its launches, or left them null
+  // in interpreter mode, before restoring the SMs), and the unit a
+  // structural stall record waits on: that of the instruction at its
+  // warp's pc (a stalled warp has not moved since).
   for (ResidentBlock& b : blocks_) {
-    if (!r.getb()) {
+    if (!b.active) {
       b = ResidentBlock{};
       continue;
     }
-    b.active = true;
-    b.launch_id = r.get32();
-    b.block_linear = r.get32();
-    b.block_idx.x = r.get32();
-    b.block_idx.y = r.get32();
-    b.block_idx.z = r.get32();
     b.launch = launch_of(b.launch_id);
-    b.num_warps = r.get32();
-    b.warps_live = r.get32();
-    b.barrier_count = r.get32();
-    b.shared.assign(static_cast<size_t>(r.get_count(1, "shared memory")), 0);
-    r.get_bytes(b.shared.data(), b.shared.size());
-    b.regs_reserved = r.get32();
-    b.shared_reserved = r.get32();
-    b.intended_sm = r.get32();
-    b.dispatch_cycle = r.get64();
+    if (b.launch == nullptr)
+      throw ckpt::SnapshotError("snapshot " + name + " block names launch " +
+                                std::to_string(b.launch_id) +
+                                ", which the snapshot does not hold");
   }
-
-  for (Warp& warp : warps_) {
-    if (!r.getb()) {
+  for (size_t i = 0; i < warps_.size(); ++i) {
+    Warp& warp = warps_[i];
+    StallRec& rec = warp_stall_[i];
+    rec.unit = Unit::kNone;
+    if (!warp.active) {
       warp = Warp{};
       continue;
     }
-    warp.active = true;
-    warp.age = r.get64();
-    warp.block_slot = r.get32();
-    warp.warp_in_block = r.get32();
-    warp.prog = blocks_[warp.block_slot].launch->program.get();
-    // Derived state: the restoring GPU attached traces to its launches (or
-    // left them null in interpreter mode) before restoring the SMs.
-    warp.ctrace = blocks_[warp.block_slot].launch->trace.get();
-    warp.valid_mask = r.get32();
-    warp.exited = r.get32();
-    warp.stack.resize(
-        static_cast<size_t>(r.get_count(12, "reconvergence stack")));
-    for (StackEntry& e : warp.stack) {
-      e.pc = r.get32();
-      e.rpc = r.get32();
-      e.mask = r.get32();
-    }
-    warp.regs = r.get_u32_vec();
-    warp.preds.assign(static_cast<size_t>(r.get_count(1, "predicates")), 0);
-    r.get_bytes(warp.preds.data(), warp.preds.size());
-    warp.at_barrier = r.getb();
-    warp.pending.resize(
-        static_cast<size_t>(r.get_count(11, "pending writes")));
-    for (Warp::Pending& p : warp.pending) {
-      p.reg = r.get16();
-      p.is_pred = r.getb();
-      p.ready = r.get64();
-    }
-    warp.instructions = r.get64();
-  }
-
-  // Derived state: a structural stall record waits on the unit of the
-  // instruction at its warp's pc (a stalled warp has not moved since).
-  for (size_t i = 0; i < warps_.size(); ++i) {
-    StallRec& rec = warp_stall_[i];
-    rec.unit = Unit::kNone;
-    const Warp& warp = warps_[i];
-    if (!warp.active || rec.cls != IssueOutcome::kStructural || rec.wake == 0)
-      continue;
+    if (warp.block_slot >= blocks_.size() || !blocks_[warp.block_slot].active)
+      throw ckpt::SnapshotError("snapshot " + name + " warp " +
+                                std::to_string(i) + " names block slot " +
+                                std::to_string(warp.block_slot) +
+                                ", which holds no block");
+    const KernelLaunch& launch = *blocks_[warp.block_slot].launch;
+    warp.prog = launch.program.get();
+    warp.ctrace = launch.trace.get();
+    if (rec.cls != IssueOutcome::kStructural || rec.wake == 0) continue;
     if (warp.stack.empty() || warp.pc() >= warp.prog->size())
       throw ckpt::SnapshotError("snapshot structural stall at warp " +
                                 std::to_string(i) + " has no instruction");
@@ -980,17 +832,6 @@ void SmCore::restore(
       default: break;
     }
   }
-
-  for (u64* c : {&blocks_accepted_, &blocks_completed_, &active_cycles_,
-                 &instructions_, &divergent_branches_, &barriers_,
-                 &smem_accesses_, &smem_bank_conflicts_, &smem_oob_wraps_,
-                 &global_atomics_,
-                 &global_load_transactions_, &global_store_transactions_,
-                 &stall_scoreboard_, &stall_barrier_, &stall_structural_,
-                 &issued_attempts_, &block_exec_hits_, &block_fallback_exits_,
-                 &cycles_issued_, &cycles_stall_scoreboard_,
-                 &cycles_stall_barrier_, &cycles_stall_structural_})
-    *c = r.get64();
 
   // Open stall episodes describe pre-restore time; drop them rather than
   // emit spans that straddle the restore point.

@@ -44,6 +44,25 @@ struct ResidentBlock {
   Cycle dispatch_cycle = 0;
 };
 
+/// The snapshot fields of a block slot: an inactive slot is its `active`
+/// byte alone. `launch` is rebuilt from `launch_id`.
+template <FieldsOf<ResidentBlock> S, class V>
+void visit_fields(S& b, V&& v) {
+  v("active", b.active);
+  if (!b.active) return;
+  v("launch_id", b.launch_id);
+  v("block_linear", b.block_linear);
+  v("block_idx", b.block_idx);
+  v("num_warps", b.num_warps);
+  v("warps_live", b.warps_live);
+  v("barrier_count", b.barrier_count);
+  v("shared", b.shared);
+  v("regs_reserved", b.regs_reserved);
+  v("shared_reserved", b.shared_reserved);
+  v("intended_sm", b.intended_sm);
+  v("dispatch_cycle", b.dispatch_cycle);
+}
+
 /// Warp-scheduler selection policy within an SM.
 enum class WarpSchedPolicy { kGto, kLrr };
 
@@ -145,20 +164,71 @@ class SmCore {
     return c;
   }
 
-  /// Checkpoint the full SM state: resident blocks and warps (registers,
-  /// predicates, reconvergence stacks, scoreboards, shared memory), the
-  /// warp-scheduler bookkeeping, structural-unit availability, the event
-  /// engine's per-warp stall/wake records, and all statistics counters.
-  /// Inactive block/warp slots are serialized as empty (accept_block fully
-  /// reinitializes a slot, so stale contents are not behavioural state —
-  /// excluding them keeps snapshot hashes free of dead-data noise).
-  void save(ckpt::Writer& w) const;
-  /// `launch_of` maps a launch id to its (already restored) KernelLaunch;
-  /// used to rebuild the block -> launch and warp -> program pointers.
+  /// Checkpoint the full SM state (its visit_fields): resident blocks and
+  /// warps (registers, predicates, reconvergence stacks, scoreboards, shared
+  /// memory), the warp-scheduler bookkeeping, structural-unit availability,
+  /// the event engine's per-warp stall/wake records, and all statistics
+  /// counters. Inactive block/warp slots are serialized as empty
+  /// (accept_block fully reinitializes a slot, so stale contents are not
+  /// behavioural state — excluding them keeps snapshot hashes free of
+  /// dead-data noise).
+  void save(ckpt::Writer& w) const { ckpt::put_fields(w, *this); }
+  /// `launch_of` maps a launch id to its (already restored) KernelLaunch,
+  /// or nullptr for an id with none; used to rebuild the block -> launch
+  /// and warp -> program pointers.
   void restore(ckpt::Reader& r,
                const std::function<const KernelLaunch*(u32)>& launch_of);
 
  private:
+  template <FieldsOf<SmCore> S, class V>
+  friend void visit_fields(S& s, V&& v) {
+    v("warps_used", s.warps_used_);
+    v("blocks_used", s.blocks_used_);
+    v("regs_used", s.regs_used_);
+    v("shared_used", s.shared_used_);
+    v("sfu_free", s.sfu_free_);
+    v("mem_free", s.mem_free_);
+    v("age_counter", s.age_counter_);
+    v("last_issued", s.last_issued_);
+    for (auto& order : s.sched_order_) v("sched_order", order);
+    v("last_settled", s.last_settled_);
+    v("progress", s.progress_);
+    v("quiet_wake", s.quiet_wake_);
+    for (auto& rec : s.warp_stall_) v("warp_stall", rec);
+    for (auto& b : s.blocks_) v("block", b);
+    for (auto& w : s.warps_) v("warp", w);
+    visit_counters(s, v);
+  }
+  /// The statistics counters, named as snapshot_stats() reports them.
+  template <FieldsOf<SmCore> S, class V>
+  static void visit_counters(S& s, V&& v) {
+    v("blocks_accepted", s.blocks_accepted_);
+    v("blocks_completed", s.blocks_completed_);
+    v("active_cycles", s.active_cycles_);
+    v("instructions", s.instructions_);
+    v("divergent_branches", s.divergent_branches_);
+    v("barriers", s.barriers_);
+    v("smem_accesses", s.smem_accesses_);
+    v("smem_bank_conflicts", s.smem_bank_conflicts_);
+    v("smem_oob_wraps", s.smem_oob_wraps_);
+    v("global_atomics", s.global_atomics_);
+    v("global_load_transactions", s.global_load_transactions_);
+    v("global_store_transactions", s.global_store_transactions_);
+    constexpr FieldTag kAlways = FieldTag::kReportedWhenZero;
+    v("issue_stall_scoreboard", s.stall_scoreboard_, kAlways);
+    v("issue_stall_barrier", s.stall_barrier_, kAlways);
+    v("issue_stall_structural", s.stall_structural_, kAlways);
+    v("issue_attempts_issued", s.issued_attempts_, kAlways);
+    v("block_exec_hits", s.block_exec_hits_);
+    v("block_fallback_exits", s.block_fallback_exits_);
+    // Unconditional so the engine equivalence suites pin the cycle
+    // classification even when a bucket is zero.
+    v("cycles_issued", s.cycles_issued_, kAlways);
+    v("cycles_stall_scoreboard", s.cycles_stall_scoreboard_, kAlways);
+    v("cycles_stall_barrier", s.cycles_stall_barrier_, kAlways);
+    v("cycles_stall_structural", s.cycles_stall_structural_, kAlways);
+  }
+
   // Issue path.
   enum class IssueOutcome : u8 {
     kIssued,
@@ -167,6 +237,9 @@ class SmCore {
     kScoreboard,
     kStructural,
   };
+  friend constexpr IssueOutcome enum_last(IssueOutcome) {
+    return IssueOutcome::kStructural;
+  }
   IssueOutcome try_issue_classified(Warp& w, Cycle now);
   /// Block-engine fast path: issue one pre-decoded superop. Same scoreboard /
   /// structural / guard semantics as the interpreter path, dispatched through
@@ -271,6 +344,12 @@ class SmCore {
     Cycle wake = 0;  // 0 = must attempt; kNeverCycle = barrier (external)
     IssueOutcome cls = IssueOutcome::kStructural;
     Unit unit = Unit::kNone;  // the busy unit of a structural stall
+
+    template <FieldsOf<StallRec> S, class V>
+    friend void visit_fields(S& r, V&& v) {
+      v("wake", r.wake);
+      v("cls", r.cls);
+    }
   };
   Cycle last_settled_ = 0;
   bool progress_ = false;

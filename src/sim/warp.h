@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "common/fields.h"
 #include "common/types.h"
 #include "isa/program.h"
 
@@ -22,6 +23,13 @@ struct StackEntry {
   isa::Pc rpc = 0;  // pop when pc reaches rpc
   u32 mask = 0;     // lanes owned by this entry
 };
+
+template <FieldsOf<StackEntry> S, class V>
+void visit_fields(S& e, V&& v) {
+  v("pc", e.pc);
+  v("rpc", e.rpc);
+  v("mask", e.mask);
+}
 
 /// A warp resident on an SM. Plain state; all behaviour lives in SmCore.
 struct Warp {
@@ -136,5 +144,31 @@ struct Warp {
     return false;
   }
 };
+
+template <FieldsOf<Warp::Pending> S, class V>
+void visit_fields(S& p, V&& v) {
+  v("reg", p.reg);
+  v("is_pred", p.is_pred);
+  v("ready", p.ready);
+}
+
+/// The snapshot fields of a warp slot: an inactive slot is its `active`
+/// byte alone. `prog` and `ctrace` are rebuilt from the owning block.
+template <FieldsOf<Warp> S, class V>
+void visit_fields(S& w, V&& v) {
+  v("active", w.active);
+  if (!w.active) return;
+  v("age", w.age);
+  v("block_slot", w.block_slot);
+  v("warp_in_block", w.warp_in_block);
+  v("valid_mask", w.valid_mask);
+  v("exited", w.exited);
+  v("stack", w.stack);
+  v("regs", w.regs);
+  v("preds", w.preds);
+  v("at_barrier", w.at_barrier);
+  v("pending", w.pending);
+  v("instructions", w.instructions);
+}
 
 }  // namespace higpu::sim

@@ -8,9 +8,10 @@
 // time, snapshot hash diffing localizes fault divergence, campaign
 // fast-forward returns bit-identical ScenarioResults, and the ScenarioSet
 // sweep builders reject empty bases loudly. The copy-on-write store pages,
-// the shared launch and block-record history images, the section hash and
-// the decoder's length checks are pinned here too, so the sanitizer jobs
-// that run this suite cover them.
+// the shared launch and block-record history images, the section hash, the
+// decoder's length checks, the refusal by name of enum bytes no enumerator
+// has, and the bytes of mid-run captures are pinned here too, so the
+// sanitizer jobs that run this suite cover them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,6 +27,8 @@
 #include "ckpt/wire.h"
 #include "common/rng.h"
 #include "exp/campaign.h"
+#include "fault/injector.h"
+#include "sched/edf.h"
 #include "sched/policies.h"
 #include "tests/test_kernels.h"
 
@@ -953,7 +956,7 @@ TEST(CkptDecodeLengths, ProgramCode) {
                    w.put32(0);  // params
                    w.put64(kHugeLength);
                  }),
-                 "program code");
+                 "program.code");
 }
 
 TEST(CkptDecodeLengths, ReaderVectors) {
@@ -961,17 +964,73 @@ TEST(CkptDecodeLengths, ReaderVectors) {
   w.put64(kHugeLength);
   const std::vector<u8> bytes = w.take_blob();
   const std::vector<ckpt::Section> no_sections;
-  {
+  const auto refused = [&](auto vec) {
     ckpt::Reader r(bytes, no_sections);
-    EXPECT_THROW((void)r.get_u32_vec(), ckpt::SnapshotError);
-  }
-  {
-    ckpt::Reader r(bytes, no_sections);
-    EXPECT_THROW((void)r.get_u64_vec(), ckpt::SnapshotError);
-  }
+    try {
+      ckpt::get_field(r, vec, ckpt::FieldPath{"vec"});
+      ADD_FAILURE() << "a huge count was accepted";
+    } catch (const ckpt::SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find("vec length"), std::string::npos)
+          << e.what();
+    }
+  };
+  refused(std::vector<u8>{});
+  refused(std::vector<u32>{});
+  refused(std::vector<u64>{});
+  refused(std::vector<sim::StackEntry>{});
   {
     ckpt::Reader r(bytes, no_sections);
     EXPECT_THROW((void)r.get_string(), ckpt::SnapshotError);
+  }
+}
+
+// ---- Enum bytes no enumerator has are refused by name ---------------------
+
+/// A frame holding one one-instruction program, `ins`.
+std::vector<u8> program_frame(const isa::Instruction& ins) {
+  ckpt::Snapshot s;
+  s.programs = {std::make_shared<const isa::KernelProgram>(
+      "k", std::vector<isa::Instruction>{ins}, 4, 2, 0, 0)};
+  return ckpt::encode_snapshot(s);
+}
+
+/// Overwrite byte `at` of a frame with `v` and re-seal its checksum, so the
+/// decoder looks past the frame integrity check at the field itself.
+std::vector<u8> patched_frame(std::vector<u8> frame, size_t at, u8 v) {
+  frame[at] = v;
+  const size_t body = frame.size() - 8;
+  const u64 sum = ckpt::hash64(frame.data(), body);
+  for (size_t i = 0; i < 8; ++i) frame[body + i] = static_cast<u8>(sum >> (8 * i));
+  return frame;
+}
+
+TEST(CkptDecodeEnums, ProgramEnumFieldsAreRefusedByName) {
+  isa::Instruction base;
+  const std::vector<u8> frame = program_frame(base);
+  const std::pair<const char*, std::function<void(isa::Instruction&)>>
+      fields[] = {
+          {"code.op", [](isa::Instruction& i) { i.op = isa::Op::kMov; }},
+          {"code.src.kind",
+           [](isa::Instruction& i) { i.src[0].kind = isa::OperandKind::kReg; }},
+          {"code.cmp", [](isa::Instruction& i) { i.cmp = isa::CmpOp::kNe; }},
+          {"code.dtype", [](isa::Instruction& i) { i.dtype = isa::DType::kF32; }},
+          {"code.sreg", [](isa::Instruction& i) { i.sreg = isa::SReg::kWarpId; }},
+      };
+  for (const auto& [path, change] : fields) {
+    // The field's byte is the first one a frame differing only there moves.
+    isa::Instruction moved = base;
+    change(moved);
+    const std::vector<u8> other = program_frame(moved);
+    ASSERT_EQ(frame.size(), other.size()) << path;
+    size_t at = 0;
+    while (frame[at] == other[at]) ++at;
+    try {
+      (void)ckpt::decode_snapshot(patched_frame(frame, at, 0xFF));
+      ADD_FAILURE() << path << " accepted an out-of-range value";
+    } catch (const ckpt::SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -984,6 +1043,9 @@ struct CountFields {
   std::vector<size_t> shared, stack, preds, pending;  // active blocks / warps
   std::vector<size_t> mshr;                           // per SM
   std::vector<u64> mshr_len;                          // entries, per SM
+  u32 structural_stalls = 0;  // live structural stall records, all SMs
+  std::vector<size_t> stall_cls;  // per SM: its first stall record's class
+  std::vector<size_t> launch_id, block_slot;  // active blocks / warps
 };
 
 const ckpt::Section& section_named(const ckpt::Snapshot& s,
@@ -1005,9 +1067,16 @@ CountFields find_count_fields(const ckpt::Snapshot& s, const sim::GpuParams& p) 
     const u64 nsched = r.get64();
     r.take(4 * nsched);
     for (u64 k = 0; k < nsched; ++k) skip_vec(4);
-    r.take(8 + 1 + 8 + 9 * p.max_warps_per_sm);  // settle, stall records
+    r.take(8 + 1 + 8);  // settle
+    f.stall_cls.push_back(here() + 8);
+    for (u32 w = 0; w < p.max_warps_per_sm; ++w) {
+      const u64 wake = r.get64();
+      const u8 cls = r.get8();  // SmCore::IssueOutcome: 4 is kStructural
+      if (wake != 0 && cls == 4) ++f.structural_stalls;
+    }
     for (u32 b = 0; b < p.max_blocks_per_sm; ++b) {
       if (!r.getb()) continue;
+      f.launch_id.push_back(here());
       r.take(8 * 4);
       f.shared.push_back(here());
       skip_vec(1);
@@ -1015,6 +1084,7 @@ CountFields find_count_fields(const ckpt::Snapshot& s, const sim::GpuParams& p) 
     }
     for (u32 w = 0; w < p.max_warps_per_sm; ++w) {
       if (!r.getb()) continue;
+      f.block_slot.push_back(here() + 8);
       r.take(8 + 4 * 4);
       f.stack.push_back(here());
       skip_vec(12);
@@ -1162,15 +1232,30 @@ TEST(CkptRestoreCounts, CorruptCountsAreRefused) {
   }
 
   const std::pair<const std::vector<size_t>*, const char*> counts[] = {
-      {&f.shared, "shared memory"},     {&f.stack, "reconvergence stack"},
-      {&f.preds, "predicates"},         {&f.pending, "pending writes"},
-      {&f.mshr, "MSHR"}};
+      {&f.shared, "block.shared"}, {&f.stack, "warp.stack"},
+      {&f.preds, "warp.preds"},    {&f.pending, "warp.pending"},
+      {&f.mshr, "memsys.mshr length"}};
   for (const auto& [offsets, what] : counts) {
     for (size_t at : {offsets->front(), offsets->back()}) {
       ckpt::Snapshot bad = good;
       put_le64(bad.blob, at, kHugeLength);
       expect_restore_refused(bad, what);
     }
+  }
+
+  // A block naming a launch the snapshot lacks, a warp naming a block slot
+  // past the SM's or one that holds no block.
+  const std::pair<size_t, u32> indices[] = {
+      {f.launch_id.front(), 99},
+      {f.block_slot.front(), 0xFFFF},
+      {f.block_slot.back(), p.max_blocks_per_sm - 1},
+  };
+  for (const auto& [at, value] : indices) {
+    ckpt::Snapshot bad = good;
+    for (int i = 0; i < 4; ++i)
+      bad.blob[at + i] = static_cast<u8>(value >> (8 * i));
+    expect_restore_refused(bad, at == indices[0].first ? "launch 99"
+                                                       : "holds no block");
   }
 
   // An MSHR count that fits the input but not the geometry.
@@ -1192,6 +1277,118 @@ TEST(CkptRestoreCounts, CorruptCountsAreRefused) {
   ckpt::Snapshot dup = good;
   put_le64(dup.blob, e1, get_le64(good.blob, e0));
   expect_restore_refused(dup, "twice");
+}
+
+// ---- Byte identity of the snapshot blob -----------------------------------
+
+enum class PinSched { kDefault, kSrrs, kEdf };
+
+struct PinCapture {
+  ckpt::SnapshotPtr snap;
+  Cycle end = 0;  // the clock once the captured launch has drained
+};
+
+/// A mid-run capture whose state holds every record the blob encodes: a
+/// finished launch in the history images, an unfinished LSU herd (warps
+/// queued on a busy unit, MSHRs in flight) on its own stream, an armed
+/// fault injector that has corrupted results, and the scheduler `which`
+/// (EDF with SRRS placement and two stream deadlines).
+PinCapture capture_for_pin(PinSched which) {
+  fault::FaultInjector inj;
+  inj.arm_transient_sm(1, 2000, 1'000'000, 3);
+  const sim::GpuParams p;
+  runtime::Device dev(p);
+  dev.gpu().set_fault_hook(&inj);
+  if (which == PinSched::kEdf) {
+    auto edf = std::make_unique<sched::EdfKernelScheduler>(
+        sched::EdfKernelScheduler::Placement::kSrrs);
+    edf->set_stream_deadline(1, 4'000'000);
+    edf->set_stream_deadline(2, 9'000'000);
+    dev.set_kernel_scheduler(std::move(edf));
+  } else {
+    dev.set_kernel_scheduler(sched::make_scheduler(
+        which == PinSched::kSrrs ? sched::Policy::kSrrs
+                                 : sched::Policy::kDefault));
+  }
+  const u32 threads = testing::full_gpu_threads(p);
+  const memsys::DevPtr out = dev.malloc((threads * 32 + 64) * 4);
+  dev.launch(testing::make_launch(testing::make_sfu_herd_kernel(2),
+                                  threads / 4, 128, {out, threads / 4}),
+             1);
+  dev.synchronize();
+  dev.launch(testing::make_launch(testing::make_lsu_herd_kernel(24), threads,
+                                  256, {out, threads}),
+             2);
+  dev.set_checkpoint_targets({dev.gpu().now() + 6000});
+  dev.synchronize();
+  return {dev.target_snapshots().at(0), dev.gpu().now()};
+}
+
+TEST(CkptBlobPins, MidRunCapturesKeepTheirBytes) {
+  // Pinned from the hand-written save() functions these visitors replaced:
+  // a layout change moves the hash, and the size is what rollbacks cost.
+  struct Pin {
+    PinSched which;
+    const char* name;
+    u64 hash;
+    u64 blob_bytes;
+  };
+  const Pin pins[] = {
+      {PinSched::kDefault, "default", 0x6bf312cd25c2aadcull, 684042},
+      {PinSched::kSrrs, "srrs", 0x30b583a703ec6bd1ull, 684035},
+      {PinSched::kEdf, "edf", 0x4d9077c2c39a64f2ull, 684067},
+  };
+  const sim::GpuParams p;
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    const PinCapture c = capture_for_pin(pin.which);
+    ASSERT_NE(c.snap, nullptr);
+    // What the capture must hold for the pin to cover every record.
+    EXPECT_LT(c.snap->cycle, c.end) << "the herd launch had finished";
+    EXPECT_EQ(c.snap->launch_count, 2u);
+    EXPECT_FALSE(c.snap->launch_images.empty());
+    const CountFields f = find_count_fields(*c.snap, p);
+    EXPECT_GT(f.structural_stalls, 0u);
+    EXPECT_GT(*std::max_element(f.mshr_len.begin(), f.mshr_len.end()), 0u);
+    const ckpt::Section& fault = section_named(*c.snap, "fault");
+    EXPECT_NE(c.snap->blob[fault.offset + 1], 0) << "injector not armed";
+    EXPECT_EQ(c.snap->hash(), pin.hash);
+    EXPECT_EQ(c.snap->blob.size(), pin.blob_bytes);
+  }
+}
+
+TEST(CkptRestoreEnums, OutOfRangeStateEnumIsRefusedByName) {
+  const sim::GpuParams p;
+  const PinCapture edf = capture_for_pin(PinSched::kEdf);
+  const ckpt::Snapshot& good = *edf.snap;
+  const CountFields f = find_count_fields(good, p);
+  const size_t sched = section_named(good, "sched").offset + 8 + 3;  // "edf"
+  const size_t fault = section_named(good, "fault").offset + 1;  // armed
+  const std::pair<size_t, const char*> enums[] = {
+      {f.stall_cls.front(), "sm0.warp_stall.cls"},
+      {f.stall_cls.back(), "sm5.warp_stall.cls"},
+      {sched, "sched.placement"},
+      {fault, "fault.mode"},
+  };
+  const auto restore = [](const ckpt::Snapshot& s) {
+    fault::FaultInjector inj;
+    runtime::Device dev;
+    dev.gpu().set_fault_hook(&inj);
+    dev.set_kernel_scheduler(std::make_unique<sched::EdfKernelScheduler>());
+    dev.restore(s);
+  };
+  EXPECT_NO_THROW(restore(good));
+  for (const auto& [at, path] : enums) {
+    ckpt::Snapshot bad = good;
+    bad.blob[at] = 0xFF;
+    try {
+      restore(bad);
+      ADD_FAILURE() << path << " accepted an out-of-range value";
+    } catch (const ckpt::SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ---- Policy / label / sweep validation ------------------------------------
