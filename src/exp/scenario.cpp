@@ -79,9 +79,10 @@ void FaultPlan::validate(const sim::GpuParams& gpu) const {
   if (corrupts_alu && bit >= 32)
     throw std::invalid_argument("FaultPlan: corrupted bit " +
                                 std::to_string(bit) + " out of range [0, 32)");
-  if ((kind == Kind::kDroop || kind == Kind::kTransientSm) && duration == 0)
-    throw std::invalid_argument(
-        "FaultPlan: transient fault window must have duration > 0");
+  if ((kind == Kind::kDroop || kind == Kind::kTransientSm) &&
+      (duration == 0 || duration > kNeverCycle - start))
+    throw std::invalid_argument("FaultPlan: transient fault window " + label() +
+                                " is empty or ends past the last cycle");
   if ((kind == Kind::kTransientSm || kind == Kind::kPermanentSm) &&
       sm >= gpu.num_sms)
     throw std::invalid_argument("FaultPlan: target SM " + std::to_string(sm) +

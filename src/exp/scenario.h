@@ -54,8 +54,8 @@ struct FaultPlan {
   void arm(fault::FaultInjector& fi) const;
   /// Stable compact label, e.g. "droop@2000w50b2" ("nofault" when inactive).
   std::string label() const;
-  /// Throws std::invalid_argument on nonsensical parameters (zero-width
-  /// transient windows, bit >= 32, target SM outside the GPU).
+  /// Throws std::invalid_argument on nonsensical parameters (empty or
+  /// overflowing transient windows, bit >= 32, target SM outside the GPU).
   void validate(const sim::GpuParams& gpu) const;
 
   bool operator==(const FaultPlan& other) const = default;

@@ -1,5 +1,7 @@
 #include "fault/injector.h"
 
+#include <bit>
+
 namespace higpu::fault {
 
 void FaultInjector::arm_droop(Cycle start, Cycle duration, u32 bit) {
@@ -38,20 +40,20 @@ void FaultInjector::arm_scheduler_fault(Cycle start, u32 sm_offset) {
 
 void FaultInjector::disarm() { mode_ = Mode::kNone; }
 
-u32 FaultInjector::corrupt_alu(u32 sm, Cycle cycle, u32 value) {
+u32 FaultInjector::corrupt_lanes(u32 sm, Cycle cycle, u32 lanes) {
   switch (mode_) {
     case Mode::kDroop:
       if (cycle >= start_ && cycle < end_) break;
-      return value;
+      return 0;
     case Mode::kTransientSm:
     case Mode::kPermanentSm:
       if (sm == sm_ && cycle >= start_ && cycle < end_) break;
-      return value;
+      return 0;
     default:
-      return value;
+      return 0;
   }
-  ++corruptions_;
-  return value ^ (1u << bit_);
+  corruptions_ += static_cast<u64>(std::popcount(lanes));
+  return 1u << bit_;
 }
 
 u32 FaultInjector::corrupt_block_mapping(u32 intended_sm, u32 num_sms,

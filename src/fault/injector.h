@@ -1,6 +1,6 @@
 // Deterministic fault injection (paper §IV.C fault model).
 //
-// Supported faults:
+// Supported faults (corrupt_lanes() flips results only inside their window):
 //  * Chip-wide transient droop — every ALU/SFU result produced in a cycle
 //    window gets the same bit flipped on ALL SMs. This is the Common-Cause
 //    Fault ISO 26262 worries about: if the two redundant copies execute the
@@ -29,10 +29,10 @@ class FaultInjector final : public sim::IFaultHook {
   void disarm();
 
   // sim::IFaultHook
-  u32 corrupt_alu(u32 sm, Cycle cycle, u32 value) override;
+  /// `1 << bit` inside the window on `sm` (any SM for a droop), else 0.
+  u32 corrupt_lanes(u32 sm, Cycle cycle, u32 lanes) override;
   u32 corrupt_block_mapping(u32 intended_sm, u32 num_sms, Cycle cycle) override;
   void on_block_diverted(u32 intended_sm, u32 actual_sm) override;
-  bool armed() const override { return mode_ != Mode::kNone; }
   Cycle next_trigger_cycle(Cycle now) const override;
   /// Checkpoint participation: the armed window and the corruption counters
   /// are snapshot state, so an exact restore mid fault window resumes the
@@ -45,6 +45,10 @@ class FaultInjector final : public sim::IFaultHook {
   /// and scheduler faults persist.
   void on_rollback() override;
 
+  /// One result produced on `sm` at `cycle`, corrupted as the SM would.
+  u32 corrupt_alu(u32 sm, Cycle cycle, u32 value) {
+    return value ^ corrupt_lanes(sm, cycle, 1);
+  }
   /// Number of datapath results actually corrupted so far.
   u64 corruptions() const { return corruptions_; }
   /// Number of block placements actually diverted so far.

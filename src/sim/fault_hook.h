@@ -3,7 +3,8 @@
 // The simulator calls into this interface at the two places the paper's
 // §IV.C argument cares about: datapath result production (transient droops,
 // permanent SM defects) and kernel-scheduler block placement (scheduler
-// faults). Implementations live in src/fault; a null hook costs one branch.
+// faults). Implementations live in src/fault; a null hook costs one branch,
+// an installed one a virtual call per ALU/SFU instruction.
 #pragma once
 
 #include "ckpt/serial.h"
@@ -15,9 +16,12 @@ class IFaultHook {
  public:
   virtual ~IFaultHook() = default;
 
-  /// Possibly corrupt an ALU/SFU result produced on SM `sm` at `cycle`.
-  /// Return the (possibly modified) value.
-  virtual u32 corrupt_alu(u32 sm, Cycle cycle, u32 value) = 0;
+  /// An ALU/SFU instruction on SM `sm` wrote a result at `cycle` in each lane
+  /// of `lanes`. Return the bits to XOR into each of those results, 0 outside
+  /// a fault window; a non-zero flip counts popcount(lanes) corruptions.
+  /// Called once per instruction after its lanes ran: lanes are independent,
+  /// so this equals corrupting each result as it is produced.
+  virtual u32 corrupt_lanes(u32 sm, Cycle cycle, u32 lanes) = 0;
 
   /// Possibly corrupt the kernel scheduler's block->SM mapping decision.
   /// Return the SM the block is actually sent to. Must be pure: the engines
@@ -33,10 +37,6 @@ class IFaultHook {
     (void)intended_sm;
     (void)actual_sm;
   }
-
-  /// Cheap global gate so the hot path can skip per-lane virtual calls when
-  /// no fault is armed.
-  virtual bool armed() const = 0;
 
   /// Earliest cycle strictly after `now` at which this hook's behaviour can
   /// change (a fault window opening or closing), or kNeverCycle if none.

@@ -314,7 +314,7 @@ bool Gpu::try_dispatch_block(KernelState& ks, u32 sm) {
   assert(sm < num_sms());
 
   u32 actual_sm = sm;
-  if (fault_ != nullptr && fault_->armed())
+  if (fault_ != nullptr)
     actual_sm = fault_->corrupt_block_mapping(sm, num_sms(), cycle_);
 
   const KernelLaunch& launch = launches_[ks.launch_id]->launch;

@@ -348,20 +348,6 @@ void SmCore::exec_superop(Warp& w, const blockexec::SuperOp& sop,
 
   switch (sop.kind) {
     case blockexec::SopKind::kAlu: {
-      if (fault_ != nullptr && fault_->armed()) {
-        // Fault window open: keep the scalar per-lane loop in ascending lane
-        // order — corrupt_alu consumes injector state per call, so the call
-        // count and order are behavioural (bit-identical to the interpreter).
-        for (u32 m = guard_mask; m != 0; m &= m - 1) {
-          const u32 lane = static_cast<u32>(std::countr_zero(m));
-          const u32 a = src_value(w, sop.a, lane);
-          const u32 bv = src_value(w, sop.b, lane);
-          const u32 c = src_value(w, sop.c, lane);
-          w.reg_at(sop.dst, lane) =
-              fault_->corrupt_alu(sm_id_, now, eval_alu(sop.op, a, bv, c));
-        }
-        break;
-      }
       // Vector path: hand whole SoA rows to the width-32 lane kernel.
       // Immediates splat into scratch rows; register sources alias the
       // register file directly (in-place d == a is safe: elementwise).
@@ -373,6 +359,7 @@ void SmCore::exec_superop(Warp& w, const blockexec::SuperOp& sop,
       blockexec::run_vkernel(sop.vkind, sop.op, w.reg_row(sop.dst),
                              row(sop.a, splat_a_), row(sop.b, splat_b_),
                              row(sop.c, splat_c_), guard_mask);
+      corrupt_results(w.reg_row(sop.dst), guard_mask, now);
       break;
     }
     case blockexec::SopKind::kSetp: {
@@ -476,9 +463,11 @@ void SmCore::settle_to(Cycle upto) {
   attribute_stall_cycles(nsb, nbar, nstr, n);
 }
 
-u32 SmCore::maybe_corrupt(u32 value, Cycle now) const {
-  if (fault_ == nullptr || !fault_->armed()) return value;
-  return fault_->corrupt_alu(sm_id_, now, value);
+void SmCore::corrupt_results(u32* dst, u32 lanes, Cycle now) {
+  if (fault_ == nullptr) return;
+  const u32 flip = fault_->corrupt_lanes(sm_id_, now, lanes);
+  if (flip == 0) return;
+  for (u32 m = lanes; m != 0; m &= m - 1) dst[std::countr_zero(m)] ^= flip;
 }
 
 u32 SmCore::operand_value(const Warp& w, const isa::Operand& o, u32 lane) const {
@@ -581,11 +570,13 @@ void SmCore::execute(Warp& w, const Instruction& ins, u32 guard_mask, Cycle now)
         const u32 a = operand_value(w, ins.src[0], lane);
         const u32 bv = ins.src[1].present() ? operand_value(w, ins.src[1], lane) : 0;
         const u32 c = ins.src[2].present() ? operand_value(w, ins.src[2], lane) : 0;
-        w.reg_at(ins.dst, lane) = maybe_corrupt(eval_alu(ins.op, a, bv, c), now);
+        w.reg_at(ins.dst, lane) = eval_alu(ins.op, a, bv, c);
         break;
       }
     }
   }
+  if (isa::is_datapath(ins.op))
+    corrupt_results(w.reg_row(ins.dst), guard_mask, now);
 
   if (isa::writes_gpr(ins.op))
     w.pending.push_back(Warp::Pending{ins.dst, false, ready});

@@ -292,7 +292,8 @@ class SmCore {
   void exec_barrier(Warp& w);
   u32 sreg_value(const Warp& w, isa::SReg sreg, u32 lane) const;
   u32 operand_value(const Warp& w, const isa::Operand& o, u32 lane) const;
-  u32 maybe_corrupt(u32 value, Cycle now) const;
+  /// XOR the fault hook's flip into the `lanes` results in register row `dst`.
+  void corrupt_results(u32* dst, u32 lanes, Cycle now);
 
   // Completion path.
   void complete_warp(Warp& w, Cycle now);

@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "ckpt/serial.h"
 #include "common/rng.h"
 #include "core/exec.h"
 #include "exp/campaign.h"
@@ -574,9 +575,95 @@ namespace higpu::sim {
 namespace {
 
 // ---- Fault-injection equivalence -------------------------------------------
-// The corruption hook consumes injector state per corrupted result; the
-// block engine must produce the identical corruption sequence (it drops to
-// the scalar lane loop while a window is armed).
+// Both engines compute ALU/SFU results on their normal path and then ask the
+// hook once per instruction which bits to flip in the guarded lanes, so the
+// corruptions, cycles and memory must match the interpreter exactly.
+
+/// A kernel whose ALU and SFU ops all write their own source register
+/// (d == a, in place), integer and float, for `iters` rounds.
+isa::ProgramPtr make_inplace_kernel(u32 iters) {
+  using namespace isa;
+  KernelBuilder kb("inplace");
+  Reg out = kb.reg(), n = kb.reg();
+  kb.ldp(out, 0);
+  kb.ldp(n, 1);
+  Reg gid = kb.global_tid_x();
+  Label done = kb.label();
+  kb.guard_range(gid, n, done);
+  Reg h = kb.reg(), f = kb.reg(), k = kb.reg();
+  kb.mov(h, gid);
+  kb.i2f(f, gid);
+  kb.movi(k, 0);
+  Label loop = kb.label(), end = kb.label();
+  kb.bind(loop);
+  PredReg fin = kb.pred();
+  kb.setp(fin, CmpOp::kGe, DType::kI32, k, imm(static_cast<i32>(iters)));
+  kb.bra(end).guard_if(fin);
+  kb.imad(h, h, imm(33), gid);
+  kb.xor_(h, h, k);
+  kb.fadd(f, f, fimm(1.0f));
+  kb.fsqrt(f, f);
+  kb.fmul(f, f, fimm(1.5f));
+  kb.iadd(k, k, imm(1));
+  kb.bra(loop);
+  kb.bind(end);
+  Reg bits = kb.reg(), addr = kb.reg();
+  kb.f2i(bits, f);
+  kb.xor_(h, h, bits);
+  kb.imad(addr, gid, imm(4), out);
+  kb.stg(addr, h);
+  kb.bind(done);
+  kb.exit();
+  return kb.build();
+}
+
+/// A kernel whose ALU ops run under partial guard masks: odd lanes take a
+/// divergent branch, and each path also issues an op guarded by a
+/// predicate that holds on every fourth thread.
+isa::ProgramPtr make_divergent_kernel(u32 iters) {
+  using namespace isa;
+  KernelBuilder kb("divergent");
+  Reg out = kb.reg(), n = kb.reg();
+  kb.ldp(out, 0);
+  kb.ldp(n, 1);
+  Reg gid = kb.global_tid_x();
+  Label done = kb.label();
+  kb.guard_range(gid, n, done);
+  Reg t = kb.reg(), acc = kb.reg(), f = kb.reg(), k = kb.reg();
+  PredReg odd = kb.pred(), fourth = kb.pred();
+  kb.and_(t, gid, imm(1));
+  kb.setp(odd, CmpOp::kNe, DType::kI32, t, imm(0));
+  kb.and_(t, gid, imm(3));
+  kb.setp(fourth, CmpOp::kEq, DType::kI32, t, imm(2));
+  kb.mov(acc, gid);
+  kb.movf(f, 2.0f);
+  kb.movi(k, 0);
+  Label loop = kb.label(), end = kb.label();
+  kb.bind(loop);
+  PredReg fin = kb.pred();
+  kb.setp(fin, CmpOp::kGe, DType::kI32, k, imm(static_cast<i32>(iters)));
+  kb.bra(end).guard_if(fin);
+  Label other = kb.label(), join = kb.label();
+  kb.bra(other).guard_if(odd);
+  kb.iadd(acc, acc, imm(7));
+  kb.fmul(f, f, fimm(1.25f)).guard_if(fourth);
+  kb.bra(join);
+  kb.bind(other);
+  kb.imad(acc, acc, imm(5), k);
+  kb.fsqrt(f, f).guard_ifnot(fourth);
+  kb.bind(join);
+  kb.iadd(k, k, imm(1));
+  kb.bra(loop);
+  kb.bind(end);
+  Reg bits = kb.reg(), addr = kb.reg();
+  kb.f2i(bits, f);
+  kb.xor_(acc, acc, bits);
+  kb.imad(addr, gid, imm(4), out);
+  kb.stg(addr, acc);
+  kb.bind(done);
+  kb.exit();
+  return kb.build();
+}
 
 struct FaultRun {
   Cycle final_cycle = 0;
@@ -598,13 +685,18 @@ FaultRun run_faulted_mode(ExecMode mode, int scenario) {
     case 1: inj.arm_transient_sm(2, 3500, 2000, 12); break;
     case 2: inj.arm_permanent_sm(4, 5000, 0); break;
     case 3: inj.arm_scheduler_fault(3100, 2); break;
+    case 4: inj.arm_droop(3600, 300, 2); break;
+    case 5: inj.arm_transient_sm(2, 3400, 400, 3); break;
     default: break;
   }
   gpu.set_fault_hook(&inj);
 
   const u32 threads = 1024;
   const memsys::DevPtr out = store.alloc(threads * 4);
-  gpu.launch(testing::make_launch(testing::make_spin_kernel(60), threads, 128,
+  isa::ProgramPtr prog = scenario == 4   ? make_inplace_kernel(40)
+                         : scenario == 5 ? make_divergent_kernel(40)
+                                         : testing::make_spin_kernel(60);
+  gpu.launch(testing::make_launch(std::move(prog), threads, 128,
                                   {out, threads}));
 
   FaultRun r;
@@ -628,6 +720,46 @@ TEST(BlockExecFaults, CorruptionSequenceIdenticalToInterp) {
     EXPECT_EQ(interp.memory, block.memory);
     higpu::expect_same_stats_modulo_block(interp.stats, block.stats,
                                           "faulted run");
+  }
+}
+
+/// FNV-1a over a run's output words.
+u64 memory_hash(const std::vector<u32>& memory) {
+  return ckpt::fnv1a(reinterpret_cast<const u8*>(memory.data()),
+                     memory.size() * sizeof(u32));
+}
+
+TEST(BlockExecFaults, ScenarioGoldensInBothModes) {
+  // Any change to how results are corrupted must reproduce these in both
+  // modes. Scenarios 2 and 3 open after the spin kernel's last result on
+  // SM 4 and after its last block dispatch, so they pin a plan that never
+  // fires. Scenario 4 writes every ALU/SFU result over its own source;
+  // scenario 5 corrupts ops under partial guard masks.
+  struct Golden {
+    Cycle final_cycle;
+    u64 corruptions;
+    u64 diverted;
+    u64 memory_hash;
+  };
+  const Golden golden[] = {
+      {4794, 5504, 0, 0xfb27087acfca41a5ull},
+      {4799, 384, 0, 0x76b036968abbe725ull},
+      {4799, 0, 0, 0xe7ad6cb1b84e4325ull},
+      {4799, 0, 0, 0xe7ad6cb1b84e4325ull},
+      {5288, 40992, 0, 0x21c12f89366812f1ull},
+      {5102, 4248, 0, 0x1a69231d628c7ad2ull},
+  };
+  for (int scenario = 0; scenario < 6; ++scenario) {
+    const Golden& g = golden[scenario];
+    for (ExecMode mode : {ExecMode::kInterp, ExecMode::kBlock}) {
+      SCOPED_TRACE("fault scenario " + std::to_string(scenario) + ", " +
+                   (mode == ExecMode::kBlock ? "block" : "interp"));
+      const FaultRun r = run_faulted_mode(mode, scenario);
+      EXPECT_EQ(r.final_cycle, g.final_cycle);
+      EXPECT_EQ(r.corruptions, g.corruptions);
+      EXPECT_EQ(r.diverted, g.diverted);
+      EXPECT_EQ(memory_hash(r.memory), g.memory_hash);
+    }
   }
 }
 

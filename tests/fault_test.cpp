@@ -3,6 +3,10 @@
 // policy guarantees spatial diversity, and scheduler faults stay observable.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <stdexcept>
+#include <string>
+
 #include "core/diversity.h"
 #include "core/exec.h"
 #include "exp/campaign.h"
@@ -76,8 +80,88 @@ TEST(Injector, DisarmStopsEverything) {
   FaultInjector fi;
   fi.arm_droop(0, 1'000'000, 5);
   fi.disarm();
-  EXPECT_FALSE(fi.armed());
   EXPECT_EQ(fi.corrupt_alu(0, 10, 7), 7u);
+}
+
+TEST(Injector, CorruptLanesFlipsOnlyInsideTheWindow) {
+  FaultInjector fi;
+  fi.arm_droop(100, 10, 4);
+  EXPECT_EQ(fi.corrupt_lanes(0, 99, ~0u), 0u);    // start - 1
+  EXPECT_EQ(fi.corrupt_lanes(3, 100, 0x1u), 16u);  // start, any SM
+  EXPECT_EQ(fi.corrupt_lanes(5, 109, 0x6u), 16u);  // end - 1
+  EXPECT_EQ(fi.corrupt_lanes(0, 110, ~0u), 0u);    // end: half-open
+  EXPECT_EQ(fi.corruptions(), 3u);
+}
+
+TEST(Injector, CorruptLanesCountsOneCorruptionPerLane) {
+  FaultInjector fi;
+  fi.arm_permanent_sm(1, 0, 0);
+  u64 expected = 0;
+  for (const u32 lanes : {0xFFFFFFFFu, 0x80000001u, 0x00F0F000u, 0x0u}) {
+    EXPECT_EQ(fi.corrupt_lanes(1, 7, lanes), 1u);
+    expected += static_cast<u64>(std::popcount(lanes));
+    EXPECT_EQ(fi.corruptions(), expected);
+  }
+}
+
+TEST(Injector, TransientCorruptLanesOnlyOnItsSm) {
+  FaultInjector fi;
+  fi.arm_transient_sm(2, 100, 10, 1);
+  EXPECT_EQ(fi.corrupt_lanes(1, 105, 0xFu), 0u);
+  EXPECT_EQ(fi.corrupt_lanes(3, 105, 0xFu), 0u);
+  EXPECT_EQ(fi.corruptions(), 0u);
+  EXPECT_EQ(fi.corrupt_lanes(2, 105, 0xFu), 2u);
+  EXPECT_EQ(fi.corruptions(), 4u);
+}
+
+TEST(Injector, SchedulerFaultNeverFlipsResults) {
+  FaultInjector fi;
+  fi.arm_scheduler_fault(0, 1);
+  for (const Cycle c : {Cycle{0}, Cycle{1}, Cycle{1'000'000}})
+    for (u32 sm = 0; sm < 6; ++sm) EXPECT_EQ(fi.corrupt_lanes(sm, c, ~0u), 0u);
+  EXPECT_EQ(fi.corruptions(), 0u);
+}
+
+TEST(Injector, TransientCorruptLanesStopsAfterRollback) {
+  FaultInjector droop;
+  droop.arm_droop(100, 10, 4);
+  droop.on_rollback();
+  EXPECT_EQ(droop.corrupt_lanes(0, 105, ~0u), 0u);
+  FaultInjector tsm;
+  tsm.arm_transient_sm(2, 100, 10, 4);
+  tsm.on_rollback();
+  EXPECT_EQ(tsm.corrupt_lanes(2, 105, ~0u), 0u);
+  EXPECT_EQ(droop.corruptions() + tsm.corruptions(), 0u);
+  // A permanent defect outlives the rollback.
+  FaultInjector psm;
+  psm.arm_permanent_sm(2, 100, 4);
+  psm.on_rollback();
+  EXPECT_EQ(psm.corrupt_lanes(2, 105, 0x3u), 16u);
+}
+
+TEST(Injector, OverflowingWindowIsRefused) {
+  // start + duration wraps past the last cycle: armed as is, the window
+  // would end before it starts and never fire.
+  const sim::GpuParams gpu;
+  const Cycle wraps = kNeverCycle - 5;
+  for (const exp::FaultPlan& plan :
+       {exp::FaultPlan::droop(10, wraps, 3),
+        exp::FaultPlan::transient_sm(1, 10, wraps, 3)}) {
+    SCOPED_TRACE(plan.label());
+    try {
+      plan.validate(gpu);
+      ADD_FAILURE() << "overflowing window accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(plan.label()), std::string::npos)
+          << e.what();
+    }
+  }
+  // The longest window that fits is valid, and fires.
+  const exp::FaultPlan longest = exp::FaultPlan::droop(10, kNeverCycle - 10, 3);
+  longest.validate(gpu);
+  FaultInjector fi;
+  longest.arm(fi);
+  EXPECT_EQ(fi.corrupt_alu(0, 100, 0), 8u);
 }
 
 /// Run a redundant spin-kernel pair under `policy` with a droop armed in
