@@ -60,7 +60,9 @@ int usage() {
       "observability (README 'Observability'):\n"
       "  --trace=PATH                 record a Chrome trace-event JSON file\n"
       "                               (higpu.trace/1, Perfetto-loadable);\n"
-      "                               single scenario or --serve only\n"
+      "                               single scenario or --serve only. Exits\n"
+      "                               1 when the per-track rings overwrote\n"
+      "                               events (the file keeps the newest)\n"
       "  --profile                    print the per-SM cycle-attribution\n"
       "                               table (issued / scoreboard / barrier /\n"
       "                               structural / idle)\n"
@@ -261,7 +263,8 @@ bool write_file(const std::string& path, const std::string& content) {
 
 /// Validate the recorded trace against the higpu.trace/1 schema, then write
 /// it. A trace that fails its own schema is a bug, not a report. The event
-/// counts are printed so ring wrap-around never drops events silently.
+/// counts are printed, and a trace whose rings overwrote events is still
+/// written but returns false, so ring wrap-around never passes silently.
 bool write_trace(const std::string& path, const obs::Tracer& tracer) {
   const std::string json = tracer.to_chrome_json();
   const std::string err = obs::validate_chrome_trace(json);
@@ -281,7 +284,7 @@ bool write_trace(const std::string& path, const obs::Tracer& tracer) {
                  tracer.ring_capacity(),
                  static_cast<unsigned long long>(dropped),
                  static_cast<unsigned long long>(recorded), path.c_str());
-  return write_file(path, json);
+  return write_file(path, json) && dropped == 0;
 }
 
 /// Print the per-SM cycle-attribution tables for every completed scenario.
@@ -561,6 +564,7 @@ int main(int argc, char** argv) {
     };
 
     exp::CampaignResult campaign;
+    bool io_ok = true;
     if (!trace_path.empty()) {
       // Tracing records one device's flow; a tracer cannot follow forked
       // workers and a multi-scenario campaign would interleave devices.
@@ -580,7 +584,7 @@ int main(int argc, char** argv) {
       campaign.jobs = 1;
       campaign.wall_sec = r.wall_sec;
       campaign.results.push_back(std::move(r));
-      if (!write_trace(trace_path, tracer)) return 1;
+      io_ok = write_trace(trace_path, tracer);
     } else if (distributed_mode || !journal_path.empty()) {
       set.validate_all();
       dist::DistConfig dcfg;
@@ -663,7 +667,6 @@ int main(int argc, char** argv) {
 
     if (profile) print_profiles(campaign);
 
-    bool io_ok = true;
     if (!json_path.empty()) io_ok &= write_file(json_path, campaign.to_json());
     if (!csv_path.empty()) io_ok &= write_file(csv_path, campaign.to_csv());
     return campaign.all_passed() && io_ok ? 0 : 1;

@@ -1,6 +1,7 @@
 #include "exp/units.h"
 
 #include <algorithm>
+#include <exception>
 #include <utility>
 
 namespace higpu::exp {
@@ -69,18 +70,46 @@ GroupBase run_group_base(const ScenarioSet& set,
   base.targets = std::move(io.capture_targets);  // canonical sorted order
   base.snapshots = std::move(io.captured);
   base.final_state = std::move(io.final_state);
+  if (base.final_state != nullptr) base.end_cycle = base.final_state->cycle;
   return base;
 }
+
+namespace {
+
+bool validates(const ScenarioSpec& spec) {
+  try {
+    spec.validate();
+    return true;
+  } catch (const std::exception&) {
+    return false;
+  }
+}
+
+}  // namespace
 
 ScenarioResult run_fork(const ScenarioSet& set, size_t i,
                         const GroupBase& base, const ScenarioProbe& probe,
                         const ScenarioProbe& pre_run) {
+  const ScenarioSpec& spec = set[i];
   SnapshotIo io;
   if (base.ok()) {
-    io.resume = base.snapshot_for(set[i].fault.start);
+    // A window that opens after the clean run drained never fires: the
+    // faulted run is the clean run, so it takes the clean result, relabelled.
+    // Its final state differs from the clean one only in the armed injector.
+    if (spec.fault.start > base.end_cycle && validates(spec)) {
+      ScenarioResult r = base.result;
+      r.index = static_cast<u32>(i);
+      r.label = spec.label();
+      r.fault_active = true;
+      r.divergence = "fault";
+      r.wall_sec = 0.0;
+      r.sim_wall_sec = 0.0;
+      return r;
+    }
+    io.resume = base.snapshot_for(spec.fault.start);
     io.divergence_ref = base.final_state;
   }
-  return run_scenario(set[i], static_cast<u32>(i), probe, pre_run, &io);
+  return run_scenario(spec, static_cast<u32>(i), probe, pre_run, &io);
 }
 
 void run_unit(const ScenarioSet& set, const std::vector<size_t>& members,

@@ -9,12 +9,14 @@
 // captured at every member's injection cycle, and each faulted member then
 // forks from the snapshot covering its own injection point
 // (runtime::Device::arm_resume) instead of re-simulating the common prefix.
+// A member whose fault window opens after the clean run has drained cannot
+// fire, so it simulates nothing: it takes the base's result, relabelled.
 // A unit runs start to finish in one process, so its snapshots never leave
-// the process that captured them. Forking is purely an acceleration:
-// per-scenario results are bit-identical to from-scratch execution (pinned
-// by tests/ckpt_test.cpp and tests/dist_test.cpp), so any executor may
-// group or not, locally or across processes, without changing campaign
-// output.
+// the process that captured them. Forking and eliding are purely
+// accelerations: per-scenario results are bit-identical to from-scratch
+// execution (pinned by tests/ckpt_test.cpp and tests/dist_test.cpp), so any
+// executor may group or not, locally or across processes, without changing
+// campaign output.
 #pragma once
 
 #include <functional>
@@ -46,9 +48,10 @@ struct WorkUnit {
 std::vector<WorkUnit> plan_units(const ScenarioSet& set, bool group_faults);
 
 /// The product of one group's clean base run: snapshots covering each
-/// fault member's injection cycle, the clean final state for divergence
-/// diagnosis, and the base's own ScenarioResult (which doubles as the
-/// result of the group's fault-free member when it has one).
+/// fault member's injection cycle, the clean final state and clock, and the
+/// base's own ScenarioResult (which doubles as the result of the group's
+/// fault-free member when it has one, and of every member whose fault
+/// window opens after `end_cycle`).
 struct GroupBase {
   static constexpr size_t kSynthetic = static_cast<size_t>(-1);
 
@@ -62,9 +65,13 @@ struct GroupBase {
   std::vector<ckpt::SnapshotPtr> snapshots;
   /// Clean final device state (divergence reference for forks).
   ckpt::SnapshotPtr final_state;
+  /// The clean run's final GPU clock (final_state->cycle); kNeverCycle
+  /// when the base run failed. No fault starting later can fire.
+  Cycle end_cycle = kNeverCycle;
 
   bool ok() const { return result.ok; }
-  /// Snapshot covering injection cycle `c`, or null.
+  /// Snapshot covering injection cycle `c`, or null: also when `c` is past
+  /// end_cycle, since the base run drained before reaching it.
   ckpt::SnapshotPtr snapshot_for(Cycle c) const;
 };
 
@@ -80,6 +87,13 @@ GroupBase run_group_base(const ScenarioSet& set,
 /// (from scratch otherwise — missing snapshots degrade to correctness, not
 /// failure) and diffs its final state against the clean run's. `probe` and
 /// `pre_run` pass through to run_scenario.
+///
+/// When the base is ok, the spec validates and its fault starts after
+/// base.end_cycle, nothing runs: the faulted run would be the clean run, so
+/// the result is base.result with the member's index and label,
+/// fault_active set, no corruptions or diverted blocks, and divergence
+/// "fault" (all a simulated fork would report). An invalid spec still runs
+/// and fails with its own error.
 ScenarioResult run_fork(const ScenarioSet& set, size_t i,
                         const GroupBase& base,
                         const ScenarioProbe& probe = nullptr,
@@ -94,7 +108,8 @@ using ResultSink = std::function<void(ScenarioResult)>;
 /// then each remaining member: a fault member forks from the base, a
 /// fault-free one runs from scratch. Any other unit runs each member from
 /// scratch with no snapshot traffic. `probe` and `pre_run` apply to every
-/// run except the base run.
+/// run except the base run, and are not called for a fork that run_fork
+/// answers from the base result: no device exists for it.
 void run_unit(const ScenarioSet& set, const std::vector<size_t>& members,
               const ResultSink& emit, const ScenarioProbe& probe = nullptr,
               const ScenarioProbe& pre_run = nullptr);

@@ -103,6 +103,7 @@ void SmCore::accept_block(const KernelLaunch& launch, u32 launch_id,
     w.pending.clear();
     w.instructions = 0;
     warp_stall_[wslot] = StallRec{};
+    ++live_stalls(warp_stall_[wslot].cls);
     sched_order_[wslot % params_.num_warp_schedulers].push_back(wslot);
     ++assigned;
   }
@@ -444,19 +445,17 @@ void SmCore::settle_to(Cycle upto) {
   // the no-progress cycle that opened the window). Each warp's class was
   // recorded by that cycle's failed attempt via stall() and is constant
   // across the window because the wake time never spans a classification
-  // boundary.
+  // boundary. A class outside the three stall classes counts as
+  // structural, as in count_stall().
   active_cycles_ += n;
-  u64 nsb = 0;
-  u64 nbar = 0;
-  u64 nstr = 0;
-  for (const Warp& w : warps_) {
-    if (!w.active) continue;
-    switch (warp_stall_[static_cast<size_t>(&w - warps_.data())].cls) {
-      case IssueOutcome::kBarrier: stall_barrier_ += n; nbar += 1; break;
-      case IssueOutcome::kScoreboard: stall_scoreboard_ += n; nsb += 1; break;
-      default: stall_structural_ += n; nstr += 1; break;
-    }
-  }
+  const u64 nsb = live_stalls(IssueOutcome::kScoreboard);
+  const u64 nbar = live_stalls(IssueOutcome::kBarrier);
+  const u64 nstr = live_stalls(IssueOutcome::kStructural) +
+                   live_stalls(IssueOutcome::kIssued) +
+                   live_stalls(IssueOutcome::kWarpDone);
+  stall_scoreboard_ += n * nsb;
+  stall_barrier_ += n * nbar;
+  stall_structural_ += n * nstr;
   // Every quiescent cycle has the same per-class attempt counts (nsb, nbar,
   // nstr) the dense loop would produce, so the dominant class — and hence
   // the attribution — is the same for all n cycles.
@@ -758,6 +757,7 @@ void SmCore::complete_warp(Warp& w, Cycle now) {
   progress_ = true;
   w.active = false;
   const u32 slot = static_cast<u32>(&w - warps_.data());
+  --live_stalls(warp_stall_[slot].cls);
   if (obs_ != nullptr) close_stall_episode(slot, now);
   std::vector<u32>& order = sched_order_[slot % params_.num_warp_schedulers];
   order.erase(std::find(order.begin(), order.end(), slot));
@@ -797,6 +797,7 @@ void SmCore::restore(
                                 std::to_string(b.launch_id) +
                                 ", which the snapshot does not hold");
   }
+  live_stalls_ = {};
   for (size_t i = 0; i < warps_.size(); ++i) {
     Warp& warp = warps_[i];
     StallRec& rec = warp_stall_[i];
@@ -805,6 +806,7 @@ void SmCore::restore(
       warp = Warp{};
       continue;
     }
+    ++live_stalls(rec.cls);
     if (warp.block_slot >= blocks_.size() || !blocks_[warp.block_slot].active)
       throw ckpt::SnapshotError("snapshot " + name + " warp " +
                                 std::to_string(i) + " names block slot " +

@@ -4,6 +4,7 @@
 // through per-unit availability counters and the memory hierarchy.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <vector>
 
@@ -266,6 +267,8 @@ class SmCore {
   IssueOutcome stall(const Warp& w, IssueOutcome o, Cycle cand,
                      Unit unit = Unit::kNone) {
     StallRec& rec = warp_stall_[static_cast<size_t>(&w - warps_.data())];
+    --live_stalls(rec.cls);
+    ++live_stalls(o);
     rec.cls = o;
     rec.wake = cand;
     rec.unit = unit;
@@ -356,6 +359,14 @@ class SmCore {
   bool progress_ = false;
   Cycle quiet_wake_ = kNeverCycle;
   std::vector<StallRec> warp_stall_;  // parallel to warps_
+  // Active warps per recorded StallRec::cls, indexed by the enum, so
+  // settle_to() needs no warp walk. Derived state, never serialized;
+  // restore() recomputes it.
+  std::array<u32, static_cast<size_t>(IssueOutcome::kStructural) + 1>
+      live_stalls_{};
+  u32& live_stalls(IssueOutcome cls) {
+    return live_stalls_[static_cast<size_t>(cls)];
+  }
 
   // Immediate-splat rows for the lane-vector kernels (one per source slot).
   u32 splat_a_[kWarpSize];

@@ -5,6 +5,7 @@
 
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "common/table.h"
 #include "exp/campaign.h"
@@ -302,6 +303,38 @@ TEST(CampaignRunner, ResultsIndexedInSetOrderWithCallbacks) {
   for (size_t i = 0; i < set.size(); ++i) {
     EXPECT_EQ(campaign.results[i].index, i);
     EXPECT_EQ(campaign.results[i].label, set[i].label());
+  }
+}
+
+TEST(CampaignRunner, FastForwardCallbacksSeeEveryForkIncludingLateOnes) {
+  // Several groups across threads, each with windows that open long after
+  // its clean run has drained: those members are copies of the group's
+  // base result, handed to the on_result sink like any other.
+  ScenarioSet set;
+  for (const char* wl : {"hotspot", "nn", "pathfinder"}) {
+    ScenarioSpec spec = base_spec();
+    spec.workload = wl;
+    set.append(ScenarioSet::of(spec).sweep_faults(
+        {FaultPlan::none(), FaultPlan::droop(2000, 50, 2),
+         FaultPlan::droop(1u << 30, 50, 3),
+         FaultPlan::scheduler(1u << 30, 1)}));
+  }
+  CampaignRunner::Config serial_cfg;
+  serial_cfg.jobs = 1;
+  const CampaignResult serial = CampaignRunner(serial_cfg).run(set);
+
+  CampaignRunner::Config ff_cfg;
+  ff_cfg.jobs = 3;
+  ff_cfg.snapshot_fast_forward = true;
+  std::multiset<std::string> seen;
+  ff_cfg.on_result = [&](const ScenarioResult& r) { seen.insert(r.label); };
+  const CampaignResult ff = CampaignRunner(ff_cfg).run(set);
+  ASSERT_EQ(set.size(), seen.size());
+  for (size_t i = 0; i < set.size(); ++i) {
+    EXPECT_EQ(1u, seen.count(set[i].label())) << set[i].label();
+    EXPECT_EQ(i, ff.results[i].index);
+    EXPECT_TRUE(serial.results[i].deterministic_fields_equal(ff.results[i]))
+        << set[i].label();
   }
 }
 

@@ -27,6 +27,7 @@
 #include "ckpt/wire.h"
 #include "common/rng.h"
 #include "exp/campaign.h"
+#include "exp/units.h"
 #include "fault/injector.h"
 #include "sched/edf.h"
 #include "sched/policies.h"
@@ -274,6 +275,119 @@ TEST(CkptCampaign, FastForwardReportsDivergenceForSdcOrDetectedFaults) {
       EXPECT_FALSE(r.divergence.empty()) << r.label;
     }
   }
+}
+
+// ---- Fast-forward: windows that open after the clean run drains ----------
+
+/// The clean run's final GPU clock E for `spec`, as its group base sees it.
+Cycle clean_end_cycle(const ScenarioSpec& spec) {
+  SnapshotIo io;
+  const ScenarioResult r = exp::run_scenario(spec, 0, nullptr, nullptr, &io);
+  EXPECT_TRUE(r.ok) << r.error;
+  return io.final_state != nullptr ? io.final_state->cycle : 0;
+}
+
+/// One plan of every fault kind opening at `start`.
+std::vector<FaultPlan> every_kind_at(Cycle start) {
+  return {FaultPlan::droop(start, 400, 3),
+          FaultPlan::transient_sm(1, start, 400, 5),
+          FaultPlan::permanent_sm(0, start, 7),
+          FaultPlan::scheduler(start, 1)};
+}
+
+TEST(CkptCampaign, LateWindowsMatchFromScratchInEveryShape) {
+  for (sim::SimEngine engine :
+       {sim::SimEngine::kEvent, sim::SimEngine::kDense}) {
+    for (const core::RedundancySpec& red :
+         {core::RedundancySpec{}, core::RedundancySpec::dcls_rollback(2)}) {
+      ScenarioSpec base = make_spec("hotspot", engine);
+      base.redundancy = red;
+      const Cycle end = clean_end_cycle(base);
+      ASSERT_GT(end, 1u);
+      std::vector<FaultPlan> plans;
+      for (Cycle start : {end - 1, end, end + 1, end + 5000})
+        for (const FaultPlan& p : every_kind_at(start)) plans.push_back(p);
+      const ScenarioSet faults_only = ScenarioSet::of(base).sweep_faults(plans);
+      plans.insert(plans.begin(), FaultPlan::none());
+      const ScenarioSet with_clean = ScenarioSet::of(base).sweep_faults(plans);
+
+      for (const ScenarioSet* set : {&with_clean, &faults_only}) {
+        exp::CampaignRunner::Config plain_cfg;
+        plain_cfg.jobs = 1;
+        exp::CampaignRunner::Config ff_cfg = plain_cfg;
+        ff_cfg.snapshot_fast_forward = true;
+        const exp::CampaignResult plain =
+            exp::CampaignRunner(plain_cfg).run(*set);
+        const exp::CampaignResult ff = exp::CampaignRunner(ff_cfg).run(*set);
+        ASSERT_EQ(plain.results.size(), ff.results.size());
+        for (size_t i = 0; i < plain.results.size(); ++i) {
+          ASSERT_TRUE(plain.results[i].ok) << plain.results[i].error;
+          ASSERT_TRUE(ff.results[i].ok) << ff.results[i].error;
+          EXPECT_TRUE(plain.results[i].deterministic_fields_equal(ff.results[i]))
+              << plain.results[i].label << " (clean end " << end << "): "
+              << diff_hint(ff.results[i], plain.results[i]);
+        }
+      }
+    }
+  }
+}
+
+TEST(CkptCampaign, OnlyWindowsPastTheCleanClockSkipSimulation) {
+  const ScenarioSpec clean = make_spec("hotspot", sim::SimEngine::kEvent);
+  const Cycle end = clean_end_cycle(clean);
+  std::vector<FaultPlan> plans = {FaultPlan::none()};
+  for (Cycle start : {end - 1, end, end + 1, end + 5000})
+    for (const FaultPlan& p : every_kind_at(start)) plans.push_back(p);
+  const ScenarioSet set = ScenarioSet::of(clean).sweep_faults(plans);
+  std::vector<size_t> members(set.size());
+  for (size_t i = 0; i < members.size(); ++i) members[i] = i;
+  const exp::GroupBase base = exp::run_group_base(set, members);
+  ASSERT_TRUE(base.ok()) << base.result.error;
+  EXPECT_EQ(end, base.end_cycle);
+
+  for (size_t i = 1; i < set.size(); ++i) {
+    SCOPED_TRACE(set[i].label());
+    u32 pre_runs = 0;
+    const exp::ScenarioProbe count = [&pre_runs](runtime::Device&,
+                                                 workloads::Workload&,
+                                                 core::ExecSession&) {
+      ++pre_runs;
+    };
+    const ScenarioResult fork = exp::run_fork(set, i, base, nullptr, count);
+    ASSERT_TRUE(fork.ok) << fork.error;
+    // E - 1 and E are simulated; anything later is answered from the base.
+    EXPECT_EQ(set[i].fault.start <= end ? 1u : 0u, pre_runs);
+
+    // The answer is what a simulated fork diffed against the clean final
+    // state reports, divergence included.
+    SnapshotIo io;
+    io.divergence_ref = base.final_state;
+    const ScenarioResult simulated = exp::run_scenario(
+        set[i], static_cast<u32>(i), nullptr, nullptr, &io);
+    ASSERT_TRUE(simulated.ok) << simulated.error;
+    EXPECT_TRUE(fork.deterministic_fields_equal(simulated))
+        << diff_hint(fork, simulated);
+    EXPECT_EQ(simulated.divergence, fork.divergence);
+  }
+}
+
+TEST(CkptCampaign, InvalidLatePlanStillFailsWithItsError) {
+  const ScenarioSpec clean = make_spec("hotspot", sim::SimEngine::kEvent);
+  const Cycle end = clean_end_cycle(clean);
+  // bit 40 is out of range; the window opens long after the clean run.
+  const ScenarioSet set = ScenarioSet::of(clean).sweep_faults(
+      {FaultPlan::none(), FaultPlan::droop(end + 5000, 400, 40),
+       FaultPlan::droop(end + 5000, 400, 3)});
+  std::vector<ScenarioResult> results(set.size());
+  exp::run_unit(set, {0, 1, 2},
+                [&](ScenarioResult r) { results[r.index] = std::move(r); });
+
+  const ScenarioResult scratch = exp::run_scenario(set[1], 1);
+  ASSERT_FALSE(scratch.ok);
+  EXPECT_FALSE(results[1].ok);
+  EXPECT_EQ(scratch.error, results[1].error);
+  EXPECT_NE(std::string::npos, results[1].error.find("bit")) << results[1].error;
+  EXPECT_TRUE(results[2].ok) << results[2].error;
 }
 
 // ---- Rollback recovery ----------------------------------------------------

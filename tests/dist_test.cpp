@@ -54,13 +54,16 @@ ScenarioSpec test_spec(const std::string& workload) {
 }
 
 /// A small campaign that exercises every dispatch shape: fault-free
-/// singletons, and a same_but_fault group (clean member + two faults) that
-/// ships as one unit whose worker forks both faults from a shared base run.
+/// singletons, and a same_but_fault group (clean member + three faults) that
+/// ships as one unit whose worker forks two faults from a shared base run
+/// and answers the third, whose window opens long after the clean run has
+/// drained, from the base result.
 ScenarioSet mixed_set() {
   ScenarioSet set = ScenarioSet::of(test_spec("hotspot"))
                         .sweep_faults({FaultPlan::none(),
                                        FaultPlan::droop(2000, 50, 2),
-                                       FaultPlan::transient_sm(1, 3000, 40, 3)});
+                                       FaultPlan::transient_sm(1, 3000, 40, 3),
+                                       FaultPlan::droop(1u << 30, 50, 4)});
   set.add(test_spec("pathfinder"));
   set.add(test_spec("nw"));
   return set;
@@ -816,7 +819,8 @@ std::vector<ScenarioResult> run_in_fresh_process(const dist::WorkItem& item) {
 
 TEST(Distributed, GroupUnitRunsInFreshProcess) {
   // The hotspot group of mixed_set as a kWork unit: the fresh process runs
-  // its base and forks the two faults from the snapshots it captured.
+  // its base, forks two faults from the snapshots it captured and answers
+  // the late one from the base result.
   const ScenarioSet set = mixed_set();
   const exp::CampaignResult golden = golden_jobs1(set);
   const exp::WorkUnit unit = exp::plan_units(set, true).front();
