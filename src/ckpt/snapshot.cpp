@@ -91,12 +91,6 @@ u64 Snapshot::size_bytes() const {
   return n;
 }
 
-const Section* Snapshot::find_section(const std::string& name) const {
-  for (const Section& s : sections)
-    if (s.name == name) return &s;
-  return nullptr;
-}
-
 namespace {
 
 /// Architectural state first, bookkeeping last; ties broken by name so the

@@ -178,8 +178,6 @@ class Snapshot {
   /// history image. This is the size the state would have as one flat
   /// image, and what a rollback is charged for (PlatformParams::restore_ns).
   u64 size_bytes() const;
-
-  const Section* find_section(const std::string& name) const;
 };
 
 /// The capture metadata, which a wire frame carries ahead of the section

@@ -88,10 +88,6 @@ std::string JsonValue::get_string(const std::string& field) const {
   return v.string;
 }
 
-u64 JsonValue::get_u64_or(const std::string& field, u64 fallback) const {
-  return find(field) != nullptr ? get_u64(field) : fallback;
-}
-
 std::string JsonValue::get_string_or(const std::string& field,
                                      const std::string& fallback) const {
   return find(field) != nullptr ? get_string(field) : fallback;

@@ -101,9 +101,8 @@ struct JsonValue {
   i64 get_i64(const std::string& field) const;
   double get_double(const std::string& field) const;
   std::string get_string(const std::string& field) const;
-  /// Like the getters above but returning `fallback` when the field is
-  /// absent (schema-tolerant reads of optional fields).
-  u64 get_u64_or(const std::string& field, u64 fallback) const;
+  /// Like get_string but returning `fallback` when the field is absent
+  /// (schema-tolerant reads of optional fields).
   std::string get_string_or(const std::string& field,
                             const std::string& fallback) const;
 

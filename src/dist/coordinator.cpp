@@ -15,13 +15,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "common/log.h"
 #include "common/table.h"
 #include "dist/journal.h"
 #include "dist/protocol.h"
 #include "exp/result_io.h"
 #include "exp/units.h"
-#include "obs/metrics.h"
 
 namespace higpu::dist {
 
@@ -72,7 +70,7 @@ struct Progress {
       stopped = true;
   }
 
-  /// Append one auxiliary record (log / flight / fleet) to the journal.
+  /// Append one auxiliary record (log / flight) to the journal.
   void aux(const std::string& json_line) {
     if (journal) journal->add_aux(json_line);
   }
@@ -219,15 +217,6 @@ DistReport run_distributed(const exp::ScenarioSet& set,
     u64 accepted_before_chaos = 0;
     bool chaos_done = config.chaos_kill_after == 0;
 
-    // Fleet observability: per-worker ship/result/log/flight counts plus
-    // steal and death totals, journaled as one {"fleet": ...} record when
-    // the campaign ends. Driven by wall time, so diagnostic only — never
-    // resume state.
-    obs::Registry fleet_reg;
-    const auto wkey = [](u32 id, const char* what) {
-      return "dist.w" + std::to_string(id) + "." + what;
-    };
-
     auto pop_task = [&](size_t self) -> std::optional<Task> {
       if (!shards[self].empty()) {
         Task t = std::move(shards[self].front());
@@ -246,7 +235,6 @@ DistReport run_distributed(const exp::ScenarioSet& set,
       if (victim == shards.size()) return std::nullopt;
       Task t = std::move(shards[victim].back());
       shards[victim].pop_back();
-      fleet_reg.count("dist.steals");
       return t;
     };
 
@@ -255,7 +243,6 @@ DistReport run_distributed(const exp::ScenarioSet& set,
       if (w.pid > 0) ::kill(w.pid, SIGKILL);
       reap(w);
       ++report.workers_died;
-      fleet_reg.count("dist.worker_deaths");
       if (w.busy()) {
         // Its unreported members are unaccounted for — put them back, as
         // one unit, at the front of that worker's shard so a surviving
@@ -284,7 +271,6 @@ DistReport run_distributed(const exp::ScenarioSet& set,
       }
       w.inflight = std::move(*t);
       ++report.units_shipped;
-      fleet_reg.count(wkey(w.id, "units_shipped"));
     };
 
     auto handle_frame = [&](WorkerProc& w, const Frame& frame) {
@@ -318,7 +304,6 @@ DistReport run_distributed(const exp::ScenarioSet& set,
                             std::to_string(w.inflight.unit_id));
           pending.erase(it);
           ++accepted_before_chaos;
-          fleet_reg.count(wkey(w.id, "results"));
           progress.accept(r);
           dispatch(w);  // a no-op until the unit's last member lands
           break;
@@ -327,7 +312,6 @@ DistReport run_distributed(const exp::ScenarioSet& set,
           // Redirected worker log line: land it in the campaign journal so
           // the fleet's output survives in one ordered place.
           const LogMsg msg = decode_log(frame.payload);
-          fleet_reg.count(wkey(w.id, "log_lines"));
           progress.aux("{\"log\":{\"worker\":" + std::to_string(w.id) +
                        ",\"level\":" + std::to_string(msg.level) +
                        ",\"line\":\"" + json_escape(msg.line) + "\"}}");
@@ -337,7 +321,6 @@ DistReport run_distributed(const exp::ScenarioSet& set,
           // Flight-recorder dump (redundancy miscompare black box or the
           // worker's dying context); the payload is a complete single-line
           // "higpu.flight/1" object, embedded verbatim.
-          fleet_reg.count(wkey(w.id, "flights"));
           progress.aux("{\"flight\":{\"worker\":" + std::to_string(w.id) +
                        ",\"dump\":" + decode_flight(frame.payload) + "}}");
           break;
@@ -424,10 +407,6 @@ DistReport run_distributed(const exp::ScenarioSet& set,
       }
       reap(w);
     }
-
-    if (!fleet_reg.empty())
-      progress.aux("{\"fleet\":" +
-                   fleet_reg.snapshot_json(log_monotonic_ms()) + "}");
   }
 
   // ---- Assemble the campaign view (set order).

@@ -69,8 +69,9 @@ Scan scan_journal(const std::string& path) {
     }
 
     // Auxiliary observability records (worker logs, flight-recorder dumps,
-    // the end-of-campaign fleet metrics snapshot) interleave with results;
-    // they carry no resume state, so the scan counts and skips them.
+    // and the fleet metrics line of journals from earlier builds) interleave
+    // with results; they carry no resume state, so the scan counts and
+    // skips them.
     if (line.rfind("{\"log\":", 0) == 0 ||
         line.rfind("{\"flight\":", 0) == 0 ||
         line.rfind("{\"fleet\":", 0) == 0) {

@@ -16,11 +16,13 @@
 //
 //   {"log":    {"worker":<id>,"level":<n>,"line":"..."}}   worker log line
 //   {"flight": {"worker":<id>,"dump":<higpu.flight/1>}}    flight recorder
-//   {"fleet":  <higpu.metrics/1>}                          end-of-campaign
-//                                                          fleet metrics
 //
-// scan_journal skips them (counting them in Scan::aux_records); they carry
-// no scenario results, so resume semantics are unchanged.
+// Journals written by earlier builds may also hold one end-of-campaign
+// {"fleet": <higpu.metrics/1>} line. Nothing writes it any more, but the
+// scan still skips it, so those journals resume.
+//
+// scan_journal skips aux records (counting them in Scan::aux_records); they
+// carry no scenario results, so resume semantics are unchanged.
 //
 // Scanning for resume is strict where it matters and lenient only where a
 // crash legitimately leaves debris:
@@ -57,7 +59,8 @@ struct Scan {
   std::map<u32, exp::ScenarioResult> results;
   /// A final line without '\n' was discarded (crash artifact).
   bool torn_tail = false;
-  /// Auxiliary records (log / flight / fleet) skipped during the scan.
+  /// Auxiliary records (log / flight, and fleet from older journals)
+  /// skipped during the scan.
   u64 aux_records = 0;
 };
 
@@ -79,7 +82,7 @@ class Journal {
 
   void add(const exp::ScenarioResult& result);
   /// Append one auxiliary record (a complete single-line JSON object with a
-  /// top-level "log", "flight" or "fleet" key — see the schema note above).
+  /// top-level "log" or "flight" key — see the schema note above).
   void add_aux(const std::string& json_line);
   u64 records_written() const { return records_; }
   const std::string& path() const { return path_; }

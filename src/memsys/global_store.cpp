@@ -15,8 +15,6 @@ DevPtr GlobalStore::alloc(u64 bytes) {
   return static_cast<DevPtr>(start);
 }
 
-void GlobalStore::reset() { next_ = kBase; }
-
 void GlobalStore::reach(u64 end) const {
   // Stores only when it grows: a store per access would chain every
   // access through memory.

@@ -38,11 +38,6 @@ class GlobalStore {
   /// Allocate `bytes` (256-byte aligned). Throws std::bad_alloc past 1 GiB.
   DevPtr alloc(u64 bytes);
 
-  /// Release all allocations (arena-style reset). Contents are kept so old
-  /// pointers read stale data rather than faulting; callers should not use
-  /// pointers across a reset.
-  void reset();
-
   /// Bytes currently allocated.
   u64 allocated() const { return next_ - kBase; }
 

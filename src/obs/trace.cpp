@@ -26,9 +26,7 @@ const char* ev_name(Ev kind) {
     case Ev::kCompareFail: return "compare_fail";
     case Ev::kUnitShip: return "unit_ship";
     case Ev::kUnitResult: return "unit_result";
-    case Ev::kUnitSteal: return "unit_steal";
     case Ev::kWorkerDeath: return "worker_death";
-    case Ev::kLogLine: return "log";
   }
   return "?";
 }

@@ -58,9 +58,7 @@ enum class Ev : u16 {
   kCompareFail,    // instant: redundancy miscompare. a0 = dissenting words
   kUnitShip,       // instant: a0 = unit id, a1 = member count
   kUnitResult,     // instant: a0 = unit id, a1 = scenario index
-  kUnitSteal,      // instant: a0 = unit id, a1 = stealing worker
   kWorkerDeath,    // instant: a0 = worker id
-  kLogLine,        // instant: a0 = log level
 };
 
 /// Stall classes carried in kWarpStall.a1 (mirrors the SM issue outcomes).

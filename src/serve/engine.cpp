@@ -5,7 +5,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "common/jsonl.h"
 #include "common/table.h"
 #include "safety/bist.h"
 #include "sched/edf.h"
@@ -71,9 +70,6 @@ struct Loop {
   obs::Tracer* tr = nullptr;
   u32 trk_req = 0;  // host track: kReqEnqueue/kReqServe/kReqShed
   u32 trk_ctl = 0;  // host track: kDegrade
-  obs::Registry metrics;
-  std::unique_ptr<JsonlWriter> metrics_out;
-  u64 next_metrics_ns = 0;
 
   explicit Loop(const ServeSpec& s)
       : spec(s), dev(s.gpu, s.platform), requests(s.traffic.generate()) {
@@ -97,16 +93,11 @@ struct Loop {
       trk_req = tr->track("serve.requests", obs::kPidHost);
       trk_ctl = tr->track("serve.control", obs::kPidHost);
     }
-    if (!s.metrics_jsonl_path.empty() && s.metrics_interval_ns != 0) {
-      metrics_out =
-          std::make_unique<JsonlWriter>(s.metrics_jsonl_path, /*truncate=*/true);
-      next_metrics_ns = s.metrics_interval_ns;
-    }
   }
 
-  /// Record the queue depth after any change: the over-time series, the
-  /// high watermark (with the modelled instant it was first reached) and
-  /// the metrics gauge all key off this one observation point.
+  /// Record the queue depth after any change: the over-time series and the
+  /// high watermark (with the modelled instant it was first reached) both
+  /// key off this one observation point.
   void note_queue(u64 now) {
     const u64 depth = queue.size();
     if (res.queue_depth_series.empty() ||
@@ -115,17 +106,6 @@ struct Loop {
     if (depth > res.max_queue_depth) {
       res.max_queue_depth = depth;
       res.queue_high_watermark_ns = now;
-    }
-    metrics.gauge_set("serve.queue_depth", static_cast<i64>(depth), now);
-  }
-
-  /// Emit one metrics record per elapsed interval boundary (modelled time,
-  /// so the series is deterministic and engine-independent).
-  void flush_metrics(u64 now) {
-    if (metrics_out == nullptr) return;
-    while (next_metrics_ns <= now) {
-      metrics_out->append(metrics.snapshot_json(next_metrics_ns));
-      next_metrics_ns += spec.metrics_interval_ns;
     }
   }
 
@@ -163,7 +143,6 @@ struct Loop {
     res.transitions.push_back(rec);
     if (tr != nullptr)
       tr->instant(trk_ctl, obs::Ev::kDegrade, t, to, static_cast<u64>(reason));
-    metrics.count("serve.degrade_transitions");
     level = to;
     consecutive_good = 0;
   }
@@ -175,7 +154,6 @@ struct Loop {
         if (r.deadline_ns < now) {
           ++res.tenants[r.tenant].dropped_expired;
           ++res.dropped;
-          metrics.count("serve.dropped_expired");
           if (tr != nullptr)
             tr->instant(trk_req, obs::Ev::kReqShed, now, r.id, 0);
           queue[i] = queue.back();
@@ -200,7 +178,6 @@ struct Loop {
       const Request& r = requests[queue[worst]];
       ++res.tenants[r.tenant].dropped_overflow;
       ++res.dropped;
-      metrics.count("serve.dropped_overflow");
       if (tr != nullptr) tr->instant(trk_req, obs::Ev::kReqShed, now, r.id, 1);
       queue[worst] = queue.back();
       queue.pop_back();
@@ -286,15 +263,12 @@ struct Loop {
 
     ++res.served;
     ++ts.served;
-    metrics.count("serve.served");
-    metrics.observe("serve.response_ns", static_cast<i64>(c.response_ns));
     if (tr != nullptr)
       tr->emit(trk_req, obs::Ev::kReqServe, start, finish - start, req.id,
                level);
     if (!c.deadline_met) {
       ++ts.deadline_misses;
       ++res.deadline_misses;
-      metrics.count("serve.deadline_misses");
     }
     if (level > 0) ++ts.degraded_served;
     ts.response_ns.sample(static_cast<i64>(c.response_ns));
@@ -339,7 +313,6 @@ struct Loop {
       u64 now = dev.elapsed_ns();
       admit(now);
       run_bist_if_due(now);
-      flush_metrics(dev.elapsed_ns());
       if (queue.empty()) {
         // Idle: jump to the next arrival (or an earlier pending BIST).
         u64 wake = requests[next_arrival].arrival_ns;
@@ -356,9 +329,6 @@ struct Loop {
     }
     res.span_ns = dev.elapsed_ns();
     count_checkpoints();  // anything captured after the last request's count
-    // Close out the metrics series at the end of the modelled span.
-    if (metrics_out != nullptr)
-      metrics_out->append(metrics.snapshot_json(res.span_ns));
     return std::move(res);
   }
 };

@@ -21,6 +21,11 @@
 // and, when configured, an interval CheckpointPolicy so kRollback tenants
 // always have fresh restore points mid-stream.
 //
+// Telemetry is the ServeResult: served and dropped counts, per-tenant drops
+// and deadline misses, degrade transitions, response percentiles, and the
+// queue-depth series with its high watermark. An optional tracer adds
+// request spans and control instants on host tracks.
+//
 // Determinism: the device timeline, the arrival stream, the EDF order, the
 // degrade ladder and every percentile are functions of (spec, seed) only —
 // the same spec reproduces bit-identical results under both sim engines
@@ -31,7 +36,6 @@
 #include <vector>
 
 #include "common/percentiles.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/device.h"
 #include "serve/traffic.h"
@@ -73,12 +77,6 @@ struct ServeSpec {
   /// host tracks for request spans (kReqServe), enqueue/shed instants and
   /// degrade transitions. Not part of the spec's identity/label.
   obs::Tracer* tracer = nullptr;
-  /// When non-empty, append one "higpu.metrics/1" record to this JSONL file
-  /// every `metrics_interval_ns` of *modelled* time (so the series is
-  /// deterministic): queue-depth gauge, served/dropped counters, response
-  /// histogram. The file is truncated at the start of the run.
-  std::string metrics_jsonl_path;
-  u64 metrics_interval_ns = 0;
 
   void validate() const;
   std::string label() const;

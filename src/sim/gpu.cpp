@@ -57,10 +57,6 @@ std::vector<obs::SmCycles> Gpu::sm_profile() const {
   return out;
 }
 
-void Gpu::set_warp_sched_policy(WarpSchedPolicy p) {
-  for (auto& sm : sms_) sm->set_warp_sched_policy(p);
-}
-
 u32 Gpu::launch(KernelLaunch launch) {
   // Always-on launch validation (formerly NDEBUG-masked asserts): these are
   // host-API usage errors, not program defects, so the static verifier

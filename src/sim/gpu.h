@@ -59,7 +59,6 @@ class Gpu {
   /// every SM and the memory hierarchy. Pure observer — pinned bit-identical
   /// on/off by the trace-identity suite.
   void set_obs_tracer(obs::Tracer* t);
-  void set_warp_sched_policy(WarpSchedPolicy p);
   const GpuParams& params() const { return params_; }
 
   // ---- Host-side API ------------------------------------------------------

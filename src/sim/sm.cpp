@@ -130,13 +130,12 @@ void SmCore::cycle(Cycle now) {
   const u32 nsched = params_.num_warp_schedulers;
   for (u32 s = 0; s < nsched; ++s) {
     // Greedy: retry the warp that issued last.
-    if (warp_policy_ == WarpSchedPolicy::kGto && last_issued_[s] >= 0) {
+    if (last_issued_[s] >= 0) {
       Warp& w = warps_[static_cast<u32>(last_issued_[s])];
       if (w.active && try_issue(w, now)) continue;
     }
     // Then oldest first among this scheduler's warps, walking the
-    // incrementally maintained age order. (Under LRR an issue moves the
-    // warp to the back, so oldest == least-recently issued.)
+    // incrementally maintained age order.
     std::vector<u32>& order = sched_order_[s];
     last_issued_[s] = -1;
     for (u32 idx = 0; idx < order.size();) {
@@ -278,14 +277,6 @@ SmCore::IssueOutcome SmCore::try_issue_classified(Warp& w, Cycle now) {
 
 void SmCore::post_issue(Warp& w, Cycle now) {
   ++w.instructions;
-  if (warp_policy_ == WarpSchedPolicy::kLrr) {
-    // Refresh recency: the warp becomes the youngest of its scheduler.
-    w.age = ++age_counter_;
-    const u32 slot = static_cast<u32>(&w - warps_.data());
-    std::vector<u32>& order = sched_order_[slot % params_.num_warp_schedulers];
-    order.erase(std::find(order.begin(), order.end(), slot));
-    order.push_back(slot);
-  }
   instructions_ += 1;
 
   // A warp whose last instruction was EXIT completes immediately.

@@ -64,9 +64,6 @@ void visit_fields(S& b, V&& v) {
   v("dispatch_cycle", b.dispatch_cycle);
 }
 
-/// Warp-scheduler selection policy within an SM.
-enum class WarpSchedPolicy { kGto, kLrr };
-
 class SmCore {
  public:
   using BlockDoneFn = std::function<void(const BlockRecord&)>;
@@ -129,7 +126,6 @@ class SmCore {
     obs_track_ = track;
     stall_eps_.assign(warps_.size(), StallEp{});
   }
-  void set_warp_sched_policy(WarpSchedPolicy p) { warp_policy_ = p; }
   /// Event-engine mode: the issue walk may skip a warp in O(1) while its
   /// recorded stall is provably still blocking (see StallRec). Off in the
   /// dense reference loop, which faithfully re-attempts every warp every
@@ -249,8 +245,8 @@ class SmCore {
   void exec_superop(Warp& w, const blockexec::SuperOp& sop, u32 guard_mask,
                     Cycle now);
   /// Post-issue bookkeeping shared by both dispatch paths: per-warp
-  /// instruction count, LRR recency refresh, SM instruction counter, and
-  /// completion of a warp whose last instruction was EXIT.
+  /// instruction count, SM instruction counter, and completion of a warp
+  /// whose last instruction was EXIT.
   void post_issue(Warp& w, Cycle now);
   bool try_issue(Warp& w, Cycle now);
   /// Execution unit a structural stall waits on (kNone for other stalls).
@@ -309,7 +305,6 @@ class SmCore {
   memsys::GlobalStore* store_;
   IFaultHook* fault_ = nullptr;
   ITraceSink* trace_ = nullptr;
-  WarpSchedPolicy warp_policy_ = WarpSchedPolicy::kGto;
   bool use_wake_records_ = false;
 
   std::vector<ResidentBlock> blocks_;  // max_blocks_per_sm slots
@@ -327,8 +322,8 @@ class SmCore {
 
   // Warp-scheduler bookkeeping. sched_order_[s] holds scheduler s's active
   // warp slots in age order (maintained incrementally: activation appends —
-  // ages are monotonic — completion erases, an LRR issue moves to the back),
-  // so the per-cycle selection needs no sorting or allocation.
+  // ages are monotonic — completion erases), so the per-cycle selection
+  // needs no sorting or allocation.
   std::vector<i32> last_issued_;  // per scheduler: warp slot or -1
   std::vector<std::vector<u32>> sched_order_;
   u64 age_counter_ = 0;

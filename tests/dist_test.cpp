@@ -11,9 +11,9 @@
 // section is named), JSONL result round-trips including control characters
 // in error strings, journal scan/resume semantics (torn tails tolerated,
 // corrupted records named, foreign campaigns refused, only missing
-// scenarios re-executed), a group unit run in a fresh campaign_worker
-// process through its file mode, and a parameter-mismatched snapshot
-// refused cleanly.
+// scenarios re-executed, the fleet line of older journals skipped), a group
+// unit run in a fresh campaign_worker process through its file mode, and a
+// parameter-mismatched snapshot refused cleanly.
 #include <gtest/gtest.h>
 
 #include <sys/resource.h>
@@ -766,6 +766,48 @@ TEST(Distributed, ResumeExecutesOnlyMissingScenarios) {
   EXPECT_EQ(set.size(), noop.resumed);
   EXPECT_EQ(0u, noop.executed);
   expect_equals_golden(noop.campaign, golden);
+  std::remove(path.c_str());
+}
+
+TEST(Distributed, ResumeSkipsFleetLineFromOlderJournals) {
+  const ScenarioSet set = mixed_set();
+  const exp::CampaignResult golden = golden_jobs1(set);
+  const std::string path = tmp_path("fleet.jsonl");
+
+  dist::DistConfig cfg;
+  cfg.workers = 2;
+  cfg.journal_path = path;
+  cfg.stop_after_results = 2;
+  ASSERT_TRUE(dist::run_distributed(set, cfg).stopped_early);
+  const u64 aux_before = dist::scan_journal(path).aux_records;
+
+  // Earlier builds closed every fleet run, stopped ones included, with one
+  // {"fleet": <higpu.metrics/1>} line. No build writes it now; a journal
+  // that ends with one must still scan and resume.
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    out << "{\"fleet\":{\"schema\":\"higpu.metrics/1\",\"at\":1234,"
+           "\"counters\":{\"dist.steals\":1,\"dist.w0.results\":2,"
+           "\"dist.w0.units_shipped\":2,\"dist.w1.units_shipped\":1},"
+           "\"gauges\":{},\"hist\":{}}}\n";
+  }
+  const dist::Scan scan = dist::scan_journal(path);
+  EXPECT_EQ(aux_before + 1, scan.aux_records);
+  EXPECT_FALSE(scan.torn_tail);
+  const size_t already = scan.results.size();
+  ASSERT_GT(already, 0u);
+  ASSERT_LT(already, set.size());
+
+  dist::DistConfig rcfg;
+  rcfg.workers = 2;
+  rcfg.journal_path = path;
+  rcfg.resume = true;
+  const dist::DistReport rep = dist::run_distributed(set, rcfg);
+  EXPECT_FALSE(rep.stopped_early);
+  EXPECT_EQ(already, rep.resumed);
+  EXPECT_EQ(set.size() - already, rep.executed);
+  expect_equals_golden(rep.campaign, golden);
+  EXPECT_EQ(set.size(), dist::scan_journal(path).results.size());
   std::remove(path.c_str());
 }
 

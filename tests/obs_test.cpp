@@ -1,8 +1,8 @@
 // Observability layer: ring-buffer tracer semantics, Chrome trace schema,
-// flight recorder, the metrics registry, per-SM cycle attribution (the
-// issued/stall/idle split must exactly tile the GPU clock), the serve
-// queue-depth telemetry, the journal's auxiliary records and the wire
-// codecs that ship worker logs / flight dumps to the coordinator.
+// flight recorder, per-SM cycle attribution (the issued/stall/idle split
+// must exactly tile the GPU clock), the serve queue-depth telemetry, the
+// journal's auxiliary records and the wire codecs that ship worker logs /
+// flight dumps to the coordinator.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -15,7 +15,6 @@
 #include "dist/protocol.h"
 #include "exp/campaign.h"
 #include "exp/result_io.h"
-#include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "runtime/device.h"
@@ -124,67 +123,6 @@ TEST(Tracer, FlightJsonIsSingleLineAndTagged) {
   EXPECT_EQ(v.get_u64("recorded"), 2u);
   ASSERT_EQ(v.at("events").array.size(), 2u);
   EXPECT_EQ(v.at("events").array[1].get_string("name"), "worker_death");
-}
-
-// ---- Metrics registry ------------------------------------------------------
-
-TEST(Registry, CountersGaugesHistograms) {
-  obs::Registry reg;
-  reg.count("serve.served");
-  reg.count("serve.served", 4);
-  EXPECT_EQ(reg.counter_value("serve.served"), 5u);
-  EXPECT_EQ(reg.counter_value("missing"), 0u);
-
-  reg.gauge_set("serve.queue_depth", 3, 100);
-  reg.gauge_set("serve.queue_depth", 9, 200);
-  reg.gauge_set("serve.queue_depth", 2, 300);
-  const obs::Gauge* g = reg.find_gauge("serve.queue_depth");
-  ASSERT_NE(g, nullptr);
-  EXPECT_EQ(g->value, 2);
-  EXPECT_EQ(g->watermark, 9);
-  EXPECT_EQ(g->watermark_at, 200u);
-
-  for (i64 v = 1; v <= 100; ++v) reg.observe("serve.response_ns", v);
-  const Percentiles* h = reg.find_histogram("serve.response_ns");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->p99(), 99);
-}
-
-TEST(Registry, FirstNegativeGaugeEstablishesWatermark) {
-  obs::Registry reg;
-  reg.gauge_set("depth", -4, 10);
-  const obs::Gauge* g = reg.find_gauge("depth");
-  ASSERT_NE(g, nullptr);
-  EXPECT_EQ(g->watermark, -4);
-  EXPECT_EQ(g->watermark_at, 10u);
-}
-
-TEST(Registry, SnapshotJsonParsesWithSchema) {
-  obs::Registry reg;
-  reg.count("dist.w0.results", 3);
-  reg.gauge_set("serve.queue_depth", 5, 777);
-  reg.observe("lat", 12);
-  const std::string json = reg.snapshot_json(999);
-  const JsonValue v = parse_json(json);
-  EXPECT_EQ(v.get_string("schema"), obs::kMetricsSchema);
-  EXPECT_EQ(v.get_u64("at"), 999u);
-  EXPECT_EQ(v.at("counters").get_u64("dist.w0.results"), 3u);
-  EXPECT_EQ(v.at("gauges").at("serve.queue_depth").get_u64("watermark_at"),
-            777u);
-}
-
-TEST(Registry, MergeAggregatesFleetView) {
-  obs::Registry a, b;
-  a.count("units", 2);
-  b.count("units", 3);
-  a.gauge_set("depth", 1, 10);
-  b.gauge_set("depth", 7, 20);
-  a.observe("lat", 1);
-  b.observe("lat", 9);
-  a.merge(b);
-  EXPECT_EQ(a.counter_value("units"), 5u);
-  EXPECT_EQ(a.find_gauge("depth")->watermark, 7);
-  EXPECT_EQ(a.find_histogram("lat")->count(), 2u);
 }
 
 // ---- Cycle attribution -----------------------------------------------------
@@ -319,49 +257,6 @@ TEST(ServeTelemetry, QueueDepthSeriesAndWatermarkAreDeterministic) {
               a.queue_depth_series[i - 1].first);
 }
 
-TEST(ServeTelemetry, MetricsJsonlSnapshotsOnModelledInterval) {
-  serve::ServeSpec spec;
-  spec.traffic.pattern = serve::TrafficSpec::Pattern::kPeriodic;
-  spec.traffic.seed = 3;
-  spec.traffic.offered_rps = 2000.0;
-  spec.traffic.duration_ns = 4'000'000;
-  spec.traffic.max_requests = 8;
-  serve::TenantSpec t;
-  t.name = "radar";
-  t.workload = "nn";
-  t.scale = workloads::Scale::kTest;
-  t.deadline_ns = 20'000'000;
-  spec.traffic.tenants.push_back(t);
-  spec.metrics_jsonl_path = ::testing::TempDir() + "serve_metrics.jsonl";
-  spec.metrics_interval_ns = 1'000'000;
-
-  const serve::ServeResult r = serve::run_serve(spec);
-  EXPECT_GT(r.served, 0u);
-
-  std::FILE* f = std::fopen(spec.metrics_jsonl_path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::string text;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-  std::fclose(f);
-
-  u64 lines = 0, last_at = 0;
-  size_t pos = 0;
-  while (pos < text.size()) {
-    const size_t nl = text.find('\n', pos);
-    ASSERT_NE(nl, std::string::npos);
-    const JsonValue v = parse_json(text.substr(pos, nl - pos));
-    EXPECT_EQ(v.get_string("schema"), obs::kMetricsSchema);
-    const u64 at = v.get_u64("at");
-    EXPECT_GE(at, last_at) << "snapshots advance on the modelled clock";
-    last_at = at;
-    ++lines;
-    pos = nl + 1;
-  }
-  EXPECT_GE(lines, 2u) << "interval snapshots plus the final one";
-}
-
 // ---- Wire codecs and journal aux records -----------------------------------
 
 TEST(WireCodecs, LogAndFlightRoundTrip) {
@@ -395,6 +290,7 @@ TEST(JournalAux, ScanSkipsAndCountsAuxRecords) {
               "\"higpu.flight/1\",\"events\":[]}}}");
     r.index = 1;
     j.add(r);
+    // The fleet metrics line that journals from earlier builds end with.
     j.add_aux("{\"fleet\":{\"schema\":\"higpu.metrics/1\",\"at\":9,"
               "\"counters\":{},\"gauges\":{},\"histograms\":{}}}");
   }

@@ -170,21 +170,18 @@ TEST(SimTiming, RunUntilIdleThrowsOnBudgetExhaustion) {
   EXPECT_THROW(gpu.run_until_idle(1000), SimTimeout);
 }
 
-TEST(SimTiming, LrrAndGtoBothCompleteCorrectly) {
-  for (WarpSchedPolicy wp : {WarpSchedPolicy::kGto, WarpSchedPolicy::kLrr}) {
-    GpuParams p;
-    memsys::GlobalStore store;
-    Gpu gpu(p, &store);
-    gpu.set_warp_sched_policy(wp);
-    gpu.set_kernel_scheduler(std::make_unique<sched::DefaultKernelScheduler>());
-    const u32 n = 512;
-    KernelLaunch l = make_launch(make_store_kernel(), n, 128, {0, n});
-    const memsys::DevPtr out = store.alloc(n * 4);
-    l.params[0] = out;
-    gpu.launch(std::move(l));
-    gpu.run_until_idle(10'000'000);
-    for (u32 i = 0; i < n; ++i) EXPECT_EQ(store.read32(out + i * 4), i);
-  }
+TEST(SimTiming, GtoCompletesCorrectly) {
+  GpuParams p;
+  memsys::GlobalStore store;
+  Gpu gpu(p, &store);
+  gpu.set_kernel_scheduler(std::make_unique<sched::DefaultKernelScheduler>());
+  const u32 n = 512;
+  KernelLaunch l = make_launch(make_store_kernel(), n, 128, {0, n});
+  const memsys::DevPtr out = store.alloc(n * 4);
+  l.params[0] = out;
+  gpu.launch(std::move(l));
+  gpu.run_until_idle(10'000'000);
+  for (u32 i = 0; i < n; ++i) EXPECT_EQ(store.read32(out + i * 4), i);
 }
 
 TEST(SimTiming, StatsAreCollected) {
