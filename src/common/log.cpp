@@ -55,7 +55,9 @@ void set_log_prefix(const std::string& prefix) {
 
 void log_msg(LogLevel level, const std::string& msg) {
   if (level > log_level() || level == LogLevel::kSilent) return;
-  std::string line = "+" + std::to_string(log_monotonic_ms()) + "ms ";
+  std::string line = "+";
+  line += std::to_string(log_monotonic_ms());
+  line += "ms ";
   const std::lock_guard<std::mutex> lock(g_mu);
   if (!g_prefix.empty()) {
     line += g_prefix;

@@ -60,7 +60,9 @@ int worker_main(int fd, u32 worker_id, int heartbeat_interval_ms) {
 
   // Redirect this process's log lines to the coordinator, which lands them
   // in the campaign journal tagged with this worker's prefix.
-  set_log_prefix("w" + std::to_string(worker_id));
+  std::string prefix = "w";
+  prefix += std::to_string(worker_id);
+  set_log_prefix(prefix);
   set_log_sink([&sender](LogLevel level, const std::string& line) {
     try {
       LogMsg msg;

@@ -9,8 +9,11 @@
 // captured at every member's injection cycle, and each faulted member then
 // forks from the snapshot covering its own injection point
 // (runtime::Device::arm_resume) instead of re-simulating the common prefix.
-// A member whose fault window opens after the clean run has drained cannot
-// fire, so it simulates nothing: it takes the base's result, relabelled.
+// Until its first corrupted result a faulted run is the clean run, so a
+// member whose window is *quiet* — no datapath result lands in it on its
+// SMs in the clean run (a scheduler fault: it opens after the clean run has
+// drained) — simulates nothing: it takes the base's result, relabelled,
+// with the fast-forward count the window's trigger cycles cost.
 // A unit runs start to finish in one process, so its snapshots never leave
 // the process that captured them. Forking and eliding are purely
 // accelerations: per-scenario results are bit-identical to from-scratch
@@ -48,12 +51,24 @@ struct WorkUnit {
 std::vector<WorkUnit> plan_units(const ScenarioSet& set, bool group_faults);
 
 /// The product of one group's clean base run: snapshots covering each
-/// fault member's injection cycle, the clean final state and clock, and the
-/// base's own ScenarioResult (which doubles as the result of the group's
-/// fault-free member when it has one, and of every member whose fault
-/// window opens after `end_cycle`).
+/// fault member's injection cycle, the clean final state, the members whose
+/// window is quiet, and the base's own ScenarioResult (which doubles as the
+/// result of the group's fault-free member when it has one, and of every
+/// quiet member).
 struct GroupBase {
   static constexpr size_t kSynthetic = static_cast<size_t>(-1);
+
+  /// A fault member whose faulted run would be the clean run: no datapath
+  /// result with live lanes falls in its window [start, end) on its SMs
+  /// (any SM for a droop), or, for a scheduler fault, the window opens
+  /// after the clean run's final clock. `jumped` counts the window's
+  /// boundaries that lie strictly inside a fast-forward jump of the clean
+  /// event loop: the faulted run visits those as trigger events, so it
+  /// fast-forwards that many fewer cycles.
+  struct Quiet {
+    size_t index = 0;
+    Cycle jumped = 0;
+  };
 
   ScenarioResult result;
   /// Scenario index `result` belongs to, or kSynthetic when the group has
@@ -65,20 +80,21 @@ struct GroupBase {
   std::vector<ckpt::SnapshotPtr> snapshots;
   /// Clean final device state (divergence reference for forks).
   ckpt::SnapshotPtr final_state;
-  /// The clean run's final GPU clock (final_state->cycle); kNeverCycle
-  /// when the base run failed. No fault starting later can fire.
-  Cycle end_cycle = kNeverCycle;
+  /// The quiet fault members, in member order.
+  std::vector<Quiet> quiet;
 
   bool ok() const { return result.ok; }
   /// Snapshot covering injection cycle `c`, or null: also when `c` is past
-  /// end_cycle, since the base run drained before reaching it.
+  /// the clean run's final clock, since the base run drained before it.
   ckpt::SnapshotPtr snapshot_for(Cycle c) const;
 };
 
 /// Run the clean base scenario of one group on the calling thread,
-/// capturing a snapshot at every fault member's injection cycle. The base
-/// spec is the group's fault-free member if it has one, else members[0]
-/// with the fault stripped.
+/// capturing a snapshot at every fault member's injection cycle and
+/// watching which members' windows stay quiet. The base spec is the group's
+/// fault-free member if it has one, else members[0] with the fault
+/// stripped. The watch is a fault hook that changes nothing: the base run
+/// visits the same cycles and captures the same snapshot bytes.
 GroupBase run_group_base(const ScenarioSet& set,
                          const std::vector<size_t>& members);
 
@@ -88,12 +104,12 @@ GroupBase run_group_base(const ScenarioSet& set,
 /// failure) and diffs its final state against the clean run's. `probe` and
 /// `pre_run` pass through to run_scenario.
 ///
-/// When the base is ok, the spec validates and its fault starts after
-/// base.end_cycle, nothing runs: the faulted run would be the clean run, so
-/// the result is base.result with the member's index and label,
-/// fault_active set, no corruptions or diverted blocks, and divergence
-/// "fault" (all a simulated fork would report). An invalid spec still runs
-/// and fails with its own error.
+/// When the base is ok, the spec validates and the member is quiet, nothing
+/// runs: the faulted run would be the clean run, so the result is
+/// base.result with the member's index and label, fault_active set, no
+/// corruptions or diverted blocks, ff_cycles lowered by the quiet entry's
+/// `jumped`, and divergence "fault" (all a simulated fork would report). An
+/// invalid spec still runs and fails with its own error.
 ScenarioResult run_fork(const ScenarioSet& set, size_t i,
                         const GroupBase& base,
                         const ScenarioProbe& probe = nullptr,

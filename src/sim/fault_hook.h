@@ -42,7 +42,11 @@ class IFaultHook {
   /// change (a fault window opening or closing), or kNeverCycle if none.
   /// The event-driven engine treats these cycles as wake events so that
   /// cycle-targeted triggers land exactly as under the dense tick loop and
-  /// are never skipped by quiescent-cycle fast-forward.
+  /// are never skipped by quiescent-cycle fast-forward. It asks once per
+  /// loop iteration, `now` being the cycle it simulated last, so the cycles
+  /// strictly between two successive asks are the ones it fast-forwarded;
+  /// a trigger inside such a jump costs one fast-forwarded cycle. The dense
+  /// engine never asks.
   virtual Cycle next_trigger_cycle(Cycle now) const {
     (void)now;
     return kNeverCycle;
@@ -51,7 +55,8 @@ class IFaultHook {
   /// Checkpoint participation: hooks with behavioural state (armed windows,
   /// corruption counters, RNG streams) serialize it here so an exact restore
   /// resumes fault injection bit-identically (e.g. a snapshot taken mid
-  /// fault window). Stateless hooks keep the no-op defaults.
+  /// fault window). Stateless hooks keep the no-op defaults; a snapshot
+  /// then records no hook, as if none were installed.
   virtual void save_state(ckpt::Writer& w) const { (void)w; }
   virtual void restore_state(ckpt::Reader& r) { (void)r; }
 

@@ -483,9 +483,13 @@ void Gpu::save(ckpt::Writer& w, ckpt::Snapshot& snap) {
 
   mem_.save(w);
 
+  // The flag says whether hook state follows. A hook that saves none (an
+  // observer) is recorded as no hook, so installing one changes no byte.
+  ckpt::Writer hook;
+  if (fault_ != nullptr) fault_->save_state(hook);
   w.begin_section("fault");
-  w.putb(fault_ != nullptr);
-  if (fault_ != nullptr) fault_->save_state(w);
+  w.putb(!hook.blob().empty());
+  w.put_bytes(hook.blob().data(), hook.blob().size());
   w.end_section();
 }
 

@@ -295,6 +295,81 @@ std::vector<FaultPlan> every_kind_at(Cycle start) {
           FaultPlan::scheduler(start, 1)};
 }
 
+/// What a clean run shows the quiet-window rule, recorded by a hook of the
+/// test's own rather than by exp::run_group_base: the cycles at which each
+/// SM produced a datapath result with live lanes, the cycles the event loop
+/// simulated, the kernels' execution spans and the final clock.
+struct CleanTrace final : sim::IFaultHook {
+  std::vector<std::vector<Cycle>> results;  // per SM, ascending, distinct
+  mutable std::vector<Cycle> visited;       // ascending, the final clock too
+  std::vector<std::pair<Cycle, Cycle>> kernels;  // [first dispatch, done]
+  Cycle end = 0;
+
+  u32 corrupt_lanes(u32 sm, Cycle cycle, u32 lanes) override {
+    if (lanes == 0) return 0;
+    if (results.size() <= sm) results.resize(sm + 1);
+    if (results[sm].empty() || results[sm].back() != cycle)
+      results[sm].push_back(cycle);
+    return 0;
+  }
+  u32 corrupt_block_mapping(u32 sm, u32, Cycle) override { return sm; }
+  Cycle next_trigger_cycle(Cycle now) const override {
+    visited.push_back(now);  // asked once per event-loop iteration
+    return kNeverCycle;
+  }
+
+  /// Result cycles on the SMs a fault of `kind` corrupts, ascending.
+  std::vector<Cycle> results_on(FaultPlan::Kind kind) const {
+    std::vector<Cycle> out;
+    for (u32 sm = 0; sm < results.size(); ++sm)
+      if (kind == FaultPlan::Kind::kDroop ||
+          (kind == FaultPlan::Kind::kTransientSm && sm == 1) ||
+          (kind == FaultPlan::Kind::kPermanentSm && sm == 0))
+        out.insert(out.end(), results[sm].begin(), results[sm].end());
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+  }
+
+  /// Whether the faulted run of `f` departs from the clean run: a result on
+  /// its SMs inside its window, or, for a scheduler fault, a window the
+  /// clean run reaches.
+  bool fires(const FaultPlan& f) const {
+    if (f.kind == FaultPlan::Kind::kScheduler) return f.start <= end;
+    const Cycle stop = f.kind == FaultPlan::Kind::kPermanentSm
+                           ? kNeverCycle
+                           : f.start + f.duration;
+    const std::vector<Cycle> r = results_on(f.kind);
+    const auto it = std::lower_bound(r.begin(), r.end(), f.start);
+    return it != r.end() && *it < stop;
+  }
+};
+
+/// Trace the clean run of `spec` (its fault stripped) under the event
+/// engine.
+CleanTrace trace_clean(ScenarioSpec spec) {
+  spec.fault = FaultPlan::none();
+  spec.gpu.engine = sim::SimEngine::kEvent;
+  CleanTrace t;
+  const exp::ScenarioProbe install = [&t](runtime::Device& dev,
+                                          workloads::Workload&,
+                                          core::ExecSession&) {
+    dev.gpu().set_fault_hook(&t);
+  };
+  const exp::ScenarioProbe harvest = [&t](runtime::Device& dev,
+                                          workloads::Workload&,
+                                          core::ExecSession&) {
+    for (const sim::KernelState* ks : dev.gpu().kernel_states())
+      t.kernels.push_back({ks->first_dispatch_cycle, ks->done_cycle});
+    t.end = dev.gpu().now();
+  };
+  const ScenarioResult r = exp::run_scenario(spec, 0, harvest, install);
+  EXPECT_TRUE(r.ok) << r.error;
+  t.visited.push_back(t.end);
+  std::sort(t.kernels.begin(), t.kernels.end());
+  return t;
+}
+
 TEST(CkptCampaign, LateWindowsMatchFromScratchInEveryShape) {
   for (sim::SimEngine engine :
        {sim::SimEngine::kEvent, sim::SimEngine::kDense}) {
@@ -343,7 +418,9 @@ TEST(CkptCampaign, OnlyWindowsPastTheCleanClockSkipSimulation) {
   for (size_t i = 0; i < members.size(); ++i) members[i] = i;
   const exp::GroupBase base = exp::run_group_base(set, members);
   ASSERT_TRUE(base.ok()) << base.result.error;
-  EXPECT_EQ(end, base.end_cycle);
+  EXPECT_EQ(end, base.final_state->cycle);
+  const CleanTrace trace = trace_clean(clean);
+  ASSERT_EQ(end, trace.end);
 
   for (size_t i = 1; i < set.size(); ++i) {
     SCOPED_TRACE(set[i].label());
@@ -355,8 +432,9 @@ TEST(CkptCampaign, OnlyWindowsPastTheCleanClockSkipSimulation) {
     };
     const ScenarioResult fork = exp::run_fork(set, i, base, nullptr, count);
     ASSERT_TRUE(fork.ok) << fork.error;
-    // E - 1 and E are simulated; anything later is answered from the base.
-    EXPECT_EQ(set[i].fault.start <= end ? 1u : 0u, pre_runs);
+    // Simulated iff a clean datapath result lies in the window on its SMs
+    // (a scheduler fault: iff the clean run reaches its window).
+    EXPECT_EQ(trace.fires(set[i].fault) ? 1u : 0u, pre_runs);
 
     // The answer is what a simulated fork diffed against the clean final
     // state reports, divergence included.
@@ -388,6 +466,149 @@ TEST(CkptCampaign, InvalidLatePlanStillFailsWithItsError) {
   EXPECT_EQ(scratch.error, results[1].error);
   EXPECT_NE(std::string::npos, results[1].error.find("bit")) << results[1].error;
   EXPECT_TRUE(results[2].ok) << results[2].error;
+}
+
+// ---- Fast-forward: quiet windows -------------------------------------------
+
+/// The fault of `kind` on the window [start, stop); a permanent or scheduler
+/// fault never closes, so it keeps only `start`.
+FaultPlan fault_on(FaultPlan::Kind kind, Cycle start, Cycle stop) {
+  switch (kind) {
+    case FaultPlan::Kind::kDroop: return FaultPlan::droop(start, stop - start, 3);
+    case FaultPlan::Kind::kTransientSm:
+      return FaultPlan::transient_sm(1, start, stop - start, 5);
+    case FaultPlan::Kind::kPermanentSm: return FaultPlan::permanent_sm(0, start, 7);
+    default: return FaultPlan::scheduler(start, 1);
+  }
+}
+
+/// Windows of every shape the quiet-window rule must get exactly right,
+/// placed on the clean run `t` for a fault of `kind`: wholly inside a
+/// fast-forward jump; from one simulated cycle to the next; one boundary
+/// jumped and one simulated; across the host phase between two kernels;
+/// ending on, just past, starting on and just after a datapath result.
+/// For a single-SM fault also one holding only another SM's result.
+std::vector<FaultPlan> quiet_shapes(const CleanTrace& t, FaultPlan::Kind kind) {
+  std::vector<FaultPlan> plans;
+  const auto add = [&](Cycle start, Cycle stop) {
+    plans.push_back(fault_on(kind, start, stop));
+  };
+
+  // The middle jump of three or more cycles: [a+1, b-1) is jumped over.
+  std::vector<std::pair<Cycle, Cycle>> jumps;
+  for (size_t i = 1; i < t.visited.size(); ++i)
+    if (t.visited[i] >= t.visited[i - 1] + 3)
+      jumps.push_back({t.visited[i - 1], t.visited[i]});
+  EXPECT_FALSE(jumps.empty());
+  if (!jumps.empty()) {
+    const auto [a, b] = jumps[jumps.size() / 2];
+    add(a + 1, b - 1);
+    add(a, b);
+    add(a + 1, b);
+    add(a, b - 1);
+  }
+
+  // Across the first idle stretch between kernels, from just past the last
+  // result before it to the first result after it, and one cycle wider. A
+  // scheduler fault corrupts no result; its windows sit on any SM's.
+  const std::vector<Cycle> r = t.results_on(
+      kind == FaultPlan::Kind::kScheduler ? FaultPlan::Kind::kDroop : kind);
+  Cycle busy_until = 0;
+  bool spanned = false;
+  for (const auto& [first, done] : t.kernels) {
+    if (busy_until != 0 && first > busy_until && !spanned) {
+      const auto next = std::lower_bound(r.begin(), r.end(), first);
+      if (next != r.end() && next != r.begin() && *std::prev(next) < busy_until) {
+        add(*std::prev(next) + 1, *next);
+        add(*std::prev(next), *next + 1);
+        spanned = true;
+      }
+    }
+    busy_until = std::max(busy_until, done);
+  }
+  EXPECT_TRUE(spanned);
+
+  // Around a result with a gap of two or more cycles on either side.
+  bool around = false;
+  for (size_t i = r.size() / 2; i + 1 < r.size() && !around; ++i) {
+    if (r[i] < r[i - 1] + 2 || r[i + 1] < r[i] + 2) continue;
+    add(r[i - 1] + 1, r[i]);      // ends one cycle before it
+    add(r[i - 1] + 1, r[i] + 1);  // ends on it
+    add(r[i], r[i + 1]);          // starts on it
+    add(r[i] + 1, r[i + 1]);      // starts one cycle after it
+    around = true;
+  }
+  EXPECT_TRUE(around);
+
+  if (kind == FaultPlan::Kind::kTransientSm ||
+      kind == FaultPlan::Kind::kPermanentSm) {
+    // Another SM's result on a cycle this SM produced none; a permanent
+    // fault needs it past this SM's last result.
+    const std::vector<Cycle> any = t.results_on(FaultPlan::Kind::kDroop);
+    const Cycle after = kind == FaultPlan::Kind::kPermanentSm && !r.empty()
+                            ? r.back() + 1
+                            : 0;
+    for (Cycle c : any)
+      if (c >= after && !std::binary_search(r.begin(), r.end(), c)) {
+        add(c, c + 1);
+        break;
+      }
+  }
+  return plans;
+}
+
+TEST(CkptCampaign, QuietWindowsMatchFromScratchInEveryShape) {
+  for (const core::RedundancySpec& red :
+       {core::RedundancySpec::dcls(), core::RedundancySpec::dcls_rollback(2)}) {
+    ScenarioSpec clean = make_spec("hotspot", sim::SimEngine::kEvent);
+    clean.redundancy = red;
+    const CleanTrace trace = trace_clean(clean);
+    std::vector<FaultPlan> plans = {FaultPlan::none()};
+    for (FaultPlan::Kind kind :
+         {FaultPlan::Kind::kDroop, FaultPlan::Kind::kTransientSm,
+          FaultPlan::Kind::kPermanentSm, FaultPlan::Kind::kScheduler})
+      for (const FaultPlan& p : quiet_shapes(trace, kind)) plans.push_back(p);
+
+    for (sim::SimEngine engine :
+         {sim::SimEngine::kEvent, sim::SimEngine::kDense}) {
+      ScenarioSpec base_spec = clean;
+      base_spec.gpu.engine = engine;
+      const ScenarioSet set = ScenarioSet::of(base_spec).sweep_faults(plans);
+      std::vector<size_t> members(set.size());
+      for (size_t i = 0; i < members.size(); ++i) members[i] = i;
+      const exp::GroupBase base = exp::run_group_base(set, members);
+      ASSERT_TRUE(base.ok()) << base.result.error;
+      // The event loop jumps over none, one and both boundaries of some
+      // quiet window; the dense loop jumps over nothing.
+      std::vector<Cycle> jumped;
+      for (const exp::GroupBase::Quiet& q : base.quiet)
+        jumped.push_back(q.jumped);
+      std::sort(jumped.begin(), jumped.end());
+      jumped.erase(std::unique(jumped.begin(), jumped.end()), jumped.end());
+      const std::vector<Cycle> expected =
+          engine == sim::SimEngine::kEvent ? std::vector<Cycle>{0, 1, 2}
+                                           : std::vector<Cycle>{0};
+      EXPECT_EQ(expected, jumped);
+
+      for (size_t i = 1; i < set.size(); ++i) {
+        SCOPED_TRACE(set[i].label());
+        u32 pre_runs = 0;
+        const exp::ScenarioProbe count = [&pre_runs](runtime::Device&,
+                                                     workloads::Workload&,
+                                                     core::ExecSession&) {
+          ++pre_runs;
+        };
+        const ScenarioResult fork = exp::run_fork(set, i, base, nullptr, count);
+        const ScenarioResult scratch =
+            exp::run_scenario(set[i], static_cast<u32>(i));
+        ASSERT_TRUE(fork.ok) << fork.error;
+        ASSERT_TRUE(scratch.ok) << scratch.error;
+        EXPECT_TRUE(fork.deterministic_fields_equal(scratch))
+            << diff_hint(fork, scratch);
+        EXPECT_EQ(trace.fires(set[i].fault) ? 1u : 0u, pre_runs);
+      }
+    }
+  }
 }
 
 // ---- Rollback recovery ----------------------------------------------------

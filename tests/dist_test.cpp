@@ -54,16 +54,18 @@ ScenarioSpec test_spec(const std::string& workload) {
 }
 
 /// A small campaign that exercises every dispatch shape: fault-free
-/// singletons, and a same_but_fault group (clean member + three faults) that
-/// ships as one unit whose worker forks two faults from a shared base run
-/// and answers the third, whose window opens long after the clean run has
-/// drained, from the base result.
+/// singletons, and a same_but_fault group (clean member + four faults) that
+/// ships as one unit whose worker forks the transient from a shared base
+/// run and answers the three quiet droops from the base result: two open
+/// inside idle stretches of the clean run (cycles 1-3000 before the first
+/// kernel, 3729-6000 between kernels), and one after it has drained.
 ScenarioSet mixed_set() {
   ScenarioSet set = ScenarioSet::of(test_spec("hotspot"))
                         .sweep_faults({FaultPlan::none(),
                                        FaultPlan::droop(2000, 50, 2),
                                        FaultPlan::transient_sm(1, 3000, 40, 3),
-                                       FaultPlan::droop(1u << 30, 50, 4)});
+                                       FaultPlan::droop(1u << 30, 50, 4),
+                                       FaultPlan::droop(4500, 200, 6)});
   set.add(test_spec("pathfinder"));
   set.add(test_spec("nw"));
   return set;
@@ -861,8 +863,8 @@ std::vector<ScenarioResult> run_in_fresh_process(const dist::WorkItem& item) {
 
 TEST(Distributed, GroupUnitRunsInFreshProcess) {
   // The hotspot group of mixed_set as a kWork unit: the fresh process runs
-  // its base, forks two faults from the snapshots it captured and answers
-  // the late one from the base result.
+  // its base, forks the transient from the snapshot it captured and answers
+  // the quiet droops from the base result.
   const ScenarioSet set = mixed_set();
   const exp::CampaignResult golden = golden_jobs1(set);
   const exp::WorkUnit unit = exp::plan_units(set, true).front();
