@@ -168,6 +168,20 @@ GroupBase run_group_base(const ScenarioSet& set,
   base.final_state = std::move(io.final_state);
   if (base.final_state != nullptr)
     base.quiet = watch.quiet(base.final_state->cycle);
+
+  // A quiet member never forks, so a snapshot only quiet members asked for
+  // is never restored: drop it before the forks run.
+  std::vector<Cycle> forked;
+  for (size_t i : members) {
+    const bool quiet = std::any_of(
+        base.quiet.begin(), base.quiet.end(),
+        [i](const GroupBase::Quiet& q) { return q.index == i; });
+    if (set[i].fault.active() && !quiet) forked.push_back(set[i].fault.start);
+  }
+  for (size_t k = 0; k < base.snapshots.size(); ++k)
+    if (std::find(forked.begin(), forked.end(), base.targets[k]) ==
+        forked.end())
+      base.snapshots[k].reset();
   return base;
 }
 

@@ -51,10 +51,10 @@ struct WorkUnit {
 std::vector<WorkUnit> plan_units(const ScenarioSet& set, bool group_faults);
 
 /// The product of one group's clean base run: snapshots covering each
-/// fault member's injection cycle, the clean final state, the members whose
-/// window is quiet, and the base's own ScenarioResult (which doubles as the
-/// result of the group's fault-free member when it has one, and of every
-/// quiet member).
+/// forking member's injection cycle, the clean final state, the members
+/// whose window is quiet, and the base's own ScenarioResult (which doubles
+/// as the result of the group's fault-free member when it has one, and of
+/// every quiet member).
 struct GroupBase {
   static constexpr size_t kSynthetic = static_cast<size_t>(-1);
 
@@ -75,7 +75,8 @@ struct GroupBase {
   /// no fault-free member and the base run was fabricated (result discarded).
   size_t result_index = kSynthetic;
   /// Sorted, deduplicated capture cycles with their snapshots (parallel;
-  /// null where the base run finished before the target).
+  /// null where the base run finished before the target, and where only
+  /// quiet members start, since no fork restores those).
   std::vector<Cycle> targets;
   std::vector<ckpt::SnapshotPtr> snapshots;
   /// Clean final device state (divergence reference for forks).
@@ -94,7 +95,8 @@ struct GroupBase {
 /// watching which members' windows stay quiet. The base spec is the group's
 /// fault-free member if it has one, else members[0] with the fault
 /// stripped. The watch is a fault hook that changes nothing: the base run
-/// visits the same cycles and captures the same snapshot bytes.
+/// visits the same cycles and captures the same snapshot bytes. Once the
+/// run ends, snapshots that only quiet members asked for are dropped.
 GroupBase run_group_base(const ScenarioSet& set,
                          const std::vector<size_t>& members);
 

@@ -46,8 +46,7 @@ u32 Device::launch(sim::KernelLaunch launch, u32 stream) {
 }
 
 void Device::verify_launch(const sim::KernelLaunch& launch) {
-  const sim::LaunchVerify mode = gpu_->params().verify;
-  if (mode == sim::LaunchVerify::kOff || launch.program == nullptr) return;
+  if (launch.program == nullptr) return;
 
   // Memo: one analysis per (program, grid, block) for the Device's
   // lifetime, trace-cache-style — steady-state launches only pay this scan
@@ -84,9 +83,9 @@ void Device::verify_launch(const sim::KernelLaunch& launch) {
   // kWarn lets merely-wrong programs run for report-collection flows
   // (run_workload --verify-only), but a program that would index host
   // memory out of bounds on the deliberately unchecked fetch/reg_at paths
-  // is refused in every verifying mode — "warn" has no meaning for UB.
-  if (!result->ok() && (mode == sim::LaunchVerify::kEnforce ||
-                        result->unsafe_to_execute()))
+  // is refused in both modes — "warn" has no meaning for UB.
+  const bool enforce = gpu_->params().verify == sim::LaunchVerify::kEnforce;
+  if (!result->ok() && (enforce || result->unsafe_to_execute()))
     throw isa::verify::VerifyError(*result);
 }
 

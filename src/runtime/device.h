@@ -80,8 +80,8 @@ class Device {
   /// launch by throwing isa::verify::VerifyError with the full report.
   /// kWarn records the report and launches anyway — except programs whose
   /// defects are unsafe to execute on the simulator's unchecked indexing
-  /// paths (isa::verify::Result::unsafe_to_execute), which every mode but
-  /// kOff refuses. Repeat launches hit a memo and pay no analysis cost.
+  /// paths (isa::verify::Result::unsafe_to_execute), which both modes
+  /// refuse. Repeat launches hit a memo and pay no analysis cost.
   /// Parameters stay symbolic in the analysis so the memoized verdict is
   /// sound for every parameter assignment.
   u32 launch(sim::KernelLaunch launch, u32 stream = 0);

@@ -49,11 +49,11 @@ constexpr ExecMode enum_last(ExecMode) { return ExecMode::kInterp; }
 ///   simulator's unchecked fetch / register-file paths
 ///   (isa::verify::Result::unsafe_to_execute) are still refused: there is
 ///   no meaningful "warn and run" for UB.
-/// * kOff — skip verification entirely. Unsafe with untrusted programs:
-///   nothing then guards the unchecked indexing paths (Warp::reg_at,
-///   code fetch, parameter loads).
-enum class LaunchVerify { kEnforce, kWarn, kOff };
-constexpr LaunchVerify enum_last(LaunchVerify) { return LaunchVerify::kOff; }
+///
+/// No mode skips verification: the gate is what guards the unchecked
+/// indexing paths (Warp::reg_at, code fetch, parameter loads).
+enum class LaunchVerify { kEnforce, kWarn };
+constexpr LaunchVerify enum_last(LaunchVerify) { return LaunchVerify::kWarn; }
 
 struct GpuParams {
   SimEngine engine = SimEngine::kEvent;

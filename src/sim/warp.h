@@ -73,8 +73,8 @@ struct Warp {
   // pred-out-of-range programs under kEnforce AND kWarn (they are in
   // isa::verify::Result::unsafe_to_execute's class; kWarn only waives
   // merely-wrong defects) — and fault injection corrupts register
-  // *values*, never the decoded indices. LaunchVerify::kOff disables that
-  // proof and is therefore unsafe with untrusted programs.
+  // *values*, never the decoded indices. No LaunchVerify mode skips that
+  // proof.
   u32& reg_at(u16 r, u32 lane) { return regs[static_cast<size_t>(r) * kWarpSize + lane]; }
   u32 reg_at(u16 r, u32 lane) const { return regs[static_cast<size_t>(r) * kWarpSize + lane]; }
   u8& pred_at(i16 p, u32 lane) { return preds[static_cast<size_t>(p) * kWarpSize + lane]; }

@@ -19,6 +19,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -578,6 +579,25 @@ TEST(CkptCampaign, QuietWindowsMatchFromScratchInEveryShape) {
       for (size_t i = 0; i < members.size(); ++i) members[i] = i;
       const exp::GroupBase base = exp::run_group_base(set, members);
       ASSERT_TRUE(base.ok()) << base.result.error;
+      // The base keeps a snapshot for exactly the starts of the members
+      // that fork; one only quiet members asked for is dropped.
+      std::set<Cycle> forked;
+      for (size_t i = 1; i < set.size(); ++i)
+        if (std::none_of(base.quiet.begin(), base.quiet.end(),
+                         [i](const exp::GroupBase::Quiet& q) {
+                           return q.index == i;
+                         }))
+          forked.insert(set[i].fault.start);
+      ASSERT_EQ(base.targets.size(), base.snapshots.size());
+      size_t kept = 0;
+      for (size_t k = 0; k < base.targets.size(); ++k) {
+        EXPECT_EQ(forked.count(base.targets[k]) == 1,
+                  base.snapshots[k] != nullptr)
+            << "target " << base.targets[k];
+        kept += base.snapshots[k] != nullptr;
+      }
+      EXPECT_GT(kept, 0u);
+      EXPECT_LT(kept, base.targets.size());
       // The event loop jumps over none, one and both boundaries of some
       // quiet window; the dense loop jumps over nothing.
       std::vector<Cycle> jumped;

@@ -726,19 +726,6 @@ TEST(LaunchGate, WarnModeStillRefusesMemoryUnsafePrograms) {
   }
 }
 
-TEST(LaunchGate, OffModeSkipsAnalysisEntirely) {
-  sim::GpuParams p;
-  p.verify = sim::LaunchVerify::kOff;
-  runtime::Device dev(p);
-  dev.set_kernel_scheduler(sched::make_scheduler(sched::Policy::kDefault));
-  const ProgramPtr prog = testing::make_store_kernel();
-  const memsys::DevPtr out = dev.malloc(64 * 4);
-  dev.launch(testing::make_launch(prog, 64, 64, {out, 64}));
-  dev.synchronize();
-  EXPECT_EQ(dev.verify_runs(), 0u);
-  EXPECT_EQ(dev.verify_memo_hits(), 0u);
-}
-
 TEST(LaunchGate, HostApiMisuseStillThrowsInvalidArgument) {
   // Host-side launch mistakes (no scheduler, missing parameters) are not
   // program defects: they surface as std::invalid_argument from Gpu::launch
