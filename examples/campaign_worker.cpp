@@ -58,7 +58,8 @@ std::vector<u8> read_file_bytes(const std::string& path) {
 }
 
 int run_file_mode(const std::string& work_path, const std::string& out_path) {
-  const dist::WorkItem item = dist::decode_work(read_file_bytes(work_path));
+  const dist::Work item =
+      dist::decode<dist::Work>(read_file_bytes(work_path));
   std::FILE* f = std::fopen(out_path.c_str(), "wb");
   if (!f) throw std::runtime_error("cannot open '" + out_path + "'");
   dist::run_item(item, [f](const exp::ScenarioResult& r) {

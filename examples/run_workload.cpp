@@ -47,10 +47,6 @@ int usage() {
       "                               uses the checkpoints)\n"
       "  --sweep-redundancy           run base, DCLS, DCLS+retry, TMR-vote,\n"
       "                               TMR-vote+retry (overrides the above)\n"
-      "  --verify-only                statically verify every kernel the\n"
-      "                               workloads launch, print the JSON\n"
-      "                               diagnostic list and exit non-zero on\n"
-      "                               any error-severity diagnostic\n"
       "  --scale=test|bench           problem size (default: bench)\n"
       "  --seed=N                     input-generation seed (default: 2019)\n"
       "  --jobs=N                     campaign worker threads (default: 1;\n"
@@ -319,7 +315,6 @@ int main(int argc, char** argv) {
   bool check_golden = false;
   u32 chaos_kill_after = 0;
   u32 stop_after = 0;
-  bool verify_only = false;
   bool serve_mode = false;
   serve::TrafficSpec::Pattern serve_pattern =
       serve::TrafficSpec::Pattern::kPoisson;
@@ -386,8 +381,6 @@ int main(int argc, char** argv) {
       } else if (arg.rfind("--mem-row-bytes=", 0) == 0) {
         proto.gpu.mem.dram_row_bytes =
             static_cast<u32>(parse_number("--mem-row-bytes", arg.substr(16)));
-      } else if (arg == "--verify-only") {
-        verify_only = true;
       } else if (arg == "--serve") {
         serve_mode = true;
       } else if (arg.rfind("--serve-pattern=", 0) == 0) {
@@ -448,51 +441,6 @@ int main(int argc, char** argv) {
     // override an explicit --compare choice, whatever the flag order.
     if (!compare_explicit && proto.redundancy.n_copies >= 3)
       proto.redundancy.compare = core::RedundancySpec::Compare::kMajorityVote;
-
-    if (verify_only) {
-      // Static verification only: run each workload once in warn mode (so
-      // merely-wrong kernels yield a full report instead of aborting the
-      // run; memory-unsafe defect classes are refused even here, surfacing
-      // as a failed scenario) and emit the per-kernel diagnostic list as
-      // JSON.
-      proto.gpu.verify = sim::LaunchVerify::kWarn;
-      u32 errors = 0, warnings = 0;
-      std::string out = "[";
-      bool first = true;
-      for (const std::string& n : names) {
-        exp::ScenarioSpec spec = proto;
-        spec.workload = n;
-        std::vector<std::string> kernel_reports;
-        const exp::ScenarioResult r = exp::run_scenario(
-            spec, 0,
-            [&](runtime::Device& dev, workloads::Workload&,
-                core::ExecSession&) {
-              for (const runtime::Device::VerifyRecord& rec :
-                   dev.verify_reports()) {
-                kernel_reports.push_back(rec.result.to_json());
-                errors += rec.result.count(isa::verify::Severity::kError);
-                warnings += rec.result.count(isa::verify::Severity::kWarning);
-              }
-            });
-        if (!r.ok) {
-          std::fprintf(stderr, "error: workload '%s' failed to run: %s\n",
-                       n.c_str(), r.error.c_str());
-          return 1;
-        }
-        for (const std::string& k : kernel_reports) {
-          if (!first) out += ",";
-          first = false;
-          out += "\n  " + k;
-        }
-      }
-      out += "\n]\n";
-      if (json_path.empty())
-        std::printf("%s", out.c_str());
-      else if (!write_file(json_path, out))
-        return 1;
-      std::fprintf(stderr, "%u error(s), %u warning(s)\n", errors, warnings);
-      return errors > 0 ? 1 : 0;
-    }
 
     if (serve_mode) {
       // Each workload name is one tenant; the redundancy/policy/scale flags

@@ -43,10 +43,6 @@ class Rng {
   /// Bernoulli draw with probability p.
   bool next_bool(float p) { return next_float() < p; }
 
-  /// Raw generator state, for checkpoint/restore of mid-stream RNGs.
-  u64 state() const { return state_; }
-  void set_state(u64 s) { state_ = s ? s : 1; }
-
  private:
   u64 state_;
 };

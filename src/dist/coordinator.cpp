@@ -15,7 +15,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "common/table.h"
 #include "dist/journal.h"
 #include "dist/protocol.h"
 #include "exp/result_io.h"
@@ -68,11 +67,6 @@ struct Progress {
     if (cfg->on_result) cfg->on_result(r);
     if (cfg->stop_after_results > 0 && executed >= cfg->stop_after_results)
       stopped = true;
-  }
-
-  /// Append one auxiliary record (log / flight) to the journal.
-  void aux(const std::string& json_line) {
-    if (journal) journal->add_aux(json_line);
   }
 
   bool done(size_t total) const { return results.size() >= total; }
@@ -256,14 +250,12 @@ DistReport run_distributed(const exp::ScenarioSet& set,
       if (!w.alive || !w.ready || w.busy()) return;
       std::optional<Task> t = pop_task(w.id % shards.size());
       if (!t) return;
-      WorkItem item;
-      item.unit_id = t->unit_id;
-      for (size_t m : t->members) {
-        item.indices.push_back(static_cast<u32>(m));
-        item.specs.push_back(set[m]);
-      }
+      Work work;
+      work.unit_id = t->unit_id;
+      for (size_t m : t->members)
+        work.members.push_back({static_cast<u32>(m), set[m]});
       try {
-        send_frame(w.fd, Msg::kWork, encode_work(item));
+        send_frame(w.fd, Msg::kWork, encode(work));
       } catch (const WireError&) {
         shards[w.id % shards.size()].push_front(std::move(*t));
         mark_dead(w);
@@ -276,15 +268,21 @@ DistReport run_distributed(const exp::ScenarioSet& set,
     auto handle_frame = [&](WorkerProc& w, const Frame& frame) {
       w.last_heard = Clock::now();
       switch (frame.type) {
-        case Msg::kHello:
-          decode_hello(frame.payload);
+        case Msg::kHello: {
+          const Hello hello = decode<Hello>(frame.payload);
+          if (hello.version != kProtocolVersion)
+            throw WireError("worker speaks higpu.wire/" +
+                            std::to_string(hello.version) +
+                            ", coordinator expects higpu.wire/" +
+                            std::to_string(kProtocolVersion));
           w.ready = true;
           dispatch(w);
           break;
+        }
         case Msg::kHeartbeat:
           break;
         case Msg::kResult: {
-          const ResultMsg msg = decode_result(frame.payload);
+          const Result msg = decode<Result>(frame.payload);
           // A malformed record here throws (WireError path below): a
           // worker that returns garbage is a dead worker, and its unit is
           // re-dispatched.
@@ -311,18 +309,20 @@ DistReport run_distributed(const exp::ScenarioSet& set,
         case Msg::kLog: {
           // Redirected worker log line: land it in the campaign journal so
           // the fleet's output survives in one ordered place.
-          const LogMsg msg = decode_log(frame.payload);
-          progress.aux("{\"log\":{\"worker\":" + std::to_string(w.id) +
-                       ",\"level\":" + std::to_string(msg.level) +
-                       ",\"line\":\"" + json_escape(msg.line) + "\"}}");
+          const Log msg = decode<Log>(frame.payload);
+          if (progress.journal)
+            progress.journal->add_log({w.id, msg.level, msg.line});
           break;
         }
         case Msg::kFlight: {
           // Flight-recorder dump (redundancy miscompare black box or the
           // worker's dying context); the payload is a complete single-line
           // "higpu.flight/1" object, embedded verbatim.
-          progress.aux("{\"flight\":{\"worker\":" + std::to_string(w.id) +
-                       ",\"dump\":" + decode_flight(frame.payload) + "}}");
+          const Flight msg = decode<Flight>(frame.payload);
+          if (progress.journal)
+            progress.journal->add_aux("{\"flight\":{\"worker\":" +
+                                      std::to_string(w.id) +
+                                      ",\"dump\":" + msg.json + "}}");
           break;
         }
         default:

@@ -11,6 +11,20 @@ namespace higpu::dist {
 
 namespace {
 
+/// The journal's first line.
+struct Header {
+  std::string schema = kJournalSchema;
+  u64 fingerprint = 0;
+  u64 scenarios = 0;
+};
+
+template <FieldsOf<Header> S, class V>
+void visit_fields(S& h, V&& v) {
+  v("schema", h.schema);
+  v("fingerprint", h.fingerprint);
+  v("scenarios", h.scenarios);
+}
+
 std::string read_file(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (!f) throw JournalError("cannot open journal '" + path + "'");
@@ -22,12 +36,6 @@ std::string read_file(const std::string& path) {
   std::fclose(f);
   if (bad) throw JournalError("read error on journal '" + path + "'");
   return text;
-}
-
-std::string header_line(u64 fingerprint, u64 scenarios) {
-  return std::string("{\"schema\":\"") + kJournalSchema +
-         "\",\"fingerprint\":" + std::to_string(fingerprint) +
-         ",\"scenarios\":" + std::to_string(scenarios) + "}";
 }
 
 }  // namespace
@@ -52,19 +60,19 @@ Scan scan_journal(const std::string& path) {
     if (line.empty()) continue;
 
     if (line_no == 1) {
-      JsonValue header;
+      // A header that does not parse, or lacks a field, names the journal.
       try {
-        header = parse_json(line);
+        const JsonValue header = parse_json(line);
+        const std::string schema = header.get_string_or("schema", "");
+        if (schema != kJournalSchema)
+          throw JournalError("journal '" + path + "' has schema '" + schema +
+                             "', expected '" + kJournalSchema + "'");
+        scan.fingerprint = header.get_u64("fingerprint");
+        scan.scenarios = header.get_u64("scenarios");
       } catch (const JsonError& e) {
         throw JournalError("journal '" + path + "' header is malformed: " +
                            e.what());
       }
-      const std::string schema = header.get_string_or("schema", "");
-      if (schema != kJournalSchema)
-        throw JournalError("journal '" + path + "' has schema '" + schema +
-                           "', expected '" + kJournalSchema + "'");
-      scan.fingerprint = header.get_u64("fingerprint");
-      scan.scenarios = header.get_u64("scenarios");
       continue;
     }
 
@@ -118,7 +126,8 @@ Scan scan_journal(const std::string& path) {
 Journal Journal::create(const std::string& path, u64 fingerprint,
                         u64 scenarios) {
   JsonlWriter writer(path, /*truncate=*/true);
-  writer.append(header_line(fingerprint, scenarios));
+  writer.append(exp::to_jsonl(
+      Header{.fingerprint = fingerprint, .scenarios = scenarios}));
   return Journal(std::move(writer), path);
 }
 
@@ -136,6 +145,15 @@ Journal Journal::append_to(const std::string& path) {
 void Journal::add(const exp::ScenarioResult& result) {
   writer_.append(exp::result_to_jsonl(result));
   ++records_;
+}
+
+void Journal::add_log(const LogRecord& rec) {
+  JsonWriter jw = JsonWriter::compact();
+  jw.begin_object();
+  jw.key("log");
+  exp::write_value(jw, rec);
+  jw.end_object();
+  writer_.append(jw.str());
 }
 
 void Journal::add_aux(const std::string& json_line) {

@@ -14,7 +14,7 @@
 // Interleaved with result records the coordinator may append *auxiliary*
 // records — observability sidecars, never resume state:
 //
-//   {"log":    {"worker":<id>,"level":<n>,"line":"..."}}   worker log line
+//   {"log":    {"worker":<id>,"level":<n>,"line":"..."}}   a LogRecord
 //   {"flight": {"worker":<id>,"dump":<higpu.flight/1>}}    flight recorder
 //
 // Journals written by earlier builds may also hold one end-of-campaign
@@ -51,6 +51,20 @@ class JournalError : public std::runtime_error {
   explicit JournalError(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// One worker log line, the body of a {"log": ...} aux record.
+struct LogRecord {
+  u32 worker = 0;
+  u32 level = 0;  // LogLevel enumerator value
+  std::string line;
+};
+
+template <FieldsOf<LogRecord> S, class V>
+void visit_fields(S& r, V&& v) {
+  v("worker", r.worker);
+  v("level", r.level);
+  v("line", r.line);
+}
+
 /// Everything a resume needs from an existing journal.
 struct Scan {
   u64 fingerprint = 0;
@@ -81,6 +95,8 @@ class Journal {
   static Journal append_to(const std::string& path);
 
   void add(const exp::ScenarioResult& result);
+  /// Append the {"log": ...} aux record of one worker log line.
+  void add_log(const LogRecord& rec);
   /// Append one auxiliary record (a complete single-line JSON object with a
   /// top-level "log" or "flight" key — see the schema note above).
   void add_aux(const std::string& json_line);

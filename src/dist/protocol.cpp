@@ -138,94 +138,6 @@ exp::ScenarioSpec get_spec(ckpt::Reader& r) {
   return spec;
 }
 
-// ---- Work / result payloads ------------------------------------------------
-
-std::vector<u8> encode_work(const WorkItem& item) {
-  ckpt::Writer w;
-  w.put64(item.unit_id);
-  w.put64(item.indices.size());
-  for (size_t k = 0; k < item.indices.size(); ++k) {
-    w.put32(item.indices[k]);
-    put_spec(w, item.specs[k]);
-  }
-  return w.take_blob();
-}
-
-WorkItem decode_work(const std::vector<u8>& payload) {
-  ckpt::Reader r(payload, {});
-  WorkItem item;
-  item.unit_id = r.get64();
-  // Each member is at least its index and a spec's workload-name length.
-  const u64 n = r.get_count(4 + 8, "unit members");
-  item.indices.reserve(n);
-  item.specs.reserve(n);
-  for (u64 k = 0; k < n; ++k) {
-    item.indices.push_back(r.get32());
-    item.specs.push_back(get_spec(r));
-  }
-  return item;
-}
-
-std::vector<u8> encode_result(const ResultMsg& msg) {
-  ckpt::Writer w;
-  w.put64(msg.unit_id);
-  w.put32(msg.index);
-  w.put_string(msg.jsonl);
-  return w.take_blob();
-}
-
-ResultMsg decode_result(const std::vector<u8>& payload) {
-  ckpt::Reader r(payload, {});
-  ResultMsg msg;
-  msg.unit_id = r.get64();
-  msg.index = r.get32();
-  msg.jsonl = r.get_string();
-  return msg;
-}
-
-std::vector<u8> encode_hello(u32 worker_id) {
-  ckpt::Writer w;
-  w.put32(kProtocolVersion);
-  w.put32(worker_id);
-  return w.take_blob();
-}
-
-u32 decode_hello(const std::vector<u8>& payload) {
-  ckpt::Reader r(payload, {});
-  const u32 version = r.get32();
-  if (version != kProtocolVersion)
-    throw WireError("worker speaks higpu.wire/" + std::to_string(version) +
-                    ", coordinator expects higpu.wire/" +
-                    std::to_string(kProtocolVersion));
-  return r.get32();
-}
-
-std::vector<u8> encode_log(const LogMsg& msg) {
-  ckpt::Writer w;
-  w.put32(msg.level);
-  w.put_string(msg.line);
-  return w.take_blob();
-}
-
-LogMsg decode_log(const std::vector<u8>& payload) {
-  ckpt::Reader r(payload, {});
-  LogMsg msg;
-  msg.level = r.get32();
-  msg.line = r.get_string();
-  return msg;
-}
-
-std::vector<u8> encode_flight(const std::string& json) {
-  ckpt::Writer w;
-  w.put_string(json);
-  return w.take_blob();
-}
-
-std::string decode_flight(const std::vector<u8>& payload) {
-  ckpt::Reader r(payload, {});
-  return r.get_string();
-}
-
 u64 campaign_fingerprint(const exp::ScenarioSet& set) {
   ckpt::Writer w;
   w.put64(set.size());

@@ -16,21 +16,24 @@
 // as its own condition so the coordinator can distinguish "worker died"
 // from "worker sent garbage".
 //
-// Payloads:
-//   kHello      u32 protocol version, u32 worker id (echoed by the worker)
-//   kWork       u64 unit id, u64 member count, then per member a u32
-//               scenario index and its ScenarioSpec — one exp::WorkUnit.
-//               The worker runs it through exp::run_unit (the group's base
-//               run, then each fork), so no snapshot crosses the wire.
-//   kResult     u64 unit id, u32 scenario index, one higpu.campaign.jsonl/1
+// Payloads (the records below, fields in visit_fields order):
+//   kHello      Hello{version, worker_id} (worker id echoed by the worker)
+//   kWork       Work{unit_id, members:[{index, spec}]} — one exp::WorkUnit:
+//               a u64 member count, then per member a u32 scenario index
+//               and its ScenarioSpec. The worker runs it through
+//               exp::run_unit (the group's base run, then each fork), so no
+//               snapshot crosses the wire.
+//   kResult     Result{unit_id, index, jsonl}: one higpu.campaign.jsonl/1
 //               record (the worker's ScenarioResult); one per unit member
 //   kHeartbeat  (empty) — liveness, sent periodically by workers
 //   kShutdown   (empty) — coordinator tells the worker to exit cleanly
-//   kLog        u32 level, string line — one formatted worker log line
+//   kLog        Log{level, line} — one formatted worker log line
 //               (common::set_log_sink redirect); journaled as {"log": ...}
-//   kFlight     string json — one "higpu.flight/1" flight-recorder dump
+//   kFlight     Flight{json} — one "higpu.flight/1" flight-recorder dump
 //               (trace tail at a redundancy miscompare or worker failure);
 //               journaled as {"flight": ...}
+// Integers are little-endian at their width, strings and vectors a u64
+// count and then their elements (ckpt::put_field).
 #pragma once
 
 #include <stdexcept>
@@ -86,7 +89,10 @@ void send_frame(int fd, Msg type, const std::vector<u8>& payload);
 /// mid-frame EOF, validation failure or I/O error.
 bool recv_frame(int fd, Frame* out);
 
-// ---- Payload serialization -------------------------------------------------
+// ---- Payloads ---------------------------------------------------------------
+//
+// Each payload is a record whose visit_fields list is its wire layout;
+// encode/decode walk it with ckpt::put_fields / get_fields.
 
 /// ScenarioSpec serialization over its visit_fields (ckpt::put_fields), so
 /// the worker reconstructs the exact experiment and a scenario runs
@@ -95,43 +101,113 @@ bool recv_frame(int fd, Frame* out);
 void put_spec(ckpt::Writer& w, const exp::ScenarioSpec& spec);
 exp::ScenarioSpec get_spec(ckpt::Reader& r);
 
-/// One unit of distributed work: the pending members of one exp::WorkUnit.
-struct WorkItem {
-  u64 unit_id = 0;
-  /// Positions in the campaign's ScenarioSet, parallel to `specs`.
-  std::vector<u32> indices;
-  std::vector<exp::ScenarioSpec> specs;
+/// kHello: the worker's first frame.
+struct Hello {
+  static constexpr const char* kName = "hello";
+  u32 version = kProtocolVersion;
+  u32 worker_id = 0;
 };
 
-std::vector<u8> encode_work(const WorkItem& item);
-/// Throws (naming "unit members") when the member count exceeds what the
-/// remaining bytes could hold, before allocating anything from it.
-WorkItem decode_work(const std::vector<u8>& payload);
+template <FieldsOf<Hello> S, class V>
+void visit_fields(S& m, V&& v) {
+  v("version", m.version);
+  v("worker_id", m.worker_id);
+}
 
-struct ResultMsg {
+/// kWork: one unit of distributed work, the pending members of one
+/// exp::WorkUnit.
+struct Work {
+  static constexpr const char* kName = "work";
+  struct Member {
+    u32 index = 0;  // position in the campaign's ScenarioSet
+    exp::ScenarioSpec spec;
+  };
+  u64 unit_id = 0;
+  std::vector<Member> members;
+};
+
+template <FieldsOf<Work::Member> S, class V>
+void visit_fields(S& m, V&& v) {
+  v("index", m.index);
+  v("spec", m.spec);
+}
+
+template <FieldsOf<Work> S, class V>
+void visit_fields(S& m, V&& v) {
+  v("unit_id", m.unit_id);
+  v("members", m.members);
+}
+
+/// kResult: one member's result.
+struct Result {
+  static constexpr const char* kName = "result";
   u64 unit_id = 0;
   u32 index = 0;
   std::string jsonl;  // one higpu.campaign.jsonl/1 record
 };
 
-std::vector<u8> encode_result(const ResultMsg& msg);
-ResultMsg decode_result(const std::vector<u8>& payload);
+template <FieldsOf<Result> S, class V>
+void visit_fields(S& m, V&& v) {
+  v("unit_id", m.unit_id);
+  v("index", m.index);
+  v("jsonl", m.jsonl);
+}
 
-std::vector<u8> encode_hello(u32 worker_id);
-u32 decode_hello(const std::vector<u8>& payload);
-
-/// One redirected worker log line (level + the formatted text).
-struct LogMsg {
+/// kLog: one redirected worker log line.
+struct Log {
+  static constexpr const char* kName = "log";
   u32 level = 0;  // LogLevel enumerator value
   std::string line;
 };
 
-std::vector<u8> encode_log(const LogMsg& msg);
-LogMsg decode_log(const std::vector<u8>& payload);
+template <FieldsOf<Log> S, class V>
+void visit_fields(S& m, V&& v) {
+  v("level", m.level);
+  v("line", m.line);
+}
 
-/// "higpu.flight/1" JSON, shipped verbatim.
-std::vector<u8> encode_flight(const std::string& json);
-std::string decode_flight(const std::vector<u8>& payload);
+/// kFlight: one "higpu.flight/1" JSON dump, shipped verbatim.
+struct Flight {
+  static constexpr const char* kName = "flight";
+  std::string json;
+};
+
+template <FieldsOf<Flight> S, class V>
+void visit_fields(S& m, V&& v) {
+  v("json", m.json);
+}
+
+template <FieldRecord T>
+std::vector<u8> encode(const T& msg) {
+  ckpt::Writer w;
+  ckpt::put_fields(w, msg);
+  return w.take_blob();
+}
+
+/// Inverse of encode. Throws WireError naming the payload and the field
+/// ("wire work.members refused: ...") for a truncated payload, a count past the bytes
+/// left (before allocating anything from it) or an out-of-range enum byte,
+/// and for bytes left over after the last field.
+template <FieldRecord T>
+T decode(const std::vector<u8>& payload) {
+  T msg;
+  ckpt::Reader r(payload, {});
+  const ckpt::FieldPath root{T::kName};
+  visit_fields(msg, [&](const char* name, auto& f,
+                        FieldTag = FieldTag::kNone) {
+    const ckpt::FieldPath at{name, &root};
+    try {
+      ckpt::get_field<WireError>(r, f, at);
+    } catch (const ckpt::SnapshotError& e) {
+      throw WireError("wire " + at.str() + " refused: " + e.what());
+    }
+  });
+  if (r.remaining() != 0)
+    throw WireError("wire " + std::string(T::kName) + " payload has " +
+                    std::to_string(r.remaining()) +
+                    " trailing bytes after its last field");
+  return msg;
+}
 
 /// Order- and process-independent identity of a campaign: FNV-1a over the
 /// serialized bytes of every spec in order. The journal header records it

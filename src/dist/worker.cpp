@@ -37,18 +37,18 @@ class FrameSender {
 
 }  // namespace
 
-void run_item(const WorkItem& item, const exp::ResultSink& emit,
+void run_item(const Work& item, const exp::ResultSink& emit,
               const exp::ScenarioProbe& probe,
               const exp::ScenarioProbe& pre_run) {
   exp::ScenarioSet set;
-  for (const exp::ScenarioSpec& spec : item.specs) set.add(spec);
+  for (const Work::Member& m : item.members) set.add(m.spec);
   std::vector<size_t> members(set.size());
   for (size_t k = 0; k < members.size(); ++k) members[k] = k;
   // run_unit numbers results by position in the local set.
   exp::run_unit(
       set, members,
       [&](exp::ScenarioResult r) {
-        r.index = item.indices[r.index];
+        r.index = item.members[r.index].index;
         emit(std::move(r));
       },
       probe, pre_run);
@@ -56,7 +56,7 @@ void run_item(const WorkItem& item, const exp::ResultSink& emit,
 
 int worker_main(int fd, u32 worker_id, int heartbeat_interval_ms) {
   FrameSender sender(fd);
-  sender.send(Msg::kHello, encode_hello(worker_id));
+  sender.send(Msg::kHello, encode(Hello{.worker_id = worker_id}));
 
   // Redirect this process's log lines to the coordinator, which lands them
   // in the campaign journal tagged with this worker's prefix.
@@ -65,10 +65,7 @@ int worker_main(int fd, u32 worker_id, int heartbeat_interval_ms) {
   set_log_prefix(prefix);
   set_log_sink([&sender](LogLevel level, const std::string& line) {
     try {
-      LogMsg msg;
-      msg.level = static_cast<u32>(level);
-      msg.line = line;
-      sender.send(Msg::kLog, encode_log(msg));
+      sender.send(Msg::kLog, encode(Log{static_cast<u32>(level), line}));
     } catch (const WireError&) {
       // Coordinator gone; dropping the line beats crashing the logger.
     }
@@ -113,7 +110,7 @@ int worker_main(int fd, u32 worker_id, int heartbeat_interval_ms) {
                                              core::ExecSession& session) {
     for (const std::string& dump : session.flight_dumps()) {
       try {
-        sender.send(Msg::kFlight, encode_flight(dump));
+        sender.send(Msg::kFlight, encode(Flight{dump}));
       } catch (const WireError&) {
         return;  // coordinator gone; the result send will fail loudly
       }
@@ -128,18 +125,15 @@ int worker_main(int fd, u32 worker_id, int heartbeat_interval_ms) {
     while (recv_frame(fd, &frame)) {
       if (frame.type == Msg::kShutdown) break;
       if (frame.type != Msg::kWork) continue;  // kHeartbeat etc.: ignore
-      const WorkItem item = decode_work(frame.payload);
+      const Work item = decode<Work>(frame.payload);
       wtr.instant(wtrack, obs::Ev::kUnitShip, log_monotonic_ms() * 1000000ull,
-                  item.unit_id, item.indices.size());
+                  item.unit_id, item.members.size());
       // One kResult per member, as each completes.
       const auto emit = [&](const exp::ScenarioResult& r) {
         wtr.instant(wtrack, obs::Ev::kUnitResult,
                     log_monotonic_ms() * 1000000ull, item.unit_id, r.index);
-        ResultMsg msg;
-        msg.unit_id = item.unit_id;
-        msg.index = r.index;
-        msg.jsonl = exp::result_to_jsonl(r);
-        sender.send(Msg::kResult, encode_result(msg));
+        sender.send(Msg::kResult, encode(Result{item.unit_id, r.index,
+                                                exp::result_to_jsonl(r)}));
       };
       run_item(item, emit, probe, pre_run);
     }
@@ -148,12 +142,11 @@ int worker_main(int fd, u32 worker_id, int heartbeat_interval_ms) {
                 worker_id, 0);
     try {
       // The black box: last worker-lifecycle events, shipped before exit.
-      sender.send(Msg::kFlight, encode_flight(wtr.flight_json(64)));
-      LogMsg msg;
-      msg.level = static_cast<u32>(LogLevel::kError);
-      msg.line = "campaign_worker " + std::to_string(worker_id) +
-                 " fatal: " + e.what();
-      sender.send(Msg::kLog, encode_log(msg));
+      sender.send(Msg::kFlight, encode(Flight{wtr.flight_json(64)}));
+      sender.send(Msg::kLog,
+                  encode(Log{static_cast<u32>(LogLevel::kError),
+                             "campaign_worker " + std::to_string(worker_id) +
+                                 " fatal: " + e.what()}));
     } catch (const WireError&) {
       // Coordinator unreachable; stderr below is all that's left.
     }

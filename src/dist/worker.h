@@ -22,7 +22,7 @@ namespace higpu::dist {
 
 /// Run the unit `item` carries through exp::run_unit on the calling thread.
 /// `emit` receives each member's result, numbered by its campaign index.
-void run_item(const WorkItem& item, const exp::ResultSink& emit,
+void run_item(const Work& item, const exp::ResultSink& emit,
               const exp::ScenarioProbe& probe = nullptr,
               const exp::ScenarioProbe& pre_run = nullptr);
 

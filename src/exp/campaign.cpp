@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <set>
 #include <thread>
 
 #include "common/table.h"
@@ -120,20 +121,6 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, u32 index,
   return r;
 }
 
-namespace {
-
-/// Dynamic superop coverage of one run: share of issued instructions that
-/// dispatched through a compiled superop (block engine only; hits plus
-/// fallback exits is every issued instruction). Derived for reporting — the
-/// raw counters live in the StatSet.
-double block_coverage_pct(const StatSet& s) {
-  const double hits = static_cast<double>(s.get("block_exec_hits"));
-  const double total = hits + static_cast<double>(s.get("block_fallback_exits"));
-  return total > 0 ? 100.0 * hits / total : 0.0;
-}
-
-}  // namespace
-
 u32 CampaignResult::failed() const {
   u32 n = 0;
   for (const ScenarioResult& r : results)
@@ -146,7 +133,7 @@ bool CampaignResult::all_passed() const { return failed() == 0; }
 std::string CampaignResult::to_json() const {
   JsonWriter jw;
   jw.begin_object();
-  jw.field("schema", std::string("higpu.campaign/1"));
+  jw.field("schema", std::string("higpu.campaign/2"));
   jw.field("scenarios", static_cast<u64>(results.size()));
   jw.field("jobs", jobs);
   jw.field("wall_sec", wall_sec);
@@ -156,43 +143,8 @@ std::string CampaignResult::to_json() const {
   jw.begin_array();
   for (const ScenarioResult& r : results) {
     jw.begin_object();
-    jw.field("index", r.index);
-    jw.field("label", r.label);
-    jw.field("workload", r.workload);
-    jw.field("ok", r.ok);
-    if (!r.ok) jw.field("error", r.error);
+    write_members(jw, r);
     jw.field("passed", r.passed());
-    jw.field("verified", r.verified);
-    jw.field("dcls_match", r.dcls_match);
-    jw.field("majority_ok", r.majority_ok);
-    jw.field("comparisons", r.comparisons);
-    jw.field("mismatches", r.mismatches);
-    jw.field("n_copies", r.n_copies);
-    jw.field("attempts", r.attempts);
-    jw.field("recovered", r.recovered);
-    jw.field("degraded", r.degraded);
-    jw.field("ftti_met", r.ftti_met);
-    jw.field("response_ns", r.response_ns);
-    jw.field("achieved_asil", std::string(safety::asil_name(r.achieved_asil)));
-    if (r.faulty_copy >= 0) jw.field("faulty_copy", r.faulty_copy);
-    jw.field("kernel_cycles", r.kernel_cycles);
-    jw.field("elapsed_ns", r.elapsed_ns);
-    jw.field("fault_active", r.fault_active);
-    if (r.fault_active) {
-      jw.field("corruptions", r.corruptions);
-      jw.field("diverted_blocks", r.diverted_blocks);
-      jw.field("fault_outcome", std::string(fault::outcome_name(r.outcome)));
-    }
-    if (!r.divergence.empty()) jw.field("divergence", r.divergence);
-    jw.key("diversity");
-    write_json(jw, r.diversity);
-    jw.key("stats");
-    write_json(jw, r.stats);
-    jw.key("sm_profile");
-    write_json(jw, r.sm_profile);
-    if (r.stats.get("block_exec_hits") + r.stats.get("block_fallback_exits") > 0)
-      jw.field("block_superop_coverage_pct", block_coverage_pct(r.stats));
-    jw.field("wall_sec", r.wall_sec);
     jw.end_object();
   }
   jw.end_array();
@@ -200,40 +152,59 @@ std::string CampaignResult::to_json() const {
   return jw.str() + "\n";
 }
 
+namespace {
+
+/// Emit (column, cell) for each of `rec`'s fields not tagged
+/// kNotDeterministic, in visit_fields order: a nested record's fields as
+/// "<name>.<field>", a StatSet as one "<name>.<counter>" column per entry
+/// of `counters` (0 where the set lacks it), a vector as its JSON text.
+template <FieldRecord T, class Emit>
+void csv_cells(const T& rec, const std::string& prefix,
+               const std::vector<std::string>& counters, const Emit& emit) {
+  visit_fields(rec, [&](const char* name, const auto& f,
+                        FieldTag tag = FieldTag::kNone) {
+    using F = std::remove_cvref_t<decltype(f)>;
+    if (tag == FieldTag::kNotDeterministic) return;
+    const std::string col = prefix + name;
+    if constexpr (FieldRecord<F>) {
+      csv_cells(f, col + ".", counters, emit);
+    } else if constexpr (std::is_same_v<F, StatSet>) {
+      for (const std::string& c : counters)
+        emit(col + "." + c, std::to_string(f.get(c)));
+    } else if constexpr (std::is_same_v<F, std::string>) {
+      emit(col, f);
+    } else if constexpr (std::is_enum_v<F>) {
+      emit(col, name_of(f));
+    } else {
+      JsonWriter jw = JsonWriter::compact();
+      write_value(jw, f);
+      emit(col, jw.str());
+    }
+  });
+}
+
+}  // namespace
+
 std::string CampaignResult::to_csv() const {
-  TextTable table({"index", "label", "workload", "ok", "passed", "verified",
-                   "dcls_match", "comparisons", "mismatches", "n_copies",
-                   "attempts", "asil", "ftti_met", "kernel_cycles",
-                   "elapsed_ns", "fault", "corruptions", "fault_outcome",
-                   "divergence", "instructions", "block_exec_hits",
-                   "block_fallback_exits", "block_coverage_pct",
-                   "cycles_issued", "cycles_stall_scoreboard",
-                   "cycles_stall_barrier", "cycles_stall_structural",
-                   "error"});
+  std::set<std::string> seen;
+  for (const ScenarioResult& r : results)
+    for (const auto& [name, value] : r.stats.entries()) seen.insert(name);
+  const std::vector<std::string> counters(seen.begin(), seen.end());
+
+  std::vector<std::string> header;
+  csv_cells(ScenarioResult{}, "", counters,
+            [&](const std::string& col, const std::string&) {
+              header.push_back(col);
+            });
+  header.push_back("passed");
+  TextTable table(std::move(header));
   for (const ScenarioResult& r : results) {
-    table.add_row({std::to_string(r.index), r.label, r.workload,
-                   r.ok ? "true" : "false", r.passed() ? "true" : "false",
-                   r.verified ? "true" : "false",
-                   r.dcls_match ? "true" : "false",
-                   std::to_string(r.comparisons), std::to_string(r.mismatches),
-                   std::to_string(r.n_copies), std::to_string(r.attempts),
-                   safety::asil_name(r.achieved_asil),
-                   r.ftti_met ? "true" : "false",
-                   std::to_string(r.kernel_cycles),
-                   std::to_string(r.elapsed_ns),
-                   r.fault_active ? "true" : "false",
-                   std::to_string(r.corruptions),
-                   r.fault_active ? fault::outcome_name(r.outcome) : "",
-                   r.divergence,
-                   std::to_string(r.stats.get("instructions")),
-                   std::to_string(r.stats.get("block_exec_hits")),
-                   std::to_string(r.stats.get("block_fallback_exits")),
-                   std::to_string(block_coverage_pct(r.stats)),
-                   std::to_string(r.stats.get("cycles_issued")),
-                   std::to_string(r.stats.get("cycles_stall_scoreboard")),
-                   std::to_string(r.stats.get("cycles_stall_barrier")),
-                   std::to_string(r.stats.get("cycles_stall_structural")),
-                   r.error});
+    std::vector<std::string> row;
+    csv_cells(r, "", counters, [&](const std::string&, std::string cell) {
+      row.push_back(std::move(cell));
+    });
+    row.push_back(r.passed() ? "true" : "false");
+    table.add_row(std::move(row));
   }
   return table.render_csv();
 }

@@ -188,9 +188,12 @@ struct CampaignResult {
     return wall_sec > 0 ? static_cast<double>(results.size()) / wall_sec : 0.0;
   }
 
-  /// JSON report (schema documented in README "Running campaigns").
+  /// JSON report (higpu.campaign/2): each result is its JSONL record
+  /// (exp/result_io.h) plus the derived `passed`.
   std::string to_json() const;
-  /// One CSV row per scenario with the headline columns.
+  /// One CSV row per scenario: a column per field not tagged
+  /// kNotDeterministic (nested records as "diversity.<field>", one
+  /// "stats.<counter>" column per counter any row has), then `passed`.
   std::string to_csv() const;
 };
 

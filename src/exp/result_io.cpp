@@ -8,35 +8,12 @@ namespace higpu::exp {
 
 namespace {
 
-// Enum-typed result fields travel by name.
-const char* name_of(safety::Asil a) { return safety::asil_name(a); }
-const char* name_of(fault::Outcome o) { return fault::outcome_name(o); }
-
 template <class E>
 E parse_enum(const std::string& s, const std::string& field) {
   for (u32 i = 0; i <= static_cast<u32>(enum_last(E{})); ++i)
     if (s == name_of(static_cast<E>(i))) return static_cast<E>(i);
   throw std::runtime_error("field '" + field + "' has unknown value '" + s +
                            "'");
-}
-
-template <FieldRecord T>
-void write_fields(JsonWriter& jw, const T& rec) {
-  jw.begin_object();
-  visit_fields(rec, [&](const char* name, const auto& f,
-                        FieldTag = FieldTag::kNone) {
-    using F = std::remove_cvref_t<decltype(f)>;
-    jw.key(name);
-    if constexpr (FieldRecord<F>) write_fields(jw, f);
-    else if constexpr (std::is_same_v<F, StatSet> ||
-                       std::is_same_v<F, std::vector<obs::SmCycles>>)
-      write_json(jw, f);
-    else if constexpr (std::is_enum_v<F>) jw.value(name_of(f));
-    // Full precision, so a resumed campaign reports the measured wall times.
-    else if constexpr (std::is_floating_point_v<F>) jw.value_exact(f);
-    else jw.value(f);
-  });
-  jw.end_object();
 }
 
 template <FieldRecord T>
@@ -82,28 +59,6 @@ void read_fields(const JsonValue& v, T& rec) {
 }
 
 }  // namespace
-
-void write_json(JsonWriter& jw, const core::DiversityReport& d) {
-  write_fields(jw, d);
-}
-
-void write_json(JsonWriter& jw, const std::vector<obs::SmCycles>& profile) {
-  jw.begin_array();
-  for (const obs::SmCycles& c : profile) write_fields(jw, c);
-  jw.end_array();
-}
-
-void write_json(JsonWriter& jw, const StatSet& stats) {
-  jw.begin_object();
-  for (const auto& [name, value] : stats.entries()) jw.field(name, value);
-  jw.end_object();
-}
-
-std::string result_to_jsonl(const ScenarioResult& r) {
-  JsonWriter jw = JsonWriter::compact();
-  write_fields(jw, r);
-  return jw.str();
-}
 
 ScenarioResult result_from_jsonl(const std::string& line) {
   const JsonValue v = parse_json(line);

@@ -81,9 +81,9 @@ void Device::verify_launch(const sim::KernelLaunch& launch) {
     result = &verify_reports_.back().result;
   }
   // kWarn lets merely-wrong programs run for report-collection flows
-  // (run_workload --verify-only), but a program that would index host
-  // memory out of bounds on the deliberately unchecked fetch/reg_at paths
-  // is refused in both modes — "warn" has no meaning for UB.
+  // (verify_kernel), but a program that would index host memory out of
+  // bounds on the deliberately unchecked fetch/reg_at paths is refused in
+  // both modes — "warn" has no meaning for UB.
   const bool enforce = gpu_->params().verify == sim::LaunchVerify::kEnforce;
   if (!result->ok() && (enforce || result->unsafe_to_execute()))
     throw isa::verify::VerifyError(*result);

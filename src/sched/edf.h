@@ -57,7 +57,6 @@ class EdfKernelScheduler final : public sim::IKernelScheduler {
   void set_stream_deadline(u32 stream, u64 abs_deadline_ns) {
     deadline_[stream] = abs_deadline_ns;
   }
-  void clear_stream_deadline(u32 stream) { deadline_.erase(stream); }
   u64 stream_deadline(u32 stream) const {
     const auto it = deadline_.find(stream);
     return it == deadline_.end() ? kNoDeadline : it->second;

@@ -50,6 +50,16 @@ core::RedundancySpec degrade(const core::RedundancySpec& base, u32 level) {
 
 namespace {
 
+// Overload policy: the ladder always degrades under deadline pressure, and
+// expired requests are always shed.
+/// Hard cap on queued requests; the latest-deadline entries are shed first
+/// when it overflows.
+constexpr u32 kMaxQueueDepth = 64;
+/// Hysteresis: consecutive on-time completions (with the queue at or below
+/// kLowWatermark) required before stepping one level back up.
+constexpr u32 kRecoverAfter = 4;
+constexpr u32 kLowWatermark = 1;
+
 /// Mutable serving state for one run_serve() invocation.
 struct Loop {
   const ServeSpec& spec;
@@ -148,23 +158,20 @@ struct Loop {
   }
 
   void shed(u64 now) {
-    if (spec.overload.shed_expired) {
-      for (size_t i = 0; i < queue.size();) {
-        const Request& r = requests[queue[i]];
-        if (r.deadline_ns < now) {
-          ++res.tenants[r.tenant].dropped_expired;
-          ++res.dropped;
-          if (tr != nullptr)
-            tr->instant(trk_req, obs::Ev::kReqShed, now, r.id, 0);
-          queue[i] = queue.back();
-          queue.pop_back();
-        } else {
-          ++i;
-        }
+    for (size_t i = 0; i < queue.size();) {
+      const Request& r = requests[queue[i]];
+      if (r.deadline_ns < now) {
+        ++res.tenants[r.tenant].dropped_expired;
+        ++res.dropped;
+        if (tr != nullptr)
+          tr->instant(trk_req, obs::Ev::kReqShed, now, r.id, 0);
+        queue[i] = queue.back();
+        queue.pop_back();
+      } else {
+        ++i;
       }
     }
-    const u32 cap = spec.overload.max_queue_depth;
-    while (cap != 0 && queue.size() > cap) {
+    while (queue.size() > kMaxQueueDepth) {
       // Shed the least urgent entry (latest deadline; highest id breaks the
       // tie so the choice is deterministic).
       size_t worst = 0;
@@ -218,8 +225,7 @@ struct Loop {
     // Overload prediction: would this request, started now, finish past its
     // deadline? One ladder step per decision — the next request re-decides.
     const u64 est = est_service_ns[req.tenant];
-    if (spec.overload.enable_degrade && level < max_level && est != 0 &&
-        start + est > req.deadline_ns)
+    if (level < max_level && est != 0 && start + est > req.deadline_ns)
       transition(start, level + 1, DegradeReason::kDeadlinePressure);
 
     const core::RedundancySpec eff = degrade(tenant.redundancy, level);
@@ -291,17 +297,16 @@ struct Loop {
 
     // Session-detected degrade (Recovery::kDegrade engaged): take a ladder
     // step too — the fault already cost this request its redundancy budget.
-    if (rep.degraded && spec.overload.enable_degrade && level < max_level)
+    if (rep.degraded && level < max_level)
       transition(finish, level + 1, DegradeReason::kSessionDegrade);
 
     // Hysteretic recovery: step back up only after a run of on-time
     // completions with the queue (nearly) drained.
     admit(finish);
-    const bool good =
-        c.deadline_met && queue.size() <= spec.overload.low_watermark;
+    const bool good = c.deadline_met && queue.size() <= kLowWatermark;
     if (good) {
       ++consecutive_good;
-      if (level > 0 && consecutive_good >= spec.overload.recover_after)
+      if (level > 0 && consecutive_good >= kRecoverAfter)
         transition(finish, level - 1, DegradeReason::kRecovered);
     } else {
       consecutive_good = 0;

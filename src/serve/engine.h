@@ -10,12 +10,12 @@
 //   * degrade ladder — when the predicted completion of the next request
 //     would miss its deadline (or a session reports Recovery::kDegrade),
 //     the engine drops one redundancy level: TMR -> DCLS -> baseline.
-//     Recovery is hysteretic: only after `recover_after` consecutive
-//     on-time completions with a near-empty queue does the level step back
+//     Recovery is hysteretic: only after 4 consecutive on-time
+//     completions with at most one request queued does the level step back
 //     up, so the engine cannot flap at the overload boundary.
 //   * load shedding — requests whose deadline already passed while queued
 //     are dropped (they could only waste capacity), and the queue depth is
-//     capped; every drop is accounted per tenant and per reason.
+//     capped at 64; every drop is accounted per tenant and per reason.
 //
 // Safety cadence between requests: a periodic scheduler BIST (paper §IV.C)
 // and, when configured, an interval CheckpointPolicy so kRollback tenants
@@ -42,22 +42,6 @@
 
 namespace higpu::serve {
 
-/// What to do when demand exceeds capacity.
-struct OverloadPolicy {
-  /// Walk the redundancy ladder down under deadline pressure (and on
-  /// session-reported kDegrade). Off = keep full redundancy, shed instead.
-  bool enable_degrade = true;
-  /// Drop queued requests whose absolute deadline has already passed.
-  bool shed_expired = true;
-  /// Hard cap on queued requests; the latest-deadline entries are shed
-  /// first when it overflows. 0 = unbounded.
-  u32 max_queue_depth = 64;
-  /// Hysteresis: consecutive on-time completions (with the queue at or
-  /// below low_watermark) required before stepping one level back up.
-  u32 recover_after = 4;
-  u32 low_watermark = 1;
-};
-
 struct ServeSpec {
   TrafficSpec traffic;
   sim::GpuParams gpu;
@@ -65,7 +49,6 @@ struct ServeSpec {
   /// Placement policy for every session (also the BIST policy); the EDF
   /// scheduler keeps this policy's placement contract.
   sched::Policy policy = sched::Policy::kSrrs;
-  OverloadPolicy overload;
   /// Period of the scheduler BIST cadence (0 = no BIST).
   u64 bist_interval_ns = 0;
   /// Interval CheckpointPolicy installed on the device (0 = none); gives

@@ -50,7 +50,6 @@ class Gpu {
 
   // ---- Configuration ---------------------------------------------------
   void set_kernel_scheduler(std::unique_ptr<IKernelScheduler> sched);
-  IKernelScheduler* kernel_scheduler() { return ksched_.get(); }
   void set_fault_hook(IFaultHook* hook);
   IFaultHook* fault_hook() const { return fault_; }
   void set_trace_sink(ITraceSink* sink);

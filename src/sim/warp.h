@@ -130,19 +130,6 @@ struct Warp {
       if (p.reg == r && p.is_pred == is_pred && p.ready > rel) rel = p.ready;
     return rel;
   }
-
-  /// True if any outstanding writeback is still in flight at `now`.
-  bool any_pending(Cycle now) {
-    for (size_t i = 0; i < pending.size();) {
-      if (pending[i].ready <= now) {
-        pending[i] = pending.back();
-        pending.pop_back();
-        continue;
-      }
-      return true;
-    }
-    return false;
-  }
 };
 
 template <FieldsOf<Warp::Pending> S, class V>

@@ -4,11 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
+#include "common/jsonl.h"
 #include "common/table.h"
 #include "exp/campaign.h"
+#include "exp/result_io.h"
 
 namespace higpu::exp {
 namespace {
@@ -375,11 +379,11 @@ TEST(CampaignReport, JsonAndCsvCarryTheCampaign) {
   const CampaignResult campaign = CampaignRunner().run(set);
 
   const std::string json = campaign.to_json();
-  EXPECT_NE(json.find("\"schema\": \"higpu.campaign/1\""), std::string::npos);
+  EXPECT_NE(json.find("\"schema\": \"higpu.campaign/2\""), std::string::npos);
   EXPECT_NE(json.find("\"scenarios\": 2"), std::string::npos);
   EXPECT_NE(json.find("hotspot:test:seed2019:srrs:red:nofault"),
             std::string::npos);
-  EXPECT_NE(json.find("\"fault_outcome\": \"detected\""), std::string::npos);
+  EXPECT_NE(json.find("\"outcome\": \"detected\""), std::string::npos);
   EXPECT_NE(json.find("\"instructions\""), std::string::npos);
   EXPECT_NE(json.find("\"same_sm_time_overlap\""), std::string::npos);
 
@@ -388,6 +392,56 @@ TEST(CampaignReport, JsonAndCsvCarryTheCampaign) {
   EXPECT_NE(csv.find("psm2@0b20"), std::string::npos);
   // Two data rows + header.
   EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 3);
+}
+
+TEST(CampaignReport, ReportsCarryEveryRecordField) {
+  const ScenarioSet set =
+      ScenarioSet::of(base_spec())
+          .sweep_faults({FaultPlan::none(), FaultPlan::permanent_sm(2, 0, 20)});
+  const CampaignResult campaign = CampaignRunner().run(set);
+
+  // Each JSON result holds exactly its JSONL record's keys, then `passed`.
+  const JsonValue report = parse_json(campaign.to_json());
+  const std::vector<JsonValue>& results = report.at("results").array;
+  ASSERT_EQ(campaign.results.size(), results.size());
+  const auto keys = [](const JsonValue& object) {
+    std::vector<std::string> out;
+    for (const auto& [key, value] : object.object) out.push_back(key);
+    return out;
+  };
+  for (size_t i = 0; i < results.size(); ++i) {
+    std::vector<std::string> want =
+        keys(parse_json(result_to_jsonl(campaign.results[i])));
+    want.push_back("passed");
+    EXPECT_EQ(want, keys(results[i])) << "result " << i;
+  }
+
+  // The CSV has a column for every deterministic scalar field (nested ones
+  // as "diversity.<field>"), one per counter any row has, and `passed`.
+  const std::string csv = campaign.to_csv();
+  std::set<std::string> header;
+  std::istringstream line(csv.substr(0, csv.find('\n')));
+  for (std::string col; std::getline(line, col, ',');) header.insert(col);
+  std::vector<std::string> want = {"passed"};
+  const auto walk = [&](const auto& self, const auto& rec,
+                        const std::string& prefix) -> void {
+    visit_fields(rec, [&](const char* name, const auto& f,
+                          FieldTag tag = FieldTag::kNone) {
+      using F = std::remove_cvref_t<decltype(f)>;
+      if (tag == FieldTag::kNotDeterministic) return;
+      if constexpr (FieldRecord<F>)
+        self(self, f, prefix + name + ".");
+      else if constexpr (std::is_arithmetic_v<F> || std::is_enum_v<F> ||
+                         std::is_same_v<F, std::string>)
+        want.push_back(prefix + name);
+    });
+  };
+  walk(walk, campaign.results.front(), "");
+  for (const ScenarioResult& r : campaign.results)
+    for (const auto& [name, value] : r.stats.entries())
+      want.push_back("stats." + name);
+  for (const std::string& col : want)
+    EXPECT_TRUE(header.count(col)) << "CSV lacks column " << col;
 }
 
 TEST(CampaignReport, CsvEscapingAndJsonEscaping) {

@@ -6,7 +6,9 @@
 // a worker SIGKILL mid-campaign (also inside a multi-member unit), and
 // across a simulated coordinator crash plus journal resume. Around it: the
 // higpu.wire/4 frame and payload codecs (corruption is loud, never
-// misinterpreted; a lying length or member count allocates nothing),
+// misinterpreted; a lying length or member count allocates nothing; every
+// payload kind cut at any byte or padded is a WireError; the payload bytes
+// are pinned),
 // wire-framed snapshot round-trips with per-section integrity (a corrupted
 // section is named), JSONL result round-trips including control characters
 // in error strings, journal scan/resume semantics (torn tails tolerated,
@@ -440,45 +442,113 @@ TEST(SnapshotWire, CorruptedSectionIsNamed) {
 
 TEST(SnapshotWire, WorkItemCodec) {
   // The unit codec: indices and specs survive in member order.
-  dist::WorkItem item;
+  dist::Work item;
   item.unit_id = 7;
-  item.indices = {3, 0, 5};
-  item.specs = {test_spec("hotspot"), test_spec("hotspot"), test_spec("nw")};
-  item.specs[0].fault = FaultPlan::droop(2000, 50, 2);
-  const dist::WorkItem got = dist::decode_work(dist::encode_work(item));
+  item.members = {{3, test_spec("hotspot")},
+                  {0, test_spec("hotspot")},
+                  {5, test_spec("nw")}};
+  item.members[0].spec.fault = FaultPlan::droop(2000, 50, 2);
+  const dist::Work got = dist::decode<dist::Work>(dist::encode(item));
   EXPECT_EQ(7u, got.unit_id);
-  EXPECT_EQ(item.indices, got.indices);
-  EXPECT_EQ(item.specs, got.specs);
+  ASSERT_EQ(item.members.size(), got.members.size());
+  for (size_t k = 0; k < item.members.size(); ++k) {
+    EXPECT_EQ(item.members[k].index, got.members[k].index);
+    EXPECT_EQ(item.members[k].spec, got.members[k].spec);
+  }
 
-  const dist::WorkItem empty = dist::decode_work(dist::encode_work({}));
-  EXPECT_TRUE(empty.indices.empty());
-  EXPECT_TRUE(empty.specs.empty());
+  const dist::Work empty = dist::decode<dist::Work>(dist::encode(dist::Work{}));
+  EXPECT_TRUE(empty.members.empty());
 }
 
 // ---- Work-unit codec -------------------------------------------------------
 
 TEST(WireWork, MemberCountPastBytesLeftIsRefusedByName) {
-  dist::WorkItem item;
+  dist::Work item;
   item.unit_id = 1;
-  item.indices = {0};
-  item.specs = {test_spec("hotspot")};
-  std::vector<u8> bytes = dist::encode_work(item);
+  item.members = {{0, test_spec("hotspot")}};
+  std::vector<u8> bytes = dist::encode(item);
   // The member count follows the u64 unit id; claim 2^40 members.
   ckpt::Writer w;
   w.put64(1ull << 40);
   std::copy(w.blob().begin(), w.blob().end(), bytes.begin() + 8);
   try {
-    dist::decode_work(bytes);
+    dist::decode<dist::Work>(bytes);
     FAIL() << "an impossible member count was accepted";
   } catch (const std::exception& e) {
-    EXPECT_NE(std::string(e.what()).find("unit members"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("work.members"), std::string::npos)
         << e.what();
   }
 
   // A truncated member is refused too, never read past the end.
-  bytes = dist::encode_work(item);
+  bytes = dist::encode(item);
   bytes.resize(bytes.size() - 3);
-  EXPECT_THROW(dist::decode_work(bytes), std::exception);
+  EXPECT_THROW(dist::decode<dist::Work>(bytes), std::exception);
+}
+
+// ---- Payload records ---------------------------------------------------------
+
+/// One fixed message of every payload kind.
+struct FixedPayloads {
+  dist::Hello hello{dist::kProtocolVersion, 3};
+  dist::Work work;
+  dist::Result result{7, 3, "{\"index\":3}"};
+  dist::Log log{2, "+42ms w3 WARN: bank conflict storm"};
+  dist::Flight flight{"{\"schema\":\"higpu.flight/1\",\"events\":[]}"};
+
+  FixedPayloads() {
+    work.unit_id = 7;
+    work.members = {{3, test_spec("hotspot")}, {0, test_spec("nw")}};
+    work.members[0].spec.fault = FaultPlan::droop(2000, 50, 2);
+  }
+};
+
+/// Decode `msg`'s encoding cut at every byte and with one byte appended:
+/// each is refused with a WireError naming the payload.
+template <class T>
+void expect_damage_refused(const T& msg) {
+  const std::vector<u8> bytes = dist::encode(msg);
+  EXPECT_NO_THROW(dist::decode<T>(bytes)) << T::kName;
+  for (size_t n = 0; n <= bytes.size(); ++n) {
+    std::vector<u8> damaged(bytes.begin(), bytes.begin() + n);
+    if (n == bytes.size()) damaged.push_back(0);
+    try {
+      dist::decode<T>(damaged);
+      ADD_FAILURE() << T::kName << " accepted " << damaged.size() << " of "
+                    << bytes.size() << " bytes";
+    } catch (const dist::WireError& e) {
+      // A truncation names the field it cut ("work.members").
+      const std::string want =
+          std::string(T::kName) + (n < bytes.size() ? "." : "");
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << T::kName << " at " << damaged.size()
+                    << " bytes threw something other than WireError: "
+                    << e.what();
+    }
+  }
+}
+
+TEST(WirePayload, TruncatedOrPaddedPayloadIsAWireError) {
+  const FixedPayloads p;
+  expect_damage_refused(p.hello);
+  expect_damage_refused(p.work);
+  expect_damage_refused(p.result);
+  expect_damage_refused(p.log);
+  expect_damage_refused(p.flight);
+}
+
+TEST(WirePayload, EncodingsArePinned) {
+  // FNV-1a over the five fixed encodings in order. The pin was captured
+  // from the hand-written higpu.wire/4 encoders the records replaced: a
+  // change here changes the protocol and must bump kProtocolVersion.
+  const FixedPayloads p;
+  u64 h = 0xcbf29ce484222325ull;
+  for (const std::vector<u8>& bytes :
+       {dist::encode(p.hello), dist::encode(p.work), dist::encode(p.result),
+        dist::encode(p.log), dist::encode(p.flight)})
+    h = ckpt::fnv1a(bytes.data(), bytes.size(), h);
+  EXPECT_EQ(0xa60145ef3c5c8253ull, h);
 }
 
 // ---- JSONL result records (satellite 2) ------------------------------------
@@ -556,6 +626,37 @@ TEST(Journal, WriteScanRoundTrip) {
   ASSERT_EQ(2u, scan.results.size());
   EXPECT_TRUE(scan.results.at(0).deterministic_fields_equal(r0));
   EXPECT_TRUE(scan.results.at(2).deterministic_fields_equal(r2));
+  std::remove(path.c_str());
+}
+
+TEST(Journal, HeaderAndLogLinesKeepTheirBytes) {
+  // The field walk writes the same lines the journal has always held.
+  const std::string path = tmp_path("lines.jsonl");
+  {
+    dist::Journal j = dist::Journal::create(path, 77, 2);
+    j.add_log({1, 2, "say \"hi\""});
+  }
+  EXPECT_EQ(
+      "{\"schema\":\"higpu.campaign.jsonl/1\",\"fingerprint\":77,"
+      "\"scenarios\":2}\n"
+      "{\"log\":{\"worker\":1,\"level\":2,\"line\":\"say \\\"hi\\\"\"}}\n",
+      read_text(path));
+  EXPECT_EQ(1u, dist::scan_journal(path).aux_records);
+  std::remove(path.c_str());
+}
+
+TEST(Journal, HeaderWithoutAFieldIsAJournalError) {
+  const std::string path = tmp_path("header.jsonl");
+  write_text(path,
+             "{\"schema\":\"higpu.campaign.jsonl/1\",\"scenarios\":2}\n");
+  try {
+    dist::scan_journal(path);
+    FAIL() << "a header without its fingerprint was accepted";
+  } catch (const dist::JournalError& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("fingerprint"), std::string::npos)
+        << e.what();
+  }
   std::remove(path.c_str());
 }
 
@@ -696,9 +797,10 @@ TEST(Distributed, ResultOutsideTheUnitKillsTheWorker) {
   stray.label = "stray";
   int sv[2];
   ASSERT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM, 0, sv));
-  dist::send_frame(sv[0], dist::Msg::kHello, dist::encode_hello(0));
-  dist::send_frame(sv[0], dist::Msg::kResult,
-                   dist::encode_result({0, 5, exp::result_to_jsonl(stray)}));
+  dist::send_frame(sv[0], dist::Msg::kHello, dist::encode(dist::Hello{}));
+  dist::send_frame(
+      sv[0], dist::Msg::kResult,
+      dist::encode(dist::Result{0, 5, exp::result_to_jsonl(stray)}));
   ::close(sv[0]);
   std::string frames;
   char buf[4096];
@@ -837,12 +939,12 @@ TEST(Distributed, ResumeRefusesForeignJournal) {
 
 // ---- A unit in a fresh process ----------------------------------------------
 
-/// Run one encoded WorkItem through a freshly spawned campaign_worker in
+/// Run one encoded Work unit through a freshly spawned campaign_worker in
 /// file mode and parse the result records it writes, one per member.
-std::vector<ScenarioResult> run_in_fresh_process(const dist::WorkItem& item) {
+std::vector<ScenarioResult> run_in_fresh_process(const dist::Work& item) {
   const std::string work = tmp_path("work.bin");
   const std::string out = tmp_path("out.jsonl");
-  const std::vector<u8> payload = dist::encode_work(item);
+  const std::vector<u8> payload = dist::encode(item);
   {
     std::ofstream f(work, std::ios::binary | std::ios::trunc);
     f.write(reinterpret_cast<const char*>(payload.data()),
@@ -869,12 +971,10 @@ TEST(Distributed, GroupUnitRunsInFreshProcess) {
   const exp::CampaignResult golden = golden_jobs1(set);
   const exp::WorkUnit unit = exp::plan_units(set, true).front();
   ASSERT_TRUE(unit.worth_base_run());
-  dist::WorkItem item;
+  dist::Work item;
   item.unit_id = 0;
-  for (size_t m : unit.members) {
-    item.indices.push_back(static_cast<u32>(m));
-    item.specs.push_back(set[m]);
-  }
+  for (size_t m : unit.members)
+    item.members.push_back({static_cast<u32>(m), set[m]});
 
   const std::vector<ScenarioResult> remote = run_in_fresh_process(item);
   ASSERT_EQ(unit.members.size(), remote.size());

@@ -260,15 +260,16 @@ TEST(ServeTelemetry, QueueDepthSeriesAndWatermarkAreDeterministic) {
 // ---- Wire codecs and journal aux records -----------------------------------
 
 TEST(WireCodecs, LogAndFlightRoundTrip) {
-  dist::LogMsg msg;
+  dist::Log msg;
   msg.level = static_cast<u32>(LogLevel::kWarn);
   msg.line = "+42ms w3 WARN: bank conflict storm";
-  const dist::LogMsg back = dist::decode_log(dist::encode_log(msg));
+  const dist::Log back = dist::decode<dist::Log>(dist::encode(msg));
   EXPECT_EQ(back.level, msg.level);
   EXPECT_EQ(back.line, msg.line);
 
   const std::string dump = "{\"schema\":\"higpu.flight/1\",\"events\":[]}";
-  EXPECT_EQ(dist::decode_flight(dist::encode_flight(dump)), dump);
+  EXPECT_EQ(dist::decode<dist::Flight>(dist::encode(dist::Flight{dump})).json,
+            dump);
 
   EXPECT_TRUE(dist::known_msg(static_cast<u8>(dist::Msg::kLog)));
   EXPECT_TRUE(dist::known_msg(static_cast<u8>(dist::Msg::kFlight)));

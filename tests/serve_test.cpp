@@ -274,9 +274,6 @@ TEST(ServeTest, OverloadEntersAndExitsDegradeWithDropAccounting) {
 
   ServeSpec s;
   s.traffic = t;
-  s.overload.enable_degrade = true;
-  s.overload.shed_expired = true;
-  s.overload.recover_after = 3;
   const ServeResult r = run_serve(s);
 
   // The burst provably entered degrade...
