@@ -285,10 +285,13 @@ class Reader {
   }
 
  private:
+  // The text names no input: snapshots and wire payloads share this reader,
+  // and their callers say which one was cut.
   void need(u64 n) const {
     if (n > remaining())
-      throw SnapshotError("snapshot blob underrun at byte " +
-                          std::to_string(pos_));
+      throw SnapshotError("input underrun at byte " + std::to_string(pos_) +
+                          ": " + std::to_string(n) + " byte(s) needed, " +
+                          std::to_string(remaining()) + " left");
   }
 
   const u8* data_;

@@ -28,9 +28,6 @@ class Rng {
   /// Uniform in [0, bound). bound must be > 0.
   u64 next_below(u64 bound) { return next_u64() % bound; }
 
-  /// Uniform u32.
-  u32 next_u32() { return static_cast<u32>(next_u64() >> 32); }
-
   /// Uniform float in [0, 1).
   float next_float() {
     return static_cast<float>(next_u64() >> 40) /

@@ -45,10 +45,6 @@ class FaultInjector final : public sim::IFaultHook {
   /// and scheduler faults persist.
   void on_rollback() override;
 
-  /// One result produced on `sm` at `cycle`, corrupted as the SM would.
-  u32 corrupt_alu(u32 sm, Cycle cycle, u32 value) {
-    return value ^ corrupt_lanes(sm, cycle, 1);
-  }
   /// Number of datapath results actually corrupted so far.
   u64 corruptions() const { return corruptions_; }
   /// Number of block placements actually diverted so far.

@@ -288,7 +288,7 @@ ProgramPtr KernelBuilder::build() {
       preds = std::max(preds, static_cast<u32>(ins.dst) + 1);
     if (ins.guard != kNoPred)
       preds = std::max(preds, static_cast<u32>(ins.guard) + 1);
-    if ((ins.op == Op::kSelp || ins.op == Op::kSetp) && ins.pred_src != kNoPred)
+    if (op_info(ins.op).pred_src != PredSrc::kNone && ins.pred_src != kNoPred)
       preds = std::max(preds, static_cast<u32>(ins.pred_src) + 1);
   }
   const u16 num_regs = static_cast<u16>(regs);

@@ -2,125 +2,6 @@
 
 namespace higpu::isa {
 
-UnitClass unit_class(Op op) {
-  switch (op) {
-    case Op::kFdiv:
-    case Op::kFsqrt:
-    case Op::kFrcp:
-    case Op::kFexp:
-    case Op::kFlog:
-    case Op::kFsin:
-    case Op::kFcos:
-      return UnitClass::kSfu;
-    case Op::kLdg:
-    case Op::kStg:
-    case Op::kAtomAdd:
-    case Op::kLds:
-    case Op::kSts:
-      return UnitClass::kMem;
-    case Op::kBra:
-    case Op::kExit:
-    case Op::kBar:
-      return UnitClass::kCtrl;
-    default:
-      return UnitClass::kSp;
-  }
-}
-
-bool is_global_mem(Op op) {
-  return op == Op::kLdg || op == Op::kStg || op == Op::kAtomAdd;
-}
-
-bool is_shared_mem(Op op) { return op == Op::kLds || op == Op::kSts; }
-
-bool writes_gpr(Op op) {
-  switch (op) {
-    case Op::kNop:
-    case Op::kSetp:
-    case Op::kBra:
-    case Op::kExit:
-    case Op::kStg:
-    case Op::kSts:
-    case Op::kBar:
-      return false;
-    default:
-      return true;
-  }
-}
-
-bool writes_pred(Op op) { return op == Op::kSetp; }
-
-bool is_datapath(Op op) {
-  switch (op) {
-    case Op::kNop:
-    case Op::kS2r:
-    case Op::kLdp:
-    case Op::kSetp:
-    case Op::kSelp:
-    case Op::kBra:
-    case Op::kExit:
-    case Op::kBar:
-    case Op::kLdg:
-    case Op::kStg:
-    case Op::kAtomAdd:
-    case Op::kLds:
-    case Op::kSts:
-      return false;
-    default:
-      return true;
-  }
-}
-
-const char* op_name(Op op) {
-  switch (op) {
-    case Op::kNop: return "nop";
-    case Op::kMov: return "mov";
-    case Op::kS2r: return "s2r";
-    case Op::kLdp: return "ldp";
-    case Op::kIadd: return "iadd";
-    case Op::kIsub: return "isub";
-    case Op::kImul: return "imul";
-    case Op::kImad: return "imad";
-    case Op::kImin: return "imin";
-    case Op::kImax: return "imax";
-    case Op::kAnd: return "and";
-    case Op::kOr: return "or";
-    case Op::kXor: return "xor";
-    case Op::kNot: return "not";
-    case Op::kShl: return "shl";
-    case Op::kShr: return "shr";
-    case Op::kSra: return "sra";
-    case Op::kFadd: return "fadd";
-    case Op::kFsub: return "fsub";
-    case Op::kFmul: return "fmul";
-    case Op::kFfma: return "ffma";
-    case Op::kFmin: return "fmin";
-    case Op::kFmax: return "fmax";
-    case Op::kFabs: return "fabs";
-    case Op::kFneg: return "fneg";
-    case Op::kFdiv: return "fdiv";
-    case Op::kFsqrt: return "fsqrt";
-    case Op::kFrcp: return "frcp";
-    case Op::kFexp: return "fexp";
-    case Op::kFlog: return "flog";
-    case Op::kFsin: return "fsin";
-    case Op::kFcos: return "fcos";
-    case Op::kI2f: return "i2f";
-    case Op::kF2i: return "f2i";
-    case Op::kSetp: return "setp";
-    case Op::kSelp: return "selp";
-    case Op::kBra: return "bra";
-    case Op::kExit: return "exit";
-    case Op::kLdg: return "ldg";
-    case Op::kStg: return "stg";
-    case Op::kAtomAdd: return "atom.add";
-    case Op::kLds: return "lds";
-    case Op::kSts: return "sts";
-    case Op::kBar: return "bar.sync";
-  }
-  return "?";
-}
-
 const char* sreg_name(SReg sreg) {
   switch (sreg) {
     case SReg::kTidX: return "tid.x";

@@ -6,6 +6,9 @@
 // separate global/shared memory access instructions.
 #pragma once
 
+#include <array>
+#include <cstddef>
+
 #include "common/types.h"
 
 namespace higpu::isa {
@@ -103,24 +106,150 @@ enum class UnitClass : u8 {
   kCtrl,  // branches, exit, barrier (handled in-order by the scheduler)
 };
 
-/// Unit an opcode executes on.
-UnitClass unit_class(Op op);
+/// Whether an opcode reads `Instruction::pred_src`.
+enum class PredSrc : u8 {
+  kNone,      // must be kNoPred
+  kOptional,  // setp.and input when set
+  kRequired,  // selp's selector
+};
 
-/// True for instructions that read or write global memory.
-bool is_global_mem(Op op);
-/// True for instructions that read or write shared memory.
-bool is_shared_mem(Op op);
-/// True if the instruction writes a general-purpose destination register.
-bool writes_gpr(Op op);
-/// True for instructions whose result flows through the SP/SFU datapath and
-/// is therefore exposed to datapath fault injection (and relevant for
-/// temporal-diversity analysis).
-bool is_datapath(Op op);
-/// True if the instruction writes a predicate register.
-bool writes_pred(Op op);
+/// Register file an opcode writes its result to (`Instruction::dst`).
+enum class Writeback : u8 { kNone, kGpr, kPred };
 
-/// Mnemonic for disassembly.
-const char* op_name(Op op);
+/// Memory space an opcode reads or writes.
+enum class MemSpace : u8 { kNone, kGlobal, kShared };
+
+/// How the executors carry an opcode out. The first five forms touch only
+/// registers and predicates; the block engine lowers exactly those and
+/// leaves every later form to the interpreter.
+enum class Form : u8 {
+  kAlu,     // dst = sim::eval_alu(op, src0, src1, src2)
+  kS2r,     // dst = special register
+  kLdp,     // dst = kernel parameter
+  kSetp,    // pred[dst] = compare
+  kSelp,    // dst = predicate select
+  kBranch,
+  kExit,
+  kBar,
+  kGlobal,  // global-memory load, store or atomic
+  kShared,  // shared-memory load or store
+  kNop,
+};
+
+/// Everything the verifier, the block compiler and the interpreter know
+/// about one opcode's shape.
+struct OpInfo {
+  Op op;
+  const char* name;  // mnemonic for disassembly and diagnostics
+  UnitClass unit;
+  u8 nsrc;           // src[] slots read, from src[0]; later slots stay empty
+  PredSrc pred_src;
+  Writeback writeback;
+  bool datapath;     // the result flows through the SP/SFU datapath: datapath
+                     // faults corrupt it, and the temporal-diversity
+                     // analysis measures it
+  MemSpace mem;
+  Form form;
+};
+
+/// The ISA, one row per opcode in enum order. A new opcode is declared here
+/// and nowhere else; only its arithmetic (sim::eval_alu) and, for a new
+/// form, its executor live elsewhere.
+inline constexpr auto kOpTable = [] {
+  using U = UnitClass;
+  using P = PredSrc;
+  using W = Writeback;
+  using M = MemSpace;
+  using F = Form;
+  const OpInfo rows[] = {
+      // op          mnemonic    unit    src  pred_src      writeback datapath  mem         form
+      {Op::kNop,     "nop",      U::kSp,   0, P::kNone,     W::kNone, false,    M::kNone,   F::kNop},
+      {Op::kMov,     "mov",      U::kSp,   1, P::kNone,     W::kGpr,  true,     M::kNone,   F::kAlu},
+      {Op::kS2r,     "s2r",      U::kSp,   0, P::kNone,     W::kGpr,  false,    M::kNone,   F::kS2r},
+      {Op::kLdp,     "ldp",      U::kSp,   1, P::kNone,     W::kGpr,  false,    M::kNone,   F::kLdp},
+      {Op::kIadd,    "iadd",     U::kSp,   2, P::kNone,     W::kGpr,  true,     M::kNone,   F::kAlu},
+      {Op::kIsub,    "isub",     U::kSp,   2, P::kNone,     W::kGpr,  true,     M::kNone,   F::kAlu},
+      {Op::kImul,    "imul",     U::kSp,   2, P::kNone,     W::kGpr,  true,     M::kNone,   F::kAlu},
+      {Op::kImad,    "imad",     U::kSp,   3, P::kNone,     W::kGpr,  true,     M::kNone,   F::kAlu},
+      {Op::kImin,    "imin",     U::kSp,   2, P::kNone,     W::kGpr,  true,     M::kNone,   F::kAlu},
+      {Op::kImax,    "imax",     U::kSp,   2, P::kNone,     W::kGpr,  true,     M::kNone,   F::kAlu},
+      {Op::kAnd,     "and",      U::kSp,   2, P::kNone,     W::kGpr,  true,     M::kNone,   F::kAlu},
+      {Op::kOr,      "or",       U::kSp,   2, P::kNone,     W::kGpr,  true,     M::kNone,   F::kAlu},
+      {Op::kXor,     "xor",      U::kSp,   2, P::kNone,     W::kGpr,  true,     M::kNone,   F::kAlu},
+      {Op::kNot,     "not",      U::kSp,   1, P::kNone,     W::kGpr,  true,     M::kNone,   F::kAlu},
+      {Op::kShl,     "shl",      U::kSp,   2, P::kNone,     W::kGpr,  true,     M::kNone,   F::kAlu},
+      {Op::kShr,     "shr",      U::kSp,   2, P::kNone,     W::kGpr,  true,     M::kNone,   F::kAlu},
+      {Op::kSra,     "sra",      U::kSp,   2, P::kNone,     W::kGpr,  true,     M::kNone,   F::kAlu},
+      {Op::kFadd,    "fadd",     U::kSp,   2, P::kNone,     W::kGpr,  true,     M::kNone,   F::kAlu},
+      {Op::kFsub,    "fsub",     U::kSp,   2, P::kNone,     W::kGpr,  true,     M::kNone,   F::kAlu},
+      {Op::kFmul,    "fmul",     U::kSp,   2, P::kNone,     W::kGpr,  true,     M::kNone,   F::kAlu},
+      {Op::kFfma,    "ffma",     U::kSp,   3, P::kNone,     W::kGpr,  true,     M::kNone,   F::kAlu},
+      {Op::kFmin,    "fmin",     U::kSp,   2, P::kNone,     W::kGpr,  true,     M::kNone,   F::kAlu},
+      {Op::kFmax,    "fmax",     U::kSp,   2, P::kNone,     W::kGpr,  true,     M::kNone,   F::kAlu},
+      {Op::kFabs,    "fabs",     U::kSp,   1, P::kNone,     W::kGpr,  true,     M::kNone,   F::kAlu},
+      {Op::kFneg,    "fneg",     U::kSp,   1, P::kNone,     W::kGpr,  true,     M::kNone,   F::kAlu},
+      {Op::kFdiv,    "fdiv",     U::kSfu,  2, P::kNone,     W::kGpr,  true,     M::kNone,   F::kAlu},
+      {Op::kFsqrt,   "fsqrt",    U::kSfu,  1, P::kNone,     W::kGpr,  true,     M::kNone,   F::kAlu},
+      {Op::kFrcp,    "frcp",     U::kSfu,  1, P::kNone,     W::kGpr,  true,     M::kNone,   F::kAlu},
+      {Op::kFexp,    "fexp",     U::kSfu,  1, P::kNone,     W::kGpr,  true,     M::kNone,   F::kAlu},
+      {Op::kFlog,    "flog",     U::kSfu,  1, P::kNone,     W::kGpr,  true,     M::kNone,   F::kAlu},
+      {Op::kFsin,    "fsin",     U::kSfu,  1, P::kNone,     W::kGpr,  true,     M::kNone,   F::kAlu},
+      {Op::kFcos,    "fcos",     U::kSfu,  1, P::kNone,     W::kGpr,  true,     M::kNone,   F::kAlu},
+      {Op::kI2f,     "i2f",      U::kSp,   1, P::kNone,     W::kGpr,  true,     M::kNone,   F::kAlu},
+      {Op::kF2i,     "f2i",      U::kSp,   1, P::kNone,     W::kGpr,  true,     M::kNone,   F::kAlu},
+      {Op::kSetp,    "setp",     U::kSp,   2, P::kOptional, W::kPred, false,    M::kNone,   F::kSetp},
+      {Op::kSelp,    "selp",     U::kSp,   2, P::kRequired, W::kGpr,  false,    M::kNone,   F::kSelp},
+      {Op::kBra,     "bra",      U::kCtrl, 0, P::kNone,     W::kNone, false,    M::kNone,   F::kBranch},
+      {Op::kExit,    "exit",     U::kCtrl, 0, P::kNone,     W::kNone, false,    M::kNone,   F::kExit},
+      {Op::kLdg,     "ldg",      U::kMem,  1, P::kNone,     W::kGpr,  false,    M::kGlobal, F::kGlobal},
+      {Op::kStg,     "stg",      U::kMem,  2, P::kNone,     W::kNone, false,    M::kGlobal, F::kGlobal},
+      {Op::kAtomAdd, "atom.add", U::kMem,  2, P::kNone,     W::kGpr,  false,    M::kGlobal, F::kGlobal},
+      {Op::kLds,     "lds",      U::kMem,  1, P::kNone,     W::kGpr,  false,    M::kShared, F::kShared},
+      {Op::kSts,     "sts",      U::kMem,  2, P::kNone,     W::kNone, false,    M::kShared, F::kShared},
+      {Op::kBar,     "bar.sync", U::kCtrl, 0, P::kNone,     W::kNone, false,    M::kNone,   F::kBar},
+  };
+  return std::to_array(rows);
+}();
+
+static_assert(kOpTable.size() == static_cast<size_t>(enum_last(Op{})) + 1,
+              "kOpTable needs exactly one row per Op");
+static_assert(
+    [] {
+      for (size_t i = 0; i < kOpTable.size(); ++i)
+        if (static_cast<size_t>(kOpTable[i].op) != i) return false;
+      return true;
+    }(),
+    "kOpTable rows must follow the Op enum order");
+
+/// True for a byte that names an opcode; the verifier refuses any other
+/// before the table is read for it.
+constexpr bool is_declared(Op op) { return op <= enum_last(Op{}); }
+
+/// The table row of a declared opcode.
+constexpr const OpInfo& op_info(Op op) {
+  return kOpTable[static_cast<size_t>(op)];
+}
+
+constexpr UnitClass unit_class(Op op) { return op_info(op).unit; }
+constexpr bool is_global_mem(Op op) {
+  return op_info(op).mem == MemSpace::kGlobal;
+}
+constexpr bool is_shared_mem(Op op) {
+  return op_info(op).mem == MemSpace::kShared;
+}
+constexpr bool writes_gpr(Op op) {
+  return op_info(op).writeback == Writeback::kGpr;
+}
+constexpr bool writes_pred(Op op) {
+  return op_info(op).writeback == Writeback::kPred;
+}
+constexpr bool is_datapath(Op op) { return op_info(op).datapath; }
+
+/// Mnemonic for disassembly; "?" for a byte that names no opcode.
+constexpr const char* op_name(Op op) {
+  return is_declared(op) ? op_info(op).name : "?";
+}
+
 const char* sreg_name(SReg sreg);
 const char* cmp_name(CmpOp cmp);
 

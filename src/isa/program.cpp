@@ -42,50 +42,45 @@ std::string disassemble(const Instruction& ins, Pc pc) {
   s << pc << ":\t";
   if (ins.guard != kNoPred) s << "@" << (ins.guard_neg ? "!" : "") << "p" << ins.guard << " ";
   s << op_name(ins.op);
-  switch (ins.op) {
-    case Op::kS2r:
+  if (!is_declared(ins.op)) return s.str();
+  const OpInfo& info = op_info(ins.op);
+  switch (info.form) {
+    case Form::kS2r:
       s << " r" << ins.dst << ", %" << sreg_name(ins.sreg);
       break;
-    case Op::kLdp:
+    case Form::kLdp:
       s << " r" << ins.dst << ", param[" << ins.src[0].imm << "]";
       break;
-    case Op::kSetp:
+    case Form::kSetp:
       s << "." << cmp_name(ins.cmp) << " p" << ins.dst << ", "
         << operand_str(ins.src[0]) << ", " << operand_str(ins.src[1]);
       break;
-    case Op::kSelp:
+    case Form::kSelp:
       s << " r" << ins.dst << ", " << operand_str(ins.src[0]) << ", "
         << operand_str(ins.src[1]) << ", p" << ins.pred_src;
       break;
-    case Op::kBra:
+    case Form::kBranch:
       s << " " << ins.target << " (reconv " << ins.reconv_pc << ")";
       break;
-    case Op::kExit:
-    case Op::kBar:
-    case Op::kNop:
+    case Form::kExit:
+    case Form::kBar:
+    case Form::kNop:
       break;
-    case Op::kLdg:
-    case Op::kLds:
-      s << " r" << ins.dst << ", [" << operand_str(ins.src[0]) << "+"
-        << ins.mem_offset << "]";
+    case Form::kGlobal:
+    case Form::kShared:
+      // ldg/lds r, [a+o]; stg/sts [a+o], v; atom.add r, [a+o], v
+      s << " ";
+      if (info.writeback == Writeback::kGpr) s << "r" << ins.dst << ", ";
+      s << "[" << operand_str(ins.src[0]) << "+" << ins.mem_offset << "]";
+      if (info.nsrc == 2) s << ", " << operand_str(ins.src[1]);
       break;
-    case Op::kStg:
-    case Op::kSts:
-      s << " [" << operand_str(ins.src[0]) << "+" << ins.mem_offset << "], "
-        << operand_str(ins.src[1]);
-      break;
-    case Op::kAtomAdd:
-      s << " r" << ins.dst << ", [" << operand_str(ins.src[0]) << "+"
-        << ins.mem_offset << "], " << operand_str(ins.src[1]);
-      break;
-    default: {
+    case Form::kAlu:
       s << " r" << ins.dst;
       for (const Operand& o : ins.src) {
         if (!o.present()) break;
         s << ", " << operand_str(o);
       }
       break;
-    }
   }
   return s.str();
 }

@@ -12,46 +12,6 @@ namespace higpu::isa::verify {
 
 namespace {
 
-// ---- Instruction shape metadata ---------------------------------------------
-
-/// Number of meaningful src[] slots an opcode reads. Slots beyond this are
-/// ignored by the executor and therefore by the analysis.
-u32 op_nsrc(Op op) {
-  switch (op) {
-    case Op::kNop:
-    case Op::kS2r:
-    case Op::kBra:
-    case Op::kExit:
-    case Op::kBar:
-      return 0;
-    case Op::kMov:
-    case Op::kLdp:
-    case Op::kNot:
-    case Op::kFabs:
-    case Op::kFneg:
-    case Op::kFsqrt:
-    case Op::kFrcp:
-    case Op::kFexp:
-    case Op::kFlog:
-    case Op::kFsin:
-    case Op::kFcos:
-    case Op::kI2f:
-    case Op::kF2i:
-    case Op::kLdg:
-    case Op::kLds:
-      return 1;
-    case Op::kImad:
-    case Op::kFfma:
-      return 3;
-    default:
-      return 2;
-  }
-}
-
-/// True for opcodes whose pred_src field is consumed unconditionally
-/// (kSelp); kSetp consumes it only when != kNoPred (setp.and).
-bool requires_pred_src(Op op) { return op == Op::kSelp; }
-
 constexpr u8 kMaxSReg = static_cast<u8>(SReg::kWarpId);
 
 std::string at_op(const Instruction& ins) {
@@ -106,15 +66,33 @@ bool structural_pass(const KernelProgram& prog, Sink& sink) {
   for (Pc pc = 0; pc < n; ++pc) {
     const Instruction& ins = code[pc];
 
-    // Operand shapes.
-    const u32 nsrc = op_nsrc(ins.op);
-    for (u32 i = 0; i < nsrc; ++i) {
-      if (!ins.src[i].present()) {
+    // Opcode and operand shapes (isa::kOpTable). Every slot and field the
+    // opcode does not read must be empty: the executors read a present
+    // operand whatever the opcode.
+    if (!is_declared(ins.op)) {
+      sink.emit(Severity::kError, pc, kNoBlock, Code::kBadOperand,
+                "undefined opcode #" +
+                    std::to_string(static_cast<u32>(ins.op)));
+      cfg_safe = false;
+      continue;
+    }
+    const OpInfo& info = op_info(ins.op);
+    for (u32 i = 0; i < 3; ++i) {
+      const Operand& o = ins.src[i];
+      if (i >= info.nsrc) {
+        if (o.present())
+          sink.emit(Severity::kError, pc, kNoBlock, Code::kBadOperand,
+                    at_op(ins) + " has a source operand " + std::to_string(i) +
+                        " it does not read",
+                    "expected " + std::to_string(info.nsrc) +
+                        " source operand(s)");
+      } else if (!o.present()) {
         sink.emit(Severity::kError, pc, kNoBlock, Code::kBadOperand,
                   at_op(ins) + " is missing source operand " +
                       std::to_string(i),
-                  "expected " + std::to_string(nsrc) + " source operand(s)");
-      } else if (ins.src[i].is_reg() && ins.src[i].reg == kNoReg) {
+                  "expected " + std::to_string(info.nsrc) +
+                      " source operand(s)");
+      } else if (o.is_reg() && o.reg == kNoReg) {
         sink.emit(Severity::kError, pc, kNoBlock, Code::kBadOperand,
                   at_op(ins) + " source operand " + std::to_string(i) +
                       " is an invalid register handle");
@@ -126,10 +104,13 @@ bool structural_pass(const KernelProgram& prog, Sink& sink) {
     if (writes_pred(ins.op) && ins.dst == static_cast<u16>(kNoPred))
       sink.emit(Severity::kError, pc, kNoBlock, Code::kBadOperand,
                 "setp has no destination predicate");
-    if (requires_pred_src(ins.op) && ins.pred_src == kNoPred)
+    if (info.pred_src == PredSrc::kRequired && ins.pred_src == kNoPred)
       sink.emit(Severity::kError, pc, kNoBlock, Code::kBadOperand,
                 "selp has no predicate source",
                 "selp selects between operands by a predicate register");
+    if (info.pred_src == PredSrc::kNone && ins.pred_src != kNoPred)
+      sink.emit(Severity::kError, pc, kNoBlock, Code::kBadOperand,
+                at_op(ins) + " has a predicate source it does not read");
     if (ins.op == Op::kS2r && static_cast<u8>(ins.sreg) > kMaxSReg)
       sink.emit(Severity::kError, pc, kNoBlock, Code::kBadOperand,
                 "s2r reads undefined special register #" +
@@ -283,6 +264,7 @@ void resource_pass(const KernelProgram& prog, Sink& sink) {
   const u16 num_preds = prog.num_preds();
   for (Pc pc = 0; pc < prog.size(); ++pc) {
     const Instruction& ins = prog.at(pc);
+    if (!is_declared(ins.op)) continue;  // refused by the structural pass
     if (writes_gpr(ins.op) && ins.dst != kNoReg && ins.dst >= num_regs)
       sink.emit(Severity::kError, pc, kNoBlock, Code::kRegOutOfRange,
                 at_op(ins) + " writes r" + std::to_string(ins.dst) +
@@ -290,8 +272,7 @@ void resource_pass(const KernelProgram& prog, Sink& sink) {
                     " register(s)",
                 "a register-file overflow corrupts a neighboring thread's "
                 "registers at runtime");
-    const u32 nsrc = op_nsrc(ins.op);
-    for (u32 i = 0; i < nsrc; ++i) {
+    for (u32 i = 0; i < op_info(ins.op).nsrc; ++i) {
       const Operand& o = ins.src[i];
       if (o.is_reg() && o.reg != kNoReg && o.reg >= num_regs)
         sink.emit(Severity::kError, pc, kNoBlock, Code::kRegOutOfRange,
@@ -308,7 +289,7 @@ void resource_pass(const KernelProgram& prog, Sink& sink) {
                 "a predicate-file overflow corrupts a neighboring thread's "
                 "predicates at runtime");
     check_pred_index(ins, pc, ins.guard, "guard", num_preds, sink);
-    if (ins.op == Op::kSelp || ins.op == Op::kSetp)
+    if (op_info(ins.op).pred_src != PredSrc::kNone)
       check_pred_index(ins, pc, ins.pred_src, "pred source", num_preds, sink);
   }
 }
@@ -324,11 +305,11 @@ void collect_reads(const Instruction& ins, std::vector<Access>& out) {
   out.clear();
   if (ins.guard != kNoPred)
     out.push_back({true, static_cast<u32>(ins.guard)});
-  const u32 nsrc = op_nsrc(ins.op);
-  for (u32 i = 0; i < nsrc; ++i)
+  const OpInfo& info = op_info(ins.op);
+  for (u32 i = 0; i < info.nsrc; ++i)
     if (ins.src[i].is_reg() && ins.src[i].reg != kNoReg)
       out.push_back({false, ins.src[i].reg});
-  if ((ins.op == Op::kSelp || ins.op == Op::kSetp) && ins.pred_src != kNoPred)
+  if (info.pred_src != PredSrc::kNone && ins.pred_src != kNoPred)
     out.push_back({true, static_cast<u32>(ins.pred_src)});
 }
 

@@ -41,7 +41,6 @@ class SetAssocCache {
   /// Drop one line if present, returning whether it was dirty.
   bool invalidate_line(u64 line_addr);
 
-  u32 num_sets() const { return num_sets_; }
   u32 assoc() const { return assoc_; }
 
   // Checkpoint: the tag array set-by-set (fixed-size records so a snapshot

@@ -61,14 +61,4 @@ HwMetrics required_metrics(Asil a) {
   }
 }
 
-std::string describe_decomposition(Asil goal, Asil x, Asil y) {
-  std::string s = asil_name(goal);
-  s += " = ";
-  s += asil_name(x);
-  s += "(D) + ";
-  s += asil_name(y);
-  s += "(D)";
-  return s;
-}
-
 }  // namespace higpu::safety

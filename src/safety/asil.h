@@ -1,8 +1,6 @@
 // ISO 26262 ASIL model and decomposition rules (paper §II, Fig. 1).
 #pragma once
 
-#include <string>
-
 #include "common/types.h"
 
 namespace higpu::safety {
@@ -65,7 +63,5 @@ Asil max_asil_for(const HwMetrics& m);
 
 /// Target metrics required for a given ASIL.
 HwMetrics required_metrics(Asil a);
-
-std::string describe_decomposition(Asil goal, Asil x, Asil y);
 
 }  // namespace higpu::safety

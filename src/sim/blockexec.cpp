@@ -14,8 +14,9 @@ namespace {
 /// Lowered operand plan for one instruction source. Absent sources fold to
 /// immediate 0, exactly like the interpreter's missing-operand default.
 /// Register indices are baked into the trace unchecked: the launch gate
-/// (isa/verify resource pass) proves every static index inside the
-/// program's declared register/predicate files before a trace can run.
+/// (isa/verify) refuses a source in a slot the opcode does not read and
+/// proves every read index inside the program's declared register and
+/// predicate files before a trace can run.
 SrcPlan lower_src(const isa::Operand& o) {
   SrcPlan s;
   if (o.is_reg()) {
@@ -28,46 +29,21 @@ SrcPlan lower_src(const isa::Operand& o) {
   return s;
 }
 
-/// Lower one instruction to its superop (or a fallback marker). The hazard
-/// plan reproduces the interpreter's check order exactly: guard, pred_src,
-/// sources in operand order, destination GPR, destination predicate.
+/// Lower one instruction to its superop; forms that do not lower keep only
+/// `form` and `op`. The hazard plan reproduces the interpreter's check
+/// order exactly: guard, pred_src, sources in operand order, destination
+/// GPR, destination predicate.
 SuperOp lower(const isa::Instruction& ins) {
+  const isa::OpInfo& info = isa::op_info(ins.op);
   SuperOp s;
+  s.form = info.form;
   s.op = ins.op;
-  switch (ins.op) {
-    case isa::Op::kNop:      // never emitted by the builder; keep interpreted
-    case isa::Op::kBra:
-    case isa::Op::kExit:
-    case isa::Op::kBar:
-    case isa::Op::kLdg:
-    case isa::Op::kStg:
-    case isa::Op::kAtomAdd:
-    case isa::Op::kLds:
-    case isa::Op::kSts:
-      s.kind = SopKind::kFallback;
-      return s;
-    case isa::Op::kSetp:
-      s.kind = SopKind::kSetp;
-      break;
-    case isa::Op::kSelp:
-      s.kind = SopKind::kSelp;
-      break;
-    case isa::Op::kS2r:
-      s.kind = SopKind::kS2r;
-      break;
-    case isa::Op::kLdp:
-      s.kind = SopKind::kLdp;
-      break;
-    default:
-      s.kind = SopKind::kAlu;
-      break;
-  }
+  if (!lowers(info.form)) return s;
 
-  s.vkind = s.kind == SopKind::kAlu ? vkind_for(ins.op) : VKind::kGeneric;
-  s.is_sfu = isa::unit_class(ins.op) == isa::UnitClass::kSfu;
-  s.is_datapath = isa::is_datapath(ins.op);
-  s.writes_gpr = isa::writes_gpr(ins.op);
-  s.writes_pred = isa::writes_pred(ins.op);
+  s.is_sfu = info.unit == isa::UnitClass::kSfu;
+  s.is_datapath = info.datapath;
+  s.writes_gpr = info.writeback == isa::Writeback::kGpr;
+  s.writes_pred = info.writeback == isa::Writeback::kPred;
   s.guard = ins.guard;
   s.guard_neg = ins.guard_neg;
   s.dst = ins.dst;
@@ -78,7 +54,7 @@ SuperOp lower(const isa::Instruction& ins) {
   s.dtype = ins.dtype;
   s.pred_src = ins.pred_src;
   s.sreg = ins.sreg;
-  if (ins.op == isa::Op::kLdp) s.param_idx = ins.src[0].imm;
+  if (info.form == isa::Form::kLdp) s.param_idx = ins.src[0].imm;
 
   auto haz = [&s](u16 reg, bool is_pred) {
     s.hazards[s.n_hazards++] = HazPlan{reg, is_pred};
@@ -94,37 +70,6 @@ SuperOp lower(const isa::Instruction& ins) {
 
 }  // namespace
 
-VKind vkind_for(isa::Op op) {
-  using isa::Op;
-  switch (op) {
-    case Op::kMov: return VKind::kMov;
-    case Op::kIadd: return VKind::kIadd;
-    case Op::kIsub: return VKind::kIsub;
-    case Op::kImul: return VKind::kImul;
-    case Op::kImad: return VKind::kImad;
-    case Op::kImin: return VKind::kImin;
-    case Op::kImax: return VKind::kImax;
-    case Op::kAnd: return VKind::kAnd;
-    case Op::kOr: return VKind::kOr;
-    case Op::kXor: return VKind::kXor;
-    case Op::kNot: return VKind::kNot;
-    case Op::kShl: return VKind::kShl;
-    case Op::kShr: return VKind::kShr;
-    case Op::kSra: return VKind::kSra;
-    case Op::kFadd: return VKind::kFadd;
-    case Op::kFsub: return VKind::kFsub;
-    case Op::kFmul: return VKind::kFmul;
-    case Op::kFfma: return VKind::kFfma;
-    case Op::kFmin: return VKind::kFmin;
-    case Op::kFmax: return VKind::kFmax;
-    case Op::kFabs: return VKind::kFabs;
-    case Op::kFneg: return VKind::kFneg;
-    case Op::kI2f: return VKind::kI2f;
-    case Op::kF2i: return VKind::kF2i;
-    default: return VKind::kGeneric;  // SFU transcendentals, div, sqrt, rcp
-  }
-}
-
 CompiledTrace::CompiledTrace(isa::ProgramPtr prog) : prog_(std::move(prog)) {
   const std::vector<isa::Instruction>& code = prog_->code();
   sops_.reserve(code.size());
@@ -139,7 +84,7 @@ CompiledTrace::CompiledTrace(isa::ProgramPtr prog) : prog_(std::move(prog)) {
     const isa::BasicBlock& bb = cfg.block(b);
     bool in_run = false;
     for (isa::Pc pc = bb.first; pc <= bb.last; ++pc) {
-      if (sops_[pc].kind != SopKind::kFallback) {
+      if (lowers(sops_[pc].form)) {
         num_superops_ += 1;
         if (!in_run) {
           num_fused_runs_ += 1;
@@ -211,58 +156,59 @@ inline void lanes(u32* d, u32 mask, F&& f) {
 
 }  // namespace
 
-void run_vkernel(VKind k, isa::Op op, u32* d, const u32* a, const u32* b,
-                 const u32* c, u32 mask) {
+void run_vkernel(isa::Op op, u32* d, const u32* a, const u32* b, const u32* c,
+                 u32 mask) {
+  using isa::Op;
   const auto sa = [&](u32 i) { return static_cast<i32>(a[i]); };
   const auto sb = [&](u32 i) { return static_cast<i32>(b[i]); };
   const auto fa = [&](u32 i) { return bits2f(a[i]); };
   const auto fb = [&](u32 i) { return bits2f(b[i]); };
   const auto fc = [&](u32 i) { return bits2f(c[i]); };
-  switch (k) {
-    case VKind::kMov:
+  switch (op) {
+    case Op::kMov:
       lanes(d, mask, [&](u32 i) { return a[i]; });
       break;
-    case VKind::kIadd:
+    case Op::kIadd:
       lanes(d, mask, [&](u32 i) { return a[i] + b[i]; });
       break;
-    case VKind::kIsub:
+    case Op::kIsub:
       lanes(d, mask, [&](u32 i) { return a[i] - b[i]; });
       break;
-    case VKind::kImul:
+    case Op::kImul:
       lanes(d, mask, [&](u32 i) { return a[i] * b[i]; });
       break;
-    case VKind::kImad:
+    case Op::kImad:
       lanes(d, mask, [&](u32 i) { return a[i] * b[i] + c[i]; });
       break;
-    case VKind::kImin:
+    case Op::kImin:
       lanes(d, mask, [&](u32 i) {
         return static_cast<u32>(sa(i) < sb(i) ? sa(i) : sb(i));
       });
       break;
-    case VKind::kImax:
+    case Op::kImax:
       lanes(d, mask, [&](u32 i) {
         return static_cast<u32>(sa(i) > sb(i) ? sa(i) : sb(i));
       });
       break;
-    case VKind::kAnd:
+    case Op::kAnd:
       lanes(d, mask, [&](u32 i) { return a[i] & b[i]; });
       break;
-    case VKind::kOr:
+    case Op::kOr:
       lanes(d, mask, [&](u32 i) { return a[i] | b[i]; });
       break;
-    case VKind::kXor:
+    case Op::kXor:
       lanes(d, mask, [&](u32 i) { return a[i] ^ b[i]; });
       break;
-    case VKind::kNot:
+    case Op::kNot:
       lanes(d, mask, [&](u32 i) { return ~a[i]; });
       break;
-    case VKind::kShl:
+    case Op::kShl:
       lanes(d, mask, [&](u32 i) { return a[i] << (b[i] & 31); });
       break;
-    case VKind::kShr:
+    case Op::kShr:
       lanes(d, mask, [&](u32 i) { return a[i] >> (b[i] & 31); });
       break;
-    case VKind::kSra:
+    case Op::kSra:
       lanes(d, mask, [&](u32 i) {
         return static_cast<u32>(sa(i) >> (b[i] & 31));
       });
@@ -270,41 +216,41 @@ void run_vkernel(VKind k, isa::Op op, u32* d, const u32* a, const u32* b,
     // Float kernels share eval_alu's canonicalization helpers (canon_f,
     // fmin_bits, fmax_bits): NaN results and +-0 min/max ties are pinned to
     // one bit pattern, so scalar and vectorized codegen cannot diverge.
-    case VKind::kFadd:
+    case Op::kFadd:
       lanes(d, mask, [&](u32 i) { return canon_f(fa(i) + fb(i)); });
       break;
-    case VKind::kFsub:
+    case Op::kFsub:
       lanes(d, mask, [&](u32 i) { return canon_f(fa(i) - fb(i)); });
       break;
-    case VKind::kFmul:
+    case Op::kFmul:
       lanes(d, mask, [&](u32 i) { return canon_f(fa(i) * fb(i)); });
       break;
-    case VKind::kFfma:
+    case Op::kFfma:
       lanes(d, mask,
             [&](u32 i) { return canon_f(std::fma(fa(i), fb(i), fc(i))); });
       break;
-    case VKind::kFmin:
+    case Op::kFmin:
       lanes(d, mask, [&](u32 i) { return fmin_bits(a[i], b[i]); });
       break;
-    case VKind::kFmax:
+    case Op::kFmax:
       lanes(d, mask, [&](u32 i) { return fmax_bits(a[i], b[i]); });
       break;
-    case VKind::kFabs:
+    case Op::kFabs:
       lanes(d, mask, [&](u32 i) { return a[i] & 0x7FFFFFFFu; });
       break;
-    case VKind::kFneg:
+    case Op::kFneg:
       lanes(d, mask, [&](u32 i) { return a[i] ^ 0x80000000u; });
       break;
-    case VKind::kI2f:
+    case Op::kI2f:
       lanes(d, mask, [&](u32 i) { return f2bits(static_cast<float>(sa(i))); });
       break;
-    case VKind::kF2i:
+    case Op::kF2i:
       // Keep the saturating semantics routed through the single scalar
       // implementation: NaN/out-of-range handling must stay one source of
       // truth with the interpreter.
-      lanes(d, mask, [&](u32 i) { return eval_alu(isa::Op::kF2i, a[i], 0, 0); });
+      lanes(d, mask, [&](u32 i) { return eval_alu(Op::kF2i, a[i], 0, 0); });
       break;
-    case VKind::kGeneric:
+    default:  // SFU transcendentals, div, sqrt, rcp
       lanes(d, mask, [&](u32 i) { return eval_alu(op, a[i], b[i], c[i]); });
       break;
   }

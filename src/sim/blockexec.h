@@ -3,11 +3,11 @@
 // At kernel launch the program's `isa::cfg` basic blocks are lowered into a
 // pre-decoded *superinstruction trace*: one SuperOp per pc with operands
 // resolved to register-file row offsets, immediates folded into splat values,
-// the opcode-classification predicates (unit class, writeback kind, datapath
-// membership) baked into flags, and the scoreboard-check sequence precomputed
-// as an ordered hazard plan. Consecutive superops inside a basic block form
-// *fused runs* — contiguous pre-decoded spans the issue stage walks without
-// ever touching the original `isa::Instruction` encoding.
+// the opcode's isa::kOpTable facts (form, unit class, writeback kind,
+// datapath membership) baked into flags, and the scoreboard-check sequence
+// precomputed as an ordered hazard plan. Consecutive superops inside a basic
+// block form *fused runs* — contiguous pre-decoded spans the issue stage
+// walks without ever touching the original `isa::Instruction` encoding.
 //
 // The trace changes *dispatch cost only*. Issue still happens one
 // instruction per warp scheduler per cycle with the exact scoreboard,
@@ -40,26 +40,9 @@
 
 namespace higpu::sim::blockexec {
 
-/// Lowered execution form of one instruction.
-enum class SopKind : u8 {
-  kFallback,  // not lowered: interpreter path (memory/control/barrier/nop)
-  kAlu,       // SP/SFU data op through a lane-vector kernel
-  kSetp,      // predicate compare (optional .and input)
-  kSelp,      // predicate select
-  kS2r,       // special-register read
-  kLdp,       // kernel-parameter broadcast
-};
-
-/// Lane-kernel selector for SopKind::kAlu. Hot integer/float ops get a
-/// dedicated width-32 kernel; long-latency SFU/libm ops share the generic
-/// eval_alu loop (their cost is the math, not the dispatch).
-enum class VKind : u8 {
-  kMov, kIadd, kIsub, kImul, kImad, kImin, kImax,
-  kAnd, kOr, kXor, kNot, kShl, kShr, kSra,
-  kFadd, kFsub, kFmul, kFfma, kFmin, kFmax, kFabs, kFneg,
-  kI2f, kF2i,
-  kGeneric,
-};
+/// True for the forms the block engine lowers to superops. Every other form
+/// (memory, control flow, barrier, nop) falls back to the interpreter.
+constexpr bool lowers(isa::Form f) { return f <= isa::Form::kSelp; }
 
 /// One pre-decoded source operand: a register row index or a folded
 /// immediate. Absent operands fold to immediate 0, mirroring the
@@ -80,11 +63,10 @@ struct HazPlan {
 /// an `isa::Instruction` per dynamic execution — operand routing, unit
 /// class, writeback kind, hazard sequence — resolved once at compile time.
 struct SuperOp {
-  SopKind kind = SopKind::kFallback;
-  VKind vkind = VKind::kGeneric;
-  isa::Op op = isa::Op::kNop;  // original opcode (generic kernel, fault path)
+  isa::Form form = isa::Form::kNop;  // the opcode's form (isa::kOpTable)
+  isa::Op op = isa::Op::kNop;        // selects the kAlu lane kernel
 
-  // Flags folded from the isa:: classification predicates.
+  // Flags folded from the opcode's isa::kOpTable row.
   bool is_sfu = false;
   bool is_datapath = false;
   bool writes_gpr = false;
@@ -94,7 +76,7 @@ struct SuperOp {
   i16 guard = isa::kNoPred;
   bool guard_neg = false;
 
-  u16 dst = 0;  // GPR row (kAlu/kSelp/kS2r/kLdp) or predicate row (kSetp)
+  u16 dst = 0;  // GPR row, or predicate row for kSetp
   SrcPlan a, b, c;
 
   // kSetp / kSelp extras.
@@ -127,7 +109,7 @@ class CompiledTrace {
 
   /// Basic blocks in the program's CFG (the compilation unit).
   u32 num_blocks() const { return num_blocks_; }
-  /// Static instructions lowered to superops (non-fallback entries).
+  /// Static instructions lowered to superops (entries whose form lowers).
   u32 num_superops() const { return num_superops_; }
   /// Maximal spans of consecutive superops within one basic block.
   u32 num_fused_runs() const { return num_fused_runs_; }
@@ -156,14 +138,13 @@ TracePtr trace_for(const isa::ProgramPtr& prog);
 /// Live entries in the process-wide trace cache (test introspection).
 u64 trace_cache_live();
 
-/// Lane-kernel selector an ALU opcode lowers to.
-VKind vkind_for(isa::Op op);
-
 /// Execute one width-32 lane kernel: for every lane in `mask`,
 /// d[lane] = op(a[lane], b[lane], c[lane]). Bit-identical to calling
 /// sim::eval_alu per lane (the golden-bit contract; see blockexec_test).
-/// `op` is consulted only by the VKind::kGeneric kernel.
-void run_vkernel(VKind k, isa::Op op, u32* d, const u32* a, const u32* b,
-                 const u32* c, u32 mask);
+/// Hot integer/float ops have a dedicated kernel; the rest (SFU/libm ops,
+/// whose cost is the math, not the dispatch) share the generic eval_alu
+/// loop.
+void run_vkernel(isa::Op op, u32* d, const u32* a, const u32* b, const u32* c,
+                 u32 mask);
 
 }  // namespace higpu::sim::blockexec

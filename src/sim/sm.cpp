@@ -220,8 +220,7 @@ SmCore::IssueOutcome SmCore::try_issue_classified(Warp& w, Cycle now) {
   // lowered; memory/control/barrier ops fall through to the interpreter.
   if (w.ctrace != nullptr) {
     const blockexec::SuperOp& sop = w.ctrace->at(w.pc());
-    if (sop.kind != blockexec::SopKind::kFallback)
-      return issue_superop(w, sop, now);
+    if (blockexec::lowers(sop.form)) return issue_superop(w, sop, now);
   }
 
   const Instruction& ins = w.prog->at(w.pc());
@@ -338,8 +337,8 @@ void SmCore::exec_superop(Warp& w, const blockexec::SuperOp& sop,
       now + (sop.is_sfu ? params_.sfu_latency : params_.sp_latency);
   if (sop.is_sfu) sfu_free_ = now + params_.sfu_interval;
 
-  switch (sop.kind) {
-    case blockexec::SopKind::kAlu: {
+  switch (sop.form) {
+    case isa::Form::kAlu: {
       // Vector path: hand whole SoA rows to the width-32 lane kernel.
       // Immediates splat into scratch rows; register sources alias the
       // register file directly (in-place d == a is safe: elementwise).
@@ -348,13 +347,13 @@ void SmCore::exec_superop(Warp& w, const blockexec::SuperOp& sop,
         for (u32 i = 0; i < kWarpSize; ++i) scratch[i] = s.imm;
         return scratch;
       };
-      blockexec::run_vkernel(sop.vkind, sop.op, w.reg_row(sop.dst),
-                             row(sop.a, splat_a_), row(sop.b, splat_b_),
-                             row(sop.c, splat_c_), guard_mask);
+      blockexec::run_vkernel(sop.op, w.reg_row(sop.dst), row(sop.a, splat_a_),
+                             row(sop.b, splat_b_), row(sop.c, splat_c_),
+                             guard_mask);
       corrupt_results(w.reg_row(sop.dst), guard_mask, now);
       break;
     }
-    case blockexec::SopKind::kSetp: {
+    case isa::Form::kSetp: {
       u8* dp = w.pred_row(static_cast<i16>(sop.dst));
       for (u32 m = guard_mask; m != 0; m &= m - 1) {
         const u32 lane = static_cast<u32>(std::countr_zero(m));
@@ -367,7 +366,7 @@ void SmCore::exec_superop(Warp& w, const blockexec::SuperOp& sop,
       }
       break;
     }
-    case blockexec::SopKind::kSelp: {
+    case isa::Form::kSelp: {
       const u8* pp = w.pred_row(sop.pred_src);
       u32* dp = w.reg_row(sop.dst);
       for (u32 m = guard_mask; m != 0; m &= m - 1) {
@@ -376,7 +375,7 @@ void SmCore::exec_superop(Warp& w, const blockexec::SuperOp& sop,
       }
       break;
     }
-    case blockexec::SopKind::kS2r: {
+    case isa::Form::kS2r: {
       u32* dp = w.reg_row(sop.dst);
       for (u32 m = guard_mask; m != 0; m &= m - 1) {
         const u32 lane = static_cast<u32>(std::countr_zero(m));
@@ -384,7 +383,7 @@ void SmCore::exec_superop(Warp& w, const blockexec::SuperOp& sop,
       }
       break;
     }
-    case blockexec::SopKind::kLdp: {
+    case isa::Form::kLdp: {
       const ResidentBlock& b = blocks_[w.block_slot];
       // Guaranteed by the launch gate: the verifier's structural pass
       // rejects any ldp index >= num_params (bad-param-index) and
@@ -399,8 +398,8 @@ void SmCore::exec_superop(Warp& w, const blockexec::SuperOp& sop,
         dp[static_cast<u32>(std::countr_zero(m))] = v;
       break;
     }
-    case blockexec::SopKind::kFallback:
-      assert(false && "fallback superop reached exec_superop");
+    default:
+      assert(false && "a form the block engine does not lower");
       break;
   }
 
@@ -494,26 +493,27 @@ u32 SmCore::sreg_value(const Warp& w, isa::SReg sreg, u32 lane) const {
 
 void SmCore::execute(Warp& w, const Instruction& ins, u32 guard_mask, Cycle now) {
   StackEntry& top = w.stack.back();
-  switch (ins.op) {
-    case Op::kBra:
+  const isa::OpInfo& info = isa::op_info(ins.op);
+  switch (info.form) {
+    case isa::Form::kBranch:
       exec_branch(w, ins, guard_mask);
       return;
-    case Op::kExit:
+    case isa::Form::kExit:
       w.exited |= top.mask & ~w.exited;
       return;
-    case Op::kBar:
+    case isa::Form::kBar:
       top.pc += 1;
       exec_barrier(w);
       return;
-    case Op::kLdg:
-    case Op::kStg:
-    case Op::kAtomAdd:
+    case isa::Form::kGlobal:
       exec_global_mem(w, ins, guard_mask, now);
       top.pc += 1;
       return;
-    case Op::kLds:
-    case Op::kSts:
+    case isa::Form::kShared:
       exec_shared_mem(w, ins, guard_mask, now);
+      top.pc += 1;
+      return;
+    case isa::Form::kNop:
       top.pc += 1;
       return;
     default:
@@ -521,18 +521,17 @@ void SmCore::execute(Warp& w, const Instruction& ins, u32 guard_mask, Cycle now)
   }
 
   // ALU / SFU / moves / setp / selp.
-  const UnitClass uc = isa::unit_class(ins.op);
-  const Cycle ready =
-      now + (uc == UnitClass::kSfu ? params_.sfu_latency : params_.sp_latency);
-  if (uc == UnitClass::kSfu) sfu_free_ = now + params_.sfu_interval;
+  const bool sfu = info.unit == UnitClass::kSfu;
+  const Cycle ready = now + (sfu ? params_.sfu_latency : params_.sp_latency);
+  if (sfu) sfu_free_ = now + params_.sfu_interval;
 
   for (u32 m = guard_mask; m != 0; m &= m - 1) {
     const u32 lane = static_cast<u32>(std::countr_zero(m));
-    switch (ins.op) {
-      case Op::kS2r:
+    switch (info.form) {
+      case isa::Form::kS2r:
         w.reg_at(ins.dst, lane) = sreg_value(w, ins.sreg, lane);
         break;
-      case Op::kLdp: {
+      case isa::Form::kLdp: {
         const ResidentBlock& b = blocks_[w.block_slot];
         const u32 idx = ins.src[0].imm;
         // In range by the launch gate (verifier bad-param-index check +
@@ -541,7 +540,7 @@ void SmCore::execute(Warp& w, const Instruction& ins, u32 guard_mask, Cycle now)
         w.reg_at(ins.dst, lane) = b.launch->params[idx];
         break;
       }
-      case Op::kSetp: {
+      case isa::Form::kSetp: {
         const u32 a = operand_value(w, ins.src[0], lane);
         const u32 bv = operand_value(w, ins.src[1], lane);
         bool res = eval_cmp(ins.cmp, ins.dtype, a, bv);
@@ -550,13 +549,15 @@ void SmCore::execute(Warp& w, const Instruction& ins, u32 guard_mask, Cycle now)
         w.pred_at(static_cast<i16>(ins.dst), lane) = res ? 1 : 0;
         break;
       }
-      case Op::kSelp: {
+      case isa::Form::kSelp: {
         const bool p = w.pred_at(ins.pred_src, lane) != 0;
         w.reg_at(ins.dst, lane) =
             operand_value(w, ins.src[p ? 0 : 1], lane);
         break;
       }
       default: {
+        // Slots past the opcode's source count are empty (the launch gate
+        // refuses anything else), so they read as 0.
         const u32 a = operand_value(w, ins.src[0], lane);
         const u32 bv = ins.src[1].present() ? operand_value(w, ins.src[1], lane) : 0;
         const u32 c = ins.src[2].present() ? operand_value(w, ins.src[2], lane) : 0;
@@ -565,12 +566,11 @@ void SmCore::execute(Warp& w, const Instruction& ins, u32 guard_mask, Cycle now)
       }
     }
   }
-  if (isa::is_datapath(ins.op))
-    corrupt_results(w.reg_row(ins.dst), guard_mask, now);
+  if (info.datapath) corrupt_results(w.reg_row(ins.dst), guard_mask, now);
 
-  if (isa::writes_gpr(ins.op))
+  if (info.writeback == isa::Writeback::kGpr)
     w.pending.push_back(Warp::Pending{ins.dst, false, ready});
-  else if (isa::writes_pred(ins.op))
+  else if (info.writeback == isa::Writeback::kPred)
     w.pending.push_back(Warp::Pending{ins.dst, true, ready});
 
   top.pc += 1;

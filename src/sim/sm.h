@@ -136,7 +136,6 @@ class SmCore {
   // Free-resource introspection (used by tests and occupancy analysis).
   u32 free_warp_slots() const { return params_.max_warps_per_sm - warps_used_; }
   u32 free_regs() const { return params_.regfile_per_sm - regs_used_; }
-  u32 free_shared() const { return params_.shared_per_sm - shared_used_; }
   u32 resident_blocks() const { return blocks_used_; }
 
   /// Static per-block resource footprint of a launch on this configuration.

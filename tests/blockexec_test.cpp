@@ -35,7 +35,6 @@
 namespace higpu {
 namespace {
 
-using sim::blockexec::SopKind;
 using sim::blockexec::SuperOp;
 
 // ---- Golden-bit lane kernels -----------------------------------------------
@@ -76,7 +75,6 @@ class GoldenBit : public ::testing::TestWithParam<isa::Op> {};
 
 TEST_P(GoldenBit, VectorKernelMatchesEvalAluOnEdgeInputs) {
   const isa::Op op = GetParam();
-  const sim::blockexec::VKind vk = sim::blockexec::vkind_for(op);
   constexpr u32 n = std::size(kEdge);
 
   // All (a, b) pairs, with c cycling through the edge set too.
@@ -93,7 +91,7 @@ TEST_P(GoldenBit, VectorKernelMatchesEvalAluOnEdgeInputs) {
       b[lane] = triples[base + lane][1];
       c[lane] = triples[base + lane][2];
     }
-    sim::blockexec::run_vkernel(vk, op, d, a, b, c, 0xFFFFFFFFu);
+    sim::blockexec::run_vkernel(op, d, a, b, c, 0xFFFFFFFFu);
     for (u32 lane = 0; lane < 32; ++lane)
       ASSERT_EQ(d[lane], sim::eval_alu(op, a[lane], b[lane], c[lane]))
           << isa::op_name(op) << " lane " << lane << " a=0x" << std::hex
@@ -117,8 +115,7 @@ TEST(BlockExecKernels, MaskedLanesAreNeverWritten) {
       c[i] = kEdge[(i + 17) % std::size(kEdge)];
       d[i] = 0xDEAD0000u + i;
     }
-    sim::blockexec::run_vkernel(sim::blockexec::VKind::kFfma, isa::Op::kFfma,
-                                d, a, b, c, mask);
+    sim::blockexec::run_vkernel(isa::Op::kFfma, d, a, b, c, mask);
     for (u32 i = 0; i < 32; ++i) {
       if ((mask >> i) & 1u)
         EXPECT_EQ(d[i], sim::eval_alu(isa::Op::kFfma, a[i], b[i], c[i]));
@@ -137,8 +134,7 @@ TEST(BlockExecKernels, InPlaceDestinationAliasingIsSafe) {
     b[i] = kEdge[i % std::size(kEdge)];
     ref[i] = sim::eval_alu(isa::Op::kIadd, a[i], b[i], 0);
   }
-  sim::blockexec::run_vkernel(sim::blockexec::VKind::kIadd, isa::Op::kIadd, a,
-                              a, b, b, 0xFFFFFFFFu);
+  sim::blockexec::run_vkernel(isa::Op::kIadd, a, a, b, b, 0xFFFFFFFFu);
   for (u32 i = 0; i < 32; ++i) EXPECT_EQ(a[i], ref[i]);
 }
 
@@ -180,9 +176,9 @@ TEST(BlockExecTrace, LoweringClassifiesAndCountsCorrectly) {
         op == isa::Op::kBra || op == isa::Op::kExit || op == isa::Op::kBar ||
         op == isa::Op::kLdg || op == isa::Op::kStg || op == isa::Op::kAtomAdd ||
         op == isa::Op::kLds || op == isa::Op::kSts || op == isa::Op::kNop;
-    EXPECT_EQ(s.kind == SopKind::kFallback, expect_fallback)
+    EXPECT_EQ(!sim::blockexec::lowers(s.form), expect_fallback)
         << "pc " << pc << " op " << isa::op_name(op);
-    if (s.kind == SopKind::kFallback) continue;
+    if (!sim::blockexec::lowers(s.form)) continue;
     superops += 1;
 
     // Flags must agree with the isa:: classification predicates, and the

@@ -43,24 +43,24 @@ TEST(Injector, TallyAndCoverage) {
 TEST(Injector, DroopCorruptsOnlyInsideWindow) {
   FaultInjector fi;
   fi.arm_droop(100, 10, 0);
-  EXPECT_EQ(fi.corrupt_alu(0, 99, 42), 42u);
-  EXPECT_EQ(fi.corrupt_alu(3, 105, 42), 43u);  // bit 0 flipped, any SM
-  EXPECT_EQ(fi.corrupt_alu(0, 110, 42), 42u);  // window is half-open
+  EXPECT_EQ(42u ^ fi.corrupt_lanes(0, 99, 1), 42u);
+  EXPECT_EQ(42u ^ fi.corrupt_lanes(3, 105, 1), 43u);  // bit 0 flipped, any SM
+  EXPECT_EQ(42u ^ fi.corrupt_lanes(0, 110, 1), 42u);  // window is half-open
   EXPECT_EQ(fi.corruptions(), 1u);
 }
 
 TEST(Injector, TransientSmRestrictsToOneSm) {
   FaultInjector fi;
   fi.arm_transient_sm(2, 100, 10, 4);
-  EXPECT_EQ(fi.corrupt_alu(1, 105, 0), 0u);
-  EXPECT_EQ(fi.corrupt_alu(2, 105, 0), 16u);
+  EXPECT_EQ(0u ^ fi.corrupt_lanes(1, 105, 1), 0u);
+  EXPECT_EQ(0u ^ fi.corrupt_lanes(2, 105, 1), 16u);
 }
 
 TEST(Injector, PermanentSmNeverEnds) {
   FaultInjector fi;
   fi.arm_permanent_sm(1, 50, 3);
-  EXPECT_EQ(fi.corrupt_alu(1, 49, 0), 0u);
-  EXPECT_EQ(fi.corrupt_alu(1, 1'000'000, 0), 8u);
+  EXPECT_EQ(0u ^ fi.corrupt_lanes(1, 49, 1), 0u);
+  EXPECT_EQ(0u ^ fi.corrupt_lanes(1, 1'000'000, 1), 8u);
 }
 
 TEST(Injector, SchedulerFaultRotatesMapping) {
@@ -80,7 +80,7 @@ TEST(Injector, DisarmStopsEverything) {
   FaultInjector fi;
   fi.arm_droop(0, 1'000'000, 5);
   fi.disarm();
-  EXPECT_EQ(fi.corrupt_alu(0, 10, 7), 7u);
+  EXPECT_EQ(7u ^ fi.corrupt_lanes(0, 10, 1), 7u);
 }
 
 TEST(Injector, CorruptLanesFlipsOnlyInsideTheWindow) {
@@ -161,7 +161,7 @@ TEST(Injector, OverflowingWindowIsRefused) {
   longest.validate(gpu);
   FaultInjector fi;
   longest.arm(fi);
-  EXPECT_EQ(fi.corrupt_alu(0, 100, 0), 8u);
+  EXPECT_EQ(0u ^ fi.corrupt_lanes(0, 100, 1), 8u);
 }
 
 /// Run a redundant spin-kernel pair under `policy` with a droop armed in

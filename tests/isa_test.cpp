@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "ckpt/serial.h"
 #include "isa/builder.h"
 #include "isa/opcode.h"
 #include "isa/program.h"
@@ -35,6 +38,31 @@ TEST(Opcode, MemClassification) {
   EXPECT_FALSE(is_global_mem(Op::kLds));
   EXPECT_TRUE(is_shared_mem(Op::kLds));
   EXPECT_FALSE(is_shared_mem(Op::kStg));
+}
+
+TEST(Opcode, TableFactsArePinned) {
+  // One line per opcode: mnemonic, unit, source count, writeback, datapath
+  // flag and memory space, hashed with FNV-1a. The pin was captured from the
+  // per-opcode switch functions the table replaced (unit_class, writes_gpr,
+  // writes_pred, is_datapath, is_global_mem, is_shared_mem, op_name and the
+  // verifier's source count), so a row that drifts from them fails here.
+  static const char* const kUnit[] = {"sp", "sfu", "mem", "ctrl"};
+  static const char* const kWriteback[] = {"none", "gpr", "pred"};
+  static const char* const kMem[] = {"none", "global", "shared"};
+  std::string s;
+  for (const OpInfo& row : kOpTable) {
+    s += row.name;
+    s += ' ';
+    s += kUnit[static_cast<u32>(row.unit)];
+    s += ' ' + std::to_string(row.nsrc) + ' ';
+    s += kWriteback[static_cast<u32>(row.writeback)];
+    s += row.datapath ? " datapath " : " - ";
+    s += kMem[static_cast<u32>(row.mem)];
+    s += '\n';
+  }
+  EXPECT_EQ(0xcd5c8d641cd774ebull,
+            ckpt::fnv1a(reinterpret_cast<const u8*>(s.data()), s.size()))
+      << s;
 }
 
 TEST(Builder, AllocatesDistinctRegisters) {

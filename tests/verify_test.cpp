@@ -96,6 +96,14 @@ Instruction I_selp(u16 dst, Operand a, Operand b, i16 p) {
   return i;
 }
 
+Instruction I_fdiv(u16 dst, Operand a, Operand b) {
+  Instruction i = mk(Op::kFdiv);
+  i.dst = dst;
+  i.src[0] = a;
+  i.src[1] = b;
+  return i;
+}
+
 Instruction I_bra(Pc target) {
   Instruction i = mk(Op::kBra);
   i.target = target;
@@ -267,6 +275,57 @@ TEST(VerifyStructural, SelpWithoutPredicateSource) {
   const Result r = vrun(prog({I_selp(0, imm(1), imm(2), kNoPred), I_exit()}));
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(r.has(Code::kBadOperand));
+}
+
+/// fdiv r0, r0, r0 in a one-register program. With `stray` set it also
+/// names r60000 in src[2], a slot fdiv does not read; both executors read
+/// any operand that is present, here far past the register file.
+KernelProgram fdiv_program(bool stray) {
+  Instruction div = I_fdiv(0, R(0), R(0));
+  if (stray) div.src[2] = R(60000);
+  return prog({I_mov(0, fimm(1.0f)), div, I_exit()}, /*nregs=*/1);
+}
+
+TEST(VerifyStructural, SourceInASlotTheOpcodeDoesNotRead) {
+  const Result r = vrun(fdiv_program(/*stray=*/true));
+  EXPECT_FALSE(r.ok());
+  EXPECT_TRUE(r.has(Code::kBadOperand)) << r.to_string();
+  EXPECT_TRUE(r.unsafe_to_execute());
+}
+
+TEST(VerifyStructural, SourcesTheOpcodeReadsAreClean) {
+  const Result r = vrun(fdiv_program(/*stray=*/false));
+  EXPECT_TRUE(r.ok()) << r.to_string();
+  EXPECT_TRUE(r.diags.empty()) << r.to_string();
+}
+
+TEST(VerifyStructural, PredicateSourceOnAnAluOp) {
+  Instruction add = I_iadd(0, imm(1), imm(2));
+  add.pred_src = 0;
+  const Result r =
+      vrun(prog({I_setp(0, CmpOp::kEq, imm(0), imm(0)), add, I_exit()}));
+  EXPECT_FALSE(r.ok());
+  EXPECT_TRUE(r.has(Code::kBadOperand)) << r.to_string();
+  EXPECT_TRUE(r.unsafe_to_execute());
+}
+
+TEST(VerifyStructural, AluOpWithoutPredicateSourceAndSetpAndAreClean) {
+  Instruction setp_and = I_setp(1, CmpOp::kEq, imm(0), imm(0));
+  setp_and.pred_src = 0;  // setp.and reads it
+  const Result r =
+      vrun(prog({I_setp(0, CmpOp::kEq, imm(0), imm(0)), setp_and,
+                 I_iadd(0, imm(1), imm(2)), I_exit()}));
+  EXPECT_TRUE(r.ok()) << r.to_string();
+  EXPECT_TRUE(r.diags.empty()) << r.to_string();
+}
+
+TEST(VerifyStructural, UndefinedOpcodeByte) {
+  // The table has no row for it, so nothing past this check may read one.
+  // (The last declared opcode, bar, is UnguardedBarrierIsClean's program.)
+  const Result r = vrun(prog({mk(static_cast<Op>(200)), I_exit()}));
+  EXPECT_FALSE(r.ok());
+  EXPECT_TRUE(r.has(Code::kBadOperand)) << r.to_string();
+  EXPECT_TRUE(r.unsafe_to_execute());
 }
 
 TEST(VerifyStructural, CompleteArithmeticIsClean) {
@@ -723,6 +782,33 @@ TEST(LaunchGate, WarnModeStillRefusesMemoryUnsafePrograms) {
   } catch (const VerifyError& e) {
     EXPECT_TRUE(e.result().has(Code::kRegOutOfRange));
     EXPECT_TRUE(e.result().unsafe_to_execute());
+  }
+}
+
+TEST(LaunchGate, OperandTheOpcodeDoesNotReadIsRefusedInEveryMode) {
+  // Neither kEnforce nor kWarn may launch it: both exec modes would read
+  // register 60000 of a one-register file.
+  for (const sim::LaunchVerify mode :
+       {sim::LaunchVerify::kEnforce, sim::LaunchVerify::kWarn}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    sim::GpuParams p;
+    p.verify = mode;
+    runtime::Device dev(p);
+    dev.set_kernel_scheduler(sched::make_scheduler(sched::Policy::kDefault));
+    sim::KernelLaunch l;
+    l.program = std::make_shared<KernelProgram>(fdiv_program(/*stray=*/true));
+    l.grid = {1, 1, 1};
+    l.block = {32, 1, 1};
+    try {
+      dev.launch(l);
+      ADD_FAILURE() << "launch gate let a stray source operand through";
+      continue;  // running it would read past the register file
+    } catch (const VerifyError& e) {
+      EXPECT_TRUE(e.result().has(Code::kBadOperand));
+      EXPECT_TRUE(e.result().unsafe_to_execute());
+    }
+    dev.synchronize();
+    EXPECT_EQ(dev.gpu_cycles_consumed(), 0u);
   }
 }
 
