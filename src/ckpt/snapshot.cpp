@@ -166,7 +166,8 @@ bool images_differ(const std::vector<ImagePtr>& a,
 
 }  // namespace
 
-std::string first_divergence(const Snapshot& a, const Snapshot& b) {
+std::string first_divergence(const Snapshot& a, const Snapshot& b,
+                             std::initializer_list<std::string_view> skip) {
   if (a.sections.size() != b.sections.size()) return "shape";
 
   std::vector<size_t> order(a.sections.size());
@@ -182,6 +183,7 @@ std::string first_divergence(const Snapshot& a, const Snapshot& b) {
     const Section& sa = a.sections[i];
     const Section& sb = b.sections[i];
     if (sa.name != sb.name) return "shape";
+    if (std::find(skip.begin(), skip.end(), sa.name) != skip.end()) continue;
     if (sa.len != sb.len) return sa.name;
     if (sa.hash != sb.hash ||
         std::memcmp(a.blob.data() + sa.offset, b.blob.data() + sb.offset,

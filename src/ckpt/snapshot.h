@@ -39,8 +39,10 @@
 // state that changed, not the size of the store or the device's uptime.
 #pragma once
 
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ckpt/serial.h"
@@ -194,13 +196,23 @@ void visit_fields(S& s, V&& v) {
 
 using SnapshotPtr = std::shared_ptr<const Snapshot>;
 
+/// One sync round of a run: the device state at the entry of a
+/// synchronize() with pending kernel work (its pre-kernel anchor) and at its
+/// exit, once the GPU drained. Both null when no round was kept.
+struct SyncRound {
+  SnapshotPtr entry;
+  SnapshotPtr exit;
+};
+
 /// Name of the first architecturally divergent component between two
 /// snapshots of same-shaped devices, scanning architectural state first:
 /// SMs ("sm3"), then L1 tag arrays at set granularity ("l1[2] set 17"),
 /// the L2 ("l2 set 40"), DRAM banks ("dram bank 5"), global-store contents
 /// ("store @0x5100"), then the remaining bookkeeping sections by name.
-/// Returns "" when the snapshots are identical, and "shape" when their
-/// section layouts don't even line up (different device geometry).
-std::string first_divergence(const Snapshot& a, const Snapshot& b);
+/// Sections named in `skip` are not compared. Returns "" when the
+/// snapshots are identical, and "shape" when their section layouts don't
+/// even line up (different device geometry).
+std::string first_divergence(const Snapshot& a, const Snapshot& b,
+                             std::initializer_list<std::string_view> skip = {});
 
 }  // namespace higpu::ckpt

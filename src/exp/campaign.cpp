@@ -56,6 +56,8 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, u32 index,
       if (!snap->capture_targets.empty())
         dev.set_checkpoint_targets(snap->capture_targets);
       if (snap->resume != nullptr) dev.arm_resume(snap->resume);
+      if (snap->keep_round) dev.keep_last_round();
+      if (snap->replay.exit != nullptr) dev.offer_round(snap->replay);
     }
     fault::FaultInjector injector;
     if (spec.fault.active()) {
@@ -108,6 +110,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, u32 index,
       snap->capture_targets = dev.targets();  // canonical sorted order
       snap->captured = dev.target_snapshots();
       snap->final_state = dev.snapshot();
+      snap->round = dev.last_round();
       if (snap->divergence_ref != nullptr)
         r.divergence =
             ckpt::first_divergence(*snap->divergence_ref, *snap->final_state);

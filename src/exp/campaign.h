@@ -147,8 +147,9 @@ using ScenarioProbe = std::function<void(
 
 /// Snapshot traffic of one scenario execution — the plumbing behind
 /// snapshot-accelerated fault campaigns. A *base* run sets capture_targets
-/// (the sweep's injection cycles) and reads back `captured`/`final_state`;
-/// a *fork* sets `resume` (a base snapshot whose cycle predates its fault)
+/// (the sweep's injection cycles) and `keep_round`, and reads back
+/// `captured`/`final_state`/`round`; a *fork* sets `resume` (a base
+/// snapshot whose cycle predates its fault), `replay` (the base's round)
 /// and optionally `divergence_ref` (the clean final state to diff against).
 /// All snapshots are immutable and safely shared across threads.
 struct SnapshotIo {
@@ -164,6 +165,14 @@ struct SnapshotIo {
   ckpt::SnapshotPtr final_state;
   // In (fork): clean final state to localize divergence against.
   ckpt::SnapshotPtr divergence_ref;
+  // In (base run): keep the run's last sync round
+  // (runtime::Device::keep_last_round).
+  bool keep_round = false;
+  // Out (base run): that round; empty when the run kept none.
+  ckpt::SyncRound round;
+  // In (fork): a clean run's round the fork replays where its own round
+  // provably equals it (runtime::Device::offer_round).
+  ckpt::SyncRound replay;
 };
 
 /// Execute one scenario start-to-finish on the calling thread. `pre_run`

@@ -135,6 +135,7 @@ class QuietWatch final : public sim::IFaultHook {
 GroupBase run_group_base(const ScenarioSet& set,
                          const std::vector<size_t>& members) {
   SnapshotIo io;
+  io.keep_round = true;
   size_t nofault = GroupBase::kSynthetic;
   for (size_t i : members) {
     if (set[i].fault.active())
@@ -166,6 +167,7 @@ GroupBase run_group_base(const ScenarioSet& set,
   base.targets = std::move(io.capture_targets);  // canonical sorted order
   base.snapshots = std::move(io.captured);
   base.final_state = std::move(io.final_state);
+  base.round = std::move(io.round);
   if (base.final_state != nullptr)
     base.quiet = watch.quiet(base.final_state->cycle);
 
@@ -224,6 +226,7 @@ ScenarioResult run_fork(const ScenarioSet& set, size_t i,
     }
     io.resume = base.snapshot_for(spec.fault.start);
     io.divergence_ref = base.final_state;
+    io.replay = base.round;
   }
   return run_scenario(spec, static_cast<u32>(i), probe, pre_run, &io);
 }

@@ -13,7 +13,10 @@
 // member whose window is *quiet* — no datapath result lands in it on its
 // SMs in the clean run (a scheduler fault: it opens after the clean run has
 // drained) — simulates nothing: it takes the base's result, relabelled,
-// with the fast-forward count the window's trigger cycles cost.
+// with the fast-forward count the window's trigger cycles cost. A member
+// that does fork and recovers by rollback onto the clean run's last
+// pre-kernel anchor replays the base's last sync round instead of
+// simulating it again (runtime::Device::offer_round).
 // A unit runs start to finish in one process, so its snapshots never leave
 // the process that captured them. Forking and eliding are purely
 // accelerations: per-scenario results are bit-identical to from-scratch
@@ -81,6 +84,10 @@ struct GroupBase {
   std::vector<ckpt::SnapshotPtr> snapshots;
   /// Clean final device state (divergence reference for forks).
   ckpt::SnapshotPtr final_state;
+  /// The clean run's last sync round, which a fork that rolls back onto
+  /// its entry replays (runtime::Device::offer_round). Empty unless the
+  /// run captured pre-kernel anchors (rollback recovery).
+  ckpt::SyncRound round;
   /// The quiet fault members, in member order.
   std::vector<Quiet> quiet;
 
@@ -95,16 +102,18 @@ struct GroupBase {
 /// watching which members' windows stay quiet. The base spec is the group's
 /// fault-free member if it has one, else members[0] with the fault
 /// stripped. The watch is a fault hook that changes nothing: the base run
-/// visits the same cycles and captures the same snapshot bytes. Once the
-/// run ends, snapshots that only quiet members asked for are dropped.
+/// visits the same cycles and captures the same snapshot bytes. The run
+/// also keeps its last sync round (GroupBase::round). Once the run ends,
+/// snapshots that only quiet members asked for are dropped.
 GroupBase run_group_base(const ScenarioSet& set,
                          const std::vector<size_t>& members);
 
 /// Run one fork scenario (index `i` of `set`) against a completed base:
 /// resumes from the snapshot covering its injection cycle when available
 /// (from scratch otherwise — missing snapshots degrade to correctness, not
-/// failure) and diffs its final state against the clean run's. `probe` and
-/// `pre_run` pass through to run_scenario.
+/// failure), is offered the base's round to replay after a rollback, and
+/// diffs its final state against the clean run's. `probe` and `pre_run`
+/// pass through to run_scenario.
 ///
 /// When the base is ok, the spec validates and the member is quiet, nothing
 /// runs: the faulted run would be the clean run, so the result is

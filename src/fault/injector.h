@@ -44,6 +44,9 @@ class FaultInjector final : public sim::IFaultHook {
   /// not recur, so its cycle-anchored window is disarmed. Permanent defects
   /// and scheduler faults persist.
   void on_rollback() override;
+  /// Inert when nothing is armed: never armed, disarmed, or a transient
+  /// that on_rollback() disarmed.
+  bool inert() const override { return mode_ == Mode::kNone; }
 
   /// Number of datapath results actually corrupted so far.
   u64 corruptions() const { return corruptions_; }

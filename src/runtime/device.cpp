@@ -98,22 +98,39 @@ Cycle Device::synchronize() {
   // determinism), not a mid-kernel state teleported in by the resume —
   // otherwise a later rollback would walk different checkpoints and break
   // the fork's bit-identical guarantee.
+  ckpt::SnapshotPtr anchor;
   if (ckpt_policy_.kind == ckpt::CheckpointPolicy::Kind::kPreKernel &&
-      !gpu_->idle())
-    push_checkpoint(capture(gpu_->now()), /*anchor=*/true);
+      !gpu_->idle()) {
+    anchor = capture(gpu_->now());
+    push_checkpoint(anchor, /*anchor=*/true);
+  }
+  bool resumed = false;
   if (resume_ != nullptr && resume_->sync_seq == sync_seq_) {
     // Campaign fast-forward: this run's prefix up to here is deterministic
     // and identical to the run the snapshot came from; teleport over the
     // already-simulated cycles and continue live from the capture point.
     const ckpt::SnapshotPtr snap = std::move(resume_);
     restore(*snap);  // also restores sync_seq_ == the value just computed
+    resumed = true;
   }
 
-  const auto wall0 = std::chrono::steady_clock::now();
-  gpu_->run_until_idle();
-  sim_wall_sec_ +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
-          .count();
+  if (!resumed && replays_offered(anchor.get())) {
+    // The clean run simulated this very round: take its exit state.
+    restore_impl(*offered_.exit, /*restore_fault=*/false,
+                 /*restore_host=*/false);
+    rounds_replayed_ += 1;
+    if (obs_ != nullptr)
+      obs_->instant(obs_ckpt_track_, obs::Ev::kRestore, offered_.exit->cycle,
+                    offered_.exit->cycle, sync_seq_);
+  } else {
+    const auto wall0 = std::chrono::steady_clock::now();
+    gpu_->run_until_idle();
+    sim_wall_sec_ +=
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
+            .count();
+    if (keep_round_ && anchor != nullptr)
+      last_round_ = {anchor, capture(gpu_->now())};
+  }
   const Cycle delta = gpu_->now() - before;
   // Only GPU time not already accounted for extends the wall clock.
   if (gpu_->now() > synced_upto_) {
@@ -124,6 +141,15 @@ Cycle Device::synchronize() {
   now_ns_ += platform_.sync_ns;
   gpu_cycles_ += delta;
   return delta;
+}
+
+bool Device::replays_offered(const ckpt::Snapshot* entry) const {
+  if (entry == nullptr || offered_.exit == nullptr) return false;
+  const sim::IFaultHook* hook = gpu_->fault_hook();
+  return (hook == nullptr || hook->inert()) && !gpu_->checkpoint_pending() &&
+         gpu_->trace_sink() == nullptr &&
+         ckpt::first_divergence(*offered_.entry, *entry, {"host", "fault"})
+             .empty();
 }
 
 void Device::host_compute(u64 bytes) {
@@ -241,7 +267,7 @@ ckpt::SnapshotPtr Device::capture(Cycle nominal) {
 }
 
 void Device::restore(const ckpt::Snapshot& s) {
-  restore_impl(s, /*restore_fault=*/true);
+  restore_impl(s, /*restore_fault=*/true, /*restore_host=*/true);
   if (obs_ != nullptr)
     obs_->instant(obs_ckpt_track_, obs::Ev::kRestore, s.cycle, s.sync_seq,
                   s.size_bytes());
@@ -254,7 +280,7 @@ void Device::rollback(const ckpt::Snapshot& s) {
   // The environment is not rolled back: the injector keeps its armed state
   // and cumulative corruption counters (restore_fault = false), and is told
   // the physical disturbance lies in the past (on_rollback).
-  restore_impl(s, /*restore_fault=*/false);
+  restore_impl(s, /*restore_fault=*/false, /*restore_host=*/true);
   now_ns_ = keep_now + platform_.restore_ns(s.size_bytes());
   gpu_cycles_ = keep_cycles;
   sync_seq_ = keep_seq;
@@ -264,7 +290,8 @@ void Device::rollback(const ckpt::Snapshot& s) {
                   s.size_bytes());
 }
 
-void Device::restore_impl(const ckpt::Snapshot& s, bool restore_fault) {
+void Device::restore_impl(const ckpt::Snapshot& s, bool restore_fault,
+                          bool restore_host) {
   const auto wall0 = std::chrono::steady_clock::now();
   ckpt::Reader r(s.blob, s.sections);
 
@@ -283,7 +310,10 @@ void Device::restore_impl(const ckpt::Snapshot& s, bool restore_fault) {
   r.leave_section();
 
   r.enter_section("host");
-  ckpt::get_fields(r, *this, ckpt::FieldPath{"host"});
+  if (restore_host)
+    ckpt::get_fields(r, *this, ckpt::FieldPath{"host"});
+  else
+    r.skip_to_section_end();
   r.leave_section();
 
   r.enter_section("store");

@@ -26,6 +26,24 @@
 // physical world moved on), and arm_resume() teleports a deterministic
 // re-run of the same workload over its already-simulated prefix (campaign
 // fast-forward).
+//
+// Sync-round replay: a clean run that keeps its last sync round
+// (keep_last_round) records the round's pre-kernel anchor and its exit
+// state. A fork offered that round (offer_round) restores the exit state
+// instead of simulating a round whose entry is the same machine: when the
+// rollback recovery of a transient lands on the anchor of the clean run's
+// last round, the fault is disarmed and the re-executed round is the clean
+// round bit for bit. A synchronize() replays only when all of these hold,
+// and simulates otherwise:
+//  * the fault hook is absent or inert (sim::IFaultHook::inert);
+//  * no resume restore happened in this synchronize();
+//  * no capture target or interval checkpoint is pending and no
+//    sim::ITraceSink is attached, so nothing could fire inside the round;
+//  * this round's pre-kernel anchor equals the offered entry in every
+//    snapshot section but "host" and "fault" (ckpt::first_divergence).
+// Like rollback() the restore keeps this run's host section, so the round
+// is charged to the timeline, gpu_cycles and the returned delta exactly as
+// a simulated one.
 #pragma once
 
 #include <memory>
@@ -167,6 +185,18 @@ class Device {
   /// deterministic re-run over its already-simulated prefix.
   void arm_resume(ckpt::SnapshotPtr s) { resume_ = std::move(s); }
 
+  /// Keep the last synchronize() with pending kernel work as last_round():
+  /// its pre-kernel anchor and a capture at its exit. The anchor is the
+  /// kPreKernel policy's capture, so without that policy nothing is kept.
+  void keep_last_round() { keep_round_ = true; }
+  const ckpt::SyncRound& last_round() const { return last_round_; }
+  /// Offer a clean run's round for replay (see the header comment). The
+  /// round stays offered for every later synchronize().
+  void offer_round(ckpt::SyncRound r) { offered_ = std::move(r); }
+  /// synchronize() calls that restored the offered round's exit state
+  /// instead of simulating.
+  u64 rounds_replayed() const { return rounds_replayed_; }
+
   // ---- Host-side time accounting ----------------------------------------------
   /// Charge host computation over `bytes` of data.
   void host_compute(u64 bytes);
@@ -202,7 +232,13 @@ class Device {
   void on_gpu_checkpoint(Cycle nominal, bool is_target);
   void push_checkpoint(ckpt::SnapshotPtr snap, bool anchor);
   ckpt::SnapshotPtr capture(Cycle nominal);
-  void restore_impl(const ckpt::Snapshot& s, bool restore_fault);
+  /// True when this synchronize(), whose pre-kernel anchor is `entry`
+  /// (null: none captured), may replay the offered round.
+  bool replays_offered(const ckpt::Snapshot* entry) const;
+  /// `restore_fault` false keeps the fault hook's state, `restore_host`
+  /// false this run's host section.
+  void restore_impl(const ckpt::Snapshot& s, bool restore_fault,
+                    bool restore_host);
   u64 params_fingerprint() const;
 
   /// The host timeline: the "host" snapshot section. sim_wall_sec_ is real
@@ -238,6 +274,10 @@ class Device {
   std::vector<u8> checkpoint_is_anchor_;          // parallel: 1 = pre-kernel
   u64 policy_captures_ = 0;
   ckpt::SnapshotPtr resume_;
+  bool keep_round_ = false;
+  ckpt::SyncRound last_round_;
+  ckpt::SyncRound offered_;
+  u64 rounds_replayed_ = 0;
 
   std::vector<VerifyRecord> verify_reports_;
   u64 verify_memo_hits_ = 0;

@@ -66,6 +66,13 @@ class IFaultHook {
   /// already happened, so hooks should disarm cycle-anchored transient
   /// windows here; permanent defects persist and keep corrupting.
   virtual void on_rollback() {}
+
+  /// True when the hook can no longer change anything: it corrupts no
+  /// result, diverts no block and adds no trigger cycle, so a run with it
+  /// installed is a clean run. A device may then replay a clean run's sync
+  /// round instead of simulating it (runtime::Device::offer_round). The
+  /// default claims nothing.
+  virtual bool inert() const { return false; }
 };
 
 }  // namespace higpu::sim

@@ -33,6 +33,7 @@ void Gpu::set_fault_hook(IFaultHook* hook) {
 }
 
 void Gpu::set_trace_sink(ITraceSink* sink) {
+  trace_ = sink;
   for (auto& sm : sms_) sm->set_trace_sink(sink);
 }
 

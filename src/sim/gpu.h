@@ -53,6 +53,7 @@ class Gpu {
   void set_fault_hook(IFaultHook* hook);
   IFaultHook* fault_hook() const { return fault_; }
   void set_trace_sink(ITraceSink* sink);
+  ITraceSink* trace_sink() const { return trace_; }
   /// Attach (or detach, with nullptr) the observability tracer: creates one
   /// device track per SM plus a kernel track and forwards the tracer to
   /// every SM and the memory hierarchy. Pure observer — pinned bit-identical
@@ -128,6 +129,10 @@ class Gpu {
   /// Periodic capture roughly every `cycles` (exact under the dense engine,
   /// at the previous event boundary under the event engine). 0 disables.
   void set_checkpoint_interval(u64 cycles);
+  /// True while a capture target or the periodic interval can still fire.
+  bool checkpoint_pending() const {
+    return ckpt_interval_ != 0 || ckpt_target_idx_ < ckpt_targets_.size();
+  }
 
   /// Launch-history images hold this many launches each, block-record
   /// images this many records. Fixed, so every device cuts the same
@@ -212,6 +217,7 @@ class Gpu {
   std::vector<std::unique_ptr<SmCore>> sms_;
   std::unique_ptr<IKernelScheduler> ksched_;
   IFaultHook* fault_ = nullptr;
+  ITraceSink* trace_ = nullptr;
   obs::Tracer* obs_ = nullptr;
   u32 obs_kernel_track_ = 0;
 

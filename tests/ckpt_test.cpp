@@ -631,6 +631,284 @@ TEST(CkptCampaign, QuietWindowsMatchFromScratchInEveryShape) {
   }
 }
 
+// ---- Fast-forward: rollback forks replay the clean round -------------------
+
+/// The bench fault campaign's shape at test scale: the Fig. 4 workloads
+/// under DCLS with rollback, each without a fault, under three 200-cycle
+/// droops and under one 2000-cycle transient on SM 1.
+ScenarioSet rollback_campaign() {
+  ScenarioSpec proto;
+  proto.redundancy = core::RedundancySpec::dcls_rollback(2);
+  return ScenarioSet::for_workloads(workloads::fig4_names(), proto)
+      .sweep_faults({FaultPlan::none(), FaultPlan::droop(8599, 200, 10),
+                     FaultPlan::droop(12005, 200, 5),
+                     FaultPlan::droop(21496, 200, 8),
+                     FaultPlan::transient_sm(1, 14097, 2000, 3)});
+}
+
+/// Runs every unit of `set` as the fast-forward runner plans them and
+/// returns each scenario's result with its Device::rounds_replayed() (0 for
+/// a run no probe saw: the base run and the quiet forks).
+std::vector<std::pair<ScenarioResult, u64>> run_units_counting_replays(
+    const ScenarioSet& set) {
+  std::vector<std::pair<ScenarioResult, u64>> out(set.size());
+  u64 replayed = 0;
+  const exp::ScenarioProbe probe = [&replayed](runtime::Device& dev,
+                                               workloads::Workload&,
+                                               core::ExecSession&) {
+    replayed = dev.rounds_replayed();
+  };
+  for (const exp::WorkUnit& u : exp::plan_units(set, /*group_faults=*/true))
+    exp::run_unit(
+        set, u.members,
+        [&](ScenarioResult r) {
+          const size_t i = r.index;
+          out[i] = {std::move(r), replayed};
+          replayed = 0;
+        },
+        probe);
+  return out;
+}
+
+TEST(CkptCampaign, RollbackReplayBitIdenticalOnEveryFig4Workload) {
+  const ScenarioSet set = rollback_campaign();
+  std::vector<ScenarioResult> scratch;
+  for (size_t i = 0; i < set.size(); ++i) {
+    u64 replayed = ~u64{0};
+    const exp::ScenarioProbe probe = [&replayed](runtime::Device& dev,
+                                                 workloads::Workload&,
+                                                 core::ExecSession&) {
+      replayed = dev.rounds_replayed();
+    };
+    scratch.push_back(exp::run_scenario(set[i], static_cast<u32>(i), probe));
+    ASSERT_TRUE(scratch.back().ok) << scratch.back().error;
+    EXPECT_EQ(0u, replayed) << set[i].label();  // nothing was offered
+  }
+
+  for (u32 jobs : {1u, 2u}) {
+    exp::CampaignRunner::Config cfg;
+    cfg.jobs = jobs;
+    cfg.snapshot_fast_forward = true;
+    const exp::CampaignResult ff = exp::CampaignRunner(cfg).run(set);
+    ASSERT_EQ(set.size(), ff.results.size());
+    for (size_t i = 0; i < set.size(); ++i)
+      EXPECT_TRUE(scratch[i].deterministic_fields_equal(ff.results[i]))
+          << "jobs " << jobs << ", " << set[i].label() << ": "
+          << diff_hint(ff.results[i], scratch[i]);
+  }
+
+  // The replays themselves: only a fork that rolled back replays, and some
+  // do, so the equalities above cover replayed rounds.
+  u32 replaying_forks = 0;
+  const auto counted = run_units_counting_replays(set);
+  for (size_t i = 0; i < set.size(); ++i) {
+    const auto& [r, replayed] = counted[i];
+    EXPECT_TRUE(scratch[i].deterministic_fields_equal(r))
+        << set[i].label() << ": " << diff_hint(r, scratch[i]);
+    if (replayed == 0) continue;
+    ++replaying_forks;
+    EXPECT_TRUE(set[i].fault.active()) << set[i].label();
+    EXPECT_GE(r.attempts, 2u) << set[i].label();
+  }
+  EXPECT_GT(replaying_forks, 0u);
+}
+
+// ---- Round replay: refusals -------------------------------------------------
+//
+// Each case offers a rollback fork the clean base's round where replaying
+// it would be wrong. The fork must simulate, and its result must equal the
+// one it gets with replay unavailable.
+
+/// `wl` under DCLS with rollback, without a fault and under `plan`, with
+/// the group's clean base run (its kept round included).
+struct ReplayGroup {
+  ScenarioSet set;
+  exp::GroupBase base;
+};
+
+ReplayGroup replay_group(const std::string& wl, const FaultPlan& plan) {
+  ScenarioSpec spec = make_spec(wl, sim::SimEngine::kEvent);
+  spec.redundancy = core::RedundancySpec::dcls_rollback(2);
+  ReplayGroup g;
+  g.set = ScenarioSet::of(spec).sweep_faults({FaultPlan::none(), plan});
+  g.base = exp::run_group_base(g.set, {0, 1});
+  EXPECT_TRUE(g.base.ok()) << g.base.result.error;
+  EXPECT_NE(g.base.round.exit, nullptr);
+  return g;
+}
+
+/// The faulted member of `g`, forked with the base's round offered and with
+/// replay unavailable, and the rounds the first of them replayed.
+struct ForkPair {
+  ScenarioResult offered;
+  ScenarioResult unavailable;
+  u64 replayed = 0;
+};
+
+ForkPair fork_with_and_without_replay(
+    const ReplayGroup& g, const exp::ScenarioProbe& pre_run = nullptr) {
+  ForkPair p;
+  const exp::ScenarioProbe probe = [&p](runtime::Device& dev,
+                                        workloads::Workload&,
+                                        core::ExecSession&) {
+    p.replayed = dev.rounds_replayed();
+  };
+  p.offered = exp::run_fork(g.set, 1, g.base, probe, pre_run);
+  exp::GroupBase no_round = g.base;
+  no_round.round = {};
+  p.unavailable = exp::run_fork(g.set, 1, no_round, nullptr, pre_run);
+  EXPECT_TRUE(p.offered.ok) << p.offered.error;
+  EXPECT_TRUE(p.unavailable.ok) << p.unavailable.error;
+  EXPECT_GE(p.offered.attempts, 2u) << "the fork never rolled back";
+  EXPECT_TRUE(p.offered.deterministic_fields_equal(p.unavailable))
+      << diff_hint(p.offered, p.unavailable);
+  return p;
+}
+
+TEST(CkptReplay, ReplaysOnlyAnEntryEqualToTheCleanOne) {
+  const ReplayGroup g = replay_group("hotspot", FaultPlan::droop(12005, 200, 5));
+  // Near miss: the rollback lands on the clean entry and the round replays.
+  EXPECT_EQ(1u, fork_with_and_without_replay(g).replayed);
+
+  // The same round recorded with one store byte flipped is refused.
+  ReplayGroup moved = g;
+  auto entry = std::make_shared<ckpt::Snapshot>(*g.base.round.entry);
+  ASSERT_FALSE(entry->store_pages.empty());
+  ckpt::StorePage& page = entry->store_pages[entry->store_pages.size() / 2];
+  std::vector<u8> bytes = page.image->bytes;
+  bytes[100] ^= 0x10;
+  page.image = ckpt::make_image(std::move(bytes));
+  EXPECT_EQ(0u, ckpt::first_divergence(*entry, *g.base.round.entry,
+                                       {"host", "fault"})
+                    .rfind("store @", 0));
+  moved.base.round.entry = std::move(entry);
+  EXPECT_EQ(0u, fork_with_and_without_replay(moved).replayed);
+}
+
+TEST(CkptReplay, RefusesTheSyncThatResumed) {
+  // A resume restore replaces the state the pre-kernel anchor recorded: a
+  // clean run resumed from a snapshot the droop already corrupted must
+  // carry on from the corruption, although its anchor equals the clean
+  // entry and it has no fault hook.
+  const ReplayGroup g = replay_group("hotspot", FaultPlan::droop(12005, 200, 5));
+  // Captured inside the window, after its first corruptions, by a run
+  // that does not roll back (a rollback would capture it again, clean).
+  ScenarioSpec droop_spec = g.set[1];
+  droop_spec.redundancy = core::RedundancySpec::dcls();
+  SnapshotIo corrupted;
+  corrupted.capture_targets = {12050};
+  const ScenarioResult droop =
+      exp::run_scenario(droop_spec, 1, nullptr, nullptr, &corrupted);
+  ASSERT_TRUE(droop.ok) << droop.error;
+  ASSERT_NE(corrupted.captured[0], nullptr);
+
+  const auto resumed = [&](bool offered, u64* replayed) {
+    SnapshotIo io;
+    io.resume = corrupted.captured[0];
+    if (offered) io.replay = g.base.round;
+    const exp::ScenarioProbe probe = [replayed](runtime::Device& dev,
+                                                workloads::Workload&,
+                                                core::ExecSession&) {
+      *replayed = dev.rounds_replayed();
+    };
+    return exp::run_scenario(g.set[0], 0, probe, nullptr, &io);
+  };
+  u64 replayed = 0;
+  const ScenarioResult offered = resumed(true, &replayed);
+  const ScenarioResult unavailable = resumed(false, &replayed);
+  ASSERT_TRUE(offered.ok) << offered.error;
+  // The corruption is detected and rolled back; only then is the round,
+  // now from the clean entry, replayed.
+  EXPECT_GE(offered.attempts, 2u);
+  EXPECT_TRUE(offered.deterministic_fields_equal(unavailable))
+      << diff_hint(offered, unavailable);
+}
+
+TEST(CkptReplay, RefusesWhileAPermanentFaultStaysArmed) {
+  const ReplayGroup g =
+      replay_group("hotspot", FaultPlan::permanent_sm(0, 12005, 7));
+  const ForkPair p = fork_with_and_without_replay(g);
+  EXPECT_EQ(0u, p.replayed);
+  EXPECT_FALSE(p.offered.recovered);
+}
+
+TEST(CkptReplay, RefusesBfsWhoseRollbackReenqueuesLaunches) {
+  // bfs syncs once per level; its rollback walks back past the last level
+  // and re-enqueues the later launches, so no re-executed round starts
+  // where the clean run's last one did.
+  const ReplayGroup g =
+      replay_group("bfs", FaultPlan::transient_sm(1, 14097, 2000, 3));
+  EXPECT_EQ(0u, fork_with_and_without_replay(g).replayed);
+}
+
+TEST(CkptReplay, RefusesWithATraceSinkAttached) {
+  const ReplayGroup g = replay_group("hotspot", FaultPlan::droop(12005, 200, 5));
+  std::vector<std::unique_ptr<core::InstrTraceCollector>> sinks;
+  const exp::ScenarioProbe attach = [&sinks](runtime::Device& dev,
+                                             workloads::Workload&,
+                                             core::ExecSession&) {
+    sinks.push_back(std::make_unique<core::InstrTraceCollector>());
+    dev.gpu().set_trace_sink(sinks.back().get());
+  };
+  const ForkPair p = fork_with_and_without_replay(g, attach);
+  EXPECT_EQ(0u, p.replayed);
+  // The sink saw every instruction of the re-executed round.
+  ASSERT_EQ(2u, sinks.size());
+  EXPECT_GT(sinks[0]->size(), 0u);
+  EXPECT_EQ(sinks[1]->size(), sinks[0]->size());
+}
+
+TEST(CkptReplay, RefusesWhileCapturesCanFire) {
+  const ReplayGroup g = replay_group("hotspot", FaultPlan::droop(12005, 200, 5));
+  const ckpt::SyncRound& round = g.base.round;
+
+  // Interval checkpoints: the rollback round captures them all again.
+  ScenarioSpec interval = g.set[1];
+  interval.ckpt = ckpt::CheckpointPolicy::interval(2500);
+  // A capture target inside the round fires again after the rollback.
+  ScenarioSpec targeted = g.set[1];
+  const Cycle target = (round.entry->cycle + round.exit->cycle) / 2;
+
+  for (const ScenarioSpec& spec : {interval, targeted}) {
+    SCOPED_TRACE(spec.label());
+    struct Run {
+      ScenarioResult r;
+      u64 replayed = 0;
+      u64 captures = 0;
+      SnapshotIo io;
+    };
+    const auto run = [&](bool offered) {
+      Run out;
+      if (!spec.ckpt.active()) out.io.capture_targets = {target};
+      if (offered) out.io.replay = round;
+      const exp::ScenarioProbe probe = [&out](runtime::Device& dev,
+                                              workloads::Workload&,
+                                              core::ExecSession&) {
+        out.replayed = dev.rounds_replayed();
+        out.captures = dev.policy_captures();
+      };
+      out.r = exp::run_scenario(spec, 1, probe, nullptr, &out.io);
+      EXPECT_TRUE(out.r.ok) << out.r.error;
+      return out;
+    };
+    const Run offered = run(true);
+    const Run unavailable = run(false);
+    EXPECT_GE(offered.r.attempts, 2u);
+    EXPECT_EQ(0u, offered.replayed);
+    EXPECT_TRUE(offered.r.deterministic_fields_equal(unavailable.r))
+        << diff_hint(offered.r, unavailable.r);
+    EXPECT_EQ(unavailable.captures, offered.captures);
+    if (spec.ckpt.active()) {
+      EXPECT_GT(offered.captures, 2u);
+    } else {
+      ASSERT_NE(offered.io.captured[0], nullptr);
+      ASSERT_NE(unavailable.io.captured[0], nullptr);
+      EXPECT_EQ(unavailable.io.captured[0]->hash(),
+                offered.io.captured[0]->hash());
+    }
+  }
+}
+
 // ---- Rollback recovery ----------------------------------------------------
 
 /// Fault plans to try on a run of `span` cycles until the DCLS pair

@@ -139,6 +139,29 @@ TEST(Injector, TransientCorruptLanesStopsAfterRollback) {
   EXPECT_EQ(psm.corrupt_lanes(2, 105, 0x3u), 16u);
 }
 
+TEST(Injector, InertUntilArmedAndAfterATransientRollsBack) {
+  const struct {
+    exp::FaultPlan plan;
+    bool inert_after_rollback;
+  } cases[] = {
+      {exp::FaultPlan::droop(100, 10, 4), true},
+      {exp::FaultPlan::transient_sm(2, 100, 10, 4), true},
+      {exp::FaultPlan::permanent_sm(2, 100, 4), false},
+      {exp::FaultPlan::scheduler(100, 1), false},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.plan.label());
+    FaultInjector fi;
+    EXPECT_TRUE(fi.inert());
+    c.plan.arm(fi);
+    EXPECT_FALSE(fi.inert());
+    fi.on_rollback();
+    EXPECT_EQ(c.inert_after_rollback, fi.inert());
+    fi.disarm();
+    EXPECT_TRUE(fi.inert());
+  }
+}
+
 TEST(Injector, OverflowingWindowIsRefused) {
   // start + duration wraps past the last cycle: armed as is, the window
   // would end before it starts and never fire.

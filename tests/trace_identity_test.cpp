@@ -5,7 +5,8 @@
 // attribution counters and per-SM profile, which are counted
 // unconditionally). The traced run must also produce a schema-valid,
 // non-empty Chrome trace, so "identical" can never be satisfied by tracing
-// silently not happening.
+// silently not happening. A rollback fork that replays the clean base's
+// last sync round instead of simulating it is held to the same guarantee.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -13,6 +14,7 @@
 
 #include "core/exec.h"
 #include "exp/campaign.h"
+#include "exp/units.h"
 #include "obs/trace.h"
 #include "runtime/device.h"
 #include "workloads/workload.h"
@@ -90,6 +92,57 @@ INSTANTIATE_TEST_SUITE_P(AllWorkloads, TraceIdentity,
                              if (c == '+' || c == '-') c = '_';
                            return name;
                          });
+
+TEST(TraceIdentityReplay, ReplayedRoundTracedAsOneRestore) {
+  exp::ScenarioSpec spec;
+  spec.workload = "hotspot";
+  spec.redundancy = core::RedundancySpec::dcls_rollback(2);
+  const exp::ScenarioSet set = exp::ScenarioSet::of(spec).sweep_faults(
+      {exp::FaultPlan::none(), exp::FaultPlan::droop(12005, 200, 5)});
+  const exp::GroupBase base = exp::run_group_base(set, {0, 1});
+  ASSERT_TRUE(base.ok()) << base.result.error;
+  ASSERT_NE(base.round.exit, nullptr);
+
+  u64 replayed = 0;
+  u64 replay_seq = 0;
+  const exp::ScenarioProbe probe = [&](runtime::Device& dev,
+                                       workloads::Workload&,
+                                       core::ExecSession&) {
+    replayed = dev.rounds_replayed();
+    // The replayed synchronize() captured the last pre-kernel anchor.
+    replay_seq = dev.checkpoints().back()->sync_seq;
+  };
+  const exp::ScenarioResult off = exp::run_fork(set, 1, base, probe);
+  ASSERT_TRUE(off.ok) << off.error;
+  EXPECT_EQ(1u, replayed);
+
+  obs::Tracer tracer;
+  const exp::ScenarioProbe attach =
+      [&tracer](runtime::Device& dev, workloads::Workload&,
+                core::ExecSession&) { dev.set_tracer(&tracer); };
+  replayed = 0;
+  const exp::ScenarioResult on = exp::run_fork(set, 1, base, probe, attach);
+  ASSERT_TRUE(on.ok) << on.error;
+  EXPECT_EQ(1u, replayed);
+  EXPECT_TRUE(off.deterministic_fields_equal(on))
+      << "tracing perturbed the replaying fork";
+  EXPECT_EQ(off.kernel_cycles, on.kernel_cycles);
+  EXPECT_EQ(off.elapsed_ns, on.elapsed_ns);
+
+  // One restore instant at the round's exit: a0 = exit cycle, a1 = the
+  // replayed synchronize()'s sync_seq.
+  const Cycle exit = base.round.exit->cycle;
+  u32 replays = 0;
+  for (const obs::TraceEvent& ev :
+       tracer.events(tracer.track("ckpt", obs::kPidDevice))) {
+    if (ev.kind != obs::Ev::kRestore || ev.a0 != exit) continue;
+    ++replays;
+    EXPECT_EQ(exit, ev.ts);
+    EXPECT_EQ(replay_seq, ev.a1);
+  }
+  EXPECT_EQ(1u, replays);
+  EXPECT_EQ(obs::validate_chrome_trace(tracer.to_chrome_json()), "");
+}
 
 }  // namespace
 }  // namespace higpu
