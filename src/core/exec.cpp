@@ -473,11 +473,27 @@ bool ExecSession::rollback_once(const ckpt::Snapshot& snap) {
   return all_safe();
 }
 
+ExecSession::Report ExecSession::stamped(Report rep, NanoSec start) const {
+  rep.total_ns = dev_.elapsed_ns() - start;
+  rep.budget.detection_ns = rep.total_ns;
+  rep.budget.reaction_ns = 0;  // re-execution is folded into total_ns
+  rep.budget.ftti_ns = cfg_.redundancy.ftti_ns;
+  return rep;
+}
+
 ExecSession::Report ExecSession::run(
-    const std::function<void(ExecSession&)>& body) {
+    const std::function<void(ExecSession&)>& body,
+    const std::function<void(const Report&)>& on_first_attempt) {
   Report rep;
   rep.asil = cfg_.redundancy.achieved_asil(cfg_.policy);
   const NanoSec start = dev_.elapsed_ns();
+  const auto first_attempt_done = [&] {
+    if (!on_first_attempt) return;
+    Report first = rep;
+    first.attempts = 1;
+    first.success = all_safe();
+    on_first_attempt(stamped(first, start));
+  };
 
   if (cfg_.redundancy.recovery == RedundancySpec::Recovery::kRollback) {
     dev_.clear_checkpoints();
@@ -486,6 +502,7 @@ ExecSession::Report ExecSession::run(
     reset_attempt();
     rep.attempts = 1;
     body(*this);
+    first_attempt_done();
     if (!all_safe()) {
       // Walk the captured checkpoints newest to oldest: the newest one
       // minimizes re-execution; one captured after the corruption fails its
@@ -510,6 +527,7 @@ ExecSession::Report ExecSession::run(
       reset_attempt();
       rep.attempts += 1;
       body(*this);
+      if (attempt == 0) first_attempt_done();
       if (all_safe()) {
         rep.success = true;
         break;
@@ -519,12 +537,7 @@ ExecSession::Report ExecSession::run(
   if (!rep.success &&
       cfg_.redundancy.recovery == RedundancySpec::Recovery::kDegrade)
     rep.degraded = true;
-
-  rep.total_ns = dev_.elapsed_ns() - start;
-  rep.budget.detection_ns = rep.total_ns;
-  rep.budget.reaction_ns = 0;  // re-execution is folded into total_ns
-  rep.budget.ftti_ns = cfg_.redundancy.ftti_ns;
-  return rep;
+  return stamped(rep, start);
 }
 
 std::vector<std::pair<u32, u32>> ExecSession::pairs() const {

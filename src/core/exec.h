@@ -294,7 +294,16 @@ class ExecSession {
   /// safe. Bodies whose application result folds uncompared per-round
   /// fetches into host state should use kRetry (full re-execution) or
   /// compare the buffers the host computation consumes.
-  Report run(const std::function<void(ExecSession&)>& body);
+  ///
+  /// `on_first_attempt`, when set, is called once, right after the first
+  /// execution of `body` and before any recovery, with the report a
+  /// Recovery::kNone session would return at that point (one attempt,
+  /// success = all_safe(), not degraded, the time so far, the same FTTI).
+  /// Every strategy's first attempt is the kNone run step for step, so a
+  /// caller may read the kNone answer off a recovering session there.
+  Report run(const std::function<void(ExecSession&)>& body,
+             const std::function<void(const Report&)>& on_first_attempt =
+                 nullptr);
 
   // ---- Results ------------------------------------------------------------
   u32 copies() const { return cfg_.redundancy.n_copies; }
@@ -340,6 +349,8 @@ class ExecSession {
   void reset_attempt();
   void install_scheduler();
   void reset_compare_counters();
+  /// `rep` with its time and FTTI verdict covering everything since `start`.
+  Report stamped(Report rep, NanoSec start) const;
   bool rollback_once(const ckpt::Snapshot& snap);
   CompareVerdict vote_words(const std::vector<const u8*>& host, u64 bytes,
                             void* host0);

@@ -4,8 +4,9 @@
 // campaign_worker processes:
 //
 //   * the ScenarioSet decomposes into the same WorkUnits as the in-process
-//     CampaignRunner (exp::plan_units / same_but_fault grouping), dealt
-//     round-robin into per-worker shards right after planning;
+//     CampaignRunner (exp::plan_units / same_but_fault_and_recovery
+//     grouping), dealt round-robin into per-worker shards right after
+//     planning;
 //   * each kWork frame carries one unit's pending members (indices and
 //     specs); the worker runs it through exp::run_unit — the group's clean
 //     base run, then each fault fork against the snapshots that base
@@ -48,7 +49,8 @@ struct DistConfig {
   /// only the missing scenario indices. The journal's campaign fingerprint
   /// must match `set` (JournalError otherwise).
   bool resume = false;
-  /// Ship same_but_fault groups as one unit that shares a clean base run
+  /// Ship same_but_fault_and_recovery groups as one unit that shares a
+  /// clean base run
   /// (matches CampaignRunner::Config::snapshot_fast_forward).
   bool snapshot_fast_forward = true;
 

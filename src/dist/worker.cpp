@@ -96,9 +96,12 @@ int worker_main(int fd, u32 worker_id, int heartbeat_interval_ms) {
     });
   }
 
-  // Every run of a unit but its base run gets a fresh tracer, so redundancy
-  // miscompares leave a flight-recorder dump; any dumps are shipped to the
-  // coordinator before that member's result frame.
+  // Every simulated run of a unit but its base run gets a fresh tracer, so
+  // redundancy miscompares leave a flight-recorder dump; any dumps are
+  // shipped to the coordinator before that member's result frame. A member
+  // answered without a device of its own (from the base result, or from
+  // its rollback twin's first attempt) ships none: a DCLS twin's miscompare
+  // is the simulated run's first dump.
   std::optional<obs::Tracer> tracer;
   const exp::ScenarioProbe pre_run = [&tracer](runtime::Device& dev,
                                                workloads::Workload&,

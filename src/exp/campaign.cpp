@@ -34,6 +34,47 @@ bool ScenarioResult::deterministic_fields_equal(
   return deterministic(*this) == deterministic(other);
 }
 
+namespace {
+
+/// Fill `r`'s verdicts, metrics and fault outcome from the scenario's state
+/// at the moment its session reported `srep`.
+void harvest(ScenarioResult& r, const ScenarioSpec& spec,
+             runtime::Device& dev, const workloads::Workload& w,
+             const core::ExecSession& session,
+             const fault::FaultInjector& injector,
+             const core::ExecSession::Report& srep) {
+  r.verified = w.verify();
+  r.dcls_match = session.all_unanimous();
+  r.majority_ok = session.all_safe();
+  r.comparisons = session.comparisons();
+  r.mismatches = session.mismatches();
+  r.faulty_copy = session.faulty_copy();
+  r.n_copies = session.copies();
+  r.attempts = srep.attempts;
+  r.recovered = srep.attempts > 1 && srep.success;
+  r.degraded = srep.degraded;
+  r.ftti_met = srep.budget.met();
+  r.response_ns = srep.total_ns;
+  r.achieved_asil = srep.asil;
+  r.kernel_cycles = session.kernel_cycles();
+  r.elapsed_ns = dev.elapsed_ns();
+  r.ff_cycles = dev.gpu().fast_forwarded_cycles();
+  r.sim_wall_sec = dev.sim_wall_seconds();
+  if (spec.redundancy.redundant())
+    r.diversity = core::analyze_block_diversity(dev.gpu().block_records(),
+                                                session.all_copy_pairs());
+  r.stats = dev.gpu().collect_stats();
+  r.sm_profile = dev.gpu().sm_profile();
+  r.corruptions = injector.corruptions();
+  r.diverted_blocks = injector.diverted_blocks();
+  // A retry that came back clean still *detected* the fault on an
+  // earlier attempt — that must classify as kDetected, never kMasked.
+  const bool detected = !session.all_unanimous() || r.attempts > 1;
+  r.outcome = fault::classify(!detected, r.verified);
+}
+
+}  // namespace
+
 ScenarioResult run_scenario(const ScenarioSpec& spec, u32 index,
                             const ScenarioProbe& probe,
                             const ScenarioProbe& pre_run, SnapshotIo* snap) {
@@ -68,44 +109,33 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, u32 index,
     core::ExecSession session(dev, spec.session_config());
     if (pre_run) pre_run(dev, *w, session);
     workloads::RunContext ctx(session);
+    // The Recovery::kNone sibling's run ends where this run's first attempt
+    // does: harvest its result there, before recovery changes anything.
+    std::function<void(const core::ExecSession::Report&)> first_attempt;
+    if (snap != nullptr && snap->sibling != nullptr)
+      first_attempt = [&](const core::ExecSession::Report& first) {
+        ScenarioResult s = r;
+        s.index = snap->sibling_index;
+        s.label = snap->sibling->label();
+        harvest(s, *snap->sibling, dev, *w, session, injector, first);
+        if (snap->divergence_ref != nullptr)
+          s.divergence =
+              ckpt::first_divergence(*snap->divergence_ref, *dev.snapshot());
+        s.ok = true;
+        s.wall_sec = seconds_since(t0);
+        snap->sibling_result = std::move(s);
+      };
     // The session owns the recovery loop: detect -> re-execute -> FTTI
     // accounting, for every workload (not just ad-hoc bodies).
-    const core::ExecSession::Report srep =
-        session.run([&](core::ExecSession&) { w->run(ctx); });
+    const core::ExecSession::Report srep = session.run(
+        [&](core::ExecSession&) { w->run(ctx); }, first_attempt);
     // The probe fires directly after the workload's (possibly retried)
     // run, before the result harvest below, so pre_run/probe pairs bracket
     // exactly the workload's device flow (engine benches time this
     // interval).
     if (probe) probe(dev, *w, session);
 
-    r.verified = w->verify();
-    r.dcls_match = session.all_unanimous();
-    r.majority_ok = session.all_safe();
-    r.comparisons = session.comparisons();
-    r.mismatches = session.mismatches();
-    r.faulty_copy = session.faulty_copy();
-    r.n_copies = session.copies();
-    r.attempts = srep.attempts;
-    r.recovered = srep.attempts > 1 && srep.success;
-    r.degraded = srep.degraded;
-    r.ftti_met = srep.budget.met();
-    r.response_ns = srep.total_ns;
-    r.achieved_asil = srep.asil;
-    r.kernel_cycles = session.kernel_cycles();
-    r.elapsed_ns = dev.elapsed_ns();
-    r.ff_cycles = dev.gpu().fast_forwarded_cycles();
-    r.sim_wall_sec = dev.sim_wall_seconds();
-    if (spec.redundancy.redundant())
-      r.diversity = core::analyze_block_diversity(dev.gpu().block_records(),
-                                                  session.all_copy_pairs());
-    r.stats = dev.gpu().collect_stats();
-    r.sm_profile = dev.gpu().sm_profile();
-    r.corruptions = injector.corruptions();
-    r.diverted_blocks = injector.diverted_blocks();
-    // A retry that came back clean still *detected* the fault on an
-    // earlier attempt — that must classify as kDetected, never kMasked.
-    const bool detected = !session.all_unanimous() || r.attempts > 1;
-    r.outcome = fault::classify(!detected, r.verified);
+    harvest(r, spec, dev, *w, session, injector, srep);
     if (snap != nullptr) {
       snap->capture_targets = dev.targets();  // canonical sorted order
       snap->captured = dev.target_snapshots();
@@ -223,11 +253,12 @@ CampaignResult CampaignRunner::run(const ScenarioSet& set) const {
   out.jobs = jobs;
 
   // Work units: normally one scenario each; under snapshot fast-forward,
-  // scenarios differing only in their fault plan coalesce into one unit
-  // that shares a clean base simulation (>= 2 faulted members make the
-  // base run worthwhile). Unit discovery is deterministic, and results are
-  // stored at each scenario's index, so campaign output remains
-  // bit-identical regardless of jobs or fast-forward.
+  // scenarios differing only in their fault plan and recovery strategy
+  // coalesce into one unit that shares a clean base simulation (>= 2
+  // faulted members make the base run worthwhile). Unit discovery is
+  // deterministic, and results are stored at each scenario's index, so
+  // campaign output remains bit-identical regardless of jobs or
+  // fast-forward.
   const std::vector<WorkUnit> units =
       plan_units(set, cfg_.snapshot_fast_forward);
 

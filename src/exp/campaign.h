@@ -11,6 +11,7 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -149,9 +150,10 @@ using ScenarioProbe = std::function<void(
 /// snapshot-accelerated fault campaigns. A *base* run sets capture_targets
 /// (the sweep's injection cycles) and `keep_round`, and reads back
 /// `captured`/`final_state`/`round`; a *fork* sets `resume` (a base
-/// snapshot whose cycle predates its fault), `replay` (the base's round)
-/// and optionally `divergence_ref` (the clean final state to diff against).
-/// All snapshots are immutable and safely shared across threads.
+/// snapshot whose cycle predates its fault), `replay` (the base's round),
+/// optionally `divergence_ref` (the clean final state to diff against) and
+/// optionally `sibling` (a Recovery::kNone twin answered from its first
+/// attempt). All snapshots are immutable and safely shared across threads.
 struct SnapshotIo {
   // In (base run): capture a snapshot covering each cycle.
   std::vector<Cycle> capture_targets;
@@ -173,6 +175,15 @@ struct SnapshotIo {
   // In (fork): a clean run's round the fork replays where its own round
   // provably equals it (runtime::Device::offer_round).
   ckpt::SyncRound replay;
+  // In (fork): a scenario that is this run's spec but for
+  // Recovery::kNone, and its index. Its whole run is this run's first
+  // attempt, so its result is harvested there, before any recovery (see
+  // core::ExecSession::run), with `divergence` from one snapshot taken then.
+  const ScenarioSpec* sibling = nullptr;
+  u32 sibling_index = 0;
+  // Out: that result; empty when this run stopped before its first attempt
+  // ended (a failed validation, a throw inside the body).
+  std::optional<ScenarioResult> sibling_result;
 };
 
 /// Execute one scenario start-to-finish on the calling thread. `pre_run`
@@ -212,10 +223,11 @@ class CampaignRunner {
     /// Worker threads; 0 = std::thread::hardware_concurrency().
     u32 jobs = 0;
     /// Snapshot fast-forward: scenarios that differ only in their fault
-    /// plan share one clean base run — simulated once, snapshotted at each
-    /// member's injection cycle — and each faulted member forks from the
-    /// snapshot covering its injection point instead of re-simulating the
-    /// common prefix from cycle 0. Results are bit-identical to from-
+    /// plan and recovery strategy share one clean base run — simulated
+    /// once, snapshotted at each member's injection cycle — and each
+    /// faulted member forks from the snapshot covering its injection point
+    /// instead of re-simulating the common prefix from cycle 0 (see
+    /// exp/units.h). Results are bit-identical to from-
     /// scratch execution (enforced by tests/ckpt_test.cpp); forks
     /// additionally report ScenarioResult::divergence against the clean
     /// run's final state. Groups need >= 2 fault members to be worth a

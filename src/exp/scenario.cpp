@@ -151,9 +151,11 @@ std::string ScenarioSpec::label() const {
   return l;
 }
 
-bool ScenarioSpec::same_but_fault(const ScenarioSpec& other) const {
+bool ScenarioSpec::same_but_fault_and_recovery(
+    const ScenarioSpec& other) const {
   ScenarioSpec o = other;
   o.fault = fault;
+  o.redundancy.recovery = redundancy.recovery;
   return *this == o;
 }
 

@@ -97,10 +97,13 @@ struct ScenarioSpec {
   /// Recovery::kRollback scenarios get kPreKernel automatically.
   ckpt::CheckpointPolicy ckpt;
 
-  /// All fields except the fault plan match — `other` is the same
-  /// experiment under a different fault. The grouping predicate behind
-  /// CampaignRunner's snapshot fast-forward.
-  bool same_but_fault(const ScenarioSpec& other) const;
+  /// All fields except the fault plan and the recovery strategy
+  /// (redundancy.recovery) match — `other` is the same experiment under a
+  /// different fault, or one that reacts differently to a detection. The
+  /// grouping predicate behind CampaignRunner's snapshot fast-forward: every
+  /// recovery strategy runs the workload body once before any recovery
+  /// starts, so all such specs share one clean run.
+  bool same_but_fault_and_recovery(const ScenarioSpec& other) const;
 
   /// Session config corresponding to this spec.
   core::ExecSession::Config session_config() const;

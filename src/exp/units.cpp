@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <optional>
 #include <utility>
 
 namespace higpu::exp {
@@ -22,7 +23,7 @@ std::vector<WorkUnit> plan_units(const ScenarioSet& set, bool group_faults) {
     std::vector<size_t> members = {i};
     grouped[i] = true;
     for (size_t j = i + 1; group_faults && j < set.size(); ++j) {
-      if (!grouped[j] && set[i].same_but_fault(set[j])) {
+      if (!grouped[j] && set[i].same_but_fault_and_recovery(set[j])) {
         members.push_back(j);
         grouped[j] = true;
       }
@@ -30,6 +31,13 @@ std::vector<WorkUnit> plan_units(const ScenarioSet& set, bool group_faults) {
     units.push_back(WorkUnit::of(set, std::move(members)));
   }
   return units;
+}
+
+bool GroupBase::answers(const ScenarioSpec& member) const {
+  // A first attempt whose outputs were all safe engages no recovery, so
+  // every strategy returns what this run returned.
+  const bool settled = result.attempts == 1 && result.majority_ok;
+  return ok() && (settled || member.redundancy.recovery == recovery);
 }
 
 ckpt::SnapshotPtr GroupBase::snapshot_for(Cycle c) const {
@@ -130,6 +138,20 @@ class QuietWatch final : public sim::IFaultHook {
   bool rolled_back_ = false;
 };
 
+using Recovery = core::RedundancySpec::Recovery;
+
+bool rolls_back(const ScenarioSpec& spec) {
+  return spec.redundancy.recovery == Recovery::kRollback;
+}
+
+/// Member `i`'s quiet entry, or null when its window is not quiet.
+const GroupBase::Quiet* find_quiet(const GroupBase& base, size_t i) {
+  const auto q =
+      std::find_if(base.quiet.begin(), base.quiet.end(),
+                   [i](const GroupBase::Quiet& m) { return m.index == i; });
+  return q != base.quiet.end() ? &*q : nullptr;
+}
+
 }  // namespace
 
 GroupBase run_group_base(const ScenarioSet& set,
@@ -140,7 +162,8 @@ GroupBase run_group_base(const ScenarioSet& set,
   for (size_t i : members) {
     if (set[i].fault.active())
       io.capture_targets.push_back(set[i].fault.start);
-    else if (nofault == GroupBase::kSynthetic)
+    else if (nofault == GroupBase::kSynthetic ||
+             (!rolls_back(set[nofault]) && rolls_back(set[i])))
       nofault = i;
   }
   QuietWatch watch(set, members);
@@ -152,17 +175,26 @@ GroupBase run_group_base(const ScenarioSet& set,
 
   // The clean base: reuse the group's own fault-free member if it has one
   // (captures and the watch are invisible, so its result doubles as the
-  // base's), otherwise synthesize one whose result is discarded.
+  // base's), otherwise synthesize one whose result is discarded. A member
+  // that rolls back is preferred: only its run captures the pre-kernel
+  // anchors, and so keeps the round rolling-back forks replay.
   GroupBase base;
   if (nofault != GroupBase::kSynthetic) {
     base.result_index = nofault;
+    base.recovery = set[nofault].redundancy.recovery;
     base.result = run_scenario(set[nofault], static_cast<u32>(nofault),
                                nullptr, install, &io);
   } else {
-    ScenarioSpec spec = set[members[0]];
+    const auto first_rollback =
+        std::find_if(members.begin(), members.end(),
+                     [&set](size_t i) { return rolls_back(set[i]); });
+    const size_t from =
+        first_rollback != members.end() ? *first_rollback : members[0];
+    ScenarioSpec spec = set[from];
     spec.fault = FaultPlan::none();
-    base.result = run_scenario(spec, static_cast<u32>(members[0]), nullptr,
-                               install, &io);
+    base.recovery = spec.redundancy.recovery;
+    base.result =
+        run_scenario(spec, static_cast<u32>(from), nullptr, install, &io);
   }
   base.targets = std::move(io.capture_targets);  // canonical sorted order
   base.snapshots = std::move(io.captured);
@@ -171,15 +203,13 @@ GroupBase run_group_base(const ScenarioSet& set,
   if (base.final_state != nullptr)
     base.quiet = watch.quiet(base.final_state->cycle);
 
-  // A quiet member never forks, so a snapshot only quiet members asked for
-  // is never restored: drop it before the forks run.
+  // A quiet member the base answers never forks, so a snapshot only such
+  // members asked for is never restored: drop it before the forks run.
   std::vector<Cycle> forked;
-  for (size_t i : members) {
-    const bool quiet = std::any_of(
-        base.quiet.begin(), base.quiet.end(),
-        [i](const GroupBase::Quiet& q) { return q.index == i; });
-    if (set[i].fault.active() && !quiet) forked.push_back(set[i].fault.start);
-  }
+  for (size_t i : members)
+    if (set[i].fault.active() &&
+        !(find_quiet(base, i) != nullptr && base.answers(set[i])))
+      forked.push_back(set[i].fault.start);
   for (size_t k = 0; k < base.snapshots.size(); ++k)
     if (std::find(forked.begin(), forked.end(), base.targets[k]) ==
         forked.end())
@@ -198,37 +228,65 @@ bool validates(const ScenarioSpec& spec) {
   }
 }
 
+/// The base's result, relabelled, for member `i` when it answers without a
+/// simulation: a fault-free member, or a valid quiet fault member — its
+/// faulted run is the clean run but for the boundaries it visits as
+/// trigger events, and its final state differs from the clean one only in
+/// the armed injector and the fast-forward count. Empty when `i` must run.
+std::optional<ScenarioResult> answer_from_base(const ScenarioSet& set,
+                                               size_t i,
+                                               const GroupBase& base) {
+  const ScenarioSpec& spec = set[i];
+  if (!base.answers(spec)) return std::nullopt;
+  const GroupBase::Quiet* q = find_quiet(base, i);
+  if (spec.fault.active() && (q == nullptr || !validates(spec)))
+    return std::nullopt;
+  ScenarioResult r = base.result;
+  r.index = static_cast<u32>(i);
+  r.label = spec.label();
+  r.wall_sec = 0.0;
+  r.sim_wall_sec = 0.0;
+  if (spec.fault.active()) {
+    r.fault_active = true;
+    r.ff_cycles -= q->jumped;
+    r.divergence = "fault";
+  }
+  return r;
+}
+
+constexpr size_t kNoSibling = static_cast<size_t>(-1);
+
+/// run_fork, answering the Recovery::kNone twin `sibling` (kNoSibling: none)
+/// from the fork's first attempt when the fork is simulated. `*sibling_out`
+/// is left empty when it is not.
+ScenarioResult fork(const ScenarioSet& set, size_t i, const GroupBase& base,
+                    const ScenarioProbe& probe, const ScenarioProbe& pre_run,
+                    size_t sibling,
+                    std::optional<ScenarioResult>* sibling_out) {
+  if (std::optional<ScenarioResult> r = answer_from_base(set, i, base))
+    return std::move(*r);
+  SnapshotIo io;
+  if (base.ok()) {
+    io.resume = base.snapshot_for(set[i].fault.start);
+    io.divergence_ref = base.final_state;
+    io.replay = base.round;
+  }
+  if (sibling != kNoSibling) {
+    io.sibling = &set[sibling];
+    io.sibling_index = static_cast<u32>(sibling);
+  }
+  ScenarioResult r =
+      run_scenario(set[i], static_cast<u32>(i), probe, pre_run, &io);
+  if (sibling_out != nullptr) *sibling_out = std::move(io.sibling_result);
+  return r;
+}
+
 }  // namespace
 
 ScenarioResult run_fork(const ScenarioSet& set, size_t i,
                         const GroupBase& base, const ScenarioProbe& probe,
                         const ScenarioProbe& pre_run) {
-  const ScenarioSpec& spec = set[i];
-  SnapshotIo io;
-  if (base.ok()) {
-    // A quiet window never fires: the faulted run is the clean run but for
-    // the boundaries it visits as trigger events, so it takes the clean
-    // result, relabelled. Its final state differs from the clean one only
-    // in the armed injector and the fast-forward count.
-    const auto q = std::find_if(
-        base.quiet.begin(), base.quiet.end(),
-        [i](const GroupBase::Quiet& m) { return m.index == i; });
-    if (q != base.quiet.end() && validates(spec)) {
-      ScenarioResult r = base.result;
-      r.index = static_cast<u32>(i);
-      r.label = spec.label();
-      r.fault_active = true;
-      r.ff_cycles -= q->jumped;
-      r.divergence = "fault";
-      r.wall_sec = 0.0;
-      r.sim_wall_sec = 0.0;
-      return r;
-    }
-    io.resume = base.snapshot_for(spec.fault.start);
-    io.divergence_ref = base.final_state;
-    io.replay = base.round;
-  }
-  return run_scenario(spec, static_cast<u32>(i), probe, pre_run, &io);
+  return fork(set, i, base, probe, pre_run, kNoSibling, nullptr);
 }
 
 void run_unit(const ScenarioSet& set, const std::vector<size_t>& members,
@@ -243,10 +301,38 @@ void run_unit(const ScenarioSet& set, const std::vector<size_t>& members,
   }
   const GroupBase base = run_group_base(set, members);
   if (base.result_index != GroupBase::kSynthetic) emit(base.result);
+
+  // Each Recovery::kNone fault member rides along with the first recovering
+  // member of the same plan: that member's first attempt is its run.
+  std::vector<size_t> sibling_of(set.size(), kNoSibling);
+  std::vector<bool> carried(set.size(), false);
+  for (size_t j : members) {
+    if (!set[j].fault.active() ||
+        set[j].redundancy.recovery != Recovery::kNone)
+      continue;
+    for (size_t i : members)
+      if (set[i].redundancy.recovery != Recovery::kNone &&
+          sibling_of[i] == kNoSibling && set[i].fault == set[j].fault &&
+          set[i].same_but_fault_and_recovery(set[j])) {
+        sibling_of[i] = j;
+        carried[j] = true;
+        break;
+      }
+  }
+
   for (size_t i : members) {
-    if (i == base.result_index) continue;
-    emit(set[i].fault.active() ? run_fork(set, i, base, probe, pre_run)
-                               : from_scratch(i));
+    if (i == base.result_index || carried[i]) continue;
+    if (!set[i].fault.active()) {
+      std::optional<ScenarioResult> r = answer_from_base(set, i, base);
+      emit(r ? std::move(*r) : from_scratch(i));
+      continue;
+    }
+    std::optional<ScenarioResult> sibling;
+    emit(fork(set, i, base, probe, pre_run, sibling_of[i], &sibling));
+    if (sibling_of[i] == kNoSibling) continue;
+    // A carrier answered from the base leaves its twin to run on its own.
+    emit(sibling ? std::move(*sibling)
+                 : run_fork(set, sibling_of[i], base, probe, pre_run));
   }
 }
 

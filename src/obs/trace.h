@@ -47,9 +47,12 @@ enum class Ev : u16 {
   kMshrAlloc,      // instant: miss tracked.  a0 = line, a1 = fill cycle
   kMshrFill,       // instant: line filled.   a0 = line
   kDramBank,       // span: bank busy.        a0 = bank index, a1 = row
-  kCheckpoint,     // instant: snapshot captured. a0 = capture cycle
-  kRestore,        // instant: snapshot restored. a0 = snapshot cycle
-  kRollback,       // instant: rollback recovery. a0 = snapshot cycle
+  // The three snapshot instants share one layout: ts = the snapshot's
+  // cycle, a0 = the device's sync_seq, a1 = the snapshot's size in bytes.
+  kCheckpoint,     // instant: snapshot captured.
+  kRestore,        // instant: snapshot restored, or a sync round replayed
+                   // (the round's exit state restored).
+  kRollback,       // instant: rollback recovery.
   // Host timebase (ts = ns).
   kReqEnqueue,     // instant: a0 = request id, a1 = queue depth after
   kReqServe,       // span: dispatch -> completion. a0 = request id

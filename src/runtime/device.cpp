@@ -121,7 +121,7 @@ Cycle Device::synchronize() {
     rounds_replayed_ += 1;
     if (obs_ != nullptr)
       obs_->instant(obs_ckpt_track_, obs::Ev::kRestore, offered_.exit->cycle,
-                    offered_.exit->cycle, sync_seq_);
+                    sync_seq_, offered_.exit->size_bytes());
   } else {
     const auto wall0 = std::chrono::steady_clock::now();
     gpu_->run_until_idle();

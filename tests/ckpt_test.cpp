@@ -6,12 +6,13 @@
 // with or without an armed fault (including snapshots taken mid fault
 // window). On top of that: rollback recovery beats re-execution on response
 // time, snapshot hash diffing localizes fault divergence, campaign
-// fast-forward returns bit-identical ScenarioResults, and the ScenarioSet
-// sweep builders reject empty bases loudly. The copy-on-write store pages,
-// the shared launch and block-record history images, the section hash, the
-// decoder's length checks, the refusal by name of enum bytes no enumerator
-// has, and the bytes of mid-run captures are pinned here too, so the
-// sanitizer jobs that run this suite cover them.
+// fast-forward returns bit-identical ScenarioResults (also where one
+// rollback fork answers its DCLS twin from its first attempt), and the
+// ScenarioSet sweep builders reject empty bases loudly. The copy-on-write
+// store pages, the shared launch and block-record history images, the
+// section hash, the decoder's length checks, the refusal by name of enum
+// bytes no enumerator has, and the bytes of mid-run captures are pinned here
+// too, so the sanitizer jobs that run this suite cover them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -711,6 +712,191 @@ TEST(CkptCampaign, RollbackReplayBitIdenticalOnEveryFig4Workload) {
     EXPECT_GE(r.attempts, 2u) << set[i].label();
   }
   EXPECT_GT(replaying_forks, 0u);
+}
+
+// ---- Fast-forward: recovery siblings share one run --------------------------
+
+/// Whether `a` is `b` under another recovery strategy: the same plan, the
+/// same everything else.
+bool recovery_twins(const ScenarioSpec& a, const ScenarioSpec& b) {
+  ScenarioSpec o = b;
+  o.redundancy.recovery = a.redundancy.recovery;
+  return a == o && a.redundancy.recovery != b.redundancy.recovery;
+}
+
+/// From-scratch results of every scenario of `set`.
+std::vector<ScenarioResult> run_from_scratch(const ScenarioSet& set) {
+  std::vector<ScenarioResult> out;
+  for (size_t i = 0; i < set.size(); ++i) {
+    out.push_back(exp::run_scenario(set[i], static_cast<u32>(i)));
+    EXPECT_TRUE(out.back().ok) << set[i].label() << ": " << out.back().error;
+  }
+  return out;
+}
+
+/// Runs every unit of `set` as the fast-forward runner plans them and
+/// returns each scenario's result with whether a device simulated it (the
+/// probe fired for it: not for the base run, a member answered from the
+/// base result, or a sibling answered from its twin's first attempt).
+std::vector<std::pair<ScenarioResult, bool>> run_units_noting_simulated(
+    const ScenarioSet& set) {
+  std::vector<std::pair<ScenarioResult, bool>> out(set.size());
+  bool simulated = false;
+  const exp::ScenarioProbe probe = [&simulated](runtime::Device&,
+                                                workloads::Workload&,
+                                                core::ExecSession&) {
+    simulated = true;
+  };
+  for (const exp::WorkUnit& u : exp::plan_units(set, /*group_faults=*/true))
+    exp::run_unit(
+        set, u.members,
+        [&](ScenarioResult r) {
+          const size_t i = r.index;
+          out[i] = {std::move(r), simulated};
+          simulated = false;
+        },
+        probe);
+  return out;
+}
+
+/// What expect_fast_forward_matches saw: per scenario whether a device
+/// simulated it, and how many kNone fault members a simulated recovering
+/// twin answered.
+struct SiblingRuns {
+  std::vector<bool> simulated;
+  u32 derived = 0;
+};
+
+/// Fast-forward at jobs 1 and 2, and unit by unit with a probe, each equal
+/// to `scratch`. A kNone fault member whose recovering twin was simulated
+/// must not be simulated itself.
+SiblingRuns expect_fast_forward_matches(
+    const ScenarioSet& set, const std::vector<ScenarioResult>& scratch) {
+  for (u32 jobs : {1u, 2u}) {
+    exp::CampaignRunner::Config cfg;
+    cfg.jobs = jobs;
+    cfg.snapshot_fast_forward = true;
+    const exp::CampaignResult ff = exp::CampaignRunner(cfg).run(set);
+    EXPECT_EQ(set.size(), ff.results.size());
+    for (size_t i = 0; i < set.size() && i < ff.results.size(); ++i)
+      EXPECT_TRUE(scratch[i].deterministic_fields_equal(ff.results[i]))
+          << "jobs " << jobs << ", " << set[i].label() << ": "
+          << diff_hint(ff.results[i], scratch[i]);
+  }
+
+  const auto noted = run_units_noting_simulated(set);
+  SiblingRuns runs;
+  for (size_t j = 0; j < set.size(); ++j) {
+    const auto& [r, simulated] = noted[j];
+    runs.simulated.push_back(simulated);
+    EXPECT_TRUE(scratch[j].deterministic_fields_equal(r))
+        << set[j].label() << ": " << diff_hint(r, scratch[j]);
+    if (!set[j].fault.active() ||
+        set[j].redundancy.recovery != core::RedundancySpec::Recovery::kNone)
+      continue;
+    // A kNone fault member whose recovering twin was simulated shares that
+    // run: it is never simulated itself.
+    for (size_t i = 0; i < set.size(); ++i) {
+      if (!recovery_twins(set[i], set[j]) || !noted[i].second) continue;
+      EXPECT_FALSE(simulated) << set[j].label() << " was simulated beside "
+                              << set[i].label();
+      runs.derived += !simulated;
+      break;
+    }
+  }
+  return runs;
+}
+
+/// The bench fault campaign's shape at test scale: the Fig. 4 workloads
+/// under DCLS and under DCLS with rollback, each without a fault, under
+/// three 200-cycle droops and under one 2000-cycle transient on SM 1.
+ScenarioSet recovery_sibling_campaign() {
+  ScenarioSpec proto;
+  return ScenarioSet::for_workloads(workloads::fig4_names(), proto)
+      .sweep_redundancy({core::RedundancySpec::dcls(),
+                         core::RedundancySpec::dcls_rollback(2)})
+      .sweep_faults({FaultPlan::none(), FaultPlan::droop(8599, 200, 10),
+                     FaultPlan::droop(12005, 200, 5),
+                     FaultPlan::droop(21496, 200, 8),
+                     FaultPlan::transient_sm(1, 14097, 2000, 3)});
+}
+
+TEST(CkptCampaign, RecoverySiblingsShareOneRunOnEveryFig4Workload) {
+  const ScenarioSet set = recovery_sibling_campaign();
+  // One unit per workload: both recovery strategies share its base run.
+  const std::vector<exp::WorkUnit> units = exp::plan_units(set, true);
+  EXPECT_EQ(workloads::fig4_names().size(), units.size());
+  for (const exp::WorkUnit& u : units) EXPECT_EQ(10u, u.members.size());
+
+  const SiblingRuns runs =
+      expect_fast_forward_matches(set, run_from_scratch(set));
+  // Not vacuous: the forks that detect their fault carry a DCLS sibling.
+  EXPECT_GT(runs.derived, 0u);
+}
+
+TEST(CkptCampaign, RecoverySiblingEdgeUnitsMatchFromScratch) {
+  using Recovery = core::RedundancySpec::Recovery;
+  ScenarioSpec hotspot;
+  hotspot.workload = "hotspot";
+  const FaultPlan droop = FaultPlan::droop(12005, 200, 5);
+  const FaultPlan transient = FaultPlan::transient_sm(1, 14097, 2000, 3);
+  const auto with = [](ScenarioSpec s, const core::RedundancySpec& red,
+                       const FaultPlan& f) {
+    s.redundancy = red;
+    s.fault = f;
+    return s;
+  };
+  core::RedundancySpec degrade;
+  degrade.recovery = Recovery::kDegrade;
+  const core::RedundancySpec dcls = core::RedundancySpec::dcls();
+  const core::RedundancySpec rollback = core::RedundancySpec::dcls_rollback(2);
+
+  struct Edge {
+    const char* name;
+    ScenarioSet set;
+    size_t must_simulate = 0;  // a member no other run answers (0: none)
+  };
+  std::vector<Edge> edges;
+  {
+    // A detected kNone fault no recovering member shares forks on its own,
+    // from the snapshot of a base that ran under rollback.
+    ScenarioSet set;
+    set.add(with(hotspot, dcls, FaultPlan::none()))
+        .add(with(hotspot, dcls, droop))
+        .add(with(hotspot, rollback, FaultPlan::none()))
+        .add(with(hotspot, rollback, FaultPlan::droop(12005, 200, 6)))
+        .add(with(hotspot, rollback, transient));
+    edges.push_back({"kNone plan without a rollback twin", std::move(set), 1});
+  }
+  edges.push_back(
+      {"retry and degrade members in the group",
+       ScenarioSet::of(hotspot)
+           .sweep_redundancy({dcls, core::RedundancySpec::dcls_retry(2),
+                              rollback, degrade})
+           .sweep_faults({FaultPlan::none(), droop, transient})});
+  edges.push_back({"no fault-free member",
+                   ScenarioSet::of(hotspot)
+                       .sweep_redundancy({dcls, rollback})
+                       .sweep_faults({droop, transient})});
+  {
+    ScenarioSpec bfs = hotspot;
+    bfs.workload = "bfs";
+    edges.push_back({"bfs", ScenarioSet::of(bfs)
+                                .sweep_redundancy({dcls, rollback})
+                                .sweep_faults({FaultPlan::none(), droop,
+                                               FaultPlan::droop(2000, 200, 3),
+                                               transient})});
+  }
+
+  for (const Edge& e : edges) {
+    SCOPED_TRACE(e.name);
+    ASSERT_EQ(1u, exp::plan_units(e.set, true).size());
+    const SiblingRuns runs =
+        expect_fast_forward_matches(e.set, run_from_scratch(e.set));
+    if (e.must_simulate != 0)
+      EXPECT_TRUE(runs.simulated[e.must_simulate])
+          << e.set[e.must_simulate].label();
+  }
 }
 
 // ---- Round replay: refusals -------------------------------------------------

@@ -3,8 +3,10 @@
 // The headline pin is the determinism contract: dist::run_distributed
 // produces results bit-identical (ScenarioResult::deterministic_fields_equal)
 // to CampaignRunner jobs=1 at any worker count, under work stealing, across
-// a worker SIGKILL mid-campaign (also inside a multi-member unit), and
-// across a simulated coordinator crash plus journal resume. Around it: the
+// a worker SIGKILL mid-campaign (also inside a multi-member unit, one
+// spanning two recovery strategies too), and across a simulated
+// coordinator crash plus journal resume; the journal holds one flight
+// record per miscompare of a simulated run. Around it: the
 // higpu.wire/4 frame and payload codecs (corruption is loud, never
 // misinterpreted; a lying length or member count allocates nothing; every
 // payload kind cut at any byte or padded is a WireError; the payload bytes
@@ -32,12 +34,15 @@
 #include <vector>
 
 #include "ckpt/wire.h"
+#include "common/jsonl.h"
 #include "dist/coordinator.h"
 #include "dist/journal.h"
 #include "dist/protocol.h"
 #include "exp/campaign.h"
 #include "exp/result_io.h"
 #include "exp/units.h"
+#include "obs/trace.h"
+#include "runtime/device.h"
 
 namespace higpu {
 namespace {
@@ -56,7 +61,7 @@ ScenarioSpec test_spec(const std::string& workload) {
 }
 
 /// A small campaign that exercises every dispatch shape: fault-free
-/// singletons, and a same_but_fault group (clean member + four faults) that
+/// singletons, and a fault group (clean member + four faults) that
 /// ships as one unit whose worker forks the transient from a shared base
 /// run and answers the three quiet droops from the base result: two open
 /// inside idle stretches of the clean run (cycles 1-3000 before the first
@@ -786,6 +791,99 @@ TEST(Distributed, KillInsideUnitRedispatchesItsRemainder) {
   EXPECT_EQ(2u, rep.units_shipped);
   EXPECT_EQ(set.size(), rep.executed);
   expect_equals_golden(rep.campaign, golden);
+}
+
+/// hotspot under DCLS and DCLS with rollback, each without a fault, under
+/// a droop the DCLS comparison detects, a quiet droop before the first
+/// kernel and a transient on SM 1: one unit spanning both recovery
+/// strategies, in which the rollback fork of the detected droop also
+/// answers its DCLS twin.
+ScenarioSet mixed_recovery_set() {
+  return ScenarioSet::of(test_spec("hotspot"))
+      .sweep_redundancy({core::RedundancySpec::dcls(),
+                         core::RedundancySpec::dcls_rollback(2)})
+      .sweep_faults({FaultPlan::none(), FaultPlan::droop(12005, 200, 5),
+                     FaultPlan::droop(2000, 50, 2),
+                     FaultPlan::transient_sm(1, 3000, 40, 3)});
+}
+
+TEST(Distributed, MixedRecoveryUnitMatchesGolden) {
+  ScenarioSet set = mixed_recovery_set();
+  set.add(test_spec("nw"));
+  ASSERT_EQ(2u, exp::plan_units(set, true).size());
+  const exp::CampaignResult golden = golden_jobs1(set);
+  for (u32 workers : {1u, 2u}) {
+    dist::DistConfig cfg;
+    cfg.workers = workers;
+    const dist::DistReport rep = dist::run_distributed(set, cfg);
+    EXPECT_EQ(0u, rep.workers_died) << "workers=" << workers;
+    EXPECT_EQ(2u, rep.units_shipped) << "workers=" << workers;
+    expect_equals_golden(rep.campaign, golden);
+  }
+}
+
+TEST(Distributed, KillInsideMixedRecoveryUnitRedispatchesItsRemainder) {
+  // The kill lands on the worker running the one unit after its first
+  // result (the base's), and the other worker runs the rest as one unit.
+  const ScenarioSet set = mixed_recovery_set();
+  ASSERT_EQ(1u, exp::plan_units(set, true).size());
+  const exp::CampaignResult golden = golden_jobs1(set);
+  dist::DistConfig cfg;
+  cfg.workers = 2;
+  cfg.chaos_kill_after = 1;
+  const dist::DistReport rep = dist::run_distributed(set, cfg);
+  EXPECT_EQ(1u, rep.workers_died);
+  EXPECT_EQ(2u, rep.units_shipped);
+  EXPECT_EQ(set.size(), rep.executed);
+  expect_equals_golden(rep.campaign, golden);
+}
+
+TEST(Distributed, JournalHoldsOneFlightLinePerSimulatedMiscompare) {
+  const ScenarioSet set = mixed_recovery_set();
+  // The dumps the worker path ships: every simulated run but the base gets
+  // a tracer, and each of its miscompares leaves one dump. A member answered
+  // without a device of its own — from the base or from its rollback twin's
+  // first attempt — ships none.
+  size_t dumps = 0;
+  std::optional<obs::Tracer> tracer;
+  const exp::ScenarioProbe attach = [&tracer](runtime::Device& dev,
+                                              workloads::Workload&,
+                                              core::ExecSession&) {
+    dev.set_tracer(&tracer.emplace());
+  };
+  const exp::ScenarioProbe count = [&dumps](runtime::Device&,
+                                            workloads::Workload&,
+                                            core::ExecSession& session) {
+    dumps += session.flight_dumps().size();
+  };
+  for (const exp::WorkUnit& u : exp::plan_units(set, true))
+    exp::run_unit(set, u.members, [](ScenarioResult) {}, count, attach);
+  const size_t per_simulated_run = dumps;
+  ASSERT_GT(per_simulated_run, 0u);
+  // Run one by one, the scenarios dump more: there the DCLS twin of the
+  // detected droop has a run of its own.
+  dumps = 0;
+  for (size_t i = 0; i < set.size(); ++i)
+    (void)exp::run_scenario(set[i], static_cast<u32>(i), count, attach);
+  EXPECT_LT(per_simulated_run, dumps);
+
+  const std::string path = tmp_path("flight.jsonl");
+  dist::DistConfig cfg;
+  cfg.workers = 2;
+  cfg.journal_path = path;
+  const dist::DistReport rep = dist::run_distributed(set, cfg);
+  expect_equals_golden(rep.campaign, golden_jobs1(set));
+  std::istringstream lines(read_text(path));
+  std::remove(path.c_str());
+  size_t flights = 0;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("{\"flight\":", 0) != 0) continue;
+    ++flights;
+    const JsonValue flight = parse_json(line).at("flight");
+    EXPECT_EQ(obs::kFlightSchema, flight.at("dump").get_string("schema"));
+    EXPECT_FALSE(flight.at("dump").at("events").array.empty());
+  }
+  EXPECT_EQ(per_simulated_run, flights);
 }
 
 TEST(Distributed, ResultOutsideTheUnitKillsTheWorker) {

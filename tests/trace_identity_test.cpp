@@ -129,16 +129,17 @@ TEST(TraceIdentityReplay, ReplayedRoundTracedAsOneRestore) {
   EXPECT_EQ(off.kernel_cycles, on.kernel_cycles);
   EXPECT_EQ(off.elapsed_ns, on.elapsed_ns);
 
-  // One restore instant at the round's exit: a0 = exit cycle, a1 = the
-  // replayed synchronize()'s sync_seq.
+  // One restore instant at the round's exit, in the layout of every
+  // snapshot instant: ts = exit cycle, a0 = the replayed synchronize()'s
+  // sync_seq, a1 = the exit snapshot's bytes.
   const Cycle exit = base.round.exit->cycle;
   u32 replays = 0;
   for (const obs::TraceEvent& ev :
        tracer.events(tracer.track("ckpt", obs::kPidDevice))) {
-    if (ev.kind != obs::Ev::kRestore || ev.a0 != exit) continue;
+    if (ev.kind != obs::Ev::kRestore || ev.ts != exit) continue;
     ++replays;
-    EXPECT_EQ(exit, ev.ts);
-    EXPECT_EQ(replay_seq, ev.a1);
+    EXPECT_EQ(replay_seq, ev.a0);
+    EXPECT_EQ(base.round.exit->size_bytes(), ev.a1);
   }
   EXPECT_EQ(1u, replays);
   EXPECT_EQ(obs::validate_chrome_trace(tracer.to_chrome_json()), "");
