@@ -29,18 +29,16 @@ SrcPlan lower_src(const isa::Operand& o) {
   return s;
 }
 
-/// Lower one instruction to its superop; forms that do not lower keep only
-/// `form` and `op`. The hazard plan reproduces the interpreter's check
-/// order exactly: guard, pred_src, sources in operand order, destination
-/// GPR, destination predicate.
+/// Lower one instruction to its superop, the gate record of its pc. The
+/// hazard plan's order is guard, pred_src, sources in operand order,
+/// destination GPR, destination predicate.
 SuperOp lower(const isa::Instruction& ins) {
   const isa::OpInfo& info = isa::op_info(ins.op);
   SuperOp s;
   s.form = info.form;
   s.op = ins.op;
-  if (!lowers(info.form)) return s;
-
   s.is_sfu = info.unit == isa::UnitClass::kSfu;
+  s.is_mem = info.unit == isa::UnitClass::kMem;
   s.is_datapath = info.datapath;
   s.writes_gpr = info.writeback == isa::Writeback::kGpr;
   s.writes_pred = info.writeback == isa::Writeback::kPred;
@@ -75,8 +73,8 @@ CompiledTrace::CompiledTrace(isa::ProgramPtr prog) : prog_(std::move(prog)) {
   sops_.reserve(code.size());
   for (const isa::Instruction& ins : code) sops_.push_back(lower(ins));
 
-  // Fused-run metadata over the CFG: maximal spans of consecutive superops
-  // within one basic block. Runs never cross block boundaries — a block is
+  // Fused-run metadata over the CFG: maximal spans of consecutive
+  // lane-kernel pcs within one basic block. Runs never cross block boundaries — a block is
   // the unit the issue stage can walk without a control-flow re-check.
   const isa::Cfg cfg(code);
   num_blocks_ = cfg.num_blocks();

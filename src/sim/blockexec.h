@@ -1,23 +1,25 @@
 // Block-compiled vectorized execution engine.
 //
 // At kernel launch the program's `isa::cfg` basic blocks are lowered into a
-// pre-decoded *superinstruction trace*: one SuperOp per pc with operands
-// resolved to register-file row offsets, immediates folded into splat values,
-// the opcode's isa::kOpTable facts (form, unit class, writeback kind,
-// datapath membership) baked into flags, and the scoreboard-check sequence
-// precomputed as an ordered hazard plan. Consecutive superops inside a basic
-// block form *fused runs* — contiguous pre-decoded spans the issue stage
-// walks without ever touching the original `isa::Instruction` encoding.
+// pre-decoded *superinstruction trace*: one SuperOp per pc, for every form,
+// with operands resolved to register-file row offsets, immediates folded
+// into splat values, the opcode's isa::kOpTable facts (form, unit, writeback
+// kind, datapath membership) baked into flags, and the scoreboard-check
+// sequence precomputed as an ordered hazard plan. Consecutive lane-kernel
+// superops inside a basic block form *fused runs* — contiguous pre-decoded
+// spans the issue stage walks without ever touching the original
+// `isa::Instruction` encoding.
 //
-// The trace changes *dispatch cost only*. Issue still happens one
-// instruction per warp scheduler per cycle with the exact scoreboard,
-// structural-hazard, guard-mask and writeback-latency semantics of the
-// interpreter, so cycle counts, stall classification, fault-injection
-// windows and statistics stay bit-identical (pinned by the dual-engine and
-// golden-cycle suites). Memory, control-flow and barrier instructions are
-// not lowered — they exit the block path and fall back to the per-
-// instruction interpreter, leaving divergence handling, MSHR backpressure
-// and barrier accounting untouched.
+// Every pc's record is its issue gate, in both exec modes: SmCore checks
+// the hazard plan, the record's unit and its guard before any instruction
+// issues, so cycle counts, stall classification, fault-injection windows
+// and statistics cannot differ between the modes (pinned by the dual-engine
+// and golden-cycle suites). The modes differ only in the functional step.
+// Under ExecMode::kBlock the five register-only forms (`lowers()`) run as
+// lane kernels; memory, control-flow, barrier and nop pcs, and every pc
+// under ExecMode::kInterp, run through the per-instruction executor
+// (SmCore::execute), leaving divergence handling, MSHR backpressure and
+// barrier accounting untouched.
 //
 // The per-lane math of a superop executes over the warp's struct-of-arrays
 // register file (one contiguous 32-lane row per register, see sim/warp.h) as
@@ -40,8 +42,9 @@
 
 namespace higpu::sim::blockexec {
 
-/// True for the forms the block engine lowers to superops. Every other form
-/// (memory, control flow, barrier, nop) falls back to the interpreter.
+/// True for the forms whose functional step is a lane kernel under
+/// ExecMode::kBlock. Every other form (memory, control flow, barrier, nop)
+/// still issues through its record, then runs through SmCore::execute.
 constexpr bool lowers(isa::Form f) { return f <= isa::Form::kSelp; }
 
 /// One pre-decoded source operand: a register row index or a folded
@@ -59,15 +62,17 @@ struct HazPlan {
   bool is_pred = false;
 };
 
-/// A pre-decoded superinstruction. Everything the issue stage derives from
-/// an `isa::Instruction` per dynamic execution — operand routing, unit
-/// class, writeback kind, hazard sequence — resolved once at compile time.
+/// A pre-decoded superinstruction: the gate record of one pc. Everything the
+/// issue stage derives from an `isa::Instruction` per dynamic execution —
+/// operand routing, unit, writeback kind, hazard sequence — resolved once at
+/// compile time.
 struct SuperOp {
   isa::Form form = isa::Form::kNop;  // the opcode's form (isa::kOpTable)
   isa::Op op = isa::Op::kNop;        // selects the kAlu lane kernel
 
   // Flags folded from the opcode's isa::kOpTable row.
   bool is_sfu = false;
+  bool is_mem = false;  // issues on the LSU (global and shared memory)
   bool is_datapath = false;
   bool writes_gpr = false;
   bool writes_pred = false;
@@ -88,8 +93,8 @@ struct SuperOp {
   isa::SReg sreg = isa::SReg::kTidX;
   u32 param_idx = 0;
 
-  /// Ordered scoreboard plan, exactly the interpreter's check sequence:
-  /// guard, pred_src, sources in operand order, then the destination.
+  /// Ordered scoreboard plan: guard, pred_src, sources in operand order,
+  /// then the destination.
   /// The order is behavioural: a stall records the *first* hazarded
   /// register's release cycle as the warp's wake event.
   HazPlan hazards[6];
@@ -109,11 +114,11 @@ class CompiledTrace {
 
   /// Basic blocks in the program's CFG (the compilation unit).
   u32 num_blocks() const { return num_blocks_; }
-  /// Static instructions lowered to superops (entries whose form lowers).
+  /// Static instructions whose form has a lane kernel (`lowers`).
   u32 num_superops() const { return num_superops_; }
-  /// Maximal spans of consecutive superops within one basic block.
+  /// Maximal spans of consecutive lane-kernel pcs within one basic block.
   u32 num_fused_runs() const { return num_fused_runs_; }
-  /// Static superop coverage in percent (rounded down).
+  /// Static lane-kernel coverage in percent (rounded down).
   u32 static_coverage_pct() const {
     return size() ? num_superops_ * 100 / size() : 0;
   }

@@ -99,7 +99,6 @@ bool Gpu::idle() const {
 }
 
 void Gpu::attach_trace(KernelLaunch& launch) {
-  if (params_.exec_mode != ExecMode::kBlock) return;
   launch.trace = blockexec::trace_for(launch.program);
   // Compilation statistics come from the (deterministic) trace metadata,
   // counted once per launch — never from cache misses, whose hit pattern
@@ -507,8 +506,7 @@ void Gpu::read_launch(ckpt::Reader& r) {
   // deserialized. The compile-time stats ride in the stats_ snapshot, so
   // no attach_trace() accounting here. Must happen before the SMs are
   // restored — they re-derive warp.ctrace from the launch.
-  if (params_.exec_mode == ExecMode::kBlock)
-    l.trace = blockexec::trace_for(l.program);
+  l.trace = blockexec::trace_for(l.program);
   const KernelState& ks = slot->state;
   if (ks.launch_id != launches_.size())
     throw ckpt::SnapshotError("snapshot launch " +

@@ -192,8 +192,9 @@ class Gpu {
   void restore_launches(ckpt::Reader& r, const std::vector<ckpt::ImagePtr>& images,
                         u64 n_launches);
   void restore_records(const std::vector<ckpt::ImagePtr>& images, u64 n_records);
-  /// ExecMode::kBlock: attach the launch's compiled superinstruction trace
-  /// (from the process-wide cache) and account its compile-time statistics.
+  /// Attach the launch's compiled superinstruction trace (from the
+  /// process-wide cache; both exec modes) and account its compile-time
+  /// statistics.
   void attach_trace(KernelLaunch& launch);
   Cycle run_dense(u64 max_cycles);
   Cycle run_event(u64 max_cycles);

@@ -60,9 +60,9 @@ struct KernelLaunch {
   u32 stream = 0;
   /// Free-form tag for reporting (e.g. workload + kernel name).
   std::string tag;
-  /// Compiled superinstruction trace (ExecMode::kBlock only). Derived state:
-  /// attached by Gpu::launch from the process-wide cache, never serialized,
-  /// re-attached on snapshot restore.
+  /// Compiled superinstruction trace, the gate record of every pc (both
+  /// exec modes). Derived state: attached by Gpu::launch from the
+  /// process-wide cache, never serialized, re-attached on snapshot restore.
   std::shared_ptr<const blockexec::CompiledTrace> trace;
 
   u32 total_blocks() const { return grid.count(); }

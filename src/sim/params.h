@@ -24,15 +24,18 @@ namespace higpu::sim {
 enum class SimEngine { kEvent, kDense };
 constexpr SimEngine enum_last(SimEngine) { return SimEngine::kDense; }
 
-/// Instruction-dispatch engine selection (orthogonal to SimEngine).
+/// Functional-step selection (orthogonal to SimEngine). In both modes each
+/// program is lowered once at launch into a pre-decoded superinstruction
+/// trace (see sim/blockexec.h), and every pc's record is its issue gate:
+/// hazards, unit and guard. The modes differ only in the functional step.
 ///
-/// * kBlock — block-compiled: at launch each program is lowered once into a
-///   pre-decoded superinstruction trace (see sim/blockexec.h) and the issue
-///   stage dispatches through it; memory/control/barrier ops fall back to
-///   the interpreter. Bit-identical results, cycle counts and architectural
-///   statistics to kInterp — only dispatch cost changes.
-/// * kInterp — the original per-instruction interpreter, kept as the
-///   reference for the block/interp equivalence tests and benchmarks.
+/// * kBlock — the register-only forms run as width-32 lane kernels;
+///   memory, control-flow, barrier and nop ops run through the
+///   per-instruction executor. Bit-identical results, cycle counts and
+///   architectural statistics to kInterp — only dispatch cost changes.
+/// * kInterp — every op runs through the per-instruction executor, kept as
+///   the reference for the lane kernels in the block/interp equivalence
+///   tests.
 enum class ExecMode { kBlock, kInterp };
 constexpr ExecMode enum_last(ExecMode) { return ExecMode::kInterp; }
 

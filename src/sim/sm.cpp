@@ -89,8 +89,7 @@ void SmCore::accept_block(const KernelLaunch& launch, u32 launch_id,
     w.age = ++age_counter_;
     w.block_slot = slot;
     w.warp_in_block = assigned;
-    w.prog = prog;
-    w.ctrace = launch.trace.get();  // null in interpreter mode
+    w.ctrace = launch.trace.get();
     const u32 first_thread = assigned * params_.warp_size;
     const u32 lanes = std::min(params_.warp_size, threads - first_thread);
     w.valid_mask = lanes == 32 ? kFullMask : ((1u << lanes) - 1);
@@ -216,78 +215,11 @@ SmCore::IssueOutcome SmCore::try_issue_classified(Warp& w, Cycle now) {
   // cycle, so classes stay constant between events.
   if (w.at_barrier) return stall(w, IssueOutcome::kBarrier, kNeverCycle);
 
-  // Block engine: dispatch through the pre-decoded superop when this pc was
-  // lowered; memory/control/barrier ops fall through to the interpreter.
-  if (w.ctrace != nullptr) {
-    const blockexec::SuperOp& sop = w.ctrace->at(w.pc());
-    if (blockexec::lowers(sop.form)) return issue_superop(w, sop, now);
-  }
+  const isa::Pc pc = w.pc();
+  const blockexec::SuperOp& sop = w.ctrace->at(pc);
 
-  const Instruction& ins = w.prog->at(w.pc());
-
-  // Scoreboard hazards (RAW on sources/guard, WAW on destination).
-  if (ins.guard != isa::kNoPred && w.hazard(static_cast<u16>(ins.guard), true, now))
-    return stall(w, IssueOutcome::kScoreboard,
-                 w.release_cycle(static_cast<u16>(ins.guard), true, now));
-  if (ins.pred_src != isa::kNoPred && w.hazard(static_cast<u16>(ins.pred_src), true, now))
-    return stall(w, IssueOutcome::kScoreboard,
-                 w.release_cycle(static_cast<u16>(ins.pred_src), true, now));
-  for (const isa::Operand& o : ins.src)
-    if (o.is_reg() && w.hazard(o.reg, false, now))
-      return stall(w, IssueOutcome::kScoreboard,
-                   w.release_cycle(o.reg, false, now));
-  if (isa::writes_gpr(ins.op) && w.hazard(ins.dst, false, now))
-    return stall(w, IssueOutcome::kScoreboard,
-                 w.release_cycle(ins.dst, false, now));
-  if (isa::writes_pred(ins.op) && w.hazard(ins.dst, true, now))
-    return stall(w, IssueOutcome::kScoreboard,
-                 w.release_cycle(ins.dst, true, now));
-
-  // Structural hazards.
-  const UnitClass uc = isa::unit_class(ins.op);
-  if (uc == UnitClass::kSfu && now < sfu_free_) return stall_on(w, Unit::kSfu);
-  if (uc == UnitClass::kMem && now < mem_free_) return stall_on(w, Unit::kMem);
-
-  // Guard mask over the effective lanes.
-  const u32 eff = w.effective_mask();
-  u32 guard_mask = eff;
-  if (ins.guard != isa::kNoPred) {
-    guard_mask = 0;
-    for (u32 m = eff; m != 0; m &= m - 1) {
-      const u32 lane = static_cast<u32>(std::countr_zero(m));
-      const bool p = w.pred_at(ins.guard, lane) != 0;
-      if (p != ins.guard_neg) guard_mask |= 1u << lane;
-    }
-  }
-
-  // Trace only datapath instructions: they are the ones exposed to
-  // transient datapath faults, so temporal-diversity slack is defined over
-  // them (and a droop window is guaranteed to corrupt every traced event).
-  if (trace_ != nullptr && isa::is_datapath(ins.op)) {
-    const ResidentBlock& b = blocks_[w.block_slot];
-    trace_->record(b.launch_id, b.block_linear, w.warp_in_block,
-                   w.instructions, sm_id_, now);
-  }
-  execute(w, ins, guard_mask, now);
-  if (w.ctrace != nullptr) ++block_fallback_exits_;
-  post_issue(w, now);
-  return IssueOutcome::kIssued;
-}
-
-void SmCore::post_issue(Warp& w, Cycle now) {
-  ++w.instructions;
-  instructions_ += 1;
-
-  // A warp whose last instruction was EXIT completes immediately.
-  if (!w.refresh_stack()) complete_warp(w, now);
-}
-
-SmCore::IssueOutcome SmCore::issue_superop(Warp& w,
-                                           const blockexec::SuperOp& sop,
-                                           Cycle now) {
-  // Scoreboard: the compiled hazard plan replays the interpreter's check
-  // sequence (guard, pred_src, sources in order, destination), so the first
-  // hazarded register — and with it the recorded wake cycle — is identical.
+  // Scoreboard hazards (RAW on guard, pred_src and sources, WAW on the
+  // destination), in the compiled plan's order.
   for (u8 i = 0; i < sop.n_hazards; ++i) {
     const blockexec::HazPlan& h = sop.hazards[i];
     if (w.hazard(h.reg, h.is_pred, now))
@@ -295,8 +227,9 @@ SmCore::IssueOutcome SmCore::issue_superop(Warp& w,
                    w.release_cycle(h.reg, h.is_pred, now));
   }
 
-  // Structural: only the SFU can block a lowered op (memory ops fall back).
+  // Structural hazards.
   if (sop.is_sfu && now < sfu_free_) return stall_on(w, Unit::kSfu);
+  if (sop.is_mem && now < mem_free_) return stall_on(w, Unit::kMem);
 
   // Guard mask over the effective lanes.
   const u32 eff = w.effective_mask();
@@ -310,14 +243,29 @@ SmCore::IssueOutcome SmCore::issue_superop(Warp& w,
     }
   }
 
+  // Trace only datapath instructions: they are the ones exposed to
+  // transient datapath faults, so temporal-diversity slack is defined over
+  // them (and a droop window is guaranteed to corrupt every traced event).
   if (trace_ != nullptr && sop.is_datapath) {
     const ResidentBlock& b = blocks_[w.block_slot];
     trace_->record(b.launch_id, b.block_linear, w.warp_in_block,
                    w.instructions, sm_id_, now);
   }
-  exec_superop(w, sop, guard_mask, now);
-  ++block_exec_hits_;
-  post_issue(w, now);
+
+  // The functional step, the only thing the exec modes choose.
+  const bool block = params_.exec_mode == ExecMode::kBlock;
+  if (block && blockexec::lowers(sop.form)) {
+    exec_superop(w, sop, guard_mask, now);
+    ++block_exec_hits_;
+  } else {
+    execute(w, w.ctrace->program().at(pc), guard_mask, now);
+    if (block) ++block_fallback_exits_;
+  }
+  ++w.instructions;
+  instructions_ += 1;
+
+  // A warp whose last instruction was EXIT completes immediately.
+  if (!w.refresh_stack()) complete_warp(w, now);
   return IssueOutcome::kIssued;
 }
 
@@ -772,11 +720,10 @@ void SmCore::restore(
     throw ckpt::SnapshotError("snapshot warp-scheduler count mismatch");
 
   // An inactive slot is only its `active` byte in the snapshot: clear the
-  // rest. Derived state: the block -> launch and warp -> program pointers
-  // (the restoring GPU attached traces to its launches, or left them null
-  // in interpreter mode, before restoring the SMs), and the unit a
-  // structural stall record waits on: that of the instruction at its
-  // warp's pc (a stalled warp has not moved since).
+  // rest. Derived state: the block -> launch and warp -> trace pointers
+  // (the restoring GPU attached traces to its launches before restoring the
+  // SMs), and the unit a structural stall record waits on: that of the
+  // gate record at its warp's pc (a stalled warp has not moved since).
   for (ResidentBlock& b : blocks_) {
     if (!b.active) {
       b = ResidentBlock{};
@@ -804,17 +751,13 @@ void SmCore::restore(
                                 std::to_string(warp.block_slot) +
                                 ", which holds no block");
     const KernelLaunch& launch = *blocks_[warp.block_slot].launch;
-    warp.prog = launch.program.get();
     warp.ctrace = launch.trace.get();
     if (rec.cls != IssueOutcome::kStructural || rec.wake == 0) continue;
-    if (warp.stack.empty() || warp.pc() >= warp.prog->size())
+    if (warp.stack.empty() || warp.pc() >= warp.ctrace->size())
       throw ckpt::SnapshotError("snapshot structural stall at warp " +
                                 std::to_string(i) + " has no instruction");
-    switch (isa::unit_class(warp.prog->at(warp.pc()).op)) {
-      case UnitClass::kMem: rec.unit = Unit::kMem; break;
-      case UnitClass::kSfu: rec.unit = Unit::kSfu; break;
-      default: break;
-    }
+    const blockexec::SuperOp& sop = warp.ctrace->at(warp.pc());
+    rec.unit = sop.is_mem ? Unit::kMem : sop.is_sfu ? Unit::kSfu : Unit::kNone;
   }
 
   // Open stall episodes describe pre-restore time; drop them rather than

@@ -171,7 +171,7 @@ class SmCore {
   void save(ckpt::Writer& w) const { ckpt::put_fields(w, *this); }
   /// `launch_of` maps a launch id to its (already restored) KernelLaunch,
   /// or nullptr for an id with none; used to rebuild the block -> launch
-  /// and warp -> program pointers.
+  /// and warp -> trace pointers.
   void restore(ckpt::Reader& r,
                const std::function<const KernelLaunch*(u32)>& launch_of);
 
@@ -236,17 +236,13 @@ class SmCore {
   friend constexpr IssueOutcome enum_last(IssueOutcome) {
     return IssueOutcome::kStructural;
   }
+  /// The issue gate, one for every opcode and both exec modes: the gate
+  /// record at the warp's pc (its hazard plan, unit and guard) decides
+  /// whether it issues; the exec mode only picks the functional step,
+  /// exec_superop for a lowered form under ExecMode::kBlock, else execute.
   IssueOutcome try_issue_classified(Warp& w, Cycle now);
-  /// Block-engine fast path: issue one pre-decoded superop. Same scoreboard /
-  /// structural / guard semantics as the interpreter path, dispatched through
-  /// the compiled hazard plan and lane-vector kernels.
-  IssueOutcome issue_superop(Warp& w, const blockexec::SuperOp& sop, Cycle now);
   void exec_superop(Warp& w, const blockexec::SuperOp& sop, u32 guard_mask,
                     Cycle now);
-  /// Post-issue bookkeeping shared by both dispatch paths: per-warp
-  /// instruction count, SM instruction counter, and completion of a warp
-  /// whose last instruction was EXIT.
-  void post_issue(Warp& w, Cycle now);
   bool try_issue(Warp& w, Cycle now);
   /// Execution unit a structural stall waits on (kNone for other stalls).
   enum class Unit : u8 { kNone, kMem, kSfu };
@@ -336,8 +332,8 @@ class SmCore {
   // record blocks while its unit is busy: the issue walk reads the unit's
   // live next-free counter, which only moves forward, so a unit re-booked
   // by another warp keeps the record blocked without a re-attempt. `unit`
-  // is derived state (the unit class of the instruction at the warp's pc),
-  // never serialized; restore() recomputes it.
+  // is derived state (the unit of the gate record at the warp's pc), never
+  // serialized; restore() recomputes it.
   struct StallRec {
     Cycle wake = 0;  // 0 = must attempt; kNeverCycle = barrier (external)
     IssueOutcome cls = IssueOutcome::kStructural;
@@ -394,10 +390,10 @@ class SmCore {
   u64 stall_structural_ = 0;
   u64 issued_attempts_ = 0;
 
-  // Block-dispatch counters (ExecMode::kBlock only; both count *issued*
+  // Functional-step counters (ExecMode::kBlock only; both count *issued*
   // instructions, so hits + fallbacks == instructions in block mode).
-  u64 block_exec_hits_ = 0;        // issued through a compiled superop
-  u64 block_fallback_exits_ = 0;   // exited the block path to the interpreter
+  u64 block_exec_hits_ = 0;        // ran as a lane kernel (exec_superop)
+  u64 block_fallback_exits_ = 0;   // ran through execute
 
   // Cycle attribution (obs::SmCycles). Every active cycle lands in exactly
   // one bucket: issued if any scheduler made progress, else the dominant

@@ -40,10 +40,10 @@ struct Warp {
   u32 warp_in_block = 0;
 
   // ---- Program state ----
-  const isa::KernelProgram* prog = nullptr;
-  /// Compiled superinstruction trace for `prog` (null in interpreter mode).
-  /// Derived state: set alongside `prog` on block acceptance and on snapshot
-  /// restore, never serialized. Owned by the KernelLaunch.
+  /// Compiled trace of the warp's program, in both exec modes: the gate
+  /// record of every pc, and through program() the instructions. Derived
+  /// state: set on block acceptance and on snapshot restore, never
+  /// serialized. Owned by the KernelLaunch.
   const blockexec::CompiledTrace* ctrace = nullptr;
   u32 valid_mask = 0;                 // lanes that exist (partial last warp)
   u32 exited = 0;                     // lanes that executed EXIT
@@ -140,7 +140,7 @@ void visit_fields(S& p, V&& v) {
 }
 
 /// The snapshot fields of a warp slot: an inactive slot is its `active`
-/// byte alone. `prog` and `ctrace` are rebuilt from the owning block.
+/// byte alone. `ctrace` is rebuilt from the owning block.
 template <FieldsOf<Warp> S, class V>
 void visit_fields(S& w, V&& v) {
   v("active", w.active);

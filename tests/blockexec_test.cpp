@@ -8,7 +8,9 @@
 // and cache properties, (3) fuzzed-program interp-vs-block equivalence
 // instruction-for-instruction, (4) the 19-workload suite across engines and
 // redundancy, (5) fault-injection equivalence, (6) checkpoint/restore
-// mid-run including cross-mode restore, (7) the eval_alu hard-error path.
+// mid-run including cross-mode restore, (7) the eval_alu hard-error path,
+// (8) every pc's gate record, which both modes issue from, against an
+// instruction walk.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -25,10 +27,12 @@
 #include "fault/injector.h"
 #include "isa/builder.h"
 #include "memsys/global_store.h"
+#include "runtime/device.h"
 #include "sched/policies.h"
 #include "sim/blockexec.h"
 #include "sim/executor.h"
 #include "sim/gpu.h"
+#include "tests/issue_gate_walk.h"
 #include "tests/test_kernels.h"
 #include "workloads/workload.h"
 
@@ -456,6 +460,48 @@ TEST_P(BlockExecFuzz, BlockMatchesInterpInstructionForInstruction) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BlockExecFuzz, ::testing::Range<u64>(1, 13));
+
+// ---- One issue gate: compiled records vs the instruction walk --------------
+// SmCore gates issue from each pc's compiled record in both exec modes, so
+// the block/interp equivalence suites cannot catch a wrong record. The walk
+// in tests/issue_gate_walk.h can: every program the 19 workloads launch at
+// test scale (the programs `verify_kernel --all` analyzes) and the fuzz
+// kernels above, with their memory round-trips and guards of both
+// polarities, must compile to records that agree with it pc for pc.
+
+TEST(IssueGate, RecordMatchesInstructionWalk) {
+  testing::WalkCoverage cov;
+  for (const std::string& name : workloads::all_names()) {
+    SCOPED_TRACE(name);
+    exp::ScenarioSpec spec;
+    spec.workload = name;
+    spec.scale = workloads::Scale::kTest;
+    spec.seed = 2019;
+    spec.redundancy = core::RedundancySpec::baseline();
+    std::vector<isa::ProgramPtr> programs;
+    const exp::ScenarioResult r = exp::run_scenario(
+        spec, 0,
+        [&](runtime::Device& dev, workloads::Workload&, core::ExecSession&) {
+          for (const runtime::Device::VerifyRecord& rec : dev.verify_reports())
+            programs.push_back(rec.program);
+        });
+    ASSERT_TRUE(r.ok) << r.error;
+    ASSERT_FALSE(programs.empty());
+    for (const isa::ProgramPtr& p : programs)
+      testing::expect_records_match_walk(*p, *sim::blockexec::trace_for(p),
+                                         cov);
+  }
+  for (u64 seed = 1; seed < 13; ++seed) {
+    Rng rng(seed * 0x2545F4914F6CDD1Dull + 11);
+    const isa::ProgramPtr p = build_fuzz_kernel(rng, 6, 4);
+    testing::expect_records_match_walk(*p, *sim::blockexec::trace_for(p), cov);
+  }
+  // The facts a broken record would get wrong were there to be checked.
+  EXPECT_GT(cov.mem, 0u);
+  EXPECT_GT(cov.sfu, 0u);
+  EXPECT_GT(cov.guard_and_pred, 0u);
+  EXPECT_GT(cov.negated_guards, 0u);
+}
 
 }  // namespace
 }  // namespace higpu

@@ -23,6 +23,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -1945,9 +1946,12 @@ u64 get_le64(const std::vector<u8>& blob, size_t at) {
 /// A device whose every SM is full of warps queued on the LSU (or the SFU),
 /// launched but not yet synchronized. Deterministic, so two calls build
 /// devices with identical host histories.
-std::unique_ptr<runtime::Device> herd_device(sim::SimEngine engine, bool sfu) {
+std::unique_ptr<runtime::Device> herd_device(
+    sim::SimEngine engine, bool sfu,
+    sim::ExecMode mode = sim::ExecMode::kBlock) {
   sim::GpuParams p;
   p.engine = engine;
+  p.exec_mode = mode;
   auto dev = std::make_unique<runtime::Device>(p);
   dev->set_kernel_scheduler(sched::make_scheduler(sched::Policy::kDefault));
   const u32 threads = testing::full_gpu_threads(p);
@@ -1964,8 +1968,9 @@ struct HerdRun {
   ckpt::SnapshotPtr final_state;
 };
 
-HerdRun run_herd(sim::SimEngine engine, bool sfu, std::vector<Cycle> targets) {
-  auto dev = herd_device(engine, sfu);
+HerdRun run_herd(sim::SimEngine engine, bool sfu, std::vector<Cycle> targets,
+                 sim::ExecMode mode = sim::ExecMode::kBlock) {
+  auto dev = herd_device(engine, sfu, mode);
   dev->set_checkpoint_targets(std::move(targets));
   dev->synchronize();
   return {dev->target_snapshots(), dev->snapshot()};
@@ -1982,22 +1987,24 @@ bool both_units_busy(const ckpt::Snapshot& s) {
 }
 
 class CkptHerd
-    : public ::testing::TestWithParam<std::pair<sim::SimEngine, bool>> {};
+    : public ::testing::TestWithParam<
+          std::tuple<sim::SimEngine, bool, sim::ExecMode>> {};
 
 TEST_P(CkptHerd, RestoreMidHerdRunsToTheStraightResult) {
-  const auto [engine, sfu] = GetParam();
+  const auto [engine, sfu, mode] = GetParam();
   std::vector<Cycle> targets;
   for (Cycle t = 9000; t < 9100; t += 3) targets.push_back(t);
-  const HerdRun straight = run_herd(engine, sfu, targets);
+  const HerdRun straight = run_herd(engine, sfu, targets, mode);
   // The stall records of the queued warps are in the snapshot; the unit
-  // each one waits on is not, and the restore derives it again.
+  // each one waits on is not, and the restore derives it again from the
+  // gate record at the warp's pc, in either exec mode.
   u32 resumed_runs = 0;
   for (const ckpt::SnapshotPtr& mid : straight.mid) {
     ASSERT_NE(mid, nullptr);
     ASSERT_LT(mid->cycle, straight.final_state->cycle);
     if (!both_units_busy(*mid)) continue;
     SCOPED_TRACE("capture@" + std::to_string(mid->cycle));
-    auto fresh = herd_device(engine, sfu);
+    auto fresh = herd_device(engine, sfu, mode);
     fresh->arm_resume(mid);
     fresh->synchronize();
     const ckpt::SnapshotPtr resumed = fresh->snapshot();
@@ -2012,15 +2019,19 @@ TEST_P(CkptHerd, RestoreMidHerdRunsToTheStraightResult) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    EnginesAndUnits, CkptHerd,
-    ::testing::Values(std::pair{sim::SimEngine::kEvent, false},
-                      std::pair{sim::SimEngine::kEvent, true},
-                      std::pair{sim::SimEngine::kDense, false},
-                      std::pair{sim::SimEngine::kDense, true}),
+    EnginesUnitsAndModes, CkptHerd,
+    ::testing::Combine(::testing::Values(sim::SimEngine::kEvent,
+                                         sim::SimEngine::kDense),
+                       ::testing::Bool(),
+                       ::testing::Values(sim::ExecMode::kBlock,
+                                         sim::ExecMode::kInterp)),
     [](const auto& info) {
-      return std::string(info.param.first == sim::SimEngine::kEvent ? "event_"
-                                                                    : "dense_") +
-             (info.param.second ? "sfu" : "lsu");
+      return std::string(std::get<0>(info.param) == sim::SimEngine::kEvent
+                             ? "event_"
+                             : "dense_") +
+             (std::get<1>(info.param) ? "sfu_" : "lsu_") +
+             (std::get<2>(info.param) == sim::ExecMode::kBlock ? "block"
+                                                               : "interp");
     });
 
 /// Restoring `s` into a fresh device throws a SnapshotError naming `what`.

@@ -15,7 +15,9 @@
 #include "isa/verify/verify.h"
 #include "memsys/global_store.h"
 #include "sched/policies.h"
+#include "sim/blockexec.h"
 #include "sim/gpu.h"
+#include "tests/issue_gate_walk.h"
 
 namespace higpu {
 namespace {
@@ -318,6 +320,21 @@ TEST_P(FuzzExec, SimMatchesReferenceInterpreter) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzExec,
                          ::testing::Range<u64>(1, 25));
+
+// Every pc of the programs FuzzExec runs gets a compiled gate record that
+// agrees with the instruction walk (tests/issue_gate_walk.h).
+TEST(IssueGate, RecordMatchesInstructionWalkOnFuzzPrograms) {
+  testing::WalkCoverage cov;
+  for (u64 seed = 1; seed < 25; ++seed) {
+    Rng rng(seed * 0x9E3779B9u + 1);
+    const isa::ProgramPtr kernel = build_kernel(random_program(rng));
+    testing::expect_records_match_walk(
+        *kernel, *sim::blockexec::trace_for(kernel), cov);
+  }
+  EXPECT_GT(cov.mem, 0u);
+  EXPECT_GT(cov.guard_and_pred, 0u);
+  EXPECT_GT(cov.negated_guards, 0u);
+}
 
 }  // namespace
 }  // namespace higpu
