@@ -1,10 +1,10 @@
 #include "isa/verify/verify.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <string>
 #include <vector>
 
+#include "common/table.h"
 #include "isa/cfg.h"
 #include "isa/opcode.h"
 
@@ -849,56 +849,28 @@ bool Result::has(Code c) const {
                      [c](const Diag& d) { return d.code == c; });
 }
 
-namespace {
-void json_escape(const std::string& s, std::string& out) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-}  // namespace
-
 std::string Result::to_json() const {
-  std::string j = "{\"kernel\":\"";
-  json_escape(kernel, j);
-  j += "\",\"ok\":";
-  j += ok() ? "true" : "false";
-  j += ",\"errors\":" + std::to_string(count(Severity::kError));
-  j += ",\"warnings\":" + std::to_string(count(Severity::kWarning));
-  j += ",\"diags\":[";
-  for (size_t i = 0; i < diags.size(); ++i) {
-    const Diag& d = diags[i];
-    if (i) j += ',';
-    j += "{\"severity\":\"";
-    j += severity_name(d.severity);
-    j += "\",\"code\":\"";
-    j += code_name(d.code);
-    j += "\",\"pc\":" + std::to_string(d.pc);
-    if (d.block != kNoBlock) j += ",\"block\":" + std::to_string(d.block);
-    j += ",\"message\":\"";
-    json_escape(d.message, j);
-    j += '"';
-    if (!d.hint.empty()) {
-      j += ",\"hint\":\"";
-      json_escape(d.hint, j);
-      j += '"';
-    }
-    j += '}';
+  JsonWriter jw = JsonWriter::compact();
+  jw.begin_object();
+  jw.field("kernel", kernel);
+  jw.field("ok", ok());
+  jw.field("errors", count(Severity::kError));
+  jw.field("warnings", count(Severity::kWarning));
+  jw.key("diags");
+  jw.begin_array();
+  for (const Diag& d : diags) {
+    jw.begin_object();
+    jw.field("severity", severity_name(d.severity));
+    jw.field("code", code_name(d.code));
+    jw.field("pc", d.pc);
+    if (d.block != kNoBlock) jw.field("block", d.block);
+    jw.field("message", d.message);
+    if (!d.hint.empty()) jw.field("hint", d.hint);
+    jw.end_object();
   }
-  j += "]}";
-  return j;
+  jw.end_array();
+  jw.end_object();
+  return jw.str();
 }
 
 std::string Result::to_string() const {

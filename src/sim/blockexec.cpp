@@ -12,7 +12,7 @@ namespace higpu::sim::blockexec {
 namespace {
 
 /// Lowered operand plan for one instruction source. Absent sources fold to
-/// immediate 0, exactly like the interpreter's missing-operand default.
+/// immediate 0, so every executor reads an unused slot as 0.
 /// Register indices are baked into the trace unchecked: the launch gate
 /// (isa/verify) refuses a source in a slot the opcode does not read and
 /// proves every read index inside the program's declared register and
@@ -29,10 +29,11 @@ SrcPlan lower_src(const isa::Operand& o) {
   return s;
 }
 
-/// Lower one instruction to its superop, the gate record of its pc. The
-/// hazard plan's order is guard, pred_src, sources in operand order,
-/// destination GPR, destination predicate.
-SuperOp lower(const isa::Instruction& ins) {
+/// Lower the instruction at `pc` to its superop, the gate record and
+/// functional step of that pc. The hazard plan's order is guard, pred_src,
+/// sources in operand order, destination GPR, destination predicate.
+SuperOp lower(const isa::KernelProgram& prog, isa::Pc pc) {
+  const auto& ins = prog.at(pc);
   const isa::OpInfo& info = isa::op_info(ins.op);
   SuperOp s;
   s.form = info.form;
@@ -52,7 +53,9 @@ SuperOp lower(const isa::Instruction& ins) {
   s.dtype = ins.dtype;
   s.pred_src = ins.pred_src;
   s.sreg = ins.sreg;
-  if (info.form == isa::Form::kLdp) s.param_idx = ins.src[0].imm;
+  s.target = ins.target;
+  s.reconv_pc = ins.reconv_pc;
+  s.mem_offset = ins.mem_offset;
 
   auto haz = [&s](u16 reg, bool is_pred) {
     s.hazards[s.n_hazards++] = HazPlan{reg, is_pred};
@@ -69,14 +72,13 @@ SuperOp lower(const isa::Instruction& ins) {
 }  // namespace
 
 CompiledTrace::CompiledTrace(isa::ProgramPtr prog) : prog_(std::move(prog)) {
-  const std::vector<isa::Instruction>& code = prog_->code();
-  sops_.reserve(code.size());
-  for (const isa::Instruction& ins : code) sops_.push_back(lower(ins));
+  sops_.reserve(prog_->size());
+  for (isa::Pc pc = 0; pc < prog_->size(); ++pc)
+    sops_.push_back(lower(*prog_, pc));
 
-  // Fused-run metadata over the CFG: maximal spans of consecutive
-  // lane-kernel pcs within one basic block. Runs never cross block boundaries — a block is
-  // the unit the issue stage can walk without a control-flow re-check.
-  const isa::Cfg cfg(code);
+  // Fused-run statistics over the CFG: maximal spans of consecutive
+  // register-only pcs within one basic block. No issue stage walks them.
+  const isa::Cfg cfg(prog_->code());
   num_blocks_ = cfg.num_blocks();
   for (u32 b = 0; b < cfg.num_blocks(); ++b) {
     const isa::BasicBlock& bb = cfg.block(b);

@@ -1,30 +1,32 @@
 // Block-compiled vectorized execution engine.
 //
-// At kernel launch the program's `isa::cfg` basic blocks are lowered into a
-// pre-decoded *superinstruction trace*: one SuperOp per pc, for every form,
-// with operands resolved to register-file row offsets, immediates folded
-// into splat values, the opcode's isa::kOpTable facts (form, unit, writeback
-// kind, datapath membership) baked into flags, and the scoreboard-check
-// sequence precomputed as an ordered hazard plan. Consecutive lane-kernel
-// superops inside a basic block form *fused runs* — contiguous pre-decoded
-// spans the issue stage walks without ever touching the original
-// `isa::Instruction` encoding.
+// At kernel launch the program is lowered into a pre-decoded
+// *superinstruction trace*: one SuperOp per pc, for every form, with
+// operands resolved to register-file row offsets, immediates folded into
+// splat values, branch targets, reconvergence pcs and memory offsets copied
+// out, the opcode's isa::kOpTable facts (form, unit, writeback kind,
+// datapath membership) baked into flags, and the scoreboard-check sequence
+// precomputed as an ordered hazard plan.
 //
-// Every pc's record is its issue gate, in both exec modes: SmCore checks
-// the hazard plan, the record's unit and its guard before any instruction
-// issues, so cycle counts, stall classification, fault-injection windows
-// and statistics cannot differ between the modes (pinned by the dual-engine
-// and golden-cycle suites). The modes differ only in the functional step.
-// Under ExecMode::kBlock the five register-only forms (`lowers()`) run as
-// lane kernels; memory, control-flow, barrier and nop pcs, and every pc
-// under ExecMode::kInterp, run through the per-instruction executor
-// (SmCore::execute), leaving divergence handling, MSHR backpressure and
-// barrier accounting untouched.
+// Every pc's record is both its issue gate and its functional step, in both
+// exec modes: SmCore checks the hazard plan, the record's unit and its
+// guard, then SmCore::execute runs the record. No part of the SM decodes the
+// original instruction encoding again, so cycle counts, stall
+// classification, fault-injection windows and statistics cannot differ
+// between the modes (pinned by the dual-engine and golden-cycle suites).
+// The modes differ only in how a kAlu op is evaluated: as a width-32 lane
+// kernel (run_vkernel) under ExecMode::kBlock, or lane by lane through
+// sim::eval_alu under ExecMode::kInterp, the reference the lane kernels are
+// checked against. Every other form has one code path in both modes.
 //
-// The per-lane math of a superop executes over the warp's struct-of-arrays
-// register file (one contiguous 32-lane row per register, see sim/warp.h) as
-// width-32 lane kernels written so the compiler can autovectorize them into
-// 4/8-lane SIMD. All lane kernels are bit-exact re-expressions of
+// Basic blocks and fused runs (maximal spans of consecutive register-only
+// pcs inside a basic block) are compile statistics only: no issue stage
+// walks them.
+//
+// Under ExecMode::kBlock a kAlu superop executes over the warp's
+// struct-of-arrays register file (one contiguous 32-lane row per register,
+// see sim/warp.h) as a width-32 lane kernel written so the compiler can
+// autovectorize it into 4/8-lane SIMD. All lane kernels are bit-exact re-expressions of
 // sim::eval_alu — enforced per-op by tests/blockexec_test.cpp and across
 // optimization levels by the -O0 vs -O3 reproducibility CI job.
 //
@@ -42,14 +44,14 @@
 
 namespace higpu::sim::blockexec {
 
-/// True for the forms whose functional step is a lane kernel under
-/// ExecMode::kBlock. Every other form (memory, control flow, barrier, nop)
-/// still issues through its record, then runs through SmCore::execute.
+/// The register-only forms. A block-mode run counts their issues as
+/// `block_exec_hits` and every other form's (memory, control flow,
+/// barrier, nop) as `block_fallback_exits`; the fused-run statistics count
+/// spans of them.
 constexpr bool lowers(isa::Form f) { return f <= isa::Form::kSelp; }
 
 /// One pre-decoded source operand: a register row index or a folded
-/// immediate. Absent operands fold to immediate 0, mirroring the
-/// interpreter's `present() ? value : 0`.
+/// immediate. Absent operands fold to immediate 0.
 struct SrcPlan {
   u16 reg = 0;
   bool is_imm = true;
@@ -62,13 +64,14 @@ struct HazPlan {
   bool is_pred = false;
 };
 
-/// A pre-decoded superinstruction: the gate record of one pc. Everything the
-/// issue stage derives from an `isa::Instruction` per dynamic execution —
-/// operand routing, unit, writeback kind, hazard sequence — resolved once at
-/// compile time.
+/// A pre-decoded superinstruction: the gate record and functional step of
+/// one pc. Everything the SM would otherwise derive from the instruction
+/// encoding per dynamic execution — operand routing, unit, writeback kind,
+/// hazard sequence, branch and memory immediates — resolved once at compile
+/// time.
 struct SuperOp {
   isa::Form form = isa::Form::kNop;  // the opcode's form (isa::kOpTable)
-  isa::Op op = isa::Op::kNop;        // selects the kAlu lane kernel
+  isa::Op op = isa::Op::kNop;  // the kAlu operation; load, store or atomic
 
   // Flags folded from the opcode's isa::kOpTable row.
   bool is_sfu = false;
@@ -82,6 +85,8 @@ struct SuperOp {
   bool guard_neg = false;
 
   u16 dst = 0;  // GPR row, or predicate row for kSetp
+  // Sources in operand order. A memory op's address is `a` and its stored
+  // or added value `b`; an ldp's parameter index is `a.imm`.
   SrcPlan a, b, c;
 
   // kSetp / kSelp extras.
@@ -89,9 +94,15 @@ struct SuperOp {
   isa::DType dtype = isa::DType::kI32;
   i16 pred_src = isa::kNoPred;
 
-  // kS2r / kLdp extras.
+  // kS2r extra.
   isa::SReg sreg = isa::SReg::kTidX;
-  u32 param_idx = 0;
+
+  // kBranch extras: the taken pc and the IPDOM reconvergence pc.
+  isa::Pc target = 0;
+  isa::Pc reconv_pc = 0;
+
+  // kGlobal / kShared extra: byte offset added to the address.
+  i32 mem_offset = 0;
 
   /// Ordered scoreboard plan: guard, pred_src, sources in operand order,
   /// then the destination.
@@ -102,7 +113,7 @@ struct SuperOp {
 };
 
 /// A compiled program trace: one SuperOp per pc, plus fused-run and
-/// coverage metadata. Immutable after construction; safely shared across
+/// coverage statistics. Immutable after construction; safely shared across
 /// threads. Holds a reference to its program so the cache key (the program
 /// address) cannot be reused while the trace is alive.
 class CompiledTrace {
@@ -114,16 +125,14 @@ class CompiledTrace {
 
   /// Basic blocks in the program's CFG (the compilation unit).
   u32 num_blocks() const { return num_blocks_; }
-  /// Static instructions whose form has a lane kernel (`lowers`).
+  /// Static instructions of a register-only form (`lowers`).
   u32 num_superops() const { return num_superops_; }
-  /// Maximal spans of consecutive lane-kernel pcs within one basic block.
+  /// Maximal spans of consecutive register-only pcs within one basic block.
   u32 num_fused_runs() const { return num_fused_runs_; }
-  /// Static lane-kernel coverage in percent (rounded down).
+  /// Static register-only coverage in percent (rounded down).
   u32 static_coverage_pct() const {
     return size() ? num_superops_ * 100 / size() : 0;
   }
-
-  const isa::KernelProgram& program() const { return *prog_; }
 
  private:
   isa::ProgramPtr prog_;

@@ -24,18 +24,18 @@ namespace higpu::sim {
 enum class SimEngine { kEvent, kDense };
 constexpr SimEngine enum_last(SimEngine) { return SimEngine::kDense; }
 
-/// Functional-step selection (orthogonal to SimEngine). In both modes each
+/// ALU evaluation selection (orthogonal to SimEngine). In both modes each
 /// program is lowered once at launch into a pre-decoded superinstruction
-/// trace (see sim/blockexec.h), and every pc's record is its issue gate:
-/// hazards, unit and guard. The modes differ only in the functional step.
+/// trace (see sim/blockexec.h), and every pc's record is both its issue
+/// gate (hazards, unit and guard) and its functional step: SmCore::execute
+/// runs the record, one code path per form. The modes differ only in how a
+/// kAlu (ALU/SFU) op is evaluated.
 ///
-/// * kBlock — the register-only forms run as width-32 lane kernels;
-///   memory, control-flow, barrier and nop ops run through the
-///   per-instruction executor. Bit-identical results, cycle counts and
-///   architectural statistics to kInterp — only dispatch cost changes.
-/// * kInterp — every op runs through the per-instruction executor, kept as
-///   the reference for the lane kernels in the block/interp equivalence
-///   tests.
+/// * kBlock — as a width-32 lane kernel (blockexec::run_vkernel).
+///   Bit-identical results, cycle counts and architectural statistics to
+///   kInterp — only dispatch cost changes.
+/// * kInterp — lane by lane through sim::eval_alu, kept as the reference
+///   for the lane kernels in the block/interp equivalence tests.
 enum class ExecMode { kBlock, kInterp };
 constexpr ExecMode enum_last(ExecMode) { return ExecMode::kInterp; }
 

@@ -13,9 +13,7 @@
 
 namespace higpu::sim {
 
-using isa::Instruction;
 using isa::Op;
-using isa::UnitClass;
 
 SmCore::SmCore(u32 sm_id, const GpuParams& params, memsys::MemHierarchy* mem,
                memsys::GlobalStore* store)
@@ -215,8 +213,7 @@ SmCore::IssueOutcome SmCore::try_issue_classified(Warp& w, Cycle now) {
   // cycle, so classes stay constant between events.
   if (w.at_barrier) return stall(w, IssueOutcome::kBarrier, kNeverCycle);
 
-  const isa::Pc pc = w.pc();
-  const blockexec::SuperOp& sop = w.ctrace->at(pc);
+  const blockexec::SuperOp& sop = w.ctrace->at(w.pc());
 
   // Scoreboard hazards (RAW on guard, pred_src and sources, WAW on the
   // destination), in the compiled plan's order.
@@ -252,15 +249,9 @@ SmCore::IssueOutcome SmCore::try_issue_classified(Warp& w, Cycle now) {
                    w.instructions, sm_id_, now);
   }
 
-  // The functional step, the only thing the exec modes choose.
-  const bool block = params_.exec_mode == ExecMode::kBlock;
-  if (block && blockexec::lowers(sop.form)) {
-    exec_superop(w, sop, guard_mask, now);
-    ++block_exec_hits_;
-  } else {
-    execute(w, w.ctrace->program().at(pc), guard_mask, now);
-    if (block) ++block_fallback_exits_;
-  }
+  execute(w, sop, guard_mask, now);
+  if (params_.exec_mode == ExecMode::kBlock)
+    ++(blockexec::lowers(sop.form) ? block_exec_hits_ : block_fallback_exits_);
   ++w.instructions;
   instructions_ += 1;
 
@@ -277,87 +268,6 @@ inline u32 src_value(const Warp& w, const blockexec::SrcPlan& s, u32 lane) {
 }
 
 }  // namespace
-
-void SmCore::exec_superop(Warp& w, const blockexec::SuperOp& sop,
-                          u32 guard_mask, Cycle now) {
-  StackEntry& top = w.stack.back();
-  const Cycle ready =
-      now + (sop.is_sfu ? params_.sfu_latency : params_.sp_latency);
-  if (sop.is_sfu) sfu_free_ = now + params_.sfu_interval;
-
-  switch (sop.form) {
-    case isa::Form::kAlu: {
-      // Vector path: hand whole SoA rows to the width-32 lane kernel.
-      // Immediates splat into scratch rows; register sources alias the
-      // register file directly (in-place d == a is safe: elementwise).
-      auto row = [&w](const blockexec::SrcPlan& s, u32* scratch) -> const u32* {
-        if (!s.is_imm) return w.reg_row(s.reg);
-        for (u32 i = 0; i < kWarpSize; ++i) scratch[i] = s.imm;
-        return scratch;
-      };
-      blockexec::run_vkernel(sop.op, w.reg_row(sop.dst), row(sop.a, splat_a_),
-                             row(sop.b, splat_b_), row(sop.c, splat_c_),
-                             guard_mask);
-      corrupt_results(w.reg_row(sop.dst), guard_mask, now);
-      break;
-    }
-    case isa::Form::kSetp: {
-      u8* dp = w.pred_row(static_cast<i16>(sop.dst));
-      for (u32 m = guard_mask; m != 0; m &= m - 1) {
-        const u32 lane = static_cast<u32>(std::countr_zero(m));
-        const u32 a = src_value(w, sop.a, lane);
-        const u32 bv = src_value(w, sop.b, lane);
-        bool res = eval_cmp(sop.cmp, sop.dtype, a, bv);
-        if (sop.pred_src != isa::kNoPred)  // setp.and
-          res = res && w.pred_at(sop.pred_src, lane) != 0;
-        dp[lane] = res ? 1 : 0;
-      }
-      break;
-    }
-    case isa::Form::kSelp: {
-      const u8* pp = w.pred_row(sop.pred_src);
-      u32* dp = w.reg_row(sop.dst);
-      for (u32 m = guard_mask; m != 0; m &= m - 1) {
-        const u32 lane = static_cast<u32>(std::countr_zero(m));
-        dp[lane] = src_value(w, pp[lane] != 0 ? sop.a : sop.b, lane);
-      }
-      break;
-    }
-    case isa::Form::kS2r: {
-      u32* dp = w.reg_row(sop.dst);
-      for (u32 m = guard_mask; m != 0; m &= m - 1) {
-        const u32 lane = static_cast<u32>(std::countr_zero(m));
-        dp[lane] = sreg_value(w, sop.sreg, lane);
-      }
-      break;
-    }
-    case isa::Form::kLdp: {
-      const ResidentBlock& b = blocks_[w.block_slot];
-      // Guaranteed by the launch gate: the verifier's structural pass
-      // rejects any ldp index >= num_params (bad-param-index) and
-      // Gpu::launch refuses launches with fewer params than the program
-      // declares, so the index is in range in every build. Faults never
-      // corrupt it either: param_idx is trace metadata, not machine state.
-      assert(sop.param_idx < b.launch->params.size() &&
-             "kernel parameter out of range");
-      const u32 v = b.launch->params[sop.param_idx];
-      u32* dp = w.reg_row(sop.dst);
-      for (u32 m = guard_mask; m != 0; m &= m - 1)
-        dp[static_cast<u32>(std::countr_zero(m))] = v;
-      break;
-    }
-    default:
-      assert(false && "a form the block engine does not lower");
-      break;
-  }
-
-  if (sop.writes_gpr)
-    w.pending.push_back(Warp::Pending{sop.dst, false, ready});
-  else if (sop.writes_pred)
-    w.pending.push_back(Warp::Pending{sop.dst, true, ready});
-
-  top.pc += 1;
-}
 
 StatSet SmCore::snapshot_stats() const {
   StatSet s;
@@ -407,10 +317,6 @@ void SmCore::corrupt_results(u32* dst, u32 lanes, Cycle now) {
   for (u32 m = lanes; m != 0; m &= m - 1) dst[std::countr_zero(m)] ^= flip;
 }
 
-u32 SmCore::operand_value(const Warp& w, const isa::Operand& o, u32 lane) const {
-  return o.is_reg() ? w.reg_at(o.reg, lane) : o.imm;
-}
-
 u32 SmCore::sreg_value(const Warp& w, isa::SReg sreg, u32 lane) const {
   const ResidentBlock& b = blocks_[w.block_slot];
   const Dim3& bd = b.launch->block;
@@ -439,12 +345,88 @@ u32 SmCore::sreg_value(const Warp& w, isa::SReg sreg, u32 lane) const {
   return 0;
 }
 
-void SmCore::execute(Warp& w, const Instruction& ins, u32 guard_mask, Cycle now) {
+void SmCore::execute(Warp& w, const blockexec::SuperOp& sop, u32 guard_mask,
+                     Cycle now) {
   StackEntry& top = w.stack.back();
-  const isa::OpInfo& info = isa::op_info(ins.op);
-  switch (info.form) {
+  const Cycle ready =
+      now + (sop.is_sfu ? params_.sfu_latency : params_.sp_latency);
+  if (sop.is_sfu) sfu_free_ = now + params_.sfu_interval;
+
+  switch (sop.form) {
+    case isa::Form::kAlu: {
+      u32* dp = w.reg_row(sop.dst);
+      if (params_.exec_mode == ExecMode::kBlock) {
+        // Vector path: hand whole SoA rows to the width-32 lane kernel.
+        // Immediates splat into scratch rows; register sources alias the
+        // register file directly (in-place d == a is safe: elementwise).
+        auto row = [&w](const blockexec::SrcPlan& s,
+                        u32* scratch) -> const u32* {
+          if (!s.is_imm) return w.reg_row(s.reg);
+          for (u32 i = 0; i < kWarpSize; ++i) scratch[i] = s.imm;
+          return scratch;
+        };
+        blockexec::run_vkernel(sop.op, dp, row(sop.a, splat_a_),
+                               row(sop.b, splat_b_), row(sop.c, splat_c_),
+                               guard_mask);
+      } else {
+        // The reference the lane kernels are checked against.
+        for (u32 m = guard_mask; m != 0; m &= m - 1) {
+          const u32 lane = static_cast<u32>(std::countr_zero(m));
+          dp[lane] = eval_alu(sop.op, src_value(w, sop.a, lane),
+                              src_value(w, sop.b, lane),
+                              src_value(w, sop.c, lane));
+        }
+      }
+      corrupt_results(dp, guard_mask, now);
+      break;
+    }
+    case isa::Form::kSetp: {
+      u8* dp = w.pred_row(static_cast<i16>(sop.dst));
+      for (u32 m = guard_mask; m != 0; m &= m - 1) {
+        const u32 lane = static_cast<u32>(std::countr_zero(m));
+        const u32 a = src_value(w, sop.a, lane);
+        const u32 bv = src_value(w, sop.b, lane);
+        bool res = eval_cmp(sop.cmp, sop.dtype, a, bv);
+        if (sop.pred_src != isa::kNoPred)  // setp.and
+          res = res && w.pred_at(sop.pred_src, lane) != 0;
+        dp[lane] = res ? 1 : 0;
+      }
+      break;
+    }
+    case isa::Form::kSelp: {
+      const u8* pp = w.pred_row(sop.pred_src);
+      u32* dp = w.reg_row(sop.dst);
+      for (u32 m = guard_mask; m != 0; m &= m - 1) {
+        const u32 lane = static_cast<u32>(std::countr_zero(m));
+        dp[lane] = src_value(w, pp[lane] != 0 ? sop.a : sop.b, lane);
+      }
+      break;
+    }
+    case isa::Form::kS2r: {
+      u32* dp = w.reg_row(sop.dst);
+      for (u32 m = guard_mask; m != 0; m &= m - 1) {
+        const u32 lane = static_cast<u32>(std::countr_zero(m));
+        dp[lane] = sreg_value(w, sop.sreg, lane);
+      }
+      break;
+    }
+    case isa::Form::kLdp: {
+      const ResidentBlock& b = blocks_[w.block_slot];
+      // Guaranteed by the launch gate: the verifier's structural pass
+      // rejects any ldp index >= num_params (bad-param-index) and
+      // Gpu::launch refuses launches with fewer params than the program
+      // declares, so the index is in range in every build. Faults never
+      // corrupt it either: the index is trace metadata, not machine state.
+      assert(sop.a.imm < b.launch->params.size() &&
+             "kernel parameter out of range");
+      const u32 v = b.launch->params[sop.a.imm];
+      u32* dp = w.reg_row(sop.dst);
+      for (u32 m = guard_mask; m != 0; m &= m - 1)
+        dp[static_cast<u32>(std::countr_zero(m))] = v;
+      break;
+    }
     case isa::Form::kBranch:
-      exec_branch(w, ins, guard_mask);
+      exec_branch(w, sop, guard_mask);
       return;
     case isa::Form::kExit:
       w.exited |= top.mask & ~w.exited;
@@ -454,84 +436,35 @@ void SmCore::execute(Warp& w, const Instruction& ins, u32 guard_mask, Cycle now)
       exec_barrier(w);
       return;
     case isa::Form::kGlobal:
-      exec_global_mem(w, ins, guard_mask, now);
+      exec_global_mem(w, sop, guard_mask, now);
       top.pc += 1;
       return;
     case isa::Form::kShared:
-      exec_shared_mem(w, ins, guard_mask, now);
+      exec_shared_mem(w, sop, guard_mask, now);
       top.pc += 1;
       return;
     case isa::Form::kNop:
       top.pc += 1;
       return;
-    default:
-      break;
   }
 
-  // ALU / SFU / moves / setp / selp.
-  const bool sfu = info.unit == UnitClass::kSfu;
-  const Cycle ready = now + (sfu ? params_.sfu_latency : params_.sp_latency);
-  if (sfu) sfu_free_ = now + params_.sfu_interval;
-
-  for (u32 m = guard_mask; m != 0; m &= m - 1) {
-    const u32 lane = static_cast<u32>(std::countr_zero(m));
-    switch (info.form) {
-      case isa::Form::kS2r:
-        w.reg_at(ins.dst, lane) = sreg_value(w, ins.sreg, lane);
-        break;
-      case isa::Form::kLdp: {
-        const ResidentBlock& b = blocks_[w.block_slot];
-        const u32 idx = ins.src[0].imm;
-        // In range by the launch gate (verifier bad-param-index check +
-        // Gpu::launch param-count validation); see exec_superop's kLdp.
-        assert(idx < b.launch->params.size() && "kernel parameter out of range");
-        w.reg_at(ins.dst, lane) = b.launch->params[idx];
-        break;
-      }
-      case isa::Form::kSetp: {
-        const u32 a = operand_value(w, ins.src[0], lane);
-        const u32 bv = operand_value(w, ins.src[1], lane);
-        bool res = eval_cmp(ins.cmp, ins.dtype, a, bv);
-        if (ins.pred_src != isa::kNoPred)  // setp.and
-          res = res && w.pred_at(ins.pred_src, lane) != 0;
-        w.pred_at(static_cast<i16>(ins.dst), lane) = res ? 1 : 0;
-        break;
-      }
-      case isa::Form::kSelp: {
-        const bool p = w.pred_at(ins.pred_src, lane) != 0;
-        w.reg_at(ins.dst, lane) =
-            operand_value(w, ins.src[p ? 0 : 1], lane);
-        break;
-      }
-      default: {
-        // Slots past the opcode's source count are empty (the launch gate
-        // refuses anything else), so they read as 0.
-        const u32 a = operand_value(w, ins.src[0], lane);
-        const u32 bv = ins.src[1].present() ? operand_value(w, ins.src[1], lane) : 0;
-        const u32 c = ins.src[2].present() ? operand_value(w, ins.src[2], lane) : 0;
-        w.reg_at(ins.dst, lane) = eval_alu(ins.op, a, bv, c);
-        break;
-      }
-    }
-  }
-  if (info.datapath) corrupt_results(w.reg_row(ins.dst), guard_mask, now);
-
-  if (info.writeback == isa::Writeback::kGpr)
-    w.pending.push_back(Warp::Pending{ins.dst, false, ready});
-  else if (info.writeback == isa::Writeback::kPred)
-    w.pending.push_back(Warp::Pending{ins.dst, true, ready});
+  if (sop.writes_gpr)
+    w.pending.push_back(Warp::Pending{sop.dst, false, ready});
+  else if (sop.writes_pred)
+    w.pending.push_back(Warp::Pending{sop.dst, true, ready});
 
   top.pc += 1;
 }
 
-void SmCore::exec_branch(Warp& w, const Instruction& ins, u32 guard_mask) {
+void SmCore::exec_branch(Warp& w, const blockexec::SuperOp& sop,
+                         u32 guard_mask) {
   StackEntry& top = w.stack.back();
   const u32 eff = top.mask & ~w.exited;
   const u32 taken = guard_mask;  // lanes whose guard held (all eff if unguarded)
   const isa::Pc fall = top.pc + 1;
 
   if (taken == eff) {
-    top.pc = ins.target;
+    top.pc = sop.target;
     return;
   }
   if (taken == 0) {
@@ -540,41 +473,41 @@ void SmCore::exec_branch(Warp& w, const Instruction& ins, u32 guard_mask) {
   }
   // Divergence: IPDOM reconvergence.
   divergent_branches_ += 1;
-  const isa::Pc r = ins.reconv_pc;
+  const isa::Pc r = sop.reconv_pc;
   top.pc = r;
   const u32 not_taken = eff & ~taken;
   if (fall != r) w.stack.push_back(StackEntry{fall, r, not_taken});
-  if (ins.target != r) w.stack.push_back(StackEntry{ins.target, r, taken});
+  if (sop.target != r) w.stack.push_back(StackEntry{sop.target, r, taken});
 }
 
-void SmCore::exec_global_mem(Warp& w, const Instruction& ins, u32 guard_mask,
-                             Cycle now) {
+void SmCore::exec_global_mem(Warp& w, const blockexec::SuperOp& sop,
+                             u32 guard_mask, Cycle now) {
   const u32 line_bytes = mem_->params().line_bytes;
   if (guard_mask == 0) return;  // fully predicated off
   mem_free_ = now + 1;
-  const u64 off = static_cast<u64>(static_cast<i64>(ins.mem_offset));
+  const u64 off = static_cast<u64>(static_cast<i64>(sop.mem_offset));
 
   Cycle done = now;
-  if (ins.op == Op::kAtomAdd) {
+  if (sop.op == Op::kAtomAdd) {
     // Functional RMW in lane order; timing charged per lane at the L2.
     for (u32 m = guard_mask; m != 0; m &= m - 1) {
       const u32 lane = static_cast<u32>(std::countr_zero(m));
-      const u64 addr = static_cast<u64>(operand_value(w, ins.src[0], lane)) + off;
+      const u64 addr = static_cast<u64>(src_value(w, sop.a, lane)) + off;
       const u32 old = store_->read32(static_cast<memsys::DevPtr>(addr));
-      const u32 add = operand_value(w, ins.src[1], lane);
+      const u32 add = src_value(w, sop.b, lane);
       store_->write32(static_cast<memsys::DevPtr>(addr), old + add);
-      w.reg_at(ins.dst, lane) = old;
+      w.reg_at(sop.dst, lane) = old;
       const memsys::MemResponse r =
           mem_->access_atomic(sm_id_, addr / line_bytes, now);
       done = std::max(done, r.done);
       if (r.issue_free > mem_free_) mem_free_ = r.issue_free;
     }
-    w.pending.push_back(Warp::Pending{ins.dst, false, done});
+    w.pending.push_back(Warp::Pending{sop.dst, false, done});
     global_atomics_ += 1;
     return;
   }
 
-  const bool is_write = ins.op == Op::kStg;
+  const bool is_write = sop.op == Op::kStg;
   // One pass: compute each lane's address, perform the functional access at
   // issue (keeps per-warp program order exact), and collect the addresses
   // for coalescing.
@@ -582,13 +515,13 @@ void SmCore::exec_global_mem(Warp& w, const Instruction& ins, u32 guard_mask,
   u32 n = 0;
   for (u32 m = guard_mask; m != 0; m &= m - 1) {
     const u32 lane = static_cast<u32>(std::countr_zero(m));
-    const u64 addr = static_cast<u64>(operand_value(w, ins.src[0], lane)) + off;
+    const u64 addr = static_cast<u64>(src_value(w, sop.a, lane)) + off;
     addrs[n++] = addr;
     if (is_write) {
       store_->write32(static_cast<memsys::DevPtr>(addr),
-                      operand_value(w, ins.src[1], lane));
+                      src_value(w, sop.b, lane));
     } else {
-      w.reg_at(ins.dst, lane) =
+      w.reg_at(sop.dst, lane) =
           store_->read32(static_cast<memsys::DevPtr>(addr));
     }
   }
@@ -606,11 +539,11 @@ void SmCore::exec_global_mem(Warp& w, const Instruction& ins, u32 guard_mask,
     // engine's sleep) extends to the cycle an MSHR entry frees.
     if (r.issue_free > mem_free_) mem_free_ = r.issue_free;
   }
-  if (!is_write) w.pending.push_back(Warp::Pending{ins.dst, false, done});
+  if (!is_write) w.pending.push_back(Warp::Pending{sop.dst, false, done});
 }
 
-void SmCore::exec_shared_mem(Warp& w, const Instruction& ins, u32 guard_mask,
-                             Cycle now) {
+void SmCore::exec_shared_mem(Warp& w, const blockexec::SuperOp& sop,
+                             u32 guard_mask, Cycle now) {
   ResidentBlock& b = blocks_[w.block_slot];
   if (guard_mask == 0) return;
   if (b.shared.size() < 4) return;  // kernel declares no shared segment
@@ -618,8 +551,8 @@ void SmCore::exec_shared_mem(Warp& w, const Instruction& ins, u32 guard_mask,
   u32 n = 0;
   for (u32 m = guard_mask; m != 0; m &= m - 1) {
     const u32 lane = static_cast<u32>(std::countr_zero(m));
-    u64 addr = static_cast<u64>(operand_value(w, ins.src[0], lane)) +
-               static_cast<u64>(static_cast<i64>(ins.mem_offset));
+    u64 addr = static_cast<u64>(src_value(w, sop.a, lane)) +
+               static_cast<u64>(static_cast<i64>(sop.mem_offset));
     // The static verifier proves fault-free addresses in bounds where the
     // interval analysis is precise enough, but it cannot see through
     // data-dependent indexing — and an injected fault can corrupt any
@@ -642,7 +575,7 @@ void SmCore::exec_shared_mem(Warp& w, const Instruction& ins, u32 guard_mask,
   smem_accesses_ += 1;
   if (conflicts > 1) smem_bank_conflicts_ += conflicts - 1;
 
-  const bool is_write = ins.op == Op::kSts;
+  const bool is_write = sop.op == Op::kSts;
   u32 i = 0;
   for (u32 m = guard_mask; m != 0; m &= m - 1) {
     const u32 lane = static_cast<u32>(std::countr_zero(m));
@@ -651,15 +584,15 @@ void SmCore::exec_shared_mem(Warp& w, const Instruction& ins, u32 guard_mask,
     // may be misaligned, and the access must stay well-defined.
     u8* word = b.shared.data() + addr;
     if (is_write) {
-      const u32 v = operand_value(w, ins.src[1], lane);
+      const u32 v = src_value(w, sop.b, lane);
       std::memcpy(word, &v, 4);
     } else {
       u32 v;
       std::memcpy(&v, word, 4);
-      w.reg_at(ins.dst, lane) = v;
+      w.reg_at(sop.dst, lane) = v;
     }
   }
-  if (!is_write) w.pending.push_back(Warp::Pending{ins.dst, false, done});
+  if (!is_write) w.pending.push_back(Warp::Pending{sop.dst, false, done});
 }
 
 void SmCore::exec_barrier(Warp& w) {
@@ -752,6 +685,20 @@ void SmCore::restore(
                                 ", which holds no block");
     const KernelLaunch& launch = *blocks_[warp.block_slot].launch;
     warp.ctrace = launch.trace.get();
+    // The issue stage reads the record at a stack entry's pc unchecked, so
+    // every entry must be able to reach one: its pc inside the program, or
+    // at its reconvergence pc (popped before any read), which may be the
+    // program's end.
+    const isa::Pc end_pc = warp.ctrace->size();
+    for (size_t e = 0; e < warp.stack.size(); ++e) {
+      const StackEntry& se = warp.stack[e];
+      if (se.rpc > end_pc || (se.pc >= end_pc && se.pc != se.rpc))
+        throw ckpt::SnapshotError(
+            "snapshot " + name + " warp " + std::to_string(i) +
+            " stack entry " + std::to_string(e) + " (pc " +
+            std::to_string(se.pc) + ", rpc " + std::to_string(se.rpc) +
+            ") lies past the program's end pc " + std::to_string(end_pc));
+    }
     if (rec.cls != IssueOutcome::kStructural || rec.wake == 0) continue;
     if (warp.stack.empty() || warp.pc() >= warp.ctrace->size())
       throw ckpt::SnapshotError("snapshot structural stall at warp " +

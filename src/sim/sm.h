@@ -238,11 +238,8 @@ class SmCore {
   }
   /// The issue gate, one for every opcode and both exec modes: the gate
   /// record at the warp's pc (its hazard plan, unit and guard) decides
-  /// whether it issues; the exec mode only picks the functional step,
-  /// exec_superop for a lowered form under ExecMode::kBlock, else execute.
+  /// whether it issues, and execute() then runs that same record.
   IssueOutcome try_issue_classified(Warp& w, Cycle now);
-  void exec_superop(Warp& w, const blockexec::SuperOp& sop, u32 guard_mask,
-                    Cycle now);
   bool try_issue(Warp& w, Cycle now);
   /// Execution unit a structural stall waits on (kNone for other stalls).
   enum class Unit : u8 { kNone, kMem, kSfu };
@@ -279,13 +276,19 @@ class SmCore {
       default: ++stall_structural_; break;
     }
   }
-  void execute(Warp& w, const isa::Instruction& ins, u32 guard_mask, Cycle now);
-  void exec_branch(Warp& w, const isa::Instruction& ins, u32 guard_mask);
-  void exec_global_mem(Warp& w, const isa::Instruction& ins, u32 guard_mask, Cycle now);
-  void exec_shared_mem(Warp& w, const isa::Instruction& ins, u32 guard_mask, Cycle now);
+  /// The functional step of every pc, in both exec modes: one switch over
+  /// the record's form. The exec mode only picks how a kAlu op is
+  /// evaluated (a lane kernel under kBlock, eval_alu per lane under
+  /// kInterp).
+  void execute(Warp& w, const blockexec::SuperOp& sop, u32 guard_mask,
+               Cycle now);
+  void exec_branch(Warp& w, const blockexec::SuperOp& sop, u32 guard_mask);
+  void exec_global_mem(Warp& w, const blockexec::SuperOp& sop, u32 guard_mask,
+                       Cycle now);
+  void exec_shared_mem(Warp& w, const blockexec::SuperOp& sop, u32 guard_mask,
+                       Cycle now);
   void exec_barrier(Warp& w);
   u32 sreg_value(const Warp& w, isa::SReg sreg, u32 lane) const;
-  u32 operand_value(const Warp& w, const isa::Operand& o, u32 lane) const;
   /// XOR the fault hook's flip into the `lanes` results in register row `dst`.
   void corrupt_results(u32* dst, u32 lanes, Cycle now);
 
@@ -390,10 +393,12 @@ class SmCore {
   u64 stall_structural_ = 0;
   u64 issued_attempts_ = 0;
 
-  // Functional-step counters (ExecMode::kBlock only; both count *issued*
-  // instructions, so hits + fallbacks == instructions in block mode).
-  u64 block_exec_hits_ = 0;        // ran as a lane kernel (exec_superop)
-  u64 block_fallback_exits_ = 0;   // ran through execute
+  // Block-mode issue counters (ExecMode::kBlock only; both count *issued*
+  // instructions by form, so hits + fallbacks == instructions in block
+  // mode). Every pc runs through execute(); the split names the forms that
+  // touch only registers (blockexec::lowers) and the rest.
+  u64 block_exec_hits_ = 0;        // register-only forms
+  u64 block_fallback_exits_ = 0;   // memory, control, barrier and nop
 
   // Cycle attribution (obs::SmCycles). Every active cycle lands in exactly
   // one bucket: issued if any scheduler made progress, else the dominant

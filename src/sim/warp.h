@@ -40,9 +40,9 @@ struct Warp {
   u32 warp_in_block = 0;
 
   // ---- Program state ----
-  /// Compiled trace of the warp's program, in both exec modes: the gate
-  /// record of every pc, and through program() the instructions. Derived
-  /// state: set on block acceptance and on snapshot restore, never
+  /// Compiled trace of the warp's program, in both exec modes: the record
+  /// of every pc, which gates its issue and is what SmCore::execute runs.
+  /// Derived state: set on block acceptance and on snapshot restore, never
   /// serialized. Owned by the KernelLaunch.
   const blockexec::CompiledTrace* ctrace = nullptr;
   u32 valid_mask = 0;                 // lanes that exist (partial last warp)

@@ -471,6 +471,17 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BlockExecFuzz, ::testing::Range<u64>(1, 13));
 
 TEST(IssueGate, RecordMatchesInstructionWalk) {
   testing::WalkCoverage cov;
+  // The programs that need no simulation come first, so a broken record is
+  // reported before the workloads run on it. The hand-built kernel adds the
+  // atomic no workload issues.
+  for (u64 seed = 1; seed < 13; ++seed) {
+    Rng rng(seed * 0x2545F4914F6CDD1Dull + 11);
+    const isa::ProgramPtr p = build_fuzz_kernel(rng, 6, 4);
+    testing::expect_records_match_walk(*p, *sim::blockexec::trace_for(p), cov);
+  }
+  const isa::ProgramPtr every = testing::make_every_form_kernel();
+  testing::expect_records_match_walk(*every, *sim::blockexec::trace_for(every),
+                                     cov);
   for (const std::string& name : workloads::all_names()) {
     SCOPED_TRACE(name);
     exp::ScenarioSpec spec;
@@ -491,16 +502,9 @@ TEST(IssueGate, RecordMatchesInstructionWalk) {
       testing::expect_records_match_walk(*p, *sim::blockexec::trace_for(p),
                                          cov);
   }
-  for (u64 seed = 1; seed < 13; ++seed) {
-    Rng rng(seed * 0x2545F4914F6CDD1Dull + 11);
-    const isa::ProgramPtr p = build_fuzz_kernel(rng, 6, 4);
-    testing::expect_records_match_walk(*p, *sim::blockexec::trace_for(p), cov);
-  }
   // The facts a broken record would get wrong were there to be checked.
-  EXPECT_GT(cov.mem, 0u);
   EXPECT_GT(cov.sfu, 0u);
-  EXPECT_GT(cov.guard_and_pred, 0u);
-  EXPECT_GT(cov.negated_guards, 0u);
+  cov.expect_complete();
 }
 
 }  // namespace

@@ -2088,6 +2088,18 @@ TEST(CkptRestoreCounts, CorruptCountsAreRefused) {
                                                        : "holds no block");
   }
 
+  // A warp stack entry whose pc lies past the program: the issue stage
+  // would read a record past the trace.
+  for (size_t at : {f.stack.front(), f.stack.back()}) {
+    ASSERT_GT(get_le64(good.blob, at), 0u) << "an active warp's stack is empty";
+    ckpt::Snapshot bad = good;
+    const size_t pc = at + 8;  // the first entry: pc, rpc, mask
+    for (int i = 0; i < 4; ++i)
+      bad.blob[pc + i] = static_cast<u8>(0x1000u >> (8 * i));
+    expect_restore_refused(bad, "(pc 4096, rpc ");
+    expect_restore_refused(bad, "past the program's end pc");
+  }
+
   // An MSHR count that fits the input but not the geometry.
   ckpt::Snapshot over = good;
   put_le64(over.blob, f.mshr[0], p.mem.l1_mshr_entries + 1);

@@ -321,8 +321,10 @@ TEST_P(FuzzExec, SimMatchesReferenceInterpreter) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzExec,
                          ::testing::Range<u64>(1, 25));
 
-// Every pc of the programs FuzzExec runs gets a compiled gate record that
-// agrees with the instruction walk (tests/issue_gate_walk.h).
+// Every pc of the programs FuzzExec runs gets a compiled record that agrees
+// with the instruction walk (tests/issue_gate_walk.h). The generator emits
+// straight-line register code and global stores only, so the walk also
+// checks a kernel with the branch, shared-memory, atomic and offset forms.
 TEST(IssueGate, RecordMatchesInstructionWalkOnFuzzPrograms) {
   testing::WalkCoverage cov;
   for (u64 seed = 1; seed < 25; ++seed) {
@@ -331,9 +333,11 @@ TEST(IssueGate, RecordMatchesInstructionWalkOnFuzzPrograms) {
     testing::expect_records_match_walk(
         *kernel, *sim::blockexec::trace_for(kernel), cov);
   }
-  EXPECT_GT(cov.mem, 0u);
-  EXPECT_GT(cov.guard_and_pred, 0u);
-  EXPECT_GT(cov.negated_guards, 0u);
+  const isa::ProgramPtr every = testing::make_every_form_kernel();
+  ASSERT_TRUE(isa::verify::verify(*every).ok());
+  testing::expect_records_match_walk(*every, *sim::blockexec::trace_for(every),
+                                     cov);
+  cov.expect_complete();
 }
 
 }  // namespace
