@@ -82,11 +82,6 @@ int main(int argc, char** argv) {
       spec.scale = scale;
       spec.seed = seed;
       spec.redundancy = core::RedundancySpec::baseline();
-      // Warn mode: collect the full report for merely-wrong kernels instead
-      // of aborting the scenario at the first refused launch. (Memory-unsafe
-      // defect classes are refused even under kWarn and surface as a failed
-      // scenario below.)
-      spec.gpu.verify = sim::LaunchVerify::kWarn;
 
       const exp::ScenarioResult r = exp::run_scenario(
           spec, 0,
@@ -97,6 +92,8 @@ int main(int argc, char** argv) {
               reports.push_back(
                   KernelReport{name, rec.grid, rec.block, rec.result});
           });
+      // A refused launch fails the scenario; its error is the VerifyError,
+      // whose what() embeds the full report.
       if (!r.ok) {
         std::fprintf(stderr, "error: workload '%s' failed to run: %s\n",
                      name.c_str(), r.error.c_str());

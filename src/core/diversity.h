@@ -58,7 +58,7 @@ DiversityReport analyze_block_diversity(const std::vector<sim::BlockRecord>& rec
 
 /// Instruction-level trace collector. Subscribe with
 /// gpu.set_trace_sink(&collector) before running; then call
-/// min_temporal_slack() for each pair of launches.
+/// slack() for each pair of launches.
 class InstrTraceCollector final : public sim::ITraceSink {
  public:
   void record(u32 launch_id, u32 block_linear, u32 warp_in_block, u64 instr_seq,

@@ -814,29 +814,6 @@ const char* severity_name(Severity s) {
 
 bool Result::ok() const { return count(Severity::kError) == 0; }
 
-bool Result::unsafe_to_execute() const {
-  // Exactly the defect classes that reach an unchecked host-memory index at
-  // runtime: out-of-range code fetch (empty program, wild branch target,
-  // fall-off-the-end), out-of-range register-file / parameter-table access
-  // (malformed operands incl. kNoReg sentinels, kLdp index, static indices
-  // past the declared file sizes). Keep in sync with the Warp::reg_at and
-  // LaunchVerify::kWarn contracts.
-  return std::any_of(diags.begin(), diags.end(), [](const Diag& d) {
-    switch (d.code) {
-      case Code::kEmptyProgram:
-      case Code::kBadBranchTarget:
-      case Code::kFallOffEnd:
-      case Code::kBadOperand:
-      case Code::kBadParamIndex:
-      case Code::kRegOutOfRange:
-      case Code::kPredOutOfRange:
-        return true;
-      default:
-        return false;
-    }
-  });
-}
-
 u32 Result::count(Severity s) const {
   u32 n = 0;
   for (const Diag& d : diags)

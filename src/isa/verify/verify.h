@@ -117,15 +117,6 @@ struct Result {
 
   /// True when no diagnostic is error-severity (warnings/notes allowed).
   bool ok() const;
-  /// True when executing the program would index host memory out of bounds:
-  /// the simulator's hot paths (code fetch, Warp::reg_at/pred_at, parameter
-  /// loads) deliberately trust the static indices the structural and
-  /// resource passes prove in range, so these diagnostic classes make a
-  /// launch unsafe in every build — the gate refuses them even under
-  /// LaunchVerify::kWarn. Merely-wrong programs (uninit reads, barrier
-  /// deadlocks, modelled-memory OOB) are not in this set: they corrupt
-  /// simulated state, not the host.
-  bool unsafe_to_execute() const;
   u32 count(Severity s) const;
   bool has(Code c) const;
 

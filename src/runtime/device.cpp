@@ -80,12 +80,7 @@ void Device::verify_launch(const sim::KernelLaunch& launch) {
         isa::verify::verify(*launch.program, lb)});
     result = &verify_reports_.back().result;
   }
-  // kWarn lets merely-wrong programs run for report-collection flows
-  // (verify_kernel), but a program that would index host memory out of
-  // bounds on the deliberately unchecked fetch/reg_at paths is refused in
-  // both modes — "warn" has no meaning for UB.
-  const bool enforce = gpu_->params().verify == sim::LaunchVerify::kEnforce;
-  if (!result->ok() && (enforce || result->unsafe_to_execute()))
+  if (!result->ok())
     throw isa::verify::VerifyError(*result);
 }
 

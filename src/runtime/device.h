@@ -92,16 +92,13 @@ class Device {
   /// Asynchronous launch on `stream`. Kernels on the same stream serialize;
   /// different streams may overlap (subject to the kernel scheduler policy).
   ///
-  /// Launch gate: under GpuParams::verify == kEnforce (the default) the
-  /// program is statically verified on its first launch per
-  /// (program, grid, block); an error-severity diagnostic refuses the
-  /// launch by throwing isa::verify::VerifyError with the full report.
-  /// kWarn records the report and launches anyway — except programs whose
-  /// defects are unsafe to execute on the simulator's unchecked indexing
-  /// paths (isa::verify::Result::unsafe_to_execute), which both modes
-  /// refuse. Repeat launches hit a memo and pay no analysis cost.
+  /// Launch gate: the program is statically verified on its first launch
+  /// per (program, grid, block), and any error-severity diagnostic refuses
+  /// the launch by throwing isa::verify::VerifyError with the full report.
+  /// Repeat launches hit a memo and pay no analysis cost.
   /// Parameters stay symbolic in the analysis so the memoized verdict is
-  /// sound for every parameter assignment.
+  /// sound for every parameter assignment. The gate is what guards the
+  /// simulator's unchecked indexing paths (code fetch, Warp::reg_at, ldp).
   u32 launch(sim::KernelLaunch launch, u32 stream = 0);
 
   // ---- Launch-gate verification reports -----------------------------------

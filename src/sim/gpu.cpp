@@ -359,31 +359,7 @@ void Gpu::on_block_done(const BlockRecord& rec) {
 
 namespace {
 
-/// Serialized bytes of one BlockRecord.
-constexpr size_t kRecordBytes = 4 * 4 + 8 + 8;
-
 const std::vector<ckpt::Section> kNoSections;
-
-void put_record(ckpt::Writer& w, const BlockRecord& rec) {
-  u8* p = w.extend(kRecordBytes);
-  ckpt::store_le<4>(p, rec.launch_id);
-  ckpt::store_le<4>(p + 4, rec.block_linear);
-  ckpt::store_le<4>(p + 8, rec.sm);
-  ckpt::store_le<4>(p + 12, rec.intended_sm);
-  ckpt::store_le<8>(p + 16, rec.dispatch_cycle);
-  ckpt::store_le<8>(p + 24, rec.end_cycle);
-}
-
-BlockRecord get_record(const u8* p) {
-  BlockRecord rec;
-  rec.launch_id = static_cast<u32>(ckpt::load_le<4>(p));
-  rec.block_linear = static_cast<u32>(ckpt::load_le<4>(p + 4));
-  rec.sm = static_cast<u32>(ckpt::load_le<4>(p + 8));
-  rec.intended_sm = static_cast<u32>(ckpt::load_le<4>(p + 12));
-  rec.dispatch_cycle = ckpt::load_le<8>(p + 16);
-  rec.end_cycle = ckpt::load_le<8>(p + 24);
-  return rec;
-}
 
 /// Encode items [done, upto) into `images`, `per_image` to an image, with
 /// `put(w, i)` encoding item i. The partial last image, if any, is copied
@@ -445,7 +421,7 @@ void Gpu::save(ckpt::Writer& w, ckpt::Snapshot& snap) {
                 });
   append_images(record_images_, records_imaged_, records_.size(),
                 kRecordsPerImage, [this](ckpt::Writer& iw, u64 i) {
-                  put_record(iw, records_[static_cast<size_t>(i)]);
+                  ckpt::put_fields(iw, records_[static_cast<size_t>(i)]);
                 });
   snap.launch_images = launch_images_;
   snap.record_images = record_images_;
@@ -563,14 +539,18 @@ void Gpu::restore_records(const std::vector<ckpt::ImagePtr>& images,
   records_.resize(static_cast<size_t>(
       std::min<u64>(shared * kRecordsPerImage, records_imaged_)));
   for (size_t i = shared; i < images.size(); ++i) {
-    const std::vector<u8>& bytes = images[i]->bytes;
-    const u64 count = bytes.size() % kRecordBytes == 0
-                          ? bytes.size() / kRecordBytes
-                          : kRecordsPerImage + 1;
+    ckpt::Reader ir(images[i]->bytes, kNoSections);
+    u64 count = 0;
+    try {
+      for (; ir.remaining() > 0 && count < kRecordsPerImage; ++count)
+        ckpt::get_fields(ir, records_.emplace_back());
+    } catch (const ckpt::SnapshotError& e) {
+      throw ckpt::SnapshotError("snapshot block-record image " +
+                                std::to_string(i) + ": " + e.what());
+    }
+    if (ir.remaining() > 0) count = kRecordsPerImage + 1;
     check_image_count("block-record image", i, images.size(), count,
                       kRecordsPerImage);
-    for (size_t off = 0; off < bytes.size(); off += kRecordBytes)
-      records_.push_back(get_record(bytes.data() + off));
   }
   if (records_.size() != n_records)
     throw ckpt::SnapshotError("snapshot record images hold " +

@@ -81,8 +81,9 @@ void visit_fields(S& l, V&& v) {
   v("tag", l.tag);
 }
 
-/// Execution record of one thread block; the raw material for the
-/// DiversityMonitor and the scheduler built-in self-test.
+/// Execution record of one thread block; the raw material for block
+/// diversity (core::analyze_block_diversity) and the scheduler built-in
+/// self-test.
 struct BlockRecord {
   u32 launch_id = 0;
   u32 block_linear = 0;
@@ -91,5 +92,15 @@ struct BlockRecord {
   Cycle dispatch_cycle = 0;
   Cycle end_cycle = 0;
 };
+
+template <FieldsOf<BlockRecord> S, class V>
+void visit_fields(S& r, V&& v) {
+  v("launch_id", r.launch_id);
+  v("block_linear", r.block_linear);
+  v("sm", r.sm);
+  v("intended_sm", r.intended_sm);
+  v("dispatch_cycle", r.dispatch_cycle);
+  v("end_cycle", r.end_cycle);
+}
 
 }  // namespace higpu::sim

@@ -39,29 +39,9 @@ constexpr SimEngine enum_last(SimEngine) { return SimEngine::kDense; }
 enum class ExecMode { kBlock, kInterp };
 constexpr ExecMode enum_last(ExecMode) { return ExecMode::kInterp; }
 
-/// Launch-time static verification (see isa/verify/verify.h).
-///
-/// * kEnforce — every program is verified on its first launch per
-///   (program, grid, block); error-severity diagnostics refuse the launch
-///   with an isa::verify::VerifyError carrying the structured report.
-///   Subsequent launches of the same program hit a memo and pay nothing
-///   (trace-cache-style, like blockexec compilation).
-/// * kWarn — verify and record the report, and launch merely-wrong programs
-///   regardless (uninit reads, barrier deadlocks, modelled-memory OOB).
-///   Programs whose defects would index *host* memory out of bounds on the
-///   simulator's unchecked fetch / register-file paths
-///   (isa::verify::Result::unsafe_to_execute) are still refused: there is
-///   no meaningful "warn and run" for UB.
-///
-/// No mode skips verification: the gate is what guards the unchecked
-/// indexing paths (Warp::reg_at, code fetch, parameter loads).
-enum class LaunchVerify { kEnforce, kWarn };
-constexpr LaunchVerify enum_last(LaunchVerify) { return LaunchVerify::kWarn; }
-
 struct GpuParams {
   SimEngine engine = SimEngine::kEvent;
   ExecMode exec_mode = ExecMode::kBlock;
-  LaunchVerify verify = LaunchVerify::kEnforce;
 
   u32 num_sms = 6;
   u32 warp_size = 32;
@@ -97,7 +77,6 @@ template <FieldsOf<GpuParams> S, class V>
 void visit_fields(S& g, V&& v) {
   v("engine", g.engine);
   v("exec_mode", g.exec_mode, FieldTag::kNotFingerprinted);
-  v("verify", g.verify, FieldTag::kNotFingerprinted);
   v("num_sms", g.num_sms);
   v("warp_size", g.warp_size);
   v("max_warps_per_sm", g.max_warps_per_sm);

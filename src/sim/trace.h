@@ -1,6 +1,6 @@
 // Optional instruction-issue trace interface.
 //
-// The DiversityMonitor subscribes to this to measure *temporal diversity
+// core::InstrTraceCollector subscribes to this to measure *temporal diversity
 // slack*: the minimum time distance between corresponding instruction
 // executions of a redundant kernel pair (paper §IV.C). Identity of an
 // instruction instance is (launch, logical block, warp-in-block, per-warp

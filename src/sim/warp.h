@@ -69,12 +69,10 @@ struct Warp {
 
   // Indexing is deliberately unchecked on this hot path: register and
   // predicate indices are static program fields proven in range before any
-  // warp executes — the launch gate refuses reg-out-of-range /
-  // pred-out-of-range programs under kEnforce AND kWarn (they are in
-  // isa::verify::Result::unsafe_to_execute's class; kWarn only waives
-  // merely-wrong defects) — and fault injection corrupts register
-  // *values*, never the decoded indices. No LaunchVerify mode skips that
-  // proof.
+  // warp executes — the launch gate refuses every program with an
+  // error-severity diagnostic, reg-out-of-range and pred-out-of-range
+  // among them — and fault injection corrupts register *values*, never the
+  // decoded indices.
   u32& reg_at(u16 r, u32 lane) { return regs[static_cast<size_t>(r) * kWarpSize + lane]; }
   u32 reg_at(u16 r, u32 lane) const { return regs[static_cast<size_t>(r) * kWarpSize + lane]; }
   u8& pred_at(i16 p, u32 lane) { return preds[static_cast<size_t>(p) * kWarpSize + lane]; }

@@ -151,8 +151,9 @@ void Backprop::run(RunContext& ctx) {
   core::ExecSession& session = ctx.session();
   // Rodinia backprop synthesizes inputs and runs several CPU training
   // phases (output layer, hidden error) around the offloaded kernels.
-  session.device().host_generate(input_bytes());
-  session.device().host_compute(8 * input_bytes());
+  const u64 input_bytes = static_cast<u64>(n_in_) * 4 * (1 + kHidden);
+  session.device().host_generate(input_bytes);
+  session.device().host_compute(8 * input_bytes);
 
   const u32 chunks = n_in_ / 16;
   const u64 in_bytes = static_cast<u64>(n_in_) * 4;
@@ -184,14 +185,6 @@ void Backprop::run(RunContext& ctx) {
 bool Backprop::verify() const {
   return approx_equal(got_partial_, ref_partial_) &&
          approx_equal(got_weights_, ref_weights_);
-}
-
-u64 Backprop::input_bytes() const {
-  return static_cast<u64>(n_in_) * 4 * (1 + kHidden);
-}
-u64 Backprop::output_bytes() const {
-  return static_cast<u64>(n_in_ / 16) * kHidden * 4 +
-         static_cast<u64>(n_in_) * kHidden * 4;
 }
 
 }  // namespace higpu::workloads

@@ -15,8 +15,6 @@ class Backprop final : public Workload {
   void setup(Scale scale, u64 seed) override;
   void run(RunContext& ctx) override;
   bool verify() const override;
-  u64 input_bytes() const override;
-  u64 output_bytes() const override;
 
  private:
   static constexpr u32 kHidden = 16;  // hidden units (one block column each)

@@ -157,7 +157,9 @@ void Bfs::setup(Scale scale, u64 seed) {
 void Bfs::run(RunContext& ctx) {
   core::ExecSession& session = ctx.session();
   // Rodinia bfs parses a text graph file (~10 bytes per binary byte).
-  session.device().host_parse(input_bytes() * 10);
+  const u64 input_bytes =
+      static_cast<u64>(num_nodes_ + 1) * 4 + edges_.size() * 4;
+  session.device().host_parse(input_bytes * 10);
 
   const u32 n = num_nodes_;
   const u64 node_bytes = static_cast<u64>(n) * 4;
@@ -206,10 +208,5 @@ void Bfs::run(RunContext& ctx) {
 }
 
 bool Bfs::verify() const { return result_cost_ == reference_cost_; }
-
-u64 Bfs::input_bytes() const {
-  return static_cast<u64>(num_nodes_ + 1) * 4 + edges_.size() * 4;
-}
-u64 Bfs::output_bytes() const { return static_cast<u64>(num_nodes_) * 4; }
 
 }  // namespace higpu::workloads

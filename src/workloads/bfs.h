@@ -14,8 +14,6 @@ class Bfs final : public Workload {
   void setup(Scale scale, u64 seed) override;
   void run(RunContext& ctx) override;
   bool verify() const override;
-  u64 input_bytes() const override;
-  u64 output_bytes() const override;
 
  private:
   u32 num_nodes_ = 0;

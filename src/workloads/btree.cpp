@@ -202,7 +202,10 @@ void BTree::setup(Scale scale, u64 seed) {
 
 void BTree::run(RunContext& ctx) {
   core::ExecSession& session = ctx.session();
-  session.device().host_parse(input_bytes() * 6);  // command/database files
+  const u64 input_bytes = inner_keys_.size() * 4 +
+                          static_cast<u64>(num_leaves_) * 4 +
+                          2ull * num_queries_ * 4;
+  session.device().host_parse(input_bytes * 6);  // command/database files
 
   const u64 keys_bytes = inner_keys_.size() * 4;
   const u64 leaf_bytes = static_cast<u64>(num_leaves_) * 4;
@@ -238,11 +241,5 @@ void BTree::run(RunContext& ctx) {
 bool BTree::verify() const {
   return result_point_ == reference_point_ && result_range_ == reference_range_;
 }
-
-u64 BTree::input_bytes() const {
-  return inner_keys_.size() * 4 + static_cast<u64>(num_leaves_) * 4 +
-         2ull * num_queries_ * 4;
-}
-u64 BTree::output_bytes() const { return 2ull * num_queries_ * 4; }
 
 }  // namespace higpu::workloads

@@ -276,7 +276,8 @@ void Cfd::setup(Scale scale, u64 seed) {
 
 void Cfd::run(RunContext& ctx) {
   core::ExecSession& session = ctx.session();
-  session.device().host_parse(input_bytes());  // Rodinia parses the mesh file
+  const u64 input_bytes = 3ull * n_ * 4 + static_cast<u64>(n_) * kNeighbors * 4;
+  session.device().host_parse(input_bytes);  // Rodinia parses the mesh file
 
   const u64 bytes = static_cast<u64>(n_) * 4;
   const u64 nb_bytes = static_cast<u64>(n_) * kNeighbors * 4;
@@ -321,10 +322,5 @@ void Cfd::run(RunContext& ctx) {
 bool Cfd::verify() const {
   return approx_equal(got_density_, ref_density_, 5e-3f);
 }
-
-u64 Cfd::input_bytes() const {
-  return 3ull * n_ * 4 + static_cast<u64>(n_) * kNeighbors * 4;
-}
-u64 Cfd::output_bytes() const { return 2ull * n_ * 4; }
 
 }  // namespace higpu::workloads

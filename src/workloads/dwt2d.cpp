@@ -158,7 +158,8 @@ void Dwt2d::setup(Scale scale, u64 seed) {
 
 void Dwt2d::run(RunContext& ctx) {
   core::ExecSession& session = ctx.session();
-  session.device().host_parse(input_bytes() * 3);  // BMP decode + component setup
+  const u64 input_bytes = static_cast<u64>(dim_) * dim_ * 4;
+  session.device().host_parse(input_bytes * 3);  // BMP decode + component setup
 
   const u64 bytes = static_cast<u64>(dim_) * dim_ * 4;
   core::ReplicaPtr d_img = session.alloc(bytes);
@@ -190,8 +191,5 @@ void Dwt2d::run(RunContext& ctx) {
 }
 
 bool Dwt2d::verify() const { return approx_equal(result_, reference_); }
-
-u64 Dwt2d::input_bytes() const { return static_cast<u64>(dim_) * dim_ * 4; }
-u64 Dwt2d::output_bytes() const { return input_bytes(); }
 
 }  // namespace higpu::workloads

@@ -136,7 +136,9 @@ void Gaussian::setup(Scale scale, u64 seed) {
 void Gaussian::run(RunContext& ctx) {
   core::ExecSession& session = ctx.session();
   // Rodinia gaussian parses a textual matrix file (long decimal literals).
-  session.device().host_parse(input_bytes() * 30);
+  const u64 input_bytes =
+      static_cast<u64>(n_) * n_ * 4 + static_cast<u64>(n_) * 4;
+  session.device().host_parse(input_bytes * 30);
 
   const u64 a_bytes = static_cast<u64>(n_) * n_ * 4;
   const u64 b_bytes = static_cast<u64>(n_) * 4;
@@ -170,10 +172,5 @@ void Gaussian::run(RunContext& ctx) {
 bool Gaussian::verify() const {
   return approx_equal(got_a_, ref_a_, 2e-3f) && approx_equal(got_b_, ref_b_, 2e-3f);
 }
-
-u64 Gaussian::input_bytes() const {
-  return static_cast<u64>(n_) * n_ * 4 + static_cast<u64>(n_) * 4;
-}
-u64 Gaussian::output_bytes() const { return input_bytes(); }
 
 }  // namespace higpu::workloads

@@ -128,7 +128,8 @@ void Hotspot::setup(Scale scale, u64 seed) {
 void Hotspot::run(RunContext& ctx) {
   core::ExecSession& session = ctx.session();
   runtime::Device& dev = session.device();
-  dev.host_parse(input_bytes() * 6);  // temp/power text files (one float per line)
+  const u64 input_bytes = 2ull * dim_ * dim_ * 4;
+  dev.host_parse(input_bytes * 6);  // temp/power text files (one float per line)
 
   const u32 n = dim_ * dim_;
   const u64 bytes = static_cast<u64>(n) * 4;
@@ -154,8 +155,5 @@ void Hotspot::run(RunContext& ctx) {
 }
 
 bool Hotspot::verify() const { return approx_equal(result_, reference_); }
-
-u64 Hotspot::input_bytes() const { return 2ull * dim_ * dim_ * 4; }
-u64 Hotspot::output_bytes() const { return 1ull * dim_ * dim_ * 4; }
 
 }  // namespace higpu::workloads

@@ -175,7 +175,8 @@ void Hotspot3d::setup(Scale scale, u64 seed) {
 
 void Hotspot3d::run(RunContext& ctx) {
   core::ExecSession& session = ctx.session();
-  session.device().host_parse(input_bytes() * 6);  // text input files
+  const u64 input_bytes = 2ull * dim_ * dim_ * layers_ * 4;
+  session.device().host_parse(input_bytes * 6);  // text input files
 
   const u32 n = dim_ * dim_ * layers_;
   const u64 bytes = static_cast<u64>(n) * 4;
@@ -201,12 +202,5 @@ void Hotspot3d::run(RunContext& ctx) {
 }
 
 bool Hotspot3d::verify() const { return approx_equal(result_, reference_); }
-
-u64 Hotspot3d::input_bytes() const {
-  return 2ull * dim_ * dim_ * layers_ * 4;
-}
-u64 Hotspot3d::output_bytes() const {
-  return 1ull * dim_ * dim_ * layers_ * 4;
-}
 
 }  // namespace higpu::workloads

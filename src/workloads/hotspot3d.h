@@ -13,8 +13,6 @@ class Hotspot3d final : public Workload {
   void setup(Scale scale, u64 seed) override;
   void run(RunContext& ctx) override;
   bool verify() const override;
-  u64 input_bytes() const override;
-  u64 output_bytes() const override;
 
  private:
   u32 dim_ = 0;     // x/y extent

@@ -115,7 +115,8 @@ void Kmeans::setup(Scale scale, u64 seed) {
 
 void Kmeans::run(RunContext& ctx) {
   core::ExecSession& session = ctx.session();
-  session.device().host_parse(input_bytes() * 8);  // feature text file
+  const u64 input_bytes = static_cast<u64>(n_) * kDims * 4;
+  session.device().host_parse(input_bytes * 8);  // feature text file
 
   const u64 pts_bytes = static_cast<u64>(n_) * kDims * 4;
   const u64 cent_bytes = static_cast<u64>(kClusters) * kDims * 4;
@@ -154,8 +155,5 @@ void Kmeans::run(RunContext& ctx) {
 }
 
 bool Kmeans::verify() const { return result_ == reference_; }
-
-u64 Kmeans::input_bytes() const { return static_cast<u64>(n_) * kDims * 4; }
-u64 Kmeans::output_bytes() const { return static_cast<u64>(n_) * 4; }
 
 }  // namespace higpu::workloads

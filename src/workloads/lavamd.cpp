@@ -156,7 +156,9 @@ void LavaMd::setup(Scale scale, u64 seed) {
 
 void LavaMd::run(RunContext& ctx) {
   core::ExecSession& session = ctx.session();
-  session.device().host_generate(input_bytes() * 60);  // box/neighbour setup loops
+  const u64 input_bytes =
+      4ull * boxes_ * kParticles * 4 + boxes_ * kNeighbors * 4;
+  session.device().host_generate(input_bytes * 60);  // box/neighbour setup loops
 
   const u32 n = boxes_ * kParticles;
   const u64 bytes = static_cast<u64>(n) * 4;
@@ -184,12 +186,5 @@ void LavaMd::run(RunContext& ctx) {
 }
 
 bool LavaMd::verify() const { return approx_equal(result_, reference_, 5e-3f); }
-
-u64 LavaMd::input_bytes() const {
-  return 4ull * boxes_ * kParticles * 4 + boxes_ * kNeighbors * 4;
-}
-u64 LavaMd::output_bytes() const {
-  return static_cast<u64>(boxes_) * kParticles * 4;
-}
 
 }  // namespace higpu::workloads

@@ -162,7 +162,8 @@ void Leukocyte::setup(Scale scale, u64 seed) {
 void Leukocyte::run(RunContext& ctx) {
   core::ExecSession& session = ctx.session();
   // Rodinia leukocyte decodes video frames on the host first.
-  session.device().host_parse(input_bytes() * 8);
+  const u64 input_bytes = static_cast<u64>(dim_) * dim_ * 4;
+  session.device().host_parse(input_bytes * 8);
 
   const u64 bytes = static_cast<u64>(dim_) * dim_ * 4;
   core::ReplicaPtr d_img = session.alloc(bytes);
@@ -183,8 +184,5 @@ void Leukocyte::run(RunContext& ctx) {
 }
 
 bool Leukocyte::verify() const { return approx_equal(result_, reference_); }
-
-u64 Leukocyte::input_bytes() const { return static_cast<u64>(dim_) * dim_ * 4; }
-u64 Leukocyte::output_bytes() const { return input_bytes(); }
 
 }  // namespace higpu::workloads

@@ -342,7 +342,8 @@ void Lud::setup(Scale scale, u64 seed) {
 
 void Lud::run(RunContext& ctx) {
   core::ExecSession& session = ctx.session();
-  session.device().host_parse(input_bytes() * 8);  // textual matrix file
+  const u64 input_bytes = static_cast<u64>(n_) * n_ * 4;
+  session.device().host_parse(input_bytes * 8);  // textual matrix file
 
   const u64 bytes = static_cast<u64>(n_) * n_ * 4;
   core::ReplicaPtr d_mat = session.alloc(bytes);
@@ -374,8 +375,5 @@ void Lud::run(RunContext& ctx) {
 }
 
 bool Lud::verify() const { return approx_equal(result_, reference_, 5e-3f); }
-
-u64 Lud::input_bytes() const { return static_cast<u64>(n_) * n_ * 4; }
-u64 Lud::output_bytes() const { return input_bytes(); }
 
 }  // namespace higpu::workloads

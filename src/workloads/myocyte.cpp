@@ -108,7 +108,4 @@ void Myocyte::run(RunContext& ctx) {
 
 bool Myocyte::verify() const { return approx_equal(result_, reference_, 5e-3f); }
 
-u64 Myocyte::input_bytes() const { return static_cast<u64>(cells_) * 4; }
-u64 Myocyte::output_bytes() const { return input_bytes(); }
-
 }  // namespace higpu::workloads

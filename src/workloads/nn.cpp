@@ -66,7 +66,8 @@ void Nn::setup(Scale scale, u64 seed) {
 
 void Nn::run(RunContext& ctx) {
   core::ExecSession& session = ctx.session();
-  session.device().host_parse(input_bytes() * 8);  // hurricane record text database
+  const u64 input_bytes = 2ull * n_ * 4;
+  session.device().host_parse(input_bytes * 8);  // hurricane record text database
 
   const u64 bytes = static_cast<u64>(n_) * 4;
   core::ReplicaPtr d_lat = session.alloc(bytes);
@@ -88,8 +89,5 @@ void Nn::run(RunContext& ctx) {
 }
 
 bool Nn::verify() const { return approx_equal(result_, reference_); }
-
-u64 Nn::input_bytes() const { return 2ull * n_ * 4; }
-u64 Nn::output_bytes() const { return static_cast<u64>(n_) * 4; }
 
 }  // namespace higpu::workloads

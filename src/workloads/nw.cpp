@@ -152,7 +152,8 @@ void Nw::setup(Scale scale, u64 seed) {
 
 void Nw::run(RunContext& ctx) {
   core::ExecSession& session = ctx.session();
-  session.device().host_parse(input_bytes() * 4);  // sequence generation + host traceback
+  const u64 input_bytes = 2ull * (n_ + 1) * (n_ + 1) * 4;
+  session.device().host_parse(input_bytes * 4);  // sequence generation + host traceback
 
   const u32 dim = n_ + 1;
   const u64 bytes = static_cast<u64>(dim) * dim * 4;
@@ -184,10 +185,5 @@ void Nw::run(RunContext& ctx) {
 }
 
 bool Nw::verify() const { return result_ == reference_; }
-
-u64 Nw::input_bytes() const {
-  return 2ull * (n_ + 1) * (n_ + 1) * 4;
-}
-u64 Nw::output_bytes() const { return static_cast<u64>(n_ + 1) * (n_ + 1) * 4; }
 
 }  // namespace higpu::workloads

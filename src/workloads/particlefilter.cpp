@@ -129,7 +129,9 @@ void ParticleFilter::setup(Scale scale, u64 seed) {
 void ParticleFilter::run(RunContext& ctx) {
   core::ExecSession& session = ctx.session();
   // Video decode on the host dominates the real benchmark's setup.
-  session.device().host_parse(input_bytes() * 4);
+  const u64 input_bytes =
+      static_cast<u64>(frames_) * frame_dim_ * frame_dim_ * 4;
+  session.device().host_parse(input_bytes * 4);
 
   const u64 frame_bytes = static_cast<u64>(frame_dim_) * frame_dim_ * 4;
   const u64 p_bytes = static_cast<u64>(particles_) * 4;
@@ -176,13 +178,6 @@ void ParticleFilter::run(RunContext& ctx) {
 
 bool ParticleFilter::verify() const {
   return approx_equal(result_, reference_);
-}
-
-u64 ParticleFilter::input_bytes() const {
-  return static_cast<u64>(frames_) * frame_dim_ * frame_dim_ * 4;
-}
-u64 ParticleFilter::output_bytes() const {
-  return static_cast<u64>(particles_) * 4;
 }
 
 }  // namespace higpu::workloads

@@ -81,7 +81,8 @@ void Pathfinder::setup(Scale scale, u64 seed) {
 
 void Pathfinder::run(RunContext& ctx) {
   core::ExecSession& session = ctx.session();
-  session.device().host_generate(input_bytes() * 4);  // rand() loop synthesis
+  const u64 input_bytes = static_cast<u64>(rows_) * cols_ * 4;
+  session.device().host_generate(input_bytes * 4);  // rand() loop synthesis
 
   const u64 row_bytes = static_cast<u64>(cols_) * 4;
   const u64 data_bytes = static_cast<u64>(rows_) * cols_ * 4;
@@ -106,10 +107,5 @@ void Pathfinder::run(RunContext& ctx) {
 }
 
 bool Pathfinder::verify() const { return result_ == reference_; }
-
-u64 Pathfinder::input_bytes() const {
-  return static_cast<u64>(rows_) * cols_ * 4;
-}
-u64 Pathfinder::output_bytes() const { return static_cast<u64>(cols_) * 4; }
 
 }  // namespace higpu::workloads

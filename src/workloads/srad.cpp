@@ -245,7 +245,8 @@ void Srad::setup(Scale scale, u64 seed) {
 
 void Srad::run(RunContext& ctx) {
   core::ExecSession& session = ctx.session();
-  session.device().host_parse(input_bytes() * 6);  // image extraction/compression
+  const u64 input_bytes = static_cast<u64>(dim_) * dim_ * 4;
+  session.device().host_parse(input_bytes * 6);  // image extraction/compression
 
   const u32 n = dim_ * dim_;
   const u64 bytes = static_cast<u64>(n) * 4;
@@ -274,8 +275,5 @@ void Srad::run(RunContext& ctx) {
 }
 
 bool Srad::verify() const { return approx_equal(result_, reference_, 5e-3f); }
-
-u64 Srad::input_bytes() const { return static_cast<u64>(dim_) * dim_ * 4; }
-u64 Srad::output_bytes() const { return input_bytes(); }
 
 }  // namespace higpu::workloads

@@ -81,7 +81,8 @@ void Streamcluster::setup(Scale scale, u64 seed) {
 
 void Streamcluster::run(RunContext& ctx) {
   core::ExecSession& session = ctx.session();
-  session.device().host_generate(input_bytes());  // points synthesized in memory
+  const u64 input_bytes = static_cast<u64>(n_) * kDims * 4;
+  session.device().host_generate(input_bytes);  // points synthesized in memory
 
   const u64 pts_bytes = static_cast<u64>(n_) * kDims * 4;
   const u64 cost_bytes = static_cast<u64>(n_) * 4;
@@ -107,10 +108,5 @@ void Streamcluster::run(RunContext& ctx) {
 }
 
 bool Streamcluster::verify() const { return approx_equal(result_, reference_); }
-
-u64 Streamcluster::input_bytes() const {
-  return static_cast<u64>(n_) * kDims * 4;
-}
-u64 Streamcluster::output_bytes() const { return static_cast<u64>(n_) * 4; }
 
 }  // namespace higpu::workloads

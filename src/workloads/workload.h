@@ -61,11 +61,6 @@ class Workload {
 
   /// Check outputs fetched by run() against the CPU reference.
   virtual bool verify() const = 0;
-
-  /// Total bytes of input transferred to the device (for reporting).
-  virtual u64 input_bytes() const = 0;
-  /// Total bytes of compared output (for reporting).
-  virtual u64 output_bytes() const = 0;
 };
 
 using WorkloadPtr = std::unique_ptr<Workload>;

@@ -1541,6 +1541,34 @@ TEST(CkptHistory, RestoreBringsBackHistoryAndHash) {
   EXPECT_EQ(fresh.snapshot()->hash(), a->hash());
 }
 
+TEST(CkptHistory, CutOrPaddedRecordImageIsNamedOnRestore) {
+  auto dev = long_lived_device(300);
+  const ckpt::SnapshotPtr snap = dev->snapshot();
+  ASSERT_GE(snap->record_images.size(), 2u);
+  // A record image cut mid-record or followed by a stray byte, with a
+  // matching hash: the image decoder itself must refuse it by name.
+  for (const bool pad : {false, true}) {
+    SCOPED_TRACE(pad ? "padded" : "cut");
+    ckpt::Snapshot bad = *snap;
+    std::vector<u8> bytes = bad.record_images[1]->bytes;
+    if (pad)
+      bytes.push_back(0);
+    else
+      bytes.resize(bytes.size() - 3);
+    bad.record_images[1] = ckpt::make_image(std::move(bytes));
+    runtime::Device fresh;
+    fresh.set_kernel_scheduler(sched::make_scheduler(sched::Policy::kSrrs));
+    try {
+      fresh.restore(bad);
+      ADD_FAILURE() << "a damaged block-record image restored";
+    } catch (const ckpt::SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find("block-record image 1"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(CkptHistory, CorruptImageIsNamedOnDecode) {
   auto dev = long_lived_device(300);
   const ckpt::SnapshotPtr snap = dev->snapshot();

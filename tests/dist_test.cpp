@@ -7,7 +7,7 @@
 // spanning two recovery strategies too), and across a simulated
 // coordinator crash plus journal resume; the journal holds one flight
 // record per miscompare of a simulated run. Around it: the
-// higpu.wire/4 frame and payload codecs (corruption is loud, never
+// higpu.wire/5 frame and payload codecs (corruption is loud, never
 // misinterpreted; a lying length or member count allocates nothing; every
 // payload kind cut at any byte or padded is a WireError; the payload bytes
 // are pinned),
@@ -288,7 +288,6 @@ TEST(WireSpec, RoundTripPreservesEveryField) {
   spec.seed = 777;
   spec.gpu.engine = sim::SimEngine::kDense;
   spec.gpu.exec_mode = sim::ExecMode::kInterp;
-  spec.gpu.verify = sim::LaunchVerify::kWarn;
   spec.gpu.num_sms = 4;
   spec.gpu.sp_latency = 7;
   spec.gpu.clock_ghz = 1.9;
@@ -547,16 +546,17 @@ TEST(WirePayload, TruncatedOrPaddedPayloadIsAWireError) {
 }
 
 TEST(WirePayload, EncodingsArePinned) {
-  // FNV-1a over the five fixed encodings in order. The pin was captured
-  // from the hand-written higpu.wire/4 encoders the records replaced: a
-  // change here changes the protocol and must bump kProtocolVersion.
+  // FNV-1a over the five fixed encodings in order, pinned at
+  // higpu.wire/5 (a GpuParams without the launch-verify mode byte, and
+  // Hello's version 5): a change here changes the protocol and must bump
+  // kProtocolVersion.
   const FixedPayloads p;
   u64 h = 0xcbf29ce484222325ull;
   for (const std::vector<u8>& bytes :
        {dist::encode(p.hello), dist::encode(p.work), dist::encode(p.result),
         dist::encode(p.log), dist::encode(p.flight)})
     h = ckpt::fnv1a(bytes.data(), bytes.size(), h);
-  EXPECT_EQ(0xa60145ef3c5c8253ull, h);
+  EXPECT_EQ(0x21538e5b4c5dfdc8ull, h);
 }
 
 // ---- JSONL result records (satellite 2) ------------------------------------

@@ -1,5 +1,5 @@
-// DiversityMonitor: block-level spatial/temporal diversity and
-// instruction-level temporal slack (paper §IV.B/C).
+// Block-level spatial/temporal diversity (analyze_block_diversity) and
+// instruction-level temporal slack (InstrTraceCollector), paper §IV.B/C.
 #include <gtest/gtest.h>
 
 #include "core/diversity.h"

@@ -290,7 +290,6 @@ TEST(VerifyStructural, SourceInASlotTheOpcodeDoesNotRead) {
   const Result r = vrun(fdiv_program(/*stray=*/true));
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(r.has(Code::kBadOperand)) << r.to_string();
-  EXPECT_TRUE(r.unsafe_to_execute());
 }
 
 TEST(VerifyStructural, SourcesTheOpcodeReadsAreClean) {
@@ -306,7 +305,6 @@ TEST(VerifyStructural, PredicateSourceOnAnAluOp) {
       vrun(prog({I_setp(0, CmpOp::kEq, imm(0), imm(0)), add, I_exit()}));
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(r.has(Code::kBadOperand)) << r.to_string();
-  EXPECT_TRUE(r.unsafe_to_execute());
 }
 
 TEST(VerifyStructural, AluOpWithoutPredicateSourceAndSetpAndAreClean) {
@@ -325,7 +323,6 @@ TEST(VerifyStructural, UndefinedOpcodeByte) {
   const Result r = vrun(prog({mk(static_cast<Op>(200)), I_exit()}));
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(r.has(Code::kBadOperand)) << r.to_string();
-  EXPECT_TRUE(r.unsafe_to_execute());
 }
 
 TEST(VerifyStructural, CompleteArithmeticIsClean) {
@@ -396,19 +393,6 @@ TEST(VerifyResource, HighestDeclaredPredicateIsClean) {
       prog({I_setp(1, CmpOp::kEq, imm(0), imm(0)), I_exit()}, 4, /*npreds=*/2));
   EXPECT_TRUE(r.ok());
   EXPECT_FALSE(r.has(Code::kPredOutOfRange));
-}
-
-TEST(VerifyResource, UnsafeToExecuteClassification) {
-  // Reg-file overflow would index host memory out of bounds at runtime
-  // (unchecked Warp::reg_at): unsafe in every build.
-  EXPECT_TRUE(
-      vrun(prog({I_mov(7, imm(0)), I_exit()}, /*nregs=*/4)).unsafe_to_execute());
-  // An uninit read is wrong but executes within bounds (registers are
-  // zero-initialized): merely-wrong, so kWarn may launch it.
-  const Result uninit = vrun(prog({I_mov(0, R(1)), I_exit()}, /*nregs=*/2));
-  EXPECT_FALSE(uninit.ok());
-  EXPECT_FALSE(uninit.unsafe_to_execute());
-  EXPECT_FALSE(vrun(prog({I_mov(0, imm(0)), I_exit()})).unsafe_to_execute());
 }
 
 // ---- Pass 3: dataflow -------------------------------------------------------
@@ -668,8 +652,7 @@ TEST(BuilderCounts, PredicateBudgetOverflowThrows) {
 // ---- Device launch gate ------------------------------------------------------
 
 ProgramPtr bad_program() {
-  // mov r0, r1 with r1 never written: an uninit-read error the gate must
-  // refuse, yet harmless enough to execute under kWarn (registers zero-init).
+  // mov r0, r1 with r1 never written: an uninit-read error the gate refuses.
   return std::make_shared<KernelProgram>(
       "bad", std::vector<Instruction>{I_mov(0, R(1)), I_exit()},
       /*num_regs=*/2, /*num_preds=*/1, /*shared=*/0, /*num_params=*/0);
@@ -750,62 +733,56 @@ TEST(LaunchGate, RefusedProgramsStayPinnedByTheMemo) {
   EXPECT_EQ(dev.verify_memo_hits(), 0u);
 }
 
-TEST(LaunchGate, WarnModeRecordsWithoutRefusing) {
-  sim::GpuParams p;
-  p.verify = sim::LaunchVerify::kWarn;
-  runtime::Device dev(p);
-  dev.set_kernel_scheduler(sched::make_scheduler(sched::Policy::kDefault));
-  EXPECT_NO_THROW(dev.launch(bad_launch()));
-  dev.synchronize();
-  ASSERT_EQ(dev.verify_runs(), 1u);
-  EXPECT_FALSE(dev.verify_reports()[0].result.ok());
-}
+TEST(LaunchGate, EveryErrorCodeIsRefusedBeforeItRuns) {
+  // One program per error code whose defect would index host memory on the
+  // simulator's unchecked paths (code fetch, Warp::reg_at/pred_at, ldp),
+  // plus one merely-wrong defect. Each carries no other error code, so the
+  // gate refuses it for that code alone.
+  struct Case {
+    const char* name;
+    Code code;
+    KernelProgram program;
+  };
+  const Case cases[] = {
+      {"empty-program", Code::kEmptyProgram, prog({})},
+      {"bad-branch-target", Code::kBadBranchTarget,
+       prog({I_bra(5), I_exit()})},
+      {"fall-off-end", Code::kFallOffEnd, prog({I_mov(0, imm(1))})},
+      // fdiv names r60000 in a slot it does not read; both exec modes would
+      // read it anyway, far past the one-register file.
+      {"bad-operand", Code::kBadOperand, fdiv_program(/*stray=*/true)},
+      {"bad-param-index", Code::kBadParamIndex,
+       prog({I_ldp(0, imm(2)), I_exit()}, 4, 2, 0, /*nparams=*/1)},
+      {"reg-out-of-range", Code::kRegOutOfRange,
+       prog({I_mov(7, imm(0)), I_exit()}, /*nregs=*/2)},
+      {"pred-out-of-range", Code::kPredOutOfRange,
+       prog({I_setp(5, CmpOp::kEq, imm(0), imm(0)), I_exit()}, 4,
+            /*npreds=*/2)},
+      // Runs in bounds (registers are zero-initialized) but computes a
+      // value no redundant copy can be trusted to agree on.
+      {"uninit-reg-read", Code::kUninitRegRead,
+       prog({I_mov(0, R(1)), I_exit()}, /*nregs=*/2)},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Result alone = vrun(c.program);
+    for (const Diag& d : alone.diags)
+      if (d.severity == Severity::kError)
+        EXPECT_EQ(d.code, c.code) << alone.to_string();
 
-TEST(LaunchGate, WarnModeStillRefusesMemoryUnsafePrograms) {
-  // kWarn waives merely-wrong programs (see above), not memory-unsafe ones:
-  // mov into r7 with only 2 declared registers would write host memory out
-  // of bounds through the unchecked Warp::reg_at path in every build, so
-  // "warn and launch anyway" is not an option for this defect class.
-  sim::GpuParams p;
-  p.verify = sim::LaunchVerify::kWarn;
-  runtime::Device dev(p);
-  dev.set_kernel_scheduler(sched::make_scheduler(sched::Policy::kDefault));
-  sim::KernelLaunch l;
-  l.program = std::make_shared<KernelProgram>(
-      "oob", std::vector<Instruction>{I_mov(7, imm(0)), I_exit()},
-      /*num_regs=*/2, /*num_preds=*/1, /*shared=*/0, /*num_params=*/0);
-  l.grid = {1, 1, 1};
-  l.block = {32, 1, 1};
-  try {
-    dev.launch(l);
-    FAIL() << "kWarn launched a memory-unsafe program";
-  } catch (const VerifyError& e) {
-    EXPECT_TRUE(e.result().has(Code::kRegOutOfRange));
-    EXPECT_TRUE(e.result().unsafe_to_execute());
-  }
-}
-
-TEST(LaunchGate, OperandTheOpcodeDoesNotReadIsRefusedInEveryMode) {
-  // Neither kEnforce nor kWarn may launch it: both exec modes would read
-  // register 60000 of a one-register file.
-  for (const sim::LaunchVerify mode :
-       {sim::LaunchVerify::kEnforce, sim::LaunchVerify::kWarn}) {
-    SCOPED_TRACE(static_cast<int>(mode));
-    sim::GpuParams p;
-    p.verify = mode;
-    runtime::Device dev(p);
+    runtime::Device dev;
     dev.set_kernel_scheduler(sched::make_scheduler(sched::Policy::kDefault));
     sim::KernelLaunch l;
-    l.program = std::make_shared<KernelProgram>(fdiv_program(/*stray=*/true));
+    l.program = std::make_shared<KernelProgram>(c.program);
+    l.params.assign(l.program->num_params(), 0);
     l.grid = {1, 1, 1};
     l.block = {32, 1, 1};
     try {
       dev.launch(l);
-      ADD_FAILURE() << "launch gate let a stray source operand through";
-      continue;  // running it would read past the register file
+      ADD_FAILURE() << "launch gate let a " << c.name << " program through";
+      continue;  // running it could index host memory out of bounds
     } catch (const VerifyError& e) {
-      EXPECT_TRUE(e.result().has(Code::kBadOperand));
-      EXPECT_TRUE(e.result().unsafe_to_execute());
+      EXPECT_TRUE(e.result().has(c.code)) << e.what();
     }
     dev.synchronize();
     EXPECT_EQ(dev.gpu_cycles_consumed(), 0u);
@@ -846,8 +823,8 @@ TEST_P(WorkloadVerifiesClean, NoErrorDiagnosticsAcrossTheSuite) {
         for (const runtime::Device::VerifyRecord& rec : dev.verify_reports())
           if (!rec.result.ok()) failures += rec.result.to_string();
       });
-  // The scenario ran at all (kEnforce is the default: an erroring kernel
-  // would have thrown inside run_scenario), produced correct output, and
+  // The scenario ran at all (the launch gate refuses an erroring kernel by
+  // throwing inside run_scenario), produced correct output, and
   // every distinct kernel actually went through the analyzer.
   EXPECT_TRUE(r.ok) << r.error;
   EXPECT_TRUE(r.verified);

@@ -124,12 +124,10 @@ TEST(WorkloadDeterminism, SameSeedSameResults) {
   EXPECT_EQ(run_once(), run_once());
 }
 
-TEST(WorkloadMetadata, ByteCountsArePositive) {
+TEST(WorkloadMetadata, SetupKeepsTheRegisteredName) {
   for (const std::string& n : all_names()) {
     WorkloadPtr w = make(n);
     w->setup(Scale::kTest, 1);
-    EXPECT_GT(w->input_bytes(), 0u) << n;
-    EXPECT_GT(w->output_bytes(), 0u) << n;
     EXPECT_EQ(w->name(), n);
   }
 }
