@@ -3,7 +3,7 @@
 // Two modes:
 //
 //   campaign_worker --fd=N [--id=K] [--heartbeat-ms=M]
-//       Protocol mode: speak higpu.wire/5 over inherited file descriptor N.
+//       Protocol mode: speak higpu.wire/6 over inherited file descriptor N.
 //       This is how dist::run_distributed launches the fleet; it is not
 //       meant to be started by hand.
 //

@@ -152,15 +152,15 @@ inline constexpr bool kIsInt =
                               sizeof(F) == 4 || sizeof(F) == 8);
 
 template <FieldRecord T>
-void put_fields(Writer& w, const T& rec, FieldTag skip = FieldTag::kNone);
+void put_fields(Writer& w, const T& rec);
 
 /// Append one field: a record through its visit_fields, an enum as one
 /// byte, an integer at its width, a float as f64, a string or vector as a
 /// u64 count and then its elements.
 template <class F>
-void put_field(Writer& w, const F& f, FieldTag skip = FieldTag::kNone) {
+void put_field(Writer& w, const F& f) {
   if constexpr (FieldRecord<F>) {
-    put_fields(w, f, skip);
+    put_fields(w, f);
   } else if constexpr (std::is_enum_v<F>) {
     w.put8(static_cast<u8>(f));
   } else if constexpr (kIsInt<F>) {
@@ -182,20 +182,16 @@ void put_field(Writer& w, const F& f, FieldTag skip = FieldTag::kNone) {
         p += sizeof(E);
       }
     } else {
-      for (const E& e : f) put_field(w, e, skip);
+      for (const E& e : f) put_field(w, e);
     }
   }
 }
 
-/// Append `rec`'s visit_fields in order (see put_field). Fields tagged
-/// `skip` (other than kNone) are left out.
+/// Append `rec`'s visit_fields in order (see put_field).
 template <FieldRecord T>
-void put_fields(Writer& w, const T& rec, FieldTag skip) {
+void put_fields(Writer& w, const T& rec) {
   visit_fields(rec, [&](const char*, const auto& f,
-                        FieldTag tag = FieldTag::kNone) {
-    if (skip != FieldTag::kNone && tag == skip) return;
-    put_field(w, f, skip);
-  });
+                        FieldTag = FieldTag::kNone) { put_field(w, f); });
 }
 
 /// Thrown on any structural mismatch while reading a snapshot back.

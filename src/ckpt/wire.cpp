@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "isa/instruction.h"
+#include "isa/verify/verify.h"
 
 namespace higpu::ckpt {
 
@@ -200,9 +201,21 @@ SnapshotPtr decode_snapshot(const std::vector<u8>& bytes) {
   snap->launch_images = get_images(r, "launch image");
   snap->record_images = get_images(r, "block-record image");
 
+  // A program the launch gate would refuse must not reach a restore: it
+  // compiles and runs every program in the table with no gate of its own.
   const u64 num_programs = r.get_count(kMinProgramBytes, "program table");
   snap->programs.reserve(static_cast<size_t>(num_programs));
-  for (u64 i = 0; i < num_programs; ++i) snap->programs.push_back(get_program(r));
+  for (u64 i = 0; i < num_programs; ++i) {
+    isa::ProgramPtr p = get_program(r);
+    const isa::verify::Result vr = isa::verify::verify(*p);
+    for (const isa::verify::Diag& d : vr.diags)
+      if (d.severity == isa::verify::Severity::kError)
+        throw SnapshotError("snapshot program " + std::to_string(i) +
+                            " refused by the verifier: " +
+                            isa::verify::code_name(d.code) + " (" +
+                            d.message + ")");
+    snap->programs.push_back(std::move(p));
+  }
   return snap;
 }
 

@@ -24,7 +24,8 @@
 // ("snapshot section 'sm3' corrupted in transit"), store page or history
 // image, which is the difference between a diagnosable dead worker and a
 // silently wrong campaign. Every length field is checked against the bytes left before
-// anything is allocated from it. Restoring a decoded snapshot onto a
+// anything is allocated from it. Every decoded program passes the static
+// verifier, as a launched one does. Restoring a decoded snapshot onto a
 // device still performs the existing magic/version/parameter-fingerprint
 // checks inside the blob.
 #pragma once
@@ -59,7 +60,9 @@ std::vector<u8> encode_snapshot(const Snapshot& snap);
 /// recomputed hash differs from the stored one (naming the section, the
 /// store page's address or the history image's index), or a program whose
 /// code holds an enum value no enumerator has (naming the field, e.g.
-/// "program.code.src.kind"). The returned snapshot
+/// "program.code.src.kind"), or a program isa::verify::verify finds an
+/// error in under unknown launch bounds (naming the program's index and
+/// the diagnostic's code, e.g. "empty-program"). The returned snapshot
 /// is bit-identical to the encoded one (same blob and pages, hence same
 /// Snapshot::hash()).
 SnapshotPtr decode_snapshot(const std::vector<u8>& bytes);

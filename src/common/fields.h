@@ -24,9 +24,6 @@ enum class FieldTag : u8 {
   /// Host timing or campaign-mode-dependent diagnosis: outside
   /// ScenarioResult::deterministic_fields_equal.
   kNotDeterministic,
-  /// Never changes what a valid program computes (it governs only derived
-  /// state): outside runtime::Device's snapshot parameter fingerprint.
-  kNotFingerprinted,
   /// A statistics counter reported even while it is zero; the others
   /// appear once nonzero.
   kReportedWhenZero,

@@ -79,8 +79,8 @@ struct DistReport {
   u64 workers_died = 0;
   /// kWork frames sent (one per unit, plus one per re-dispatched remainder).
   u64 units_shipped = 0;
-  /// Snapshot bytes in kWork frames. Always 0 in higpu.wire/5 (and in /4
-  /// before it): a unit's snapshots stay in the worker that captured them.
+  /// Snapshot bytes in kWork frames. Always 0 since higpu.wire/4: a unit's
+  /// snapshots stay in the worker that captured them.
   u64 snapshot_bytes_shipped = 0;
   bool stopped_early = false;
 };

@@ -1,4 +1,4 @@
-// higpu.wire/5 — the coordinator <-> worker message protocol.
+// higpu.wire/6 — the coordinator <-> worker message protocol.
 //
 // Transport is any reliable byte stream (the coordinator uses an AF_UNIX
 // socketpair shared with each forked worker). Every message is one frame:
@@ -49,7 +49,8 @@ namespace higpu::dist {
 /// v3: framed snapshots carry launch and block-record history images.
 /// v4: kWork carries a whole work unit (indices and specs), no snapshots.
 /// v5: a ScenarioSpec's GpuParams no longer carries a launch-verify mode.
-constexpr u32 kProtocolVersion = 5;
+/// v6: a ScenarioSpec's GpuParams no longer carries an ALU exec mode.
+constexpr u32 kProtocolVersion = 6;
 constexpr u32 kFrameMagic = 0x52574748u;  // "HGWR"
 /// Upper bound on a frame payload; anything larger means a desynchronized
 /// or corrupted stream, not a legitimate message.

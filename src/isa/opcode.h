@@ -119,9 +119,9 @@ enum class Writeback : u8 { kNone, kGpr, kPred };
 /// Memory space an opcode reads or writes.
 enum class MemSpace : u8 { kNone, kGlobal, kShared };
 
-/// How the executors carry an opcode out. The first five forms touch only
-/// registers and predicates; the block engine lowers exactly those and
-/// leaves every later form to the interpreter.
+/// How SmCore::execute carries an opcode out. The first five forms touch
+/// only registers and predicates (blockexec::lowers); every later form
+/// reaches memory, control flow or a barrier.
 enum class Form : u8 {
   kAlu,     // dst = sim::eval_alu(op, src0, src1, src2)
   kS2r,     // dst = special register
@@ -136,7 +136,7 @@ enum class Form : u8 {
   kNop,
 };
 
-/// Everything the verifier, the block compiler and the interpreter know
+/// Everything the verifier, the block compiler and the executor know
 /// about one opcode's shape.
 struct OpInfo {
   Op op;

@@ -35,8 +35,9 @@
 // skips them — the structural diagnostics are the result.
 //
 // verify() never throws on malformed input: malformed-ness is the output.
-// The launch gate (runtime::Device::launch, sim::GpuParams::verify) wraps
-// an erroring Result in a VerifyError instead of running the program.
+// The launch gate (runtime::Device::launch) wraps an erroring Result in a
+// VerifyError instead of running the program, and ckpt::decode_snapshot
+// refuses a framed program with an erroring Result.
 #pragma once
 
 #include <stdexcept>

@@ -10,8 +10,7 @@
 // Determinism contract: the tracer is an *observer*. It reads the cycle /
 // elapsed_ns values the simulation already computed and writes only into
 // its own buffers, so results are bit-identical with tracing on or off
-// (pinned by tests/trace_identity_test.cpp across both engines and both
-// exec modes).
+// (pinned by tests/trace_identity_test.cpp across both engines).
 //
 // Two timebases share one trace, separated by Chrome process id:
 //   pid 0 — device:  ts is the simulated GPU cycle.

@@ -217,7 +217,7 @@ void Device::push_checkpoint(ckpt::SnapshotPtr snap, bool anchor) {
 
 u64 Device::params_fingerprint() const {
   ckpt::Writer w;
-  ckpt::put_fields(w, gpu_->params(), FieldTag::kNotFingerprinted);
+  ckpt::put_fields(w, gpu_->params());
   ckpt::put_fields(w, platform_);
   return ckpt::fnv1a(w.blob().data(), w.blob().size());
 }

@@ -28,8 +28,7 @@
 //
 // Determinism: the device timeline, the arrival stream, the EDF order, the
 // degrade ladder and every percentile are functions of (spec, seed) only —
-// the same spec reproduces bit-identical results under both sim engines
-// and both exec modes.
+// the same spec reproduces bit-identical results under both sim engines.
 #pragma once
 
 #include <string>
@@ -130,7 +129,7 @@ struct ServeResult {
   /// high-watermark instant; 0 when the queue never held a request).
   u64 queue_high_watermark_ns = 0;
   /// Queue depth over modelled time: one (t_ns, depth) point per change,
-  /// deterministic (same under both engines and both exec modes).
+  /// deterministic (same under both engines).
   std::vector<std::pair<u64, u32>> queue_depth_series;
   u64 bist_runs = 0;
   u64 bist_failures = 0;

@@ -247,7 +247,7 @@ void run_vkernel(isa::Op op, u32* d, const u32* a, const u32* b, const u32* c,
     case Op::kF2i:
       // Keep the saturating semantics routed through the single scalar
       // implementation: NaN/out-of-range handling must stay one source of
-      // truth with the interpreter.
+      // truth with eval_alu.
       lanes(d, mask, [&](u32 i) { return eval_alu(Op::kF2i, a[i], 0, 0); });
       break;
     default:  // SFU transcendentals, div, sqrt, rcp

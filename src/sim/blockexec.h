@@ -8,27 +8,23 @@
 // datapath membership) baked into flags, and the scoreboard-check sequence
 // precomputed as an ordered hazard plan.
 //
-// Every pc's record is both its issue gate and its functional step, in both
-// exec modes: SmCore checks the hazard plan, the record's unit and its
-// guard, then SmCore::execute runs the record. No part of the SM decodes the
-// original instruction encoding again, so cycle counts, stall
-// classification, fault-injection windows and statistics cannot differ
-// between the modes (pinned by the dual-engine and golden-cycle suites).
-// The modes differ only in how a kAlu op is evaluated: as a width-32 lane
-// kernel (run_vkernel) under ExecMode::kBlock, or lane by lane through
-// sim::eval_alu under ExecMode::kInterp, the reference the lane kernels are
-// checked against. Every other form has one code path in both modes.
+// Every pc's record is both its issue gate and its functional step:
+// SmCore checks the hazard plan, the record's unit and its guard, then
+// SmCore::execute runs the record, one code path per form. No part of the
+// SM decodes the original instruction encoding again.
 //
 // Basic blocks and fused runs (maximal spans of consecutive register-only
 // pcs inside a basic block) are compile statistics only: no issue stage
 // walks them.
 //
-// Under ExecMode::kBlock a kAlu superop executes over the warp's
-// struct-of-arrays register file (one contiguous 32-lane row per register,
-// see sim/warp.h) as a width-32 lane kernel written so the compiler can
-// autovectorize it into 4/8-lane SIMD. All lane kernels are bit-exact re-expressions of
-// sim::eval_alu — enforced per-op by tests/blockexec_test.cpp and across
-// optimization levels by the -O0 vs -O3 reproducibility CI job.
+// A kAlu superop executes over the warp's struct-of-arrays register file
+// (one contiguous 32-lane row per register, see sim/warp.h) as a width-32
+// lane kernel (run_vkernel) written so the compiler can autovectorize it
+// into 4/8-lane SIMD. All lane kernels are bit-exact re-expressions of
+// sim::eval_alu, the one scalar ALU reference: tests/blockexec_test.cpp
+// checks every op against it over edge and random operands, guard masks
+// and destination aliasing, and the -O0 vs -O3 reproducibility CI job
+// checks the results across optimization levels.
 //
 // Compiled traces are cached process-wide, keyed by the program identity:
 // every SM, engine, redundancy copy and campaign worker thread executing the
@@ -44,10 +40,9 @@
 
 namespace higpu::sim::blockexec {
 
-/// The register-only forms. A block-mode run counts their issues as
-/// `block_exec_hits` and every other form's (memory, control flow,
-/// barrier, nop) as `block_fallback_exits`; the fused-run statistics count
-/// spans of them.
+/// The register-only forms. An SM counts their issues as `block_exec_hits`
+/// and every other form's (memory, control flow, barrier, nop) as
+/// `block_fallback_exits`; the fused-run statistics count spans of them.
 constexpr bool lowers(isa::Form f) { return f <= isa::Form::kSelp; }
 
 /// One pre-decoded source operand: a register row index or a folded

@@ -193,7 +193,7 @@ class Gpu {
                         u64 n_launches);
   void restore_records(const std::vector<ckpt::ImagePtr>& images, u64 n_records);
   /// Attach the launch's compiled superinstruction trace (from the
-  /// process-wide cache; both exec modes) and account its compile-time
+  /// process-wide cache) and account its compile-time
   /// statistics.
   void attach_trace(KernelLaunch& launch);
   Cycle run_dense(u64 max_cycles);

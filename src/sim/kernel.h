@@ -60,8 +60,8 @@ struct KernelLaunch {
   u32 stream = 0;
   /// Free-form tag for reporting (e.g. workload + kernel name).
   std::string tag;
-  /// Compiled superinstruction trace, the gate record of every pc (both
-  /// exec modes). Derived state: attached by Gpu::launch from the
+  /// Compiled superinstruction trace, the gate record of every pc.
+  /// Derived state: attached by Gpu::launch from the
   /// process-wide cache, never serialized, re-attached on snapshot restore.
   std::shared_ptr<const blockexec::CompiledTrace> trace;
 

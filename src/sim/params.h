@@ -24,24 +24,8 @@ namespace higpu::sim {
 enum class SimEngine { kEvent, kDense };
 constexpr SimEngine enum_last(SimEngine) { return SimEngine::kDense; }
 
-/// ALU evaluation selection (orthogonal to SimEngine). In both modes each
-/// program is lowered once at launch into a pre-decoded superinstruction
-/// trace (see sim/blockexec.h), and every pc's record is both its issue
-/// gate (hazards, unit and guard) and its functional step: SmCore::execute
-/// runs the record, one code path per form. The modes differ only in how a
-/// kAlu (ALU/SFU) op is evaluated.
-///
-/// * kBlock — as a width-32 lane kernel (blockexec::run_vkernel).
-///   Bit-identical results, cycle counts and architectural statistics to
-///   kInterp — only dispatch cost changes.
-/// * kInterp — lane by lane through sim::eval_alu, kept as the reference
-///   for the lane kernels in the block/interp equivalence tests.
-enum class ExecMode { kBlock, kInterp };
-constexpr ExecMode enum_last(ExecMode) { return ExecMode::kInterp; }
-
 struct GpuParams {
   SimEngine engine = SimEngine::kEvent;
-  ExecMode exec_mode = ExecMode::kBlock;
 
   u32 num_sms = 6;
   u32 warp_size = 32;
@@ -76,7 +60,6 @@ struct GpuParams {
 template <FieldsOf<GpuParams> S, class V>
 void visit_fields(S& g, V&& v) {
   v("engine", g.engine);
-  v("exec_mode", g.exec_mode, FieldTag::kNotFingerprinted);
   v("num_sms", g.num_sms);
   v("warp_size", g.warp_size);
   v("max_warps_per_sm", g.max_warps_per_sm);

@@ -250,8 +250,7 @@ SmCore::IssueOutcome SmCore::try_issue_classified(Warp& w, Cycle now) {
   }
 
   execute(w, sop, guard_mask, now);
-  if (params_.exec_mode == ExecMode::kBlock)
-    ++(blockexec::lowers(sop.form) ? block_exec_hits_ : block_fallback_exits_);
+  ++(blockexec::lowers(sop.form) ? block_exec_hits_ : block_fallback_exits_);
   ++w.instructions;
   instructions_ += 1;
 
@@ -355,28 +354,18 @@ void SmCore::execute(Warp& w, const blockexec::SuperOp& sop, u32 guard_mask,
   switch (sop.form) {
     case isa::Form::kAlu: {
       u32* dp = w.reg_row(sop.dst);
-      if (params_.exec_mode == ExecMode::kBlock) {
-        // Vector path: hand whole SoA rows to the width-32 lane kernel.
-        // Immediates splat into scratch rows; register sources alias the
-        // register file directly (in-place d == a is safe: elementwise).
-        auto row = [&w](const blockexec::SrcPlan& s,
-                        u32* scratch) -> const u32* {
-          if (!s.is_imm) return w.reg_row(s.reg);
-          for (u32 i = 0; i < kWarpSize; ++i) scratch[i] = s.imm;
-          return scratch;
-        };
-        blockexec::run_vkernel(sop.op, dp, row(sop.a, splat_a_),
-                               row(sop.b, splat_b_), row(sop.c, splat_c_),
-                               guard_mask);
-      } else {
-        // The reference the lane kernels are checked against.
-        for (u32 m = guard_mask; m != 0; m &= m - 1) {
-          const u32 lane = static_cast<u32>(std::countr_zero(m));
-          dp[lane] = eval_alu(sop.op, src_value(w, sop.a, lane),
-                              src_value(w, sop.b, lane),
-                              src_value(w, sop.c, lane));
-        }
-      }
+      // Hand whole SoA rows to the width-32 lane kernel. Immediates splat
+      // into scratch rows; register sources alias the register file
+      // directly (in-place d == a is safe: elementwise).
+      auto row = [&w](const blockexec::SrcPlan& s,
+                      u32* scratch) -> const u32* {
+        if (!s.is_imm) return w.reg_row(s.reg);
+        for (u32 i = 0; i < kWarpSize; ++i) scratch[i] = s.imm;
+        return scratch;
+      };
+      blockexec::run_vkernel(sop.op, dp, row(sop.a, splat_a_),
+                             row(sop.b, splat_b_), row(sop.c, splat_c_),
+                             guard_mask);
       corrupt_results(dp, guard_mask, now);
       break;
     }

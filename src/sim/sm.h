@@ -236,9 +236,9 @@ class SmCore {
   friend constexpr IssueOutcome enum_last(IssueOutcome) {
     return IssueOutcome::kStructural;
   }
-  /// The issue gate, one for every opcode and both exec modes: the gate
-  /// record at the warp's pc (its hazard plan, unit and guard) decides
-  /// whether it issues, and execute() then runs that same record.
+  /// The issue gate, one for every opcode: the gate record at the warp's
+  /// pc (its hazard plan, unit and guard) decides whether it issues, and
+  /// execute() then runs that same record.
   IssueOutcome try_issue_classified(Warp& w, Cycle now);
   bool try_issue(Warp& w, Cycle now);
   /// Execution unit a structural stall waits on (kNone for other stalls).
@@ -276,10 +276,8 @@ class SmCore {
       default: ++stall_structural_; break;
     }
   }
-  /// The functional step of every pc, in both exec modes: one switch over
-  /// the record's form. The exec mode only picks how a kAlu op is
-  /// evaluated (a lane kernel under kBlock, eval_alu per lane under
-  /// kInterp).
+  /// The functional step of every pc: one switch over the record's form.
+  /// A kAlu op runs as a width-32 lane kernel (blockexec::run_vkernel).
   void execute(Warp& w, const blockexec::SuperOp& sop, u32 guard_mask,
                Cycle now);
   void exec_branch(Warp& w, const blockexec::SuperOp& sop, u32 guard_mask);
@@ -393,10 +391,10 @@ class SmCore {
   u64 stall_structural_ = 0;
   u64 issued_attempts_ = 0;
 
-  // Block-mode issue counters (ExecMode::kBlock only; both count *issued*
-  // instructions by form, so hits + fallbacks == instructions in block
-  // mode). Every pc runs through execute(); the split names the forms that
-  // touch only registers (blockexec::lowers) and the rest.
+  // Issue counters by form: both count *issued* instructions, so hits +
+  // fallbacks == instructions. Every pc runs through execute(); the split
+  // names the forms that touch only registers (blockexec::lowers) and the
+  // rest.
   u64 block_exec_hits_ = 0;        // register-only forms
   u64 block_fallback_exits_ = 0;   // memory, control, barrier and nop
 

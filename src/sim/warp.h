@@ -40,8 +40,8 @@ struct Warp {
   u32 warp_in_block = 0;
 
   // ---- Program state ----
-  /// Compiled trace of the warp's program, in both exec modes: the record
-  /// of every pc, which gates its issue and is what SmCore::execute runs.
+  /// Compiled trace of the warp's program: the record of every pc, which
+  /// gates its issue and is what SmCore::execute runs.
   /// Derived state: set on block acceptance and on snapshot restore, never
   /// serialized. Owned by the KernelLaunch.
   const blockexec::CompiledTrace* ctrace = nullptr;

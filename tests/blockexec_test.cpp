@@ -1,21 +1,15 @@
 // Block-compiled execution engine tests.
 //
-// The contract under test: ExecMode::kBlock is a pure dispatch-cost
-// optimization — bit-identical to the per-instruction interpreter in
-// results, cycle counts, stall classification, statistics, trace records,
-// fault corruption and snapshots. Layers: (1) golden-bit lane kernels vs
-// sim::eval_alu across IEEE-754 / integer edge inputs, (2) trace-lowering
-// and cache properties, (3) fuzzed-program interp-vs-block equivalence
-// instruction-for-instruction, (4) the 19-workload suite across engines and
-// redundancy, (5) fault-injection equivalence, (6) checkpoint/restore
-// mid-run including cross-mode restore, (7) the eval_alu hard-error path,
-// (8) every pc's gate record, which both modes issue from, against an
-// instruction walk.
+// Layers: (1) golden-bit lane kernels vs sim::eval_alu, the scalar ALU
+// reference, over IEEE-754 / integer edge and random inputs, guard masks,
+// destination aliasing and immediate splats, (2) trace-lowering and cache
+// properties, (3) the eval_alu hard-error path, (4) every pc's gate
+// record, which the SM issues from and executes, against an instruction
+// walk, (5) fault-injection goldens, (6) checkpoint/restore mid-run.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <iterator>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -75,31 +69,82 @@ const u32 kEdge[] = {
     0xFFC00001u,  // negative NaN with payload
 };
 
+/// One warp's a, b and c source rows.
+using OperandRows = std::array<std::array<u32, 32>, 3>;
+
+/// Every (a, b) pair of kEdge with c cycling through the edge set too,
+/// zero-padded to whole rows, then seeded random rows (raw bit patterns and
+/// moderate floats alternately).
+std::vector<OperandRows> golden_rows() {
+  constexpr u32 n = std::size(kEdge);
+  std::vector<OperandRows> rows((n * n + 31) / 32);
+  for (u32 t = 0; t < n * n; ++t) {
+    const u32 i = t / n, j = t % n;
+    OperandRows& row = rows[t / 32];
+    row[0][t % 32] = kEdge[i];
+    row[1][t % 32] = kEdge[j];
+    row[2][t % 32] = kEdge[(i * 7 + j * 3 + 5) % n];
+  }
+  Rng rng(0x601DB17ull);
+  for (u32 r = 0; r < 8; ++r) {
+    OperandRows& row = rows.emplace_back();
+    for (auto& src : row)
+      for (u32& x : src)
+        x = r % 2 == 0 ? static_cast<u32>(rng.next_u64())
+                       : f2bits(rng.next_float(-100.0f, 100.0f));
+  }
+  return rows;
+}
+
 class GoldenBit : public ::testing::TestWithParam<isa::Op> {};
 
-TEST_P(GoldenBit, VectorKernelMatchesEvalAluOnEdgeInputs) {
+// Each lane kernel against sim::eval_alu, the way SmCore::execute calls it:
+// over every operand row, crossed with guard masks (full, none, one end
+// lane, alternating, random), the destination aliasing each source (the
+// in-place `r1 = r1 op r2` case), and each source as an immediate splat
+// row. A written lane must equal eval_alu on the lane's inputs; a masked
+// lane must keep what the destination held (inactive lanes are
+// architectural state that snapshots hash).
+TEST_P(GoldenBit, LaneKernelMatchesEvalAlu) {
   const isa::Op op = GetParam();
-  constexpr u32 n = std::size(kEdge);
-
-  // All (a, b) pairs, with c cycling through the edge set too.
-  std::vector<std::array<u32, 3>> triples;
-  for (u32 i = 0; i < n; ++i)
-    for (u32 j = 0; j < n; ++j)
-      triples.push_back({kEdge[i], kEdge[j], kEdge[(i * 7 + j * 3 + 5) % n]});
-  while (triples.size() % 32 != 0) triples.push_back({0, 0, 0});
-
-  for (size_t base = 0; base < triples.size(); base += 32) {
-    alignas(64) u32 a[32], b[32], c[32], d[32];
-    for (u32 lane = 0; lane < 32; ++lane) {
-      a[lane] = triples[base + lane][0];
-      b[lane] = triples[base + lane][1];
-      c[lane] = triples[base + lane][2];
+  const auto rows = golden_rows();
+  Rng rng(0xA1A5ull + static_cast<u64>(op));
+  constexpr u32 kNoSource = 3;
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const u32 masks[] = {0xFFFFFFFFu, 0u,          1u,
+                         0x80000000u, 0x7FFFFFFFu, 0xAAAA5555u,
+                         static_cast<u32>(rng.next_u64())};
+    // Source `splat` is an immediate, its row filled with one of the row's
+    // values; the destination is source `alias`'s row, or a row of its own.
+    for (u32 splat = 0; splat <= kNoSource; ++splat) {
+      OperandRows in = rows[r];
+      if (splat != kNoSource) in[splat].fill(in[splat][r % 32]);
+      for (u32 alias = 0; alias <= kNoSource; ++alias) {
+        // A destination is a register row, never an immediate's splat row.
+        if (alias != kNoSource && alias == splat) continue;
+        for (const u32 mask : masks) {
+          OperandRows src = in;
+          std::array<u32, 32> own;
+          for (u32 i = 0; i < 32; ++i) own[i] = 0xDEAD0000u + i;
+          u32* d = alias == kNoSource ? own.data() : src[alias].data();
+          const std::array<u32, 32> before =
+              alias == kNoSource ? own : in[alias];
+          sim::blockexec::run_vkernel(op, d, src[0].data(), src[1].data(),
+                                      src[2].data(), mask);
+          for (u32 i = 0; i < 32; ++i) {
+            const bool written = (mask >> i) & 1u;
+            ASSERT_EQ(d[i], written ? sim::eval_alu(op, in[0][i], in[1][i],
+                                                    in[2][i])
+                                    : before[i])
+                << isa::op_name(op) << " row " << r << " lane " << i
+                << (written ? " (written)" : " (masked)") << " splat "
+                << splat << " alias " << alias << std::hex << " mask=0x"
+                << mask << " a=0x" << in[0][i] << " b=0x" << in[1][i]
+                << " c=0x" << in[2][i];
+          }
+        }
+      }
     }
-    sim::blockexec::run_vkernel(op, d, a, b, c, 0xFFFFFFFFu);
-    for (u32 lane = 0; lane < 32; ++lane)
-      ASSERT_EQ(d[lane], sim::eval_alu(op, a[lane], b[lane], c[lane]))
-          << isa::op_name(op) << " lane " << lane << " a=0x" << std::hex
-          << a[lane] << " b=0x" << b[lane] << " c=0x" << c[lane];
   }
 }
 
@@ -107,40 +152,6 @@ INSTANTIATE_TEST_SUITE_P(AllAluOps, GoldenBit, ::testing::ValuesIn(kAluOps),
                          [](const auto& info) {
                            return std::string(isa::op_name(info.param));
                          });
-
-TEST(BlockExecKernels, MaskedLanesAreNeverWritten) {
-  // Inactive lanes hold architectural state (snapshots hash them); a lane
-  // kernel must not touch them even with garbage inputs in those lanes.
-  for (u32 mask : {0u, 1u, 0xAAAA5555u, 0x7FFFFFFFu, 0x80000000u}) {
-    u32 a[32], b[32], c[32], d[32];
-    for (u32 i = 0; i < 32; ++i) {
-      a[i] = kEdge[i % std::size(kEdge)];
-      b[i] = kEdge[(i + 9) % std::size(kEdge)];
-      c[i] = kEdge[(i + 17) % std::size(kEdge)];
-      d[i] = 0xDEAD0000u + i;
-    }
-    sim::blockexec::run_vkernel(isa::Op::kFfma, d, a, b, c, mask);
-    for (u32 i = 0; i < 32; ++i) {
-      if ((mask >> i) & 1u)
-        EXPECT_EQ(d[i], sim::eval_alu(isa::Op::kFfma, a[i], b[i], c[i]));
-      else
-        EXPECT_EQ(d[i], 0xDEAD0000u + i) << "inactive lane " << i << " written";
-    }
-  }
-}
-
-TEST(BlockExecKernels, InPlaceDestinationAliasingIsSafe) {
-  // r1 = r1 op r2 hands the same row as d and a; elementwise kernels must
-  // tolerate that.
-  u32 a[32], b[32], ref[32];
-  for (u32 i = 0; i < 32; ++i) {
-    a[i] = i * 2654435761u;
-    b[i] = kEdge[i % std::size(kEdge)];
-    ref[i] = sim::eval_alu(isa::Op::kIadd, a[i], b[i], 0);
-  }
-  sim::blockexec::run_vkernel(isa::Op::kIadd, a, a, b, b, 0xFFFFFFFFu);
-  for (u32 i = 0; i < 32; ++i) EXPECT_EQ(a[i], ref[i]);
-}
 
 // ---- Trace lowering and the process-wide cache -----------------------------
 
@@ -248,51 +259,10 @@ TEST(ExecutorHardErrorDeathTest, CorruptedCmpEncodingAborts) {
       "reached the ALU path");
 }
 
-// ---- Interp vs block: shared machinery -------------------------------------
-
-/// Stats that exist only under the block engine (compile metadata and
-/// dispatch counters). Everything else must match interp bit-for-bit.
-bool is_block_only_stat(const std::string& name) {
-  static const std::set<std::string> kNames = {
-      "block_exec_hits",   "block_fallback_exits", "blocks_compiled",
-      "superops_compiled", "block_fused_runs",     "block_static_insns"};
-  return kNames.count(name) != 0;
-}
-
-StatSet filter_block_stats(const StatSet& s) {
-  StatSet out;
-  for (const auto& [name, value] : s.entries())
-    if (!is_block_only_stat(name)) out.set(name, value);
-  return out;
-}
-
-void expect_same_stats_modulo_block(const StatSet& interp, const StatSet& block,
-                                    const std::string& what) {
-  const auto ie = filter_block_stats(interp).entries();
-  const auto be = filter_block_stats(block).entries();
-  ASSERT_EQ(ie.size(), be.size()) << what << ": stat-set shape differs";
-  for (size_t i = 0; i < ie.size(); ++i) {
-    EXPECT_EQ(ie[i].first, be[i].first) << what << ": stat name differs";
-    EXPECT_EQ(ie[i].second, be[i].second)
-        << what << ": counter '" << ie[i].first << "' differs";
-  }
-}
-
-struct TraceLog : sim::ITraceSink {
-  std::vector<std::array<u64, 6>> recs;
-  void record(u32 launch_id, u32 block_linear, u32 warp_in_block, u64 instr_seq,
-              u32 sm, Cycle cycle) override {
-    recs.push_back(
-        {launch_id, block_linear, warp_in_block, instr_seq, sm, cycle});
-  }
-};
-
-// ---- Fuzzed-program property test ------------------------------------------
+// ---- Fuzzed programs -------------------------------------------------------
 // Random straight-line ALU/SETP/SELP/S2R programs with guard predicates of
 // both polarities, interleaved with per-thread global-memory round-trips
-// (block -> fallback -> block transitions). Interp and block runs must agree
-// on every traced instruction instance, the final memory image, the cycle
-// count and the statistics.
+// (register-only -> memory -> register-only transitions).
 
 isa::Instruction& emit_int_op(isa::KernelBuilder& kb, u32 pick, isa::Reg d,
                               isa::Operand a, isa::Operand b, isa::Reg c) {
@@ -400,71 +370,10 @@ isa::ProgramPtr build_fuzz_kernel(Rng& rng, u32 data_regs, u32 preds) {
   return kb.build();
 }
 
-struct FuzzRun {
-  std::vector<u32> memory;
-  Cycle final_cycle = 0;
-  StatSet stats;
-  std::vector<std::array<u64, 6>> trace;
-};
-
-FuzzRun run_fuzz(const isa::ProgramPtr& prog, sim::ExecMode mode, u32 threads,
-                 u32 data_regs) {
-  memsys::GlobalStore store;
-  sim::GpuParams params;
-  params.exec_mode = mode;
-  sim::Gpu gpu(params, &store);
-  gpu.set_kernel_scheduler(std::make_unique<sched::DefaultKernelScheduler>());
-  TraceLog log;
-  gpu.set_trace_sink(&log);
-  const memsys::DevPtr out = store.alloc(threads * data_regs * 4);
-  const memsys::DevPtr scratch = store.alloc(threads * 4);
-  gpu.launch(testing::make_launch(prog, threads, 32, {out, scratch}));
-
-  FuzzRun r;
-  r.final_cycle = gpu.run_until_idle(20'000'000);
-  r.stats = gpu.collect_stats();
-  r.trace = std::move(log.recs);
-  for (u32 w = 0; w < threads * data_regs; ++w)
-    r.memory.push_back(store.read32(out + w * 4));
-  return r;
-}
-
-class BlockExecFuzz : public ::testing::TestWithParam<u64> {};
-
-TEST_P(BlockExecFuzz, BlockMatchesInterpInstructionForInstruction) {
-  constexpr u32 kDataRegs = 6, kPreds = 4, kThreads = 96;
-  Rng rng(GetParam() * 0x2545F4914F6CDD1Dull + 11);
-  const isa::ProgramPtr prog = build_fuzz_kernel(rng, kDataRegs, kPreds);
-
-  const FuzzRun interp =
-      run_fuzz(prog, sim::ExecMode::kInterp, kThreads, kDataRegs);
-  const FuzzRun block =
-      run_fuzz(prog, sim::ExecMode::kBlock, kThreads, kDataRegs);
-
-  EXPECT_EQ(interp.memory, block.memory) << "seed " << GetParam();
-  EXPECT_EQ(interp.final_cycle, block.final_cycle) << "seed " << GetParam();
-  expect_same_stats_modulo_block(interp.stats, block.stats,
-                                 "fuzz seed " + std::to_string(GetParam()));
-  // Instruction-for-instruction: every traced datapath instance — identity
-  // (launch, block, warp, seq) — issues on the same SM at the same cycle.
-  ASSERT_EQ(interp.trace.size(), block.trace.size());
-  for (size_t i = 0; i < interp.trace.size(); ++i)
-    ASSERT_EQ(interp.trace[i], block.trace[i]) << "trace record " << i;
-  // The block run must actually use the block path, and its two dispatch
-  // counters must partition the issued-instruction count.
-  EXPECT_GT(block.stats.get("block_exec_hits"), 0u);
-  EXPECT_EQ(block.stats.get("block_exec_hits") +
-                block.stats.get("block_fallback_exits"),
-            block.stats.get("instructions"));
-  EXPECT_FALSE(interp.stats.has("block_exec_hits"));
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, BlockExecFuzz, ::testing::Range<u64>(1, 13));
-
 // ---- One issue gate: compiled records vs the instruction walk --------------
-// SmCore gates issue from each pc's compiled record in both exec modes, so
-// the block/interp equivalence suites cannot catch a wrong record. The walk
-// in tests/issue_gate_walk.h can: every program the 19 workloads launch at
+// SmCore gates issue from and executes each pc's compiled record, so a
+// wrong record changes what the simulator does with nothing to compare
+// against. The walk in tests/issue_gate_walk.h catches it: every program the 19 workloads launch at
 // test scale (the programs `verify_kernel --all` analyzes) and the fuzz
 // kernels above, with their memory round-trips and guards of both
 // polarities, must compile to records that agree with it pc for pc.
@@ -510,120 +419,12 @@ TEST(IssueGate, RecordMatchesInstructionWalk) {
 }  // namespace
 }  // namespace higpu
 
-// ---- Workload-level equivalence: {dense,event} x {interp,block} x N --------
-
-namespace higpu::workloads {
-namespace {
-
-struct ModeArtifacts {
-  Cycle kernel_cycles = 0;
-  NanoSec elapsed_ns = 0;
-  bool verified = false;
-  bool matched = false;
-  StatSet stats;
-  std::vector<sim::BlockRecord> records;
-};
-
-ModeArtifacts run_workload_mode(const std::string& name, sim::ExecMode mode,
-                                sim::SimEngine engine,
-                                const core::RedundancySpec& redundancy) {
-  exp::ScenarioSpec spec;
-  spec.workload = name;
-  spec.scale = Scale::kTest;
-  spec.seed = 2019;
-  spec.gpu.engine = engine;
-  spec.gpu.exec_mode = mode;
-  spec.policy = sched::Policy::kSrrs;
-  spec.redundancy = redundancy;
-
-  ModeArtifacts a;
-  const exp::ScenarioResult r = exp::run_scenario(
-      spec, 0, [&](runtime::Device& dev, Workload&, core::ExecSession&) {
-        a.records = dev.gpu().block_records();
-      });
-  EXPECT_TRUE(r.ok) << r.error;
-  a.kernel_cycles = r.kernel_cycles;
-  a.elapsed_ns = r.elapsed_ns;
-  a.verified = r.verified;
-  a.matched = r.dcls_match;
-  a.stats = r.stats;
-  return a;
-}
-
-void expect_block_equals_interp(const std::string& workload,
-                                sim::SimEngine engine,
-                                const core::RedundancySpec& redundancy) {
-  const ModeArtifacts interp =
-      run_workload_mode(workload, sim::ExecMode::kInterp, engine, redundancy);
-  const ModeArtifacts block =
-      run_workload_mode(workload, sim::ExecMode::kBlock, engine, redundancy);
-  EXPECT_TRUE(interp.verified);
-  EXPECT_TRUE(block.verified);
-  EXPECT_TRUE(interp.matched);
-  EXPECT_TRUE(block.matched);
-  EXPECT_EQ(interp.kernel_cycles, block.kernel_cycles)
-      << workload << ": cycle counts differ";
-  EXPECT_EQ(interp.elapsed_ns, block.elapsed_ns)
-      << workload << ": wall-clock model differs";
-  higpu::expect_same_stats_modulo_block(interp.stats, block.stats, workload);
-  ASSERT_EQ(interp.records.size(), block.records.size());
-  for (size_t i = 0; i < interp.records.size(); ++i) {
-    EXPECT_EQ(interp.records[i].sm, block.records[i].sm);
-    EXPECT_EQ(interp.records[i].dispatch_cycle,
-              block.records[i].dispatch_cycle);
-    EXPECT_EQ(interp.records[i].end_cycle, block.records[i].end_cycle);
-  }
-  // Dispatch accounting invariants of the block engine.
-  EXPECT_EQ(block.stats.get("block_exec_hits") +
-                block.stats.get("block_fallback_exits"),
-            block.stats.get("instructions"))
-      << workload;
-  EXPECT_GT(block.stats.get("block_exec_hits"), 0u) << workload;
-  EXPECT_GT(block.stats.get("blocks_compiled"), 0u) << workload;
-}
-
-class WorkloadBlockEquivalence : public ::testing::TestWithParam<std::string> {
-};
-
-TEST_P(WorkloadBlockEquivalence, EventEngineDclsBitIdentical) {
-  expect_block_equals_interp(GetParam(), sim::SimEngine::kEvent,
-                             core::RedundancySpec::dcls());
-}
-
-INSTANTIATE_TEST_SUITE_P(AllWorkloads, WorkloadBlockEquivalence,
-                         ::testing::ValuesIn(all_names()),
-                         [](const auto& info) {
-                           std::string name = info.param;
-                           for (char& c : name)
-                             if (c == '+' || c == '-') c = '_';
-                           return name;
-                         });
-
-TEST(WorkloadBlockEquivalenceDense, DenseEngineBitIdentical) {
-  for (const std::string& wl : {"hotspot", "bfs", "lud"})
-    expect_block_equals_interp(wl, sim::SimEngine::kDense,
-                               core::RedundancySpec::dcls());
-}
-
-TEST(WorkloadBlockEquivalenceRedundancy, BaselineAndTmrBitIdentical) {
-  for (const std::string& wl : {"hotspot", "bfs", "lud"}) {
-    expect_block_equals_interp(wl, sim::SimEngine::kEvent,
-                               core::RedundancySpec::baseline());
-    expect_block_equals_interp(wl, sim::SimEngine::kEvent,
-                               core::RedundancySpec::tmr());
-  }
-}
-
-}  // namespace
-}  // namespace higpu::workloads
-
 namespace higpu::sim {
 namespace {
 
-// ---- Fault-injection equivalence -------------------------------------------
-// Both engines compute ALU/SFU results on their normal path and then ask the
-// hook once per instruction which bits to flip in the guarded lanes, so the
-// corruptions, cycles and memory must match the interpreter exactly.
+// ---- Fault-injection goldens ------------------------------------------------
+// SmCore computes an ALU/SFU result with its lane kernel and then asks the
+// hook once per instruction which bits to flip in the guarded lanes.
 
 /// A kernel whose ALU and SFU ops all write their own source register
 /// (d == a, in place), integer and float, for `iters` rounds.
@@ -719,9 +520,8 @@ struct FaultRun {
   std::vector<u32> memory;
 };
 
-FaultRun run_faulted_mode(ExecMode mode, int scenario) {
+FaultRun run_faulted(int scenario) {
   GpuParams params;
-  params.exec_mode = mode;
   memsys::GlobalStore store;
   Gpu gpu(params, &store);
   gpu.set_kernel_scheduler(std::make_unique<sched::SrrsKernelScheduler>());
@@ -755,29 +555,15 @@ FaultRun run_faulted_mode(ExecMode mode, int scenario) {
   return r;
 }
 
-TEST(BlockExecFaults, CorruptionSequenceIdenticalToInterp) {
-  for (int scenario = 0; scenario < 4; ++scenario) {
-    SCOPED_TRACE("fault scenario " + std::to_string(scenario));
-    const FaultRun interp = run_faulted_mode(ExecMode::kInterp, scenario);
-    const FaultRun block = run_faulted_mode(ExecMode::kBlock, scenario);
-    EXPECT_EQ(interp.final_cycle, block.final_cycle);
-    EXPECT_EQ(interp.corruptions, block.corruptions);
-    EXPECT_EQ(interp.diverted, block.diverted);
-    EXPECT_EQ(interp.memory, block.memory);
-    higpu::expect_same_stats_modulo_block(interp.stats, block.stats,
-                                          "faulted run");
-  }
-}
-
 /// FNV-1a over a run's output words.
 u64 memory_hash(const std::vector<u32>& memory) {
   return ckpt::fnv1a(reinterpret_cast<const u8*>(memory.data()),
                      memory.size() * sizeof(u32));
 }
 
-TEST(BlockExecFaults, ScenarioGoldensInBothModes) {
-  // Any change to how results are corrupted must reproduce these in both
-  // modes. Scenarios 2 and 3 open after the spin kernel's last result on
+TEST(BlockExecFaults, ScenarioGoldens) {
+  // Any change to how results are corrupted must reproduce these.
+  // Scenarios 2 and 3 open after the spin kernel's last result on
   // SM 4 and after its last block dispatch, so they pin a plan that never
   // fires. Scenario 4 writes every ALU/SFU result over its own source;
   // scenario 5 corrupts ops under partial guard masks.
@@ -797,25 +583,21 @@ TEST(BlockExecFaults, ScenarioGoldensInBothModes) {
   };
   for (int scenario = 0; scenario < 6; ++scenario) {
     const Golden& g = golden[scenario];
-    for (ExecMode mode : {ExecMode::kInterp, ExecMode::kBlock}) {
-      SCOPED_TRACE("fault scenario " + std::to_string(scenario) + ", " +
-                   (mode == ExecMode::kBlock ? "block" : "interp"));
-      const FaultRun r = run_faulted_mode(mode, scenario);
-      EXPECT_EQ(r.final_cycle, g.final_cycle);
-      EXPECT_EQ(r.corruptions, g.corruptions);
-      EXPECT_EQ(r.diverted, g.diverted);
-      EXPECT_EQ(memory_hash(r.memory), g.memory_hash);
-    }
+    SCOPED_TRACE("fault scenario " + std::to_string(scenario));
+    const FaultRun r = run_faulted(scenario);
+    EXPECT_EQ(r.final_cycle, g.final_cycle);
+    EXPECT_EQ(r.corruptions, g.corruptions);
+    EXPECT_EQ(r.diverted, g.diverted);
+    EXPECT_EQ(memory_hash(r.memory), g.memory_hash);
   }
 }
 
 // ---- Checkpoint/restore mid-run --------------------------------------------
 
-TEST(BlockExecCkpt, BlockModeForkBitIdenticalMidRun) {
+TEST(BlockExecCkpt, ForkBitIdenticalMidRun) {
   for (const std::string& wl : {"hotspot", "bfs"}) {
     exp::ScenarioSpec spec;
     spec.workload = wl;
-    spec.gpu.exec_mode = ExecMode::kBlock;
     const exp::ScenarioResult probe = exp::run_scenario(spec);
     ASSERT_TRUE(probe.ok) << probe.error;
     const Cycle target = probe.stats.get("cycles") / 2;
@@ -838,42 +620,6 @@ TEST(BlockExecCkpt, BlockModeForkBitIdenticalMidRun) {
         << wl << ": fork from cycle " << base_io.captured[0]->cycle
         << " diverged from the from-scratch run";
   }
-}
-
-TEST(BlockExecCkpt, CrossModeRestoreIsBitIdenticalOnArchState) {
-  // Traces are derived state, so a snapshot captured under the interpreter
-  // restores cleanly into a block-mode device (exec_mode is deliberately
-  // outside the params fingerprint); the architectural results must match a
-  // from-scratch block run. Only the block-only counters differ (the interp
-  // snapshot carries their zeros), which is exactly why the comparison
-  // filters them.
-  exp::ScenarioSpec interp_spec;
-  interp_spec.workload = "hotspot";
-  interp_spec.gpu.exec_mode = ExecMode::kInterp;
-  exp::ScenarioSpec block_spec = interp_spec;
-  block_spec.gpu.exec_mode = ExecMode::kBlock;
-
-  const exp::ScenarioResult scratch = exp::run_scenario(block_spec);
-  ASSERT_TRUE(scratch.ok) << scratch.error;
-  const Cycle target = scratch.stats.get("cycles") / 2;
-
-  exp::SnapshotIo base_io;
-  base_io.capture_targets = {target};
-  const exp::ScenarioResult base =
-      exp::run_scenario(interp_spec, 0, nullptr, nullptr, &base_io);
-  ASSERT_TRUE(base.ok) << base.error;
-  ASSERT_NE(base_io.captured[0], nullptr);
-
-  exp::SnapshotIo fork_io;
-  fork_io.resume = base_io.captured[0];
-  const exp::ScenarioResult fork =
-      exp::run_scenario(block_spec, 0, nullptr, nullptr, &fork_io);
-  ASSERT_TRUE(fork.ok) << fork.error;
-  EXPECT_TRUE(fork.verified);
-  EXPECT_EQ(fork.kernel_cycles, scratch.kernel_cycles);
-  EXPECT_EQ(fork.elapsed_ns, scratch.elapsed_ns);
-  higpu::expect_same_stats_modulo_block(fork.stats, scratch.stats,
-                                        "cross-mode fork");
 }
 
 }  // namespace

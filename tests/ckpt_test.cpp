@@ -1569,6 +1569,38 @@ TEST(CkptHistory, CutOrPaddedRecordImageIsNamedOnRestore) {
   }
 }
 
+TEST(CkptDecode, ProgramTheVerifierRefusesIsNamed) {
+  // A restore compiles and runs every program in a snapshot's table, so a
+  // framed program the launch gate would refuse is refused on decode.
+  runtime::Device dev;
+  dev.set_kernel_scheduler(sched::make_scheduler(sched::Policy::kDefault));
+  const u32 n = 512;
+  const memsys::DevPtr out = dev.malloc(n * 4);
+  dev.launch(testing::make_launch(testing::make_spin_kernel(300), n, 128,
+                                  {out, n}));
+  for (int i = 0; i < 500; ++i) dev.gpu().step();
+  ckpt::Snapshot bad = *dev.snapshot();
+  ASSERT_EQ(bad.programs.size(), 1u);
+  EXPECT_NO_THROW((void)ckpt::decode_snapshot(ckpt::encode_snapshot(bad)));
+
+  const isa::KernelProgram& spin = *bad.programs[0];
+  bad.programs[0] = std::make_shared<const isa::KernelProgram>(
+      spin.name(), std::vector<isa::Instruction>{}, spin.num_regs(),
+      spin.num_preds(), spin.shared_bytes(), spin.num_params());
+  try {
+    const ckpt::SnapshotPtr back =
+        ckpt::decode_snapshot(ckpt::encode_snapshot(bad));
+    runtime::Device fresh;
+    fresh.set_kernel_scheduler(sched::make_scheduler(sched::Policy::kDefault));
+    fresh.restore(*back);
+    FAIL() << "a snapshot with an empty program decoded";
+  } catch (const ckpt::SnapshotError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("snapshot program 0"), std::string::npos) << what;
+    EXPECT_NE(what.find("empty-program"), std::string::npos) << what;
+  }
+}
+
 TEST(CkptHistory, CorruptImageIsNamedOnDecode) {
   auto dev = long_lived_device(300);
   const ckpt::SnapshotPtr snap = dev->snapshot();
@@ -1974,12 +2006,10 @@ u64 get_le64(const std::vector<u8>& blob, size_t at) {
 /// A device whose every SM is full of warps queued on the LSU (or the SFU),
 /// launched but not yet synchronized. Deterministic, so two calls build
 /// devices with identical host histories.
-std::unique_ptr<runtime::Device> herd_device(
-    sim::SimEngine engine, bool sfu,
-    sim::ExecMode mode = sim::ExecMode::kBlock) {
+std::unique_ptr<runtime::Device> herd_device(sim::SimEngine engine,
+                                             bool sfu) {
   sim::GpuParams p;
   p.engine = engine;
-  p.exec_mode = mode;
   auto dev = std::make_unique<runtime::Device>(p);
   dev->set_kernel_scheduler(sched::make_scheduler(sched::Policy::kDefault));
   const u32 threads = testing::full_gpu_threads(p);
@@ -1996,9 +2026,8 @@ struct HerdRun {
   ckpt::SnapshotPtr final_state;
 };
 
-HerdRun run_herd(sim::SimEngine engine, bool sfu, std::vector<Cycle> targets,
-                 sim::ExecMode mode = sim::ExecMode::kBlock) {
-  auto dev = herd_device(engine, sfu, mode);
+HerdRun run_herd(sim::SimEngine engine, bool sfu, std::vector<Cycle> targets) {
+  auto dev = herd_device(engine, sfu);
   dev->set_checkpoint_targets(std::move(targets));
   dev->synchronize();
   return {dev->target_snapshots(), dev->snapshot()};
@@ -2015,24 +2044,23 @@ bool both_units_busy(const ckpt::Snapshot& s) {
 }
 
 class CkptHerd
-    : public ::testing::TestWithParam<
-          std::tuple<sim::SimEngine, bool, sim::ExecMode>> {};
+    : public ::testing::TestWithParam<std::tuple<sim::SimEngine, bool>> {};
 
 TEST_P(CkptHerd, RestoreMidHerdRunsToTheStraightResult) {
-  const auto [engine, sfu, mode] = GetParam();
+  const auto [engine, sfu] = GetParam();
   std::vector<Cycle> targets;
   for (Cycle t = 9000; t < 9100; t += 3) targets.push_back(t);
-  const HerdRun straight = run_herd(engine, sfu, targets, mode);
+  const HerdRun straight = run_herd(engine, sfu, targets);
   // The stall records of the queued warps are in the snapshot; the unit
   // each one waits on is not, and the restore derives it again from the
-  // gate record at the warp's pc, in either exec mode.
+  // gate record at the warp's pc.
   u32 resumed_runs = 0;
   for (const ckpt::SnapshotPtr& mid : straight.mid) {
     ASSERT_NE(mid, nullptr);
     ASSERT_LT(mid->cycle, straight.final_state->cycle);
     if (!both_units_busy(*mid)) continue;
     SCOPED_TRACE("capture@" + std::to_string(mid->cycle));
-    auto fresh = herd_device(engine, sfu, mode);
+    auto fresh = herd_device(engine, sfu);
     fresh->arm_resume(mid);
     fresh->synchronize();
     const ckpt::SnapshotPtr resumed = fresh->snapshot();
@@ -2047,19 +2075,15 @@ TEST_P(CkptHerd, RestoreMidHerdRunsToTheStraightResult) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    EnginesUnitsAndModes, CkptHerd,
+    EnginesAndUnits, CkptHerd,
     ::testing::Combine(::testing::Values(sim::SimEngine::kEvent,
                                          sim::SimEngine::kDense),
-                       ::testing::Bool(),
-                       ::testing::Values(sim::ExecMode::kBlock,
-                                         sim::ExecMode::kInterp)),
+                       ::testing::Bool()),
     [](const auto& info) {
       return std::string(std::get<0>(info.param) == sim::SimEngine::kEvent
                              ? "event_"
                              : "dense_") +
-             (std::get<1>(info.param) ? "sfu_" : "lsu_") +
-             (std::get<2>(info.param) == sim::ExecMode::kBlock ? "block"
-                                                               : "interp");
+             (std::get<1>(info.param) ? "sfu" : "lsu");
     });
 
 /// Restoring `s` into a fresh device throws a SnapshotError naming `what`.

@@ -7,7 +7,7 @@
 // spanning two recovery strategies too), and across a simulated
 // coordinator crash plus journal resume; the journal holds one flight
 // record per miscompare of a simulated run. Around it: the
-// higpu.wire/5 frame and payload codecs (corruption is loud, never
+// higpu.wire/6 frame and payload codecs (corruption is loud, never
 // misinterpreted; a lying length or member count allocates nothing; every
 // payload kind cut at any byte or padded is a WireError; the payload bytes
 // are pinned),
@@ -287,7 +287,6 @@ TEST(WireSpec, RoundTripPreservesEveryField) {
   ScenarioSpec spec = test_spec("srad");
   spec.seed = 777;
   spec.gpu.engine = sim::SimEngine::kDense;
-  spec.gpu.exec_mode = sim::ExecMode::kInterp;
   spec.gpu.num_sms = 4;
   spec.gpu.sp_latency = 7;
   spec.gpu.clock_ghz = 1.9;
@@ -313,8 +312,7 @@ TEST(WireSpec, RoundTripPreservesEveryField) {
   EXPECT_EQ(spec.label(), back.label());
 
   // Walk every field: a changed field survives the codec, and every GPU,
-  // memory and platform field but exec_mode and verify moves the snapshot
-  // parameter fingerprint.
+  // memory and platform field moves the snapshot parameter fingerprint.
   const u64 base_fp = fingerprint(spec);
   size_t n = 0;
   for (ScenarioSpec m = spec; const auto leaf = mutate_leaf(m, n);
@@ -322,9 +320,7 @@ TEST(WireSpec, RoundTripPreservesEveryField) {
     ASSERT_FALSE(m == spec) << leaf->path;
     EXPECT_TRUE(decode_spec(encode_spec(m)) == m) << leaf->path;
     if (leaf->path.starts_with("gpu.") || leaf->path.starts_with("platform."))
-      EXPECT_EQ(leaf->tag == FieldTag::kNotFingerprinted,
-                fingerprint(m) == base_fp)
-          << leaf->path;
+      EXPECT_NE(fingerprint(m), base_fp) << leaf->path;
   }
 }
 
@@ -547,16 +543,16 @@ TEST(WirePayload, TruncatedOrPaddedPayloadIsAWireError) {
 
 TEST(WirePayload, EncodingsArePinned) {
   // FNV-1a over the five fixed encodings in order, pinned at
-  // higpu.wire/5 (a GpuParams without the launch-verify mode byte, and
-  // Hello's version 5): a change here changes the protocol and must bump
-  // kProtocolVersion.
+  // higpu.wire/6 (a GpuParams without the launch-verify and exec-mode
+  // bytes, and Hello's version 6): a change here changes the protocol and
+  // must bump kProtocolVersion.
   const FixedPayloads p;
   u64 h = 0xcbf29ce484222325ull;
   for (const std::vector<u8>& bytes :
        {dist::encode(p.hello), dist::encode(p.work), dist::encode(p.result),
         dist::encode(p.log), dist::encode(p.flight)})
     h = ckpt::fnv1a(bytes.data(), bytes.size(), h);
-  EXPECT_EQ(0x21538e5b4c5dfdc8ull, h);
+  EXPECT_EQ(0xf7a80d4c81a28b99ull, h);
 }
 
 // ---- JSONL result records (satellite 2) ------------------------------------

@@ -1,6 +1,6 @@
 // Differential fuzzing of the SIMT execution engine: random straight-line
 // programs (ALU + predication + SELP/SETP, with guards) are executed on the
-// simulator, in both exec modes (block-compiled and interpreted), and on an
+// simulator (its compiled records and lane kernels) and on an
 // independent per-thread reference interpreter written here with plain C++
 // operators. Any divergence in operand routing, guard masking, writeback
 // ordering or warp scheduling shows up as a mismatch.
@@ -294,28 +294,23 @@ TEST_P(FuzzExec, SimMatchesReferenceInterpreter) {
   const isa::verify::Result vr = isa::verify::verify(*kernel);
   ASSERT_TRUE(vr.ok()) << "seed " << GetParam() << ":\n" << vr.to_string();
 
-  // Simulator, once per exec mode.
-  for (const sim::ExecMode mode : {sim::ExecMode::kBlock, sim::ExecMode::kInterp}) {
-    SCOPED_TRACE(mode == sim::ExecMode::kBlock ? "block" : "interp");
-    memsys::GlobalStore store;
-    sim::GpuParams params;
-    params.exec_mode = mode;
-    sim::Gpu gpu(params, &store);
-    gpu.set_kernel_scheduler(std::make_unique<sched::DefaultKernelScheduler>());
-    const memsys::DevPtr out = store.alloc(kThreads * kDataRegs * 4);
-    sim::KernelLaunch launch;
-    launch.program = kernel;
-    launch.grid = {1, 1, 1};
-    launch.block = {kThreads, 1, 1};
-    launch.params = {out};
-    gpu.launch(std::move(launch));
-    gpu.run_until_idle(20'000'000);
+  // The simulator must match the reference on every thread and register.
+  memsys::GlobalStore store;
+  sim::Gpu gpu(sim::GpuParams{}, &store);
+  gpu.set_kernel_scheduler(std::make_unique<sched::DefaultKernelScheduler>());
+  const memsys::DevPtr out = store.alloc(kThreads * kDataRegs * 4);
+  sim::KernelLaunch launch;
+  launch.program = kernel;
+  launch.grid = {1, 1, 1};
+  launch.block = {kThreads, 1, 1};
+  launch.params = {out};
+  gpu.launch(std::move(launch));
+  gpu.run_until_idle(20'000'000);
 
-    for (u32 t = 0; t < kThreads; ++t)
-      for (u32 i = 0; i < kDataRegs; ++i)
-        ASSERT_EQ(store.read32(out + (t * kDataRegs + i) * 4), ref[t].r[i])
-            << "seed " << GetParam() << " thread " << t << " reg " << i;
-  }
+  for (u32 t = 0; t < kThreads; ++t)
+    for (u32 i = 0; i < kDataRegs; ++i)
+      ASSERT_EQ(store.read32(out + (t * kDataRegs + i) * 4), ref[t].r[i])
+          << "seed " << GetParam() << " thread " << t << " reg " << i;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzExec,

@@ -1,7 +1,7 @@
 // The issue gate and the functional step as a walk over an
 // `isa::Instruction`: the reference that every pc's compiled record
 // (sim::blockexec::SuperOp) is checked against. SmCore issues and executes
-// from the record alone in both exec modes, so this walk is the independent
+// from the record alone, so this walk is the independent
 // statement of what the record must hold: the scoreboard checks in order
 // (guard, pred_src, sources in operand order, GPR or predicate
 // destination), the unit the instruction books, its guard and polarity,

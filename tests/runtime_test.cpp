@@ -159,10 +159,9 @@ TEST(Device, MultiStreamInterleavingIsDeterministicAcrossEngines) {
   // A 4-stream mix (two streams carrying two kernels each) must produce
   // bit-identical block records and timelines under the dense and event
   // engines — the foundation of the serving-mode determinism contract.
-  auto run = [](sim::SimEngine engine, sim::ExecMode mode) {
+  auto run = [](sim::SimEngine engine) {
     sim::GpuParams p;
     p.engine = engine;
-    p.exec_mode = mode;
     Device dev(p);
     dev.set_kernel_scheduler(
         std::make_unique<sched::DefaultKernelScheduler>());
@@ -177,21 +176,17 @@ TEST(Device, MultiStreamInterleavingIsDeterministicAcrossEngines) {
     return std::make_pair(dev.gpu().block_records(), dev.elapsed_ns());
   };
 
-  const auto ref = run(sim::SimEngine::kDense, sim::ExecMode::kInterp);
+  const auto ref = run(sim::SimEngine::kDense);
   ASSERT_FALSE(ref.first.empty());
-  for (const auto engine : {sim::SimEngine::kDense, sim::SimEngine::kEvent}) {
-    for (const auto mode : {sim::ExecMode::kInterp, sim::ExecMode::kBlock}) {
-      const auto got = run(engine, mode);
-      EXPECT_EQ(got.second, ref.second);
-      ASSERT_EQ(got.first.size(), ref.first.size());
-      for (size_t i = 0; i < ref.first.size(); ++i) {
-        EXPECT_EQ(got.first[i].launch_id, ref.first[i].launch_id);
-        EXPECT_EQ(got.first[i].block_linear, ref.first[i].block_linear);
-        EXPECT_EQ(got.first[i].sm, ref.first[i].sm);
-        EXPECT_EQ(got.first[i].dispatch_cycle, ref.first[i].dispatch_cycle);
-        EXPECT_EQ(got.first[i].end_cycle, ref.first[i].end_cycle);
-      }
-    }
+  const auto got = run(sim::SimEngine::kEvent);
+  EXPECT_EQ(got.second, ref.second);
+  ASSERT_EQ(got.first.size(), ref.first.size());
+  for (size_t i = 0; i < ref.first.size(); ++i) {
+    EXPECT_EQ(got.first[i].launch_id, ref.first[i].launch_id);
+    EXPECT_EQ(got.first[i].block_linear, ref.first[i].block_linear);
+    EXPECT_EQ(got.first[i].sm, ref.first[i].sm);
+    EXPECT_EQ(got.first[i].dispatch_cycle, ref.first[i].dispatch_cycle);
+    EXPECT_EQ(got.first[i].end_cycle, ref.first[i].end_cycle);
   }
 }
 

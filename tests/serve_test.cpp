@@ -2,7 +2,7 @@
 // admission, the overload degrade ladder, safety cadence, and the exact
 // percentile telemetry. The headline guarantee under test: the same
 // ServeSpec produces bit-identical completion order, percentiles and
-// degrade transitions under both sim engines and both exec modes.
+// degrade transitions under both sim engines.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -165,9 +165,9 @@ TEST(ServeTest, DegradeLadderStripsCopies) {
   EXPECT_EQ(serve::degrade(core::RedundancySpec::dcls(), 5).n_copies, 1u);
 }
 
-// ---- Serving determinism across engines and exec modes ---------------------
+// ---- Serving determinism across engines ------------------------------------
 
-ServeSpec small_serve(sim::SimEngine engine, sim::ExecMode mode) {
+ServeSpec small_serve(sim::SimEngine engine) {
   ServeSpec s;
   s.traffic = small_traffic(TrafficSpec::Pattern::kPoisson, 13);
   s.traffic.offered_rps = 500.0;
@@ -177,28 +177,20 @@ ServeSpec small_serve(sim::SimEngine engine, sim::ExecMode mode) {
   s.traffic.tenants[0].deadline_ns = 400'000'000;
   s.traffic.tenants[1].deadline_ns = 400'000'000;
   s.gpu.engine = engine;
-  s.gpu.exec_mode = mode;
   s.policy = sched::Policy::kSrrs;
   return s;
 }
 
-TEST(ServeTest, BitIdenticalAcrossEnginesAndExecModes) {
-  const ServeResult reference =
-      run_serve(small_serve(sim::SimEngine::kDense, sim::ExecMode::kInterp));
+TEST(ServeTest, BitIdenticalAcrossEngines) {
+  const ServeResult reference = run_serve(small_serve(sim::SimEngine::kDense));
   ASSERT_GT(reference.served, 0u);
   EXPECT_EQ(reference.dropped, 0u);
   EXPECT_EQ(reference.verify_failures, 0u);
 
-  for (const auto engine : {sim::SimEngine::kDense, sim::SimEngine::kEvent}) {
-    for (const auto mode : {sim::ExecMode::kInterp, sim::ExecMode::kBlock}) {
-      const ServeResult r = run_serve(small_serve(engine, mode));
-      EXPECT_TRUE(r == reference)
-          << "engine=" << static_cast<int>(engine)
-          << " mode=" << static_cast<int>(mode);
-      EXPECT_EQ(r.span_ns, reference.span_ns);
-      EXPECT_EQ(r.busy_ns, reference.busy_ns);
-    }
-  }
+  const ServeResult r = run_serve(small_serve(sim::SimEngine::kEvent));
+  EXPECT_TRUE(r == reference);
+  EXPECT_EQ(r.span_ns, reference.span_ns);
+  EXPECT_EQ(r.busy_ns, reference.busy_ns);
 }
 
 TEST(ServeTest, CompletionsFollowEdfOrder) {
@@ -320,7 +312,7 @@ TEST(ServeTest, OverloadEntersAndExitsDegradeWithDropAccounting) {
 // ---- Safety cadence --------------------------------------------------------
 
 TEST(ServeTest, BistAndCheckpointCadence) {
-  ServeSpec s = small_serve(sim::SimEngine::kEvent, sim::ExecMode::kBlock);
+  ServeSpec s = small_serve(sim::SimEngine::kEvent);
   s.traffic.max_requests = 4;
   // DCLS tenant rolls back from interval snapshots; BIST fires between
   // requests on the host timeline.
@@ -339,7 +331,7 @@ TEST(ServeTest, CountsEveryCheckpointOfALongRequest) {
   // One request whose kernels span many more interval captures than the
   // device's 8-entry interval ring holds: every capture is counted, not
   // just the ones still in the ring when the request ends.
-  ServeSpec s = small_serve(sim::SimEngine::kEvent, sim::ExecMode::kBlock);
+  ServeSpec s = small_serve(sim::SimEngine::kEvent);
   s.traffic.max_requests = 1;
   s.bist_interval_ns = 0;
   s.ckpt_interval_cycles = 500;
@@ -361,7 +353,7 @@ TEST(ServeTest, CountsEveryCheckpointOfALongRequest) {
 // ---- Telemetry output ------------------------------------------------------
 
 TEST(ServeTest, CsvHasOneRowPerTenant) {
-  const ServeSpec s = small_serve(sim::SimEngine::kEvent, sim::ExecMode::kBlock);
+  const ServeSpec s = small_serve(sim::SimEngine::kEvent);
   const ServeResult r = run_serve(s);
   const std::string csv = r.to_csv();
   EXPECT_NE(csv.find("tenant,offered,served"), std::string::npos);
@@ -370,7 +362,7 @@ TEST(ServeTest, CsvHasOneRowPerTenant) {
 }
 
 TEST(ServeTest, FttiSlackIsTracked) {
-  const ServeSpec s = small_serve(sim::SimEngine::kEvent, sim::ExecMode::kBlock);
+  const ServeSpec s = small_serve(sim::SimEngine::kEvent);
   const ServeResult r = run_serve(s);
   for (const serve::TenantStats& ts : r.tenants) {
     if (ts.served == 0) continue;

@@ -296,9 +296,8 @@ struct HerdArtifacts {
   std::vector<u32> memory;
 };
 
-HerdArtifacts run_herd(SimEngine engine, ExecMode mode, bool sfu) {
+HerdArtifacts run_herd(SimEngine engine, bool sfu) {
   GpuParams params = engine_params(engine);
-  params.exec_mode = mode;
   memsys::GlobalStore store;
   Gpu gpu(params, &store);
   gpu.set_kernel_scheduler(std::make_unique<sched::DefaultKernelScheduler>());
@@ -316,13 +315,12 @@ HerdArtifacts run_herd(SimEngine engine, ExecMode mode, bool sfu) {
   return a;
 }
 
-class HerdEquivalence
-    : public ::testing::TestWithParam<std::pair<bool, ExecMode>> {};
+class HerdEquivalence : public ::testing::TestWithParam<bool> {};
 
 TEST_P(HerdEquivalence, EventEngineBitIdenticalToDense) {
-  const auto [sfu, mode] = GetParam();
-  const HerdArtifacts dense = run_herd(SimEngine::kDense, mode, sfu);
-  const HerdArtifacts event = run_herd(SimEngine::kEvent, mode, sfu);
+  const bool sfu = GetParam();
+  const HerdArtifacts dense = run_herd(SimEngine::kDense, sfu);
+  const HerdArtifacts event = run_herd(SimEngine::kEvent, sfu);
   // A herd: structural stalls outnumber issued instructions several times.
   EXPECT_GT(dense.stats.get("issue_stall_structural"),
             4 * dense.stats.get("instructions"));
@@ -333,16 +331,11 @@ TEST_P(HerdEquivalence, EventEngineBitIdenticalToDense) {
   EXPECT_EQ(dense.memory, event.memory);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    LsuAndSfu, HerdEquivalence,
-    ::testing::Values(std::pair{false, ExecMode::kBlock},
-                      std::pair{false, ExecMode::kInterp},
-                      std::pair{true, ExecMode::kBlock},
-                      std::pair{true, ExecMode::kInterp}),
-    [](const auto& info) {
-      return std::string(info.param.first ? "sfu_" : "lsu_") +
-             (info.param.second == ExecMode::kBlock ? "block" : "interp");
-    });
+INSTANTIATE_TEST_SUITE_P(LsuAndSfu, HerdEquivalence,
+                         ::testing::Values(false, true),
+                         [](const auto& info) {
+                           return std::string(info.param ? "sfu" : "lsu");
+                         });
 
 }  // namespace
 }  // namespace higpu::sim
@@ -403,6 +396,14 @@ TEST_P(WorkloadEquivalence, EventEngineBitIdenticalToDense) {
   EXPECT_EQ(dense.elapsed_ns, event.elapsed_ns) << "wall-clock model differs";
   expect_same_stats(dense.stats, event.stats, GetParam());
   expect_same_records(dense.records, event.records, GetParam());
+  // Block dispatch: every program is compiled at launch, the two issue
+  // counters partition the issued instructions, and register-only forms
+  // take the lane kernels.
+  EXPECT_GT(event.stats.get("blocks_compiled"), 0u);
+  EXPECT_GT(event.stats.get("block_exec_hits"), 0u);
+  EXPECT_EQ(event.stats.get("block_exec_hits") +
+                event.stats.get("block_fallback_exits"),
+            event.stats.get("instructions"));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, WorkloadEquivalence,

@@ -1,7 +1,7 @@
 // Zero-perturbation guarantee: attaching an obs::Tracer changes no
 // deterministic result field. Every workload runs with tracing off and on —
-// across both sim engines, both exec modes and baseline/TMR redundancy —
-// and the two ScenarioResults must be bit-identical (including the cycle-
+// across both sim engines and baseline/TMR redundancy — and the two
+// ScenarioResults must be bit-identical (including the cycle-
 // attribution counters and per-SM profile, which are counted
 // unconditionally). The traced run must also produce a schema-valid,
 // non-empty Chrome trace, so "identical" can never be satisfied by tracing
@@ -24,13 +24,11 @@ namespace {
 
 struct Config {
   sim::SimEngine engine;
-  sim::ExecMode exec;
   bool tmr;
 };
 
 std::string config_name(const Config& c) {
   std::string s = c.engine == sim::SimEngine::kDense ? "dense" : "event";
-  s += c.exec == sim::ExecMode::kInterp ? "+interp" : "+block";
   s += c.tmr ? "+tmr" : "+base";
   return s;
 }
@@ -39,14 +37,10 @@ class TraceIdentity : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(TraceIdentity, TracerOnChangesNoDeterministicField) {
   const std::vector<Config> configs = {
-      {sim::SimEngine::kDense, sim::ExecMode::kInterp, false},
-      {sim::SimEngine::kDense, sim::ExecMode::kInterp, true},
-      {sim::SimEngine::kDense, sim::ExecMode::kBlock, false},
-      {sim::SimEngine::kDense, sim::ExecMode::kBlock, true},
-      {sim::SimEngine::kEvent, sim::ExecMode::kInterp, false},
-      {sim::SimEngine::kEvent, sim::ExecMode::kInterp, true},
-      {sim::SimEngine::kEvent, sim::ExecMode::kBlock, false},
-      {sim::SimEngine::kEvent, sim::ExecMode::kBlock, true},
+      {sim::SimEngine::kDense, false},
+      {sim::SimEngine::kDense, true},
+      {sim::SimEngine::kEvent, false},
+      {sim::SimEngine::kEvent, true},
   };
   for (const Config& c : configs) {
     SCOPED_TRACE(config_name(c));
@@ -54,7 +48,6 @@ TEST_P(TraceIdentity, TracerOnChangesNoDeterministicField) {
     spec.workload = GetParam();
     spec.scale = workloads::Scale::kTest;
     spec.gpu.engine = c.engine;
-    spec.gpu.exec_mode = c.exec;
     spec.redundancy = c.tmr ? core::RedundancySpec::tmr()
                             : core::RedundancySpec::baseline();
 

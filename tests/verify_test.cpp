@@ -748,7 +748,7 @@ TEST(LaunchGate, EveryErrorCodeIsRefusedBeforeItRuns) {
       {"bad-branch-target", Code::kBadBranchTarget,
        prog({I_bra(5), I_exit()})},
       {"fall-off-end", Code::kFallOffEnd, prog({I_mov(0, imm(1))})},
-      // fdiv names r60000 in a slot it does not read; both exec modes would
+      // fdiv names r60000 in a slot it does not read; the executor would
       // read it anyway, far past the one-register file.
       {"bad-operand", Code::kBadOperand, fdiv_program(/*stray=*/true)},
       {"bad-param-index", Code::kBadParamIndex,
